@@ -582,8 +582,7 @@ def cmd_polygon(args) -> int:
     if args.polygon_cmd == "from-edges":
         vals = [ctx.parse(v) for v in args.edges.split(",")]
         n = len(vals)
-        cyc = [(i, i + 1) for i in range(1, n)] + [(1, n)]
-        edges = dict(zip(cyc, vals))
+        edges = dict(zip(polygon.polygon_edges(n), vals))
         point = polygon.deep_point_from_edges(n, edges)
         doc = {"schema": 1, "deep_point": point.to_json()}
         if n <= polygon.MAX_ENUMERATION_N:
@@ -814,7 +813,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UnknownScenario, ParseError) as exc:
+    except (UnknownScenario, ParseError, polygon.InvalidSearchCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DeepLocusError as exc:

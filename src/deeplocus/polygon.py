@@ -8,16 +8,24 @@ A point assigns a field value to every segment x_{i,j} of a convex n-gon
 with edges nonzero ("boundary-coefficients" mode) or equal to one
 ("type-A" mode).  A point is deep when every triangulation of the
 polygon contains a diagonal sent to zero; deepness is certified here by
-exhaustive triangulation enumeration, never by trusting a formula.
+checking every triangulation, never by trusting a formula.  The
+triangulations of each n-gon are enumerated once and cached as bitmasks
+over its diagonals, so a certificate is one AND per triangulation.
+
+The exhaustive variety scan over F_p prunes: it assigns edges, then
+diagonals, as raw residues and rejects a partial assignment as soon as a
+Ptolemy relation on its assigned segments fails.  Its cap still counts
+the nominal assignments, every edge and diagonal value combined.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue, product
@@ -75,6 +83,10 @@ class UnderdeterminedPoint(PolygonError):
     """Value propagation stalled; the seed does not determine the point."""
 
 
+class InvalidSearchCap(PolygonError):
+    """DEEPLOCUS_MAX_SEARCH does not hold an integer."""
+
+
 def seg(i: int, j: int) -> Segment:
     return (i, j) if i < j else (j, i)
 
@@ -126,31 +138,49 @@ class PolygonTriangulation:
         return sorted(self.diagonals)
 
 
+@functools.lru_cache(maxsize=None)
+def _triangulation_masks(n: int) -> Tuple[int, ...]:
+    """All triangulations of the n-gon as bitmasks over polygon_diagonals(n),
+    bit t set when the t-th diagonal is used, in lexicographic order of the
+    sorted diagonal lists.  Capped at n <= MAX_ENUMERATION_N."""
+    if not (3 <= n <= MAX_ENUMERATION_N):
+        raise SizeOutOfRange(f"n={n} outside [3, {MAX_ENUMERATION_N}]")
+    bit = {d: 1 << t for t, d in enumerate(polygon_diagonals(n))}
+    # masks[i, j]: triangulations of the sub-polygon on vertices i..j; its
+    # triangle on (i, j) has apex t, and the sides (i, t), (t, j) are
+    # diagonals of the n-gon unless they are edges
+    masks: Dict[Segment, List[int]] = {(i, i + 1): [0] for i in range(1, n)}
+    for span in range(2, n):
+        for i in range(1, n + 1 - span):
+            j = i + span
+            masks[i, j] = [
+                left | right | bit.get((i, t), 0) | bit.get((t, j), 0)
+                for t in range(i + 1, j)
+                for left in masks[i, t]
+                for right in masks[t, j]
+            ]
+    found = masks[1, n]
+    assert len(found) == catalan(n - 2)
+    # the diagonal lists all have n-3 entries, so the first difference
+    # decides the order: the list holding the lower diagonal index comes
+    # first, which is the larger mask once the bits are read backwards
+    width = len(bit)
+    found.sort(key=lambda m: int(f"{m:0{width}b}"[::-1], 2), reverse=True)
+    return tuple(found)
+
+
 def enumerate_triangulations(n: int) -> List[PolygonTriangulation]:
     """All triangulations of the n-gon in lexicographic order.
 
     Count is Catalan(n-2); capped at n <= 14 (desk scale).
     """
-    if not (3 <= n <= MAX_ENUMERATION_N):
-        raise SizeOutOfRange(f"n={n} outside [3, {MAX_ENUMERATION_N}]")
-
-    def chords(vertices: Tuple[int, ...]) -> Iterable[frozenset]:
-        if len(vertices) <= 3:
-            yield frozenset()
-            return
-        first, last = vertices[0], vertices[-1]
-        for t in range(1, len(vertices) - 1):
-            apex = vertices[t]
-            new = [s for s in (seg(first, apex), seg(apex, last)) if not is_edge(s, n)]
-            for left in chords(vertices[: t + 1]):
-                for right in chords(vertices[t:]):
-                    yield left | right | frozenset(new)
-
-    found = {d for d in chords(tuple(range(1, n + 1)))}
-    tris = [PolygonTriangulation(n, d) for d in found]
-    tris.sort(key=lambda t: tuple(sorted(t.diagonals)))
-    assert len(tris) == catalan(n - 2)
-    return tris
+    diagonals = polygon_diagonals(n)
+    return [
+        PolygonTriangulation(
+            n, frozenset(d for t, d in enumerate(diagonals) if mask >> t & 1)
+        )
+        for mask in _triangulation_masks(n)
+    ]
 
 
 class PolygonPoint:
@@ -243,10 +273,11 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
     for quad, r in ptolemy_residuals(p):
         if not r.is_zero:
             raise InvalidPoint(f"Ptolemy residual at {quad} is {r}")
-    for tri in enumerate_triangulations(p.n):
-        if not any(p.values[d].is_zero for d in tri.diagonals):
-            return False
-    return True
+    zeros = 0
+    for t, d in enumerate(polygon_diagonals(p.n)):
+        if p.values[d].is_zero:
+            zeros |= 1 << t
+    return all(mask & zeros for mask in _triangulation_masks(p.n))
 
 
 def _alternating_product(values: Mapping[Segment, FieldValue], cycle: List[Segment], ctx) -> FieldValue:
@@ -255,10 +286,6 @@ def _alternating_product(values: Mapping[Segment, FieldValue], cycle: List[Segme
     num = product(ctx, (values[e] for e in cycle[0::2]))
     den = product(ctx, (values[e] for e in cycle[1::2]))
     return num / den
-
-
-def _edge_cycle(n: int) -> List[Segment]:
-    return [(i, i + 1) for i in range(1, n)] + [(1, n)]
 
 
 def deep_point_from_edges(
@@ -282,7 +309,7 @@ def deep_point_from_edges(
             raise ZeroEdge(f"edge {e} must be nonzero")
     ctx = edge_values[edges[0]].ctx
     sign = ctx.minus_one() ** ((n + 2) // 2)
-    alt = _alternating_product(edge_values, _edge_cycle(n), ctx)
+    alt = _alternating_product(edge_values, edges, ctx)
     if alt != sign:
         raise ConditionViolated(
             f"alternating edge product is {alt}, needed {sign}"
@@ -472,7 +499,14 @@ def max_search_cap(override: Optional[int] = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("DEEPLOCUS_MAX_SEARCH")
-    return int(env) if env else DEFAULT_MAX_SEARCH
+    if not env:
+        return DEFAULT_MAX_SEARCH
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidSearchCap(
+            f"DEEPLOCUS_MAX_SEARCH={env!r} is not an integer"
+        ) from None
 
 
 def bruteforce_variety_scan(
@@ -483,7 +517,15 @@ def bruteforce_variety_scan(
 ) -> List[Tuple[PolygonPoint, bool]]:
     """Enumerate every assignment over a prime field, keep the variety
     points, and classify each as deep or not.  Type-A mode fixes edges at 1;
-    boundary mode ranges edges over nonzero values as well."""
+    boundary mode ranges edges over nonzero values as well.
+
+    Points come in the order of the full product over edge values, then
+    diagonal values, each in residue order.  The scan prunes that product:
+    values are assigned as residues one segment at a time, and each Ptolemy
+    relation is checked mod p once its last segment is assigned, so a
+    failing prefix skips every assignment that extends it.  The cap is
+    still checked against the nominal assignment count.
+    """
     if ctx.kind != "prime-field":
         raise SearchTooLarge("exhaustive scans need a finite field")
     diagonals = polygon_diagonals(n)
@@ -497,23 +539,41 @@ def bruteforce_variety_scan(
     cap = max_search_cap(max_search)
     if size > cap:
         raise SearchTooLarge(f"{size} assignments exceed the cap {cap}")
+    if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
+        raise PolygonError(f"unknown mode {mode!r}")
 
-    one = ctx.one()
     all_elems = list(ctx.elements())
-    nonzero = all_elems[1:]
-    if mode == MODE_TYPE_A:
-        edge_choices = [[one]] * len(edges)
-    else:
-        edge_choices = [nonzero] * len(edges)
+    slots = edges + diagonals
+    edge_choices = range(1, 2) if mode == MODE_TYPE_A else range(1, p)
+    choices = [edge_choices] * len(edges) + [range(p)] * len(diagonals)
+    # relations[t]: the Ptolemy relations whose last assigned segment is
+    # slot t, as slot indices (a, b, c, d, e, f) of the residual
+    # x_a x_b - x_c x_d - x_e x_f
+    index = {s: t for t, s in enumerate(slots)}
+    relations: List[List[Tuple[int, ...]]] = [[] for _ in slots]
+    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
+        six = tuple(index[s] for s in ((i, k), (j, l), (i, j), (k, l), (i, l), (j, k)))
+        relations[max(six)].append(six)
 
     results: List[Tuple[PolygonPoint, bool]] = []
-    for edge_vals in itertools.product(*edge_choices):
-        base = dict(zip(edges, edge_vals))
-        for diag_vals in itertools.product(all_elems, repeat=len(diagonals)):
-            values = dict(base)
-            values.update(zip(diagonals, diag_vals))
-            point = PolygonPoint(n, mode, values)
-            if not all(r.is_zero for _, r in ptolemy_residuals(point)):
-                continue
-            results.append((point, is_deep_bruteforce(point)))
+    vals = [0] * len(slots)
+    # a flat depth-first walk: stack[t] iterates the values of slot t
+    stack = [iter(choices[0])]
+    while stack:
+        depth = len(stack) - 1
+        for v in stack[-1]:
+            vals[depth] = v
+            if not any(
+                (vals[a] * vals[b] - vals[c] * vals[d] - vals[e] * vals[f]) % p
+                for a, b, c, d, e, f in relations[depth]
+            ):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < len(slots):
+            stack.append(iter(choices[len(stack)]))
+            continue
+        point = PolygonPoint(n, mode, {s: all_elems[v] for s, v in zip(slots, vals)})
+        results.append((point, is_deep_bruteforce(point)))
     return results

@@ -355,22 +355,29 @@ def verify_deep(p: Rank2Point, N: int = 10) -> bool:
 # deep point families
 
 
+def _int_root(m: int, k: int) -> Optional[int]:
+    """The exact k-th root of the integer m >= 0, if it is an integer."""
+    if k == 2:
+        r = math.isqrt(m)
+    elif m == 0:
+        r = 0
+    else:
+        # Newton's iteration from above converges to the floor of the root
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            nxt = ((k - 1) * r + m // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**k == m else None
+
+
 def _fraction_root(q: Fraction, k: int) -> Optional[Fraction]:
     """The exact nonnegative k-th root of q >= 0, if it is rational."""
     if q < 0:
         return None
-
-    def int_root(m: int) -> Optional[int]:
-        if m == 0:
-            return 0
-        r = round(m ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == m:
-                return cand
-        return None
-
-    rn = int_root(q.numerator)
-    rd = int_root(q.denominator)
+    rn = _int_root(q.numerator, k)
+    rd = _int_root(q.denominator, k)
     if rn is None or rd is None:
         return None
     return Fraction(rn, rd)

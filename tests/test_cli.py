@@ -190,3 +190,10 @@ class TestSubcommands:
     def test_error_exit_code(self):
         code, _ = run_cli(["polygon", "from-edges", "--edges", "1,1,1,1"])
         assert code == 1  # all-ones square violates the product condition
+
+    def test_bad_search_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "abc")
+        code, out = run_cli(["polygon", "scan", "--n", "4", "--field", "fp:2"])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'abc'" in err

@@ -9,9 +9,11 @@ from deeplocus.polygon import (
     MODE_TYPE_A,
     ConditionViolated,
     InvalidPoint,
+    InvalidSearchCap,
     NoDeepPoint,
     NotADiagonal,
     OddPolygon,
+    PolygonError,
     PolygonPoint,
     PolygonTriangulation,
     SearchTooLarge,
@@ -25,6 +27,7 @@ from deeplocus.polygon import (
     extend_from_triangulation,
     glue_cut_halves,
     is_deep_bruteforce,
+    max_search_cap,
     polygon_diagonals,
     polygon_edges,
     polygon_segments,
@@ -80,6 +83,14 @@ class TestTriangulations:
         with pytest.raises(Exception):
             PolygonTriangulation(6, frozenset({(1, 3), (2, 4), (1, 4)}))
 
+    @pytest.mark.parametrize("n", [5, 8, 10])
+    def test_lexicographic_order_and_fresh_lists(self, n):
+        tris = enumerate_triangulations(n)
+        keys = [t.sorted_diagonals() for t in tris]
+        assert keys == sorted(keys)
+        tris.clear()
+        assert len(enumerate_triangulations(n)) == catalan(n - 2)
+
 
 class TestPtolemyResiduals:
     def test_square_deep_residual(self):
@@ -123,6 +134,14 @@ class TestDeepCertification:
 
     def test_invalid_point_rejected(self):
         p = square_point(QQ, QQ.one(), QQ.one(), [QQ.one()] * 4)
+        with pytest.raises(InvalidPoint):
+            is_deep_bruteforce(p)
+
+    def test_zero_edges_rejected(self):
+        # every residual vanishes, but boundary mode needs nonzero edges
+        zero, one = QQ.zero(), QQ.one()
+        p = square_point(QQ, zero, zero, [zero, one, one, zero])
+        assert all(r.is_zero for _, r in ptolemy_residuals(p))
         with pytest.raises(InvalidPoint):
             is_deep_bruteforce(p)
 
@@ -311,6 +330,14 @@ class TestVarietyScan:
         monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "1000")
         assert bruteforce_variety_scan(4, F2, MODE_TYPE_A)
 
+    def test_bad_env_cap_names_the_value(self, monkeypatch):
+        monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "abc")
+        with pytest.raises(InvalidSearchCap, match="'abc'"):
+            max_search_cap()
+        with pytest.raises(InvalidSearchCap):
+            bruteforce_variety_scan(4, F2, MODE_TYPE_A)
+        assert max_search_cap(50) == 50
+
     def test_boundary_mode_scan(self):
         # nonzero edges are enumerated too; square over F2 forces edges 1,
         # so the deep point count matches the type-A scan
@@ -326,6 +353,117 @@ class TestVarietyScan:
         assert len(deep) == (3 - 1) ** 3
         for p in deep:
             assert p.value(1, 3).is_zero and p.value(2, 4).is_zero
+
+
+def naive_is_deep(point):
+    return all(
+        any(point.values[d].is_zero for d in tri.diagonals)
+        for tri in enumerate_triangulations(point.n)
+    )
+
+
+def naive_variety_scan(n, ctx, mode):
+    """The unpruned scan: the full product of edge values, then diagonal
+    values, with every Ptolemy residual checked on every assignment."""
+    p = ctx.p
+    edges, diagonals = polygon_edges(n), polygon_diagonals(n)
+    edge_range = [1] if mode == MODE_TYPE_A else range(1, p)
+    quads = list(itertools.combinations(range(1, n + 1), 4))
+    out = []
+    for edge_vals in itertools.product(edge_range, repeat=len(edges)):
+        for diag_vals in itertools.product(range(p), repeat=len(diagonals)):
+            x = dict(zip(edges, edge_vals))
+            x.update(zip(diagonals, diag_vals))
+            if all(
+                (x[i, k] * x[j, l] - x[i, j] * x[k, l] - x[i, l] * x[j, k]) % p == 0
+                for i, j, k, l in quads
+            ):
+                point = PolygonPoint(n, mode, {s: ctx.from_int(v) for s, v in x.items()})
+                out.append((point, naive_is_deep(point)))
+    return out
+
+
+# the naive scan costs a few microseconds per assignment, so the oracle
+# covers the cases of n = 4..7 over F2 and F3 up to this many assignments
+NAIVE_SCAN_BUDGET = 20_000
+ORACLE_SCANS = [
+    (n, ctx, mode)
+    for n in (4, 5, 6, 7)
+    for ctx in (F2, F3)
+    for mode in (MODE_TYPE_A, MODE_BOUNDARY)
+    if ctx.p ** (n * (n - 3) // 2) * (1 if mode == MODE_TYPE_A else (ctx.p - 1) ** n)
+    <= NAIVE_SCAN_BUDGET
+]
+
+
+def seeded_deep_point(ctx, n, rng):
+    """deep_point_from_edges on random nonzero edges, the closing edge
+    chosen to meet the alternating product condition."""
+    edges = polygon_edges(n)
+    vals = [random_value(ctx, rng, nonzero=True) for _ in edges[:-1]]
+    num = den = ctx.one()
+    for k, v in enumerate(vals):
+        if k % 2 == 0:
+            num = num * v
+        else:
+            den = den * v
+    closing = num / (den * ctx.minus_one() ** ((n + 2) // 2))
+    return deep_point_from_edges(n, dict(zip(edges, vals + [closing])))
+
+
+def seeded_torus_point(ctx, n, rng):
+    """extend_from_triangulation from a random triangulation, retried
+    until the seed values propagate to a valid point."""
+    tris = enumerate_triangulations(n)
+    while True:
+        tri = rng.choice(tris)
+        try:
+            return extend_from_triangulation(
+                n,
+                tri,
+                {d: random_value(ctx, rng, nonzero=True) for d in tri.diagonals},
+                {e: random_value(ctx, rng, nonzero=True) for e in polygon_edges(n)},
+            )
+        except PolygonError:
+            continue
+
+
+class TestOracles:
+    """The pruned scan and the bitmask certificate against the unpruned
+    scan and a per-triangulation `any` over enumerate_triangulations."""
+
+    @pytest.mark.parametrize(
+        "n,ctx,mode", ORACLE_SCANS, ids=lambda v: getattr(v, "p", v)
+    )
+    def test_scan_matches_naive_scan(self, n, ctx, mode):
+        # whole lists, order included; the naive side certifies deepness
+        # by the per-triangulation any
+        assert bruteforce_variety_scan(n, ctx, mode) == naive_variety_scan(n, ctx, mode)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_mask_deepness_matches_enumeration(self, n, rng):
+        points = []
+        for ctx in (F5, prime_field(101), QQ):
+            points += [seeded_torus_point(ctx, n, rng) for _ in range(2)]
+            if n % 2 == 0:
+                points += [seeded_deep_point(ctx, n, rng) for _ in range(2)]
+        for point in points:
+            assert is_deep_bruteforce(point) == naive_is_deep(point)
+        if n % 2 == 0:
+            assert any(is_deep_bruteforce(p) for p in points)
+        assert not all(is_deep_bruteforce(p) for p in points)
+
+    def test_size_cap_still_applies(self, rng):
+        # a valid 15-gon point: residuals check out, the certificate is capped
+        fan = PolygonTriangulation(15, frozenset((1, k) for k in range(3, 15)))
+        point = extend_from_triangulation(
+            15,
+            fan,
+            {d: QQ.from_int(rng.randint(1, 5)) for d in fan.diagonals},
+            {e: QQ.one() for e in polygon_edges(15)},
+        )
+        with pytest.raises(SizeOutOfRange):
+            is_deep_bruteforce(point)
 
 
 class TestLargePolygons:

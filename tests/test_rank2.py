@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from deeplocus.rank2 import (
     Rank2Point,
     Rank2Spec,
     StuckPropagation,
+    _fraction_root,
     closed_form_step,
     deep_points,
     division_step,
@@ -169,6 +171,21 @@ class TestDeepPointFamilies:
         assert len(pts) >= 2
         for p, _ in pts:
             assert verify_deep(p, N=6)
+
+    def test_supplied_beta_with_a_huge_square_root(self):
+        # alpha^2 = -beta^-1 = 1/(3^40+7)^2 is a square past float precision
+        m = 3**40 + 7
+        spec = Rank2Spec(2, 2, 1, (1,), (0,))
+        pts = deep_points(spec, QQ, betas=[(QQ.from_int(-(m**2)),)])
+        assert {p.xs[1] for p, _ in pts} == {QQ.rational(1, m), QQ.rational(-1, m)}
+        for p, _ in pts:
+            assert verify_deep(p, N=6)
+
+    def test_fraction_root_is_exact_beyond_float_range(self):
+        assert _fraction_root(Fraction(10**400), 2) == 10**200
+        assert _fraction_root(Fraction(10**400 + 1), 2) is None
+        assert _fraction_root(Fraction(8, 3**300), 3) == Fraction(2, 3**100)
+        assert _fraction_root(Fraction(0), 5) == 0
 
     def test_supplied_betas_over_gaussian_rationals(self):
         # beta = i: the even family needs alpha^2 = -beta^-2 = 1, the odd
