@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, QI, QQ, prime_field
+from .field import FieldContext, QI, QQ, UnparsableValue, prime_field
 from . import markov, polygon, rank2, surface
 
 
@@ -101,8 +101,14 @@ def ingest_surface(path: str) -> surface.SurfaceTriangulation:
         raise ParseError(f"cannot read surface file {path}: {exc}")
     if not isinstance(data, dict) or "polygon_sides" not in data:
         raise ParseError(f"{path}: expected keys polygon_sides, gluings")
-    gluings = [tuple(pair) for pair in data.get("gluings", [])]
-    return surface.build_from_gluing(int(data["polygon_sides"]), gluings)
+    try:
+        sides = int(data["polygon_sides"])
+        gluings = [tuple(pair) for pair in data.get("gluings", [])]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed polygon_sides or gluings: {exc}") from None
+    if not all(isinstance(v, int) for pair in gluings for v in pair):
+        raise ParseError(f"{path}: gluings must be pairs of integer side ids")
+    return surface.build_from_gluing(sides, gluings)
 
 
 def ingest_deep_fixture(
@@ -114,9 +120,22 @@ def ingest_deep_fixture(
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read fixture {path}: {exc}")
-    ctx = parse_field(data.get("field", "q"))
-    d = surface.Dissection(t, frozenset(int(a) for a in data["dissection"]))
-    values = {int(a): ctx.parse(s) for a, s in data["values"].items()}
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("dissection"), list)
+        and isinstance(data.get("values"), dict)
+    ):
+        raise ParseError(f"{path}: expected a list dissection and an object values")
+    ctx = parse_field(str(data.get("field", "q")))
+    try:
+        arcs = frozenset(int(a) for a in data["dissection"])
+        values = {int(a): ctx.parse(str(s)) for a, s in data["values"].items()}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    d = surface.Dissection(t, arcs)
+    missing = sorted({*t.boundary_arcs(), *d.arcs} - set(values))
+    if missing:
+        raise ParseError(f"{path}: no value for arcs {missing}")
     bvals = {a: values[a] for a in t.boundary_arcs()}
     dvals = {a: values[a] for a in d.arcs}
     return surface.deep_point_from_dissection(d, bvals, dvals)
@@ -324,7 +343,7 @@ def scenario_rank2_closed_form(args) -> Report:
             )
             trials = 0
             while trials < 100:
-                point = _random_rank2_torus_point(spec, f7, rng)
+                point = rank2.random_torus_point(spec, f7, rng)
                 if point is None:
                     break
                 trials += 1
@@ -345,38 +364,6 @@ def scenario_rank2_closed_form(args) -> Report:
     )
     rep.check("comparison count is meaningful", checked > 500, str(checked))
     return rep
-
-
-def _random_rank2_torus_point(spec, ctx, rng):
-    from .rank2 import Rank2Point, negative_part, positive_part, y_monomial
-
-    for _ in range(100):
-        xs = []
-        x0 = _rand_nonzero(ctx, rng)
-        x1 = _rand_nonzero(ctx, rng)
-        ys = tuple(_rand_nonzero(ctx, rng) for _ in range(spec.f))
-        e1, e2 = tuple(spec.e1), tuple(spec.e2)
-        x2 = (
-            y_monomial(ys, positive_part(e1), ctx) * x1**spec.b
-            + y_monomial(ys, negative_part(e1), ctx)
-        ) / x0
-        if x2.is_zero:
-            continue
-        x3 = (
-            y_monomial(ys, positive_part(e2), ctx) * x2**spec.c
-            + y_monomial(ys, negative_part(e2), ctx)
-        ) / x1
-        if x3.is_zero:
-            continue
-        return Rank2Point(spec, (x0, x1, x2, x3), ys)
-    return None
-
-
-def _rand_nonzero(ctx, rng):
-    while True:
-        v = ctx.from_int(rng.randrange(1, ctx.p)) if ctx.kind == "prime-field" else ctx.from_int(rng.randint(1, 9))
-        if not v.is_zero:
-            return v
 
 
 def scenario_markov_enumerate(args) -> Report:
@@ -604,10 +591,17 @@ def cmd_polygon(args) -> int:
     raise ParseError(f"unknown polygon subcommand {args.polygon_cmd!r}")
 
 
+def _int_list(text: str, flag: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        raise ParseError(f"{flag} needs a comma list of integers, got {text!r}") from None
+
+
 def cmd_rank2(args) -> int:
     ctx = parse_field(args.field)
-    e1 = tuple(int(v) for v in args.e1.split(",")) if args.e1 else ()
-    e2 = tuple(int(v) for v in args.e2.split(",")) if args.e2 else ()
+    e1 = _int_list(args.e1, "--e1")
+    e2 = _int_list(args.e2, "--e2")
     spec = rank2.Rank2Spec(args.b, args.c, len(e1), e1, e2)
     points = rank2.deep_points(spec, ctx)
     depth = args.depth
@@ -813,7 +807,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UnknownScenario, ParseError, polygon.InvalidSearchCap) as exc:
+    except (UnknownScenario, ParseError, UnparsableValue, polygon.InvalidSearchCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DeepLocusError as exc:

@@ -3,11 +3,14 @@
 All downstream modules are field-generic; they only ever manipulate
 ``FieldValue`` objects tied to a ``FieldContext``.  Values are immutable,
 stored in canonical form (rationals in lowest terms with positive
-denominator, residues in ``[0, p)``), and compare structurally.
+denominator, residues in ``[0, p)``), and compare structurally.  The
+factories return one shared context per field, so contexts compare by
+identity.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterator, List, Union
 
@@ -40,6 +43,10 @@ class UnsupportedExponent(FieldError):
     """roots_of_minus_one exponent outside the supported range for Q(i)."""
 
 
+class UnparsableValue(FieldError, ValueError):
+    """Text that does not name an element of the field."""
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -54,7 +61,8 @@ def _is_prime(n: int) -> bool:
 
 
 class FieldContext:
-    """One of Q, Q(i), or F_p.  Use the module factories to construct."""
+    """One of Q, Q(i), or F_p.  Use the module factories to construct: a
+    context built directly is a field of its own, distinct from theirs."""
 
     __slots__ = ("kind", "p")
 
@@ -75,16 +83,6 @@ class FieldContext:
     @property
     def characteristic(self) -> int:
         return self.p
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldContext)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
 
     def __repr__(self) -> str:
         if self.kind == PRIME_FIELD:
@@ -129,16 +127,19 @@ class FieldContext:
     def parse(self, text: str) -> "FieldValue":
         """Parse a canonical string ("3/2", "1+2i", "4 mod 5")."""
         s = text.strip().replace(" ", "")
-        if self.kind == PRIME_FIELD:
-            if "mod" in s:
-                r, mod = s.split("mod")
-                if int(mod) != self.p:
-                    raise ContextMismatch(f"{text!r} is not in F_{self.p}")
-                s = r
-            return self.from_int(int(s))
-        if self.kind == RATIONALS:
-            return FieldValue(self, Fraction(s))
-        return FieldValue(self, _parse_gaussian(s))
+        try:
+            if self.kind == PRIME_FIELD:
+                if "mod" in s:
+                    r, mod = s.split("mod")
+                    if int(mod) != self.p:
+                        raise ContextMismatch(f"{text!r} is not in F_{self.p}")
+                    s = r
+                return self.from_int(int(s))
+            if self.kind == RATIONALS:
+                return FieldValue(self, Fraction(s))
+            return FieldValue(self, _parse_gaussian(s))
+        except (ValueError, ZeroDivisionError):
+            raise UnparsableValue(f"cannot read {text!r} as an element of {self!r}") from None
 
     # -- whole-field operations -------------------------------------------
 
@@ -175,20 +176,21 @@ class FieldContext:
         raise UnsupportedExponent(f"exponent {b} unsupported over Q(i)")
 
 
+QQ = FieldContext(RATIONALS)
+QI = FieldContext(GAUSSIAN_RATIONALS)
+
+
 def rationals() -> FieldContext:
-    return FieldContext(RATIONALS)
+    return QQ
 
 
 def gaussian_rationals() -> FieldContext:
-    return FieldContext(GAUSSIAN_RATIONALS)
+    return QI
 
 
+@functools.lru_cache(maxsize=None)
 def prime_field(p: int) -> FieldContext:
     return FieldContext(PRIME_FIELD, p)
-
-
-QQ = rationals()
-QI = gaussian_rationals()
 
 
 def _parse_gaussian(s: str):
@@ -237,11 +239,9 @@ class FieldValue:
 
     @property
     def is_zero(self) -> bool:
-        if self.ctx.kind == PRIME_FIELD:
-            return self._v == 0
-        if self.ctx.kind == RATIONALS:
-            return self._v == 0
-        return self._v[0] == 0 and self._v[1] == 0
+        if self.ctx.kind == GAUSSIAN_RATIONALS:
+            return self._v[0] == 0 and self._v[1] == 0
+        return self._v == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -249,7 +249,7 @@ class FieldValue:
     def _check(self, other: "FieldValue") -> None:
         if not isinstance(other, FieldValue):
             raise TypeError(f"expected FieldValue, got {type(other).__name__}")
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx:
             raise ContextMismatch(f"{self.ctx!r} vs {other.ctx!r}")
 
     # -- arithmetic ----------------------------------------------------------
@@ -321,7 +321,7 @@ class FieldValue:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldValue)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self._v == other._v
         )
 
@@ -329,8 +329,6 @@ class FieldValue:
         return hash((self.ctx, self._v))
 
     def sort_key(self):
-        if self.ctx.kind == GAUSSIAN_RATIONALS:
-            return self._v
         return self._v
 
     # -- formatting -------------------------------------------------------------

@@ -327,8 +327,7 @@ def deep_point_from_edges(
             den = product(ctx, (edge_values[(t, t + 1)] for t in range(i + 1, j - 1, 2)))
             values[s] = ctx.minus_one() ** ((j - i - 1) // 2) * num / den
 
-    mode = MODE_TYPE_A if all(edge_values[e] == ctx.one() for e in edges) else MODE_BOUNDARY
-    point = PolygonPoint(n, mode, values)
+    point = PolygonPoint(n, _mode_of(values, n), values)
     bad = [q for q, r in ptolemy_residuals(point) if not r.is_zero]
     assert not bad, f"constructed point fails Ptolemy at {bad[:3]}"
     return point
@@ -354,51 +353,54 @@ def unique_deep_point_typeA(n_rank: int, ctx: FieldContext) -> PolygonPoint:
     return deep_point_from_edges(n, edge_values)
 
 
-def _propagate(
-    n: int, values: Dict[Segment, FieldValue], ctx: FieldContext
-) -> Dict[Segment, FieldValue]:
+def _propagate(n: int, values: Dict[Segment, FieldValue]) -> Dict[Segment, FieldValue]:
     """Fill unknown segment values using Ptolemy relations with a single
-    unknown and a nonzero known cofactor.  Raises if propagation stalls."""
-    quads = list(itertools.combinations(range(1, n + 1), 4))
+    unknown whose partner in its pair is known and nonzero.  Raises if
+    propagation stalls."""
+    # each relation as three segment pairs: the product of the diagonal
+    # pair is the sum of the products of the two side pairs
+    relations = [
+        (((i, k), (j, l)), ((i, j), (k, l)), ((i, l), (j, k)))
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
+    ]
     todo = {s for s in polygon_segments(n) if s not in values}
     progress = True
     while todo and progress:
         progress = False
-        for i, j, k, l in quads:
-            d1, d2 = seg(i, k), seg(j, l)
-            sides = [seg(i, j), seg(k, l), seg(i, l), seg(j, k)]
-            known = lambda s: s in values
-            unknowns = [s for s in {d1, d2, *sides} if not known(s)]
-            if len(unknowns) != 1:
+        for pairs in relations:
+            unknown = [(t, m) for t in range(3) for m in range(2) if pairs[t][m] not in values]
+            if len(unknown) != 1:
                 continue
-            u = unknowns[0]
-            if u == d1 and not values[d2].is_zero:
-                values[u] = (
-                    values[sides[0]] * values[sides[1]]
-                    + values[sides[2]] * values[sides[3]]
-                ) / values[d2]
-            elif u == d2 and not values[d1].is_zero:
-                values[u] = (
-                    values[sides[0]] * values[sides[1]]
-                    + values[sides[2]] * values[sides[3]]
-                ) / values[d1]
-            elif u in (sides[0], sides[1]) and not values[sides[1] if u == sides[0] else sides[0]].is_zero:
-                other = sides[1] if u == sides[0] else sides[0]
-                values[u] = (
-                    values[d1] * values[d2] - values[sides[2]] * values[sides[3]]
-                ) / values[other]
-            elif u in (sides[2], sides[3]) and not values[sides[3] if u == sides[2] else sides[2]].is_zero:
-                other = sides[3] if u == sides[2] else sides[2]
-                values[u] = (
-                    values[d1] * values[d2] - values[sides[0]] * values[sides[1]]
-                ) / values[other]
-            else:
+            t, m = unknown[0]
+            u, partner = pairs[t][m], values[pairs[t][1 - m]]
+            if partner.is_zero:
                 continue
+            (a, b), (c, d) = pairs[:t] + pairs[t + 1:]
+            # solving for a side, the other side pair moves to the right
+            # with a minus sign
+            other = values[c] * values[d]
+            values[u] = (values[a] * values[b] + (other if t == 0 else -other)) / partner
             todo.discard(u)
             progress = True
     if todo:
         raise UnderdeterminedPoint(f"could not determine segments {sorted(todo)[:4]}")
     return values
+
+
+def _mode_of(values: Mapping[Segment, FieldValue], n: int) -> str:
+    """Type-A when every edge value is one, boundary-coefficients otherwise."""
+    one = values[(1, n)].ctx.one()
+    return MODE_TYPE_A if all(values[e] == one for e in polygon_edges(n)) else MODE_BOUNDARY
+
+
+def _complete(n: int, values: Dict[Segment, FieldValue], message: str) -> PolygonPoint:
+    """The point that propagation derives from values; raises InvalidPoint
+    with message unless it satisfies every Ptolemy relation."""
+    _propagate(n, values)
+    point = PolygonPoint(n, _mode_of(values, n), values)
+    if not point.is_valid():
+        raise InvalidPoint(message)
+    return point
 
 
 def extend_from_triangulation(
@@ -409,7 +411,6 @@ def extend_from_triangulation(
 ) -> PolygonPoint:
     """The unique point with the given values on a triangulation's diagonals
     (all nonzero) and on the edges; every other segment is derived."""
-    ctx = next(iter(edge_values.values())).ctx
     values: Dict[Segment, FieldValue] = {}
     for e in polygon_edges(n):
         if edge_values[e].is_zero:
@@ -420,13 +421,7 @@ def extend_from_triangulation(
         if v.is_zero:
             raise ZeroCutValue(f"seed diagonal {d} must be nonzero")
         values[d] = v
-    _propagate(n, values, ctx)
-    one = ctx.one()
-    mode = MODE_TYPE_A if all(values[e] == one for e in polygon_edges(n)) else MODE_BOUNDARY
-    point = PolygonPoint(n, mode, values)
-    if not point.is_valid():
-        raise InvalidPoint("seed values are inconsistent with the Ptolemy relations")
-    return point
+    return _complete(n, values, "seed values are inconsistent with the Ptolemy relations")
 
 
 def _relabel(p: PolygonPoint, hull: List[int]) -> PolygonPoint:
@@ -485,14 +480,7 @@ def glue_cut_halves(
         values[seg(wrap(i + a - 1), wrap(i + b - 1))] = pa.value(a, b)
     for a, b in itertools.combinations(range(1, mb + 1), 2):
         values[seg(wrap(j + a - 1), wrap(j + b - 1))] = pb.value(a, b)
-    ctx = pa.ctx
-    _propagate(n, values, ctx)
-    one = ctx.one()
-    mode = MODE_TYPE_A if all(values[e] == one for e in polygon_edges(n)) else MODE_BOUNDARY
-    point = PolygonPoint(n, mode, values)
-    if not point.is_valid():
-        raise InvalidPoint("glued values are inconsistent")
-    return point
+    return _complete(n, values, "glued values are inconsistent")
 
 
 def max_search_cap(override: Optional[int] = None) -> int:

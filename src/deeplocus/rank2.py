@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -147,21 +148,25 @@ class Rank2Point:
         return self.xs[0].ctx
 
 
+def _relation_rhs(
+    spec: Rank2Spec, e: Vector, ys: Sequence[FieldValue], x: FieldValue, i: int
+) -> FieldValue:
+    """y^[e]+ x^(b|c) + y^[e]-: the right side of the mutation relation at
+    index i, with exchange-direction vector e and middle value x = x_i."""
+    ctx = x.ctx
+    return (
+        y_monomial(ys, positive_part(e), ctx) * x ** spec.degree(i)
+        + y_monomial(ys, negative_part(e), ctx)
+    )
+
+
 def presentation_residuals(p: Rank2Point) -> Tuple[FieldValue, FieldValue]:
-    ctx = p.ctx
     s = p.spec
-    e1, e2 = tuple(s.e1), tuple(s.e2)
-    r1 = (
-        p.xs[0] * p.xs[2]
-        - y_monomial(p.ys, positive_part(e1), ctx) * p.xs[1] ** s.b
-        - y_monomial(p.ys, negative_part(e1), ctx)
+    x0, x1, x2, x3 = p.xs
+    return (
+        x0 * x2 - _relation_rhs(s, s.e1, p.ys, x1, 1),
+        x1 * x3 - _relation_rhs(s, s.e2, p.ys, x2, 2),
     )
-    r2 = (
-        p.xs[1] * p.xs[3]
-        - y_monomial(p.ys, positive_part(e2), ctx) * p.xs[2] ** s.c
-        - y_monomial(p.ys, negative_part(e2), ctx)
-    )
-    return r1, r2
 
 
 def is_valid_point(p: Rank2Point) -> bool:
@@ -225,17 +230,11 @@ def division_step(
 ) -> Optional[FieldValue]:
     """x_j from the mutation relation at j+s, dividing by x_{j+2s}; None if
     the divisor vanishes."""
-    ctx = ys[0].ctx if ys else window[j + s].ctx
     divisor = window[j + 2 * s]
     if divisor.is_zero:
         return None
     mid = j + s
-    e = evw[mid]
-    rhs = (
-        y_monomial(ys, positive_part(e), ctx) * window[mid] ** spec.degree(mid)
-        + y_monomial(ys, negative_part(e), ctx)
-    )
-    return rhs / divisor
+    return _relation_rhs(spec, evw[mid], ys, window[mid], mid) / divisor
 
 
 def closed_form_step(
@@ -284,7 +283,6 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
     the closed form takes over; otherwise the candidate is invalid."""
     if not is_valid_point(p):
         raise InvalidPoint(f"presentation residuals are {presentation_residuals(p)}")
-    ctx = p.ctx
     lo, hi = -N, N + 3
     evw = e_vectors(p.spec, lo - 1, hi + 1)
     w: Dict[int, FieldValue] = {i: p.xs[i] for i in range(4)}
@@ -295,11 +293,7 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
             # divisor x_{j+2s} vanished: the relation at j+s forces its
             # right side to vanish too, or no valid extension exists
             mid = j + s
-            e = evw[mid]
-            rhs = (
-                y_monomial(p.ys, positive_part(e), ctx) * w[mid] ** p.spec.degree(mid)
-                + y_monomial(p.ys, negative_part(e), ctx)
-            )
+            rhs = _relation_rhs(p.spec, evw[mid], p.ys, w[mid], mid)
             if not rhs.is_zero:
                 raise StuckPropagation(
                     f"x_{j + 2 * s} = 0 but the relation at {mid} has value {rhs}"
@@ -322,14 +316,7 @@ def relation_holds(
     i: int,
 ) -> bool:
     """Exact identity check of the mutation relation at index i."""
-    ctx = window[i].ctx
-    e = evw[i]
-    lhs = window[i - 1] * window[i + 1]
-    rhs = (
-        y_monomial(ys, positive_part(e), ctx) * window[i] ** spec.degree(i)
-        + y_monomial(ys, negative_part(e), ctx)
-    )
-    return lhs == rhs
+    return window[i - 1] * window[i + 1] == _relation_rhs(spec, evw[i], ys, window[i], i)
 
 
 def verify_deep(p: Rank2Point, N: int = 10) -> bool:
@@ -349,6 +336,30 @@ def verify_deep(p: Rank2Point, N: int = 10) -> bool:
         not ev.values[i].is_zero for i in range(ev.lo, ev.hi + 1) if i % 2 != 0
     )
     return (evens_zero and odds_nonzero) or (odds_zero and evens_nonzero)
+
+
+def random_torus_point(
+    spec: Rank2Spec, ctx: FieldContext, rng: random.Random
+) -> Optional[Rank2Point]:
+    """A seeded valid point with x0..x3 all nonzero, or None after 100 draws.
+
+    Each draw takes x0, x1 and then the frozen values from 1..p-1 over F_p
+    and from 1..9 otherwise; the relations give x2 and x3."""
+
+    def draw() -> FieldValue:
+        return ctx.from_int(rng.randrange(1, ctx.p) if ctx.p else rng.randint(1, 9))
+
+    for _ in range(100):
+        x0, x1 = draw(), draw()
+        ys = tuple(draw() for _ in range(spec.f))
+        x2 = _relation_rhs(spec, spec.e1, ys, x1, 1) / x0
+        if x2.is_zero:
+            continue
+        x3 = _relation_rhs(spec, spec.e2, ys, x2, 2) / x1
+        if x3.is_zero:
+            continue
+        return Rank2Point(spec, (x0, x1, x2, x3), ys)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -764,12 +764,7 @@ class CutPolygon:
 
 def cut_polygon(d: Dissection) -> CutPolygon:
     t = d.carrier
-    cut_glue = {
-        a: b
-        for a, b in t.glue.items()
-        if t.arc_of_side(a) not in d.arcs
-    }
-    cx = _Complex(t.triangles, cut_glue)
+    cx = _cut_complex_of(t, d.arcs)
     if cx.interior_vertices:
         raise NotADissection("cutting left interior vertices")
     comps = cx.boundary_components()
@@ -896,6 +891,20 @@ def solve_closing_value(
     return num / (sign * den)
 
 
+def _flip_determined(p: SurfaceDeepPoint, aid: int, new_label: int) -> bool:
+    """Whether flipping aid determines the new arc's value: its label
+    new_label is 0, or the old value is known and nonzero and so are the
+    values on the four sides of the quadrilateral."""
+    if new_label == 0:
+        return True
+    old = p.values.get(aid)
+    if old is None or old.is_zero:
+        return False
+    t = p.triangulation
+    _, pp, qq, _, rr, ss = t.flip_quad(aid)
+    return all(p.values.get(t.arc_of_side(x)) is not None for x in (pp, qq, rr, ss))
+
+
 def flip_evaluation(
     p: SurfaceDeepPoint, aid: int, allow_unknown: bool = False
 ) -> SurfaceDeepPoint:
@@ -912,17 +921,18 @@ def flip_evaluation(
     labels2 = _transport_labels(t, p.z2.labels, aid)
     t2 = t.flip(aid)
 
-    if labels2[aid] == 0:
-        new_value: Optional[FieldValue] = p.ctx.zero()
-    elif old is not None and not old.is_zero and all(v is not None for v in quad_vals):
+    new_value: Optional[FieldValue]
+    if not _flip_determined(p, aid, labels2[aid]):
+        if not allow_unknown:
+            raise ValueUnderdetermined(
+                f"flip of arc {aid}: replacement has label 1 but no local derivation"
+            )
+        new_value = None
+    elif labels2[aid] == 0:
+        new_value = p.ctx.zero()
+    else:
         vp, vq, vr, vs = quad_vals
         new_value = (vp * vr + vq * vs) / old
-    elif allow_unknown:
-        new_value = None
-    else:
-        raise ValueUnderdetermined(
-            f"flip of arc {aid}: replacement has label 1 but no local derivation"
-        )
 
     # exchange identity old * new = v(p)v(r) + v(q)v(s), where computable
     if old is not None and new_value is not None and all(
@@ -985,20 +995,11 @@ def verify_deep_random_walk(
     for step in range(steps):
         t = state.triangulation
         candidates = sorted(t.interior_arcs())
-        defined = []
-        for aid in candidates:
-            labels2 = _transport_labels(t, state.z2.labels, aid)
-            if labels2[aid] == 0:
-                defined.append(aid)
-                continue
-            old = state.values.get(aid)
-            a1, pp, qq, a2, rr, ss = t.flip_quad(aid)
-            quad_known = all(
-                state.values.get(t.arc_of_side(x)) is not None
-                for x in (pp, qq, rr, ss)
-            )
-            if old is not None and not old.is_zero and quad_known:
-                defined.append(aid)
+        defined = [
+            aid
+            for aid in candidates
+            if _flip_determined(state, aid, _transport_labels(t, state.z2.labels, aid)[aid])
+        ]
         pool = defined if defined else candidates
         aid = rng.choice(pool)
         try:
@@ -1047,10 +1048,7 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
     if t.num_marked % 2 != 0:
         raise OddMarkedPoints("alternating covers need an even marked-point count")
     cp = cut_polygon(d)
-    cut_glue = {
-        a: b for a, b in t.glue.items() if t.arc_of_side(a) not in d.arcs
-    }
-    cut_cx = _Complex(t.triangles, cut_glue)
+    cut_cx = _cut_complex_of(t, d.arcs)
     vertex_number = {}
     for idx, s in enumerate(cp.edge_source):
         vertex_number[cut_cx.tail_vertex(s)] = idx + 1
@@ -1064,7 +1062,7 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
         tuple(s + shift for s in tri) for tri in t.triangles
     ]
     glue: Dict[int, int] = {}
-    for a, b in cut_glue.items():
+    for a, b in cut_cx.glue.items():
         glue[a] = b
         glue[a + shift] = b + shift
     for aid in d.sorted_arcs():

@@ -131,7 +131,7 @@ def test_05_rank2_closed_form():
                     )
                 points = 0
                 while points < 100:
-                    point = _torus_point(spec, F7, rng)
+                    point = rank2.random_torus_point(spec, F7, rng)
                     assert point is not None
                     points += 1
                     ev = rank2.extend_evaluation(point, 5)
@@ -147,30 +147,6 @@ def test_05_rank2_closed_form():
                         assert div == closed == ev.values[j]
                         compared += 1
         assert compared > 5000
-
-
-def _torus_point(spec, ctx, rng, tries=200):
-    from deeplocus.rank2 import Rank2Point, negative_part, positive_part, y_monomial
-
-    for _ in range(tries):
-        x0 = ctx.from_int(rng.randrange(1, ctx.p))
-        x1 = ctx.from_int(rng.randrange(1, ctx.p))
-        ys = tuple(ctx.from_int(rng.randrange(1, ctx.p)) for _ in range(spec.f))
-        e1, e2 = tuple(spec.e1), tuple(spec.e2)
-        x2 = (
-            y_monomial(ys, positive_part(e1), ctx) * x1**spec.b
-            + y_monomial(ys, negative_part(e1), ctx)
-        ) / x0
-        if x2.is_zero:
-            continue
-        x3 = (
-            y_monomial(ys, positive_part(e2), ctx) * x2**spec.c
-            + y_monomial(ys, negative_part(e2), ctx)
-        ) / x1
-        if x3.is_zero:
-            continue
-        return Rank2Point(spec, (x0, x1, x2, x3), ys)
-    return None
 
 
 def test_06_markov_enumeration():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -197,3 +198,72 @@ class TestSubcommands:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'abc'" in err
+
+
+DEEP_FIXTURE = {
+    "field": "q",
+    "dissection": [0],
+    "values": {"0": "5", "1": "1", "2": "1", "3": "1", "4": "1"},
+}
+DEEP_ON_ANNULUS22 = ["surface", "deep", "--surface", os.path.join(DATA, "annulus22.json")]
+
+# (argv, JSON written to {file} first or None)
+BAD_INPUTS = {
+    "edge-not-a-number": (["polygon", "from-edges", "--edges", "1,x,1,1"], None),
+    "edge-zero-denominator": (["polygon", "from-edges", "--edges", "1/0,1,1,1"], None),
+    "fraction-in-prime-field": (
+        ["markov", "classify", "--point", "1/2,0,0,0", "--field", "fp:5"],
+        None,
+    ),
+    "markov-letter": (["markov", "verify", "--point", "a,1,1,3"], None),
+    "rank2-e1-letter": (["rank2", "--b", "2", "--c", "2", "--e1", "x"], None),
+    "surface-sides-not-a-number": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": "x", "gluings": []},
+    ),
+    "gluing-side-not-a-number": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": 6, "gluings": [["a", "b"]]},
+    ),
+    "fixture-value-z": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "0": "z"}},
+    ),
+    "fixture-missing-arc-value": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {"0": "5", "1": "1", "2": "1", "3": "1"}},
+    ),
+    "fixture-without-dissection": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {"field": "q", "values": DEEP_FIXTURE["values"]},
+    ),
+    "fixture-not-an-object": (DEEP_ON_ANNULUS22 + ["--fixture", "{file}"], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    argv, doc = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out = run_cli([a.replace("{file}", str(path)) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_output_matches_goldens():
+    # sha256 of stdout and the exit code of every scenario at --seed 3 and
+    # of the README's subcommand examples: a refactor leaves them unchanged
+    with open(os.path.join(DATA, "cli_goldens.json")) as fh:
+        goldens = json.load(fh)
+    mismatches = []
+    for entry in goldens:
+        argv = [a.replace("{data}", DATA) for a in entry["argv"]]
+        code, out = run_cli(argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (entry["exit_code"], entry["stdout_sha256"]):
+            mismatches.append(" ".join(entry["argv"]))
+    assert not mismatches, mismatches

@@ -12,7 +12,9 @@ from deeplocus.field import (
     QQ,
     UnsupportedExponent,
     arithmetic,
+    gaussian_rationals,
     prime_field,
+    rationals,
 )
 
 from conftest import F2, F3, F5, random_value
@@ -37,6 +39,12 @@ def test_division_by_zero():
         QQ.one() / QQ.zero()
     with pytest.raises(DivisionByZero):
         F5.zero().inverse()
+
+
+def test_contexts_are_interned():
+    assert prime_field(5) is prime_field(5)
+    assert rationals() is QQ and gaussian_rationals() is QI
+    assert prime_field(5) is not prime_field(7)
 
 
 def test_context_mismatch():

@@ -19,6 +19,7 @@ from deeplocus.polygon import (
     SearchTooLarge,
     SizeOutOfRange,
     ZeroCutValue,
+    _propagate,
     bruteforce_variety_scan,
     catalan,
     cut_along_diagonal,
@@ -426,6 +427,35 @@ def seeded_torus_point(ctx, n, rng):
             )
         except PolygonError:
             continue
+
+
+class TestPropagation:
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("ctx", [QQ, prime_field(101)], ids=["Q", "F101"])
+    def test_every_nonzero_triangulation_reseeds_the_point(self, n, ctx, rng):
+        # Ptolemy propagation from any triangulation that the point keeps
+        # nonzero recovers the whole point
+        for _ in range(3):
+            point = seeded_torus_point(ctx, n, rng)
+            edges = {e: point.values[e] for e in polygon_edges(n)}
+            seeds = [
+                tri
+                for tri in enumerate_triangulations(n)
+                if not any(point.values[d].is_zero for d in tri.diagonals)
+            ]
+            assert seeds
+            for tri in seeds:
+                assert extend_from_triangulation(n, tri, point.values, edges) == point
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("ctx", [QQ, prime_field(101)], ids=["Q", "F101"])
+    def test_each_segment_is_recovered_from_the_others(self, n, ctx, rng):
+        # reaches the unknown in each of the relation's three pairs
+        point = seeded_torus_point(ctx, n, rng)
+        for s in polygon_segments(n):
+            values = dict(point.values)
+            del values[s]
+            assert _propagate(n, values) == point.values
 
 
 class TestOracles:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from deeplocus import rank2
 from deeplocus.field import QI, QQ, prime_field
 from deeplocus.rank2 import (
     EnumerationUnsupported,
@@ -12,6 +13,7 @@ from deeplocus.rank2 import (
     Rank2Spec,
     StuckPropagation,
     _fraction_root,
+    _relation_rhs,
     closed_form_step,
     deep_points,
     division_step,
@@ -239,21 +241,28 @@ def random_torus_point(spec, ctx, rng, tries=200):
         x0 = random_value(ctx, rng, nonzero=True)
         x1 = random_value(ctx, rng, nonzero=True)
         ys = tuple(random_value(ctx, rng, nonzero=True) for _ in range(spec.f))
-        e1, e2 = tuple(spec.e1), tuple(spec.e2)
-        x2 = (
-            y_monomial(ys, positive_part(e1), ctx) * x1**spec.b
-            + y_monomial(ys, negative_part(e1), ctx)
-        ) / x0
+        x2 = _relation_rhs(spec, spec.e1, ys, x1, 1) / x0
         if x2.is_zero:
             continue
-        x3 = (
-            y_monomial(ys, positive_part(e2), ctx) * x2**spec.c
-            + y_monomial(ys, negative_part(e2), ctx)
-        ) / x1
+        x3 = _relation_rhs(spec, spec.e2, ys, x2, 2) / x1
         if x3.is_zero:
             continue
         return Rank2Point(spec, (x0, x1, x2, x3), ys)
     return None
+
+
+class TestRandomTorusPoint:
+    @pytest.mark.parametrize("ctx", [F7, QQ], ids=["F7", "Q"])
+    @pytest.mark.parametrize(
+        "spec", [Rank2Spec(2, 2), Rank2Spec(3, 1), Rank2Spec(2, 3, 1, (1,), (-1,))]
+    )
+    def test_valid_nonzero_and_seeded(self, spec, ctx):
+        for seed in range(20):
+            p = rank2.random_torus_point(spec, ctx, random.Random(seed))
+            assert p is not None
+            assert is_valid_point(p)
+            assert not any(x.is_zero for x in p.xs)
+            assert p == rank2.random_torus_point(spec, ctx, random.Random(seed))
 
 
 class TestEvaluationWindows:

@@ -440,6 +440,42 @@ class TestDeepPoints:
                 pass
         assert seen_zero_to_zero and seen_underdetermined
 
+    @pytest.mark.parametrize("name", ["annulus22", "genus2"])
+    def test_flip_determined_matches_flip_evaluation(self, name):
+        from deeplocus.surface import (
+            ValueUnderdetermined,
+            _flip_determined,
+            _transport_labels,
+            solve_closing_value,
+        )
+        import random as _random
+
+        t = named_surface(name)
+        d = dissection_spanning_tree(t)
+        bvals = {a: QQ.one() for a in t.boundary_arcs()}
+        dvals = {a: QQ.from_int(k + 2) for k, a in enumerate(sorted(d.arcs))}
+        target = t.boundary_arcs()[0]
+        bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
+        state = deep_point_from_dissection(d, bvals, dvals)
+        rng = _random.Random(7)
+        seen = set()
+        for _ in range(40):
+            tcur = state.triangulation
+            for aid in tcur.interior_arcs():
+                label = _transport_labels(tcur, state.z2.labels, aid)[aid]
+                determined = _flip_determined(state, aid, label)
+                try:
+                    flip_evaluation(state, aid)
+                    raised = False
+                except ValueUnderdetermined:
+                    raised = True
+                assert determined != raised, (name, aid)
+                seen.add(determined)
+            state = flip_evaluation(
+                state, rng.choice(tcur.interior_arcs()), allow_unknown=True
+            )
+        assert seen == {True, False}
+
     def test_walks(self):
         t = named_surface("annulus22")
         p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
