@@ -22,6 +22,9 @@ PRIME_FIELD = "prime-field"
 
 _MAX_PRIME = 2**31
 
+# F_p root finding tries every element, so it is refused past this prime
+MAX_ROOT_SCAN_PRIME = 2**16
+
 
 class FieldError(DeepLocusError):
     pass
@@ -45,6 +48,10 @@ class UnsupportedExponent(FieldError):
 
 class UnparsableValue(FieldError, ValueError):
     """Text that does not name an element of the field."""
+
+
+class RootScanTooLarge(FieldError):
+    """An F_p root scan over a prime above MAX_ROOT_SCAN_PRIME."""
 
 
 def _is_prime(n: int) -> bool:
@@ -155,13 +162,23 @@ class FieldContext:
         next(it)
         return it
 
+    def scan_roots(self, target: "FieldValue", k: int) -> List["FieldValue"]:
+        """All alpha in F_p with alpha**k == target, in residue order, by
+        trying every element; refused for p above MAX_ROOT_SCAN_PRIME."""
+        if self.kind == PRIME_FIELD and self.p > MAX_ROOT_SCAN_PRIME:
+            raise RootScanTooLarge(
+                f"root finding over F_{self.p} tries all {self.p} elements;"
+                f" p exceeds the cap MAX_ROOT_SCAN_PRIME = {MAX_ROOT_SCAN_PRIME}"
+            )
+        return [a for a in self.elements() if a**k == target]
+
     def roots_of_minus_one(self, b: int) -> List["FieldValue"]:
         """All alpha with alpha**b == -1, sorted deterministically."""
         if b < 1:
             raise ValueError("exponent must be a positive integer")
         minus_one = self.minus_one()
         if self.kind == PRIME_FIELD:
-            return [a for a in self.elements() if a**b == minus_one]
+            return self.scan_roots(minus_one, b)
         if self.kind == RATIONALS:
             return [minus_one] if b % 2 == 1 else []
         # Q(i): only the exponents whose solutions are determined by

@@ -399,7 +399,7 @@ def _nth_roots(ctx: FieldContext, target: FieldValue, k: int) -> List[FieldValue
     if k == 1:
         return [target]
     if ctx.kind == PRIME_FIELD:
-        return [a for a in ctx.elements() if a**k == target]
+        return ctx.scan_roots(target, k)
     if ctx.kind == RATIONALS:
         q = target._v
         out = []

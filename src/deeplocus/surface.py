@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import DeepLocusError
@@ -120,6 +121,30 @@ class _Complex:
         self.boundary_sides = [s for s in self.sides if s not in self.glue]
         self._build_arcs()
         self._build_vertices()
+
+    def flipped(self, replaced: Mapping[int, Triangle]) -> "_Complex":
+        """This complex with the triangles at the given indices replaced by
+        triangles over the same sides.
+
+        The gluing, the side set and the arcs depend on neither, so they
+        are shared with this complex; the vertices are rebuilt."""
+        cx = _Complex.__new__(_Complex)
+        triangles = list(self.triangles)
+        cx.side_pos = dict(self.side_pos)
+        for t, tri in replaced.items():
+            if len(set(tri)) != 3:
+                raise InvalidPairing(f"triangle {t} repeats a side id")
+            triangles[t] = tri
+            for k, s in enumerate(tri):
+                cx.side_pos[s] = (t, k)
+        cx.triangles = tuple(triangles)
+        cx.glue = self.glue
+        cx.sides = self.sides
+        cx.boundary_sides = self.boundary_sides
+        cx.arcs = self.arcs
+        cx.arc_of_side = self.arc_of_side
+        cx._build_vertices()
+        return cx
 
     # -- arcs -------------------------------------------------------------
 
@@ -252,7 +277,9 @@ class SurfaceTriangulation:
 
     Immutable; flips return a new triangulation sharing the reference and
     extending the flip path.  Arc ids are glue-orbits of side ids, hence
-    identical across all flips of the same surface.
+    identical across all flips of the same surface.  A flip shares the
+    gluing and the arcs with its parent and rebuilds only the two changed
+    triangles and the vertices, but still runs every surface check.
     """
 
     def __init__(
@@ -263,14 +290,19 @@ class SurfaceTriangulation:
         flip_path: Tuple[int, ...] = (),
     ):
         self._c = _Complex(triangles, glue)
+        self.reference = reference
+        self.flip_path = tuple(flip_path)
+        self._check_surface()
+
+    def _check_surface(self) -> None:
+        """Validate self._c as a connected, unpunctured marked surface and
+        record its genus, boundary count and marked points."""
         if not self._c.connected():
             raise DisconnectedResult("triangle adjacency graph is disconnected")
         if not self._c.boundary_sides:
             raise UnmarkedSurface("no boundary, hence no marked points")
         if self._c.interior_vertices:
             raise UnmarkedSurface("gluing creates punctures (interior vertices)")
-        self.reference = reference
-        self.flip_path = tuple(flip_path)
         v, e, f = self._c.counts()
         b = len(self._c.boundary_components())
         chi = v - e + f
@@ -291,8 +323,9 @@ class SurfaceTriangulation:
         return self._c.triangles
 
     @property
-    def glue(self) -> Dict[int, int]:
-        return self._c.glue
+    def glue(self) -> Mapping[int, int]:
+        """Read-only: every triangulation of a flip chain shares it."""
+        return MappingProxyType(self._c.glue)
 
     @property
     def arcs(self) -> List[Tuple[int, ...]]:
@@ -350,16 +383,14 @@ class SurfaceTriangulation:
     def flip(self, aid: int) -> "SurfaceTriangulation":
         """Re-diagonalize the quadrilateral around an interior arc."""
         a1, p, q, a2, r, s = self.flip_quad(aid)
-        replaced = {self._c.tri_of_side(a1): (a1, q, r), self._c.tri_of_side(a2): (a2, s, p)}
-        new_triangles = [
-            replaced.get(t, tri) for t, tri in enumerate(self.triangles)
-        ]
-        return SurfaceTriangulation(
-            new_triangles,
-            self.glue,
-            reference=self.ref(),
-            flip_path=self.flip_path + (aid,),
+        out = SurfaceTriangulation.__new__(SurfaceTriangulation)
+        out._c = self._c.flipped(
+            {self._c.tri_of_side(a1): (a1, q, r), self._c.tri_of_side(a2): (a2, s, p)}
         )
+        out.reference = self.ref()
+        out.flip_path = self.flip_path + (aid,)
+        out._check_surface()
+        return out
 
     def replay(self) -> List["SurfaceTriangulation"]:
         """The chain reference -> ... -> self along the recorded flip path."""
@@ -514,19 +545,24 @@ def solve_classes(t: SurfaceTriangulation) -> List[Z2Class]:
     return classes
 
 
-def _transport_labels(
-    t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int
-) -> Tuple[int, ...]:
-    """Labels after flipping aid: the new arc's label is the cocycle
-    completion in either new triangle; the two must agree."""
+def _new_label(t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int) -> int:
+    """The label of aid after flipping it: the cocycle completion in
+    either new triangle; the two must agree."""
     a1, p, q, a2, r, s = t.flip_quad(aid)
     arc = t.arc_of_side
     from_t1 = (labels[arc(q)] + labels[arc(r)]) % 2
     from_t2 = (labels[arc(s)] + labels[arc(p)]) % 2
     if from_t1 != from_t2:
         raise InconsistentCocycle("input labels violate the cocycle rule")
+    return from_t1
+
+
+def _transport_labels(
+    t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int
+) -> Tuple[int, ...]:
+    """Labels after flipping aid; only aid's label changes."""
     out = list(labels)
-    out[aid] = from_t1
+    out[aid] = _new_label(t, labels, aid)
     return tuple(out)
 
 
@@ -916,7 +952,10 @@ def flip_evaluation(
     t = p.triangulation
     a1, pp, qq, a2, rr, ss = t.flip_quad(aid)
     arc = t.arc_of_side
-    quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
+    vp, vq, vr, vs = quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
+    exchange = (
+        vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
+    )
     old = p.values.get(aid)
     labels2 = _transport_labels(t, p.z2.labels, aid)
     t2 = t.flip(aid)
@@ -931,15 +970,11 @@ def flip_evaluation(
     elif labels2[aid] == 0:
         new_value = p.ctx.zero()
     else:
-        vp, vq, vr, vs = quad_vals
-        new_value = (vp * vr + vq * vs) / old
+        new_value = exchange / old
 
     # exchange identity old * new = v(p)v(r) + v(q)v(s), where computable
-    if old is not None and new_value is not None and all(
-        v is not None for v in quad_vals
-    ):
-        vp, vq, vr, vs = quad_vals
-        if old * new_value != vp * vr + vq * vs:
+    if old is not None and new_value is not None and exchange is not None:
+        if old * new_value != exchange:
             raise SurfaceError(f"exchange identity fails at arc {aid}")
 
     values2 = dict(p.values)
@@ -992,21 +1027,28 @@ def verify_deep_random_walk(
     report = WalkReport(steps)
     state = p
     _check_state(state, report, "start")
+    t = state.triangulation
+    candidates = sorted(t.interior_arcs())
+    # whether each interior arc's flip determines its value; a flip of aid
+    # changes the label, value and quadrilateral of no arc outside aid and
+    # the arcs of its quadrilateral, so only those are re-tested
+    determined: Dict[int, bool] = {}
+    retest = set(candidates)
     for step in range(steps):
-        t = state.triangulation
-        candidates = sorted(t.interior_arcs())
-        defined = [
-            aid
-            for aid in candidates
-            if _flip_determined(state, aid, _transport_labels(t, state.z2.labels, aid)[aid])
-        ]
-        pool = defined if defined else candidates
+        for a in retest:
+            determined[a] = _flip_determined(state, a, _new_label(t, state.z2.labels, a))
+        pool = [a for a in candidates if determined[a]] or candidates
         aid = rng.choice(pool)
         try:
             state = flip_evaluation(state, aid, allow_unknown=True)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
+        _, pp, qq, _, rr, ss = t.flip_quad(aid)
+        t = state.triangulation
+        retest = {aid} | {
+            a for a in map(t.arc_of_side, (pp, qq, rr, ss)) if not t.arc_is_boundary(a)
+        }
         report.flips_taken.append(aid)
         if state.values.get(aid) is None:
             report.undetermined_values += 1

@@ -254,6 +254,20 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_rank2_over_a_huge_prime_exits_1_without_scanning(monkeypatch, capsys):
+    from deeplocus.field import FieldContext
+
+    def no_scan(self):
+        raise AssertionError("root scan started")
+
+    monkeypatch.setattr(FieldContext, "elements", no_scan)
+    code, out = run_cli(["rank2", "--b", "2", "--c", "2", "--field", "fp:2147483647"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: RootScanTooLarge") and err.count("\n") == 1
+    assert "2147483647" in err and "65536" in err
+
+
 def test_cli_output_matches_goldens():
     # sha256 of stdout and the exit code of every scenario at --seed 3 and
     # of the README's subcommand examples: a refactor leaves them unchanged

@@ -8,8 +8,10 @@ from deeplocus.field import (
     DivisionByZero,
     FieldContext,
     InfiniteField,
+    MAX_ROOT_SCAN_PRIME,
     QI,
     QQ,
+    RootScanTooLarge,
     UnsupportedExponent,
     arithmetic,
     gaussian_rationals,
@@ -114,6 +116,21 @@ def test_roots_count_matches_cyclic_group_analysis(p, b):
     g = math.gcd(b, p - 1)
     expected = g if ((p - 1) // 2) % g == 0 else 0
     assert found == expected
+
+
+def test_root_scan_is_capped(monkeypatch):
+    # past the cap both root finders refuse before trying any element
+    from deeplocus.rank2 import _nth_roots
+
+    def no_scan(self):
+        raise AssertionError("root scan started")
+
+    monkeypatch.setattr(FieldContext, "elements", no_scan)
+    for ctx in (prime_field(65537), prime_field(2**31 - 1)):
+        with pytest.raises(RootScanTooLarge, match=f"F_{ctx.p}.*{MAX_ROOT_SCAN_PRIME}"):
+            ctx.roots_of_minus_one(2)
+        with pytest.raises(RootScanTooLarge):
+            _nth_roots(ctx, ctx.from_int(4), 2)
 
 
 def test_prime_validation():

@@ -412,11 +412,17 @@ def seeded_deep_point(ctx, n, rng):
     return deep_point_from_edges(n, dict(zip(edges, vals + [closing])))
 
 
+# random seed values almost always propagate; a run of failures this long
+# means propagation itself is wrong
+SEEDED_POINT_TRIES = 200
+
+
 def seeded_torus_point(ctx, n, rng):
     """extend_from_triangulation from a random triangulation, retried
     until the seed values propagate to a valid point."""
     tris = enumerate_triangulations(n)
-    while True:
+    last_error = None
+    for _ in range(SEEDED_POINT_TRIES):
         tri = rng.choice(tris)
         try:
             return extend_from_triangulation(
@@ -425,8 +431,12 @@ def seeded_torus_point(ctx, n, rng):
                 {d: random_value(ctx, rng, nonzero=True) for d in tri.diagonals},
                 {e: random_value(ctx, rng, nonzero=True) for e in polygon_edges(n)},
             )
-        except PolygonError:
-            continue
+        except PolygonError as exc:
+            last_error = exc
+    pytest.fail(
+        f"no seeded point for n={n} over {ctx!r} in {SEEDED_POINT_TRIES} tries;"
+        f" last error: {last_error!r}"
+    )
 
 
 class TestPropagation:

@@ -9,6 +9,7 @@ from deeplocus.surface import (
     AvoidanceFailed,
     BoundaryArc,
     DifferentSurface,
+    DisconnectedResult,
     Dissection,
     InconsistentCocycle,
     InvalidPairing,
@@ -42,6 +43,7 @@ from deeplocus.surface import (
 from conftest import F2, F3, F5, random_value
 
 ALL_NAMES = ["disk6", "annulus22", "annulus21", "annulus11", "genus1"]
+NAMED_SURFACES = ALL_NAMES + ["disk4", "genus2", "pants"]
 
 
 def ones_deep_point(t, dissection=None, special=None):
@@ -131,6 +133,68 @@ class TestFlips:
             walked = walked.flip(aid)
         chain = walked.replay()
         assert chain[0] == t and chain[-1] == walked
+
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_flip_matches_a_fresh_build(self, name):
+        # a flip derives its complex from the parent; a from-scratch build
+        # of the same triangles and gluing is the oracle
+        rng = random.Random(f"flip-oracle/{name}")
+        t = named_surface(name)
+        invariants = t.invariants()
+        for _ in range(300):
+            aid = rng.choice(t.interior_arcs())
+            a1, a2 = t.arcs[aid]
+            swap = {a1: a2, a2: a1}
+            twice = t.flip(aid).flip(aid)
+            assert {frozenset(swap.get(x, x) for x in tri) for tri in twice.triangles} == {
+                frozenset(tri) for tri in t.triangles
+            }
+            t = t.flip(aid)
+            fresh = SurfaceTriangulation(t.triangles, dict(t.glue))
+            assert t.triangles == fresh.triangles
+            assert t._c.side_pos == fresh._c.side_pos
+            assert t.arcs == fresh.arcs
+            assert t._c.arc_of_side == fresh._c.arc_of_side
+            assert t._c.vertex_fans == fresh._c.vertex_fans
+            assert t._c.interior_vertices == fresh._c.interior_vertices == 0
+            assert t.invariants() == fresh.invariants() == invariants
+        assert t.replay()[-1] == t
+        with pytest.raises(BoundaryArc):
+            t.flip(t.boundary_arcs()[0])
+
+    def test_glue_is_read_only(self):
+        # every triangulation of a flip chain shares one gluing
+        t = named_surface("annulus22")
+        flipped = t.flip(t.interior_arcs()[0])
+        with pytest.raises(TypeError):
+            flipped.glue[0] = 3
+        assert flipped.glue == t.glue
+
+    @pytest.mark.parametrize("check", ["connected", "punctures", "genus"])
+    def test_flip_runs_every_surface_check(self, monkeypatch, check):
+        # no check is carried over from the parent: each one a flip result
+        # fails must make the flip raise
+        from deeplocus.surface import _Complex
+
+        build_vertices, counts = _Complex._build_vertices, _Complex.counts
+
+        def punctured(cx):
+            build_vertices(cx)
+            cx.interior_vertices = 1
+
+        def one_more_vertex(cx):
+            v, e, f = counts(cx)
+            return v + 1, e, f
+
+        method, patched, error = {
+            "connected": ("connected", lambda cx: False, DisconnectedResult),
+            "punctures": ("_build_vertices", punctured, UnmarkedSurface),
+            "genus": ("counts", one_more_vertex, SurfaceError),
+        }[check]
+        t = named_surface("genus1")
+        monkeypatch.setattr(_Complex, method, patched)
+        with pytest.raises(error):
+            t.flip(t.interior_arcs()[0])
 
 
 class TestClasses:
@@ -481,6 +545,67 @@ class TestDeepPoints:
         p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
         report = verify_deep_random_walk(p, 200, seed=11)
         assert report.passed, report.failures[:3]
+
+    @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
+    def test_walk_matches_a_full_retest_walk(self, ctx):
+        # the walk re-tests only the arcs a flip touches; the reference
+        # re-tests every interior arc before every step
+        from deeplocus.surface import (
+            WalkReport,
+            _check_state,
+            _flip_determined,
+            _transport_labels,
+            solve_closing_value,
+        )
+
+        def reference_walk(p, steps, seed):
+            rng = random.Random(seed)
+            report = WalkReport(steps)
+            state = p
+            _check_state(state, report, "start")
+            for step in range(steps):
+                t = state.triangulation
+                candidates = sorted(t.interior_arcs())
+                defined = [
+                    aid
+                    for aid in candidates
+                    if _flip_determined(
+                        state, aid, _transport_labels(t, state.z2.labels, aid)[aid]
+                    )
+                ]
+                aid = rng.choice(defined if defined else candidates)
+                try:
+                    state = flip_evaluation(state, aid, allow_unknown=True)
+                except SurfaceError as exc:
+                    report.failures.append(f"step {step}: {exc}")
+                    break
+                report.flips_taken.append(aid)
+                if state.values.get(aid) is None:
+                    report.undetermined_values += 1
+                _check_state(state, report, f"step {step}")
+            return report
+
+        rng = random.Random(f"walk-oracle/{ctx!r}")
+        undetermined = {}
+        for name in ["disk6", "annulus22", "genus1", "genus2", "pants"]:
+            for _ in range(2):
+                t = named_surface(name)
+                for _ in range(4):
+                    t = t.flip(rng.choice(t.interior_arcs()))
+                d = dissection_spanning_tree(t)
+                bvals = {a: random_value(ctx, rng, nonzero=True) for a in t.boundary_arcs()}
+                dvals = {a: random_value(ctx, rng, nonzero=True) for a in d.arcs}
+                target = t.boundary_arcs()[0]
+                bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
+                p = deep_point_from_dissection(d, bvals, dvals)
+                seed = rng.randrange(2**31)
+                got = verify_deep_random_walk(p, 150, seed)
+                want = reference_walk(p, 150, seed)
+                assert got.flips_taken == want.flips_taken, (name, seed)
+                assert got.failures == want.failures, (name, seed)
+                assert got.undetermined_values == want.undetermined_values, (name, seed)
+                undetermined[name] = undetermined.get(name, 0) + got.undetermined_values
+        assert undetermined["disk6"] > 0
 
     def test_walk_rejects_fabricated_torus_state(self):
         # all-ones labels violate the vanishing certificate immediately
