@@ -277,7 +277,13 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
     for t, d in enumerate(polygon_diagonals(p.n)):
         if p.values[d].is_zero:
             zeros |= 1 << t
-    return all(mask & zeros for mask in _triangulation_masks(p.n))
+    return _is_deep(p.n, zeros)
+
+
+def _is_deep(n: int, zeros: int) -> bool:
+    """Whether every triangulation of the n-gon uses a diagonal in zeros,
+    a bitmask over polygon_diagonals(n)."""
+    return all(mask & zeros for mask in _triangulation_masks(n))
 
 
 def _alternating_product(values: Mapping[Segment, FieldValue], cycle: List[Segment], ctx) -> FieldValue:
@@ -562,6 +568,9 @@ def bruteforce_variety_scan(
         if len(stack) < len(slots):
             stack.append(iter(choices[len(stack)]))
             continue
+        # every relation has been checked mod p, so only the zero diagonals
+        # (slots past the edges, in polygon_diagonals order) decide deepness
+        zeros = sum(1 << t for t, v in enumerate(vals[len(edges):]) if v == 0)
         point = PolygonPoint(n, mode, {s: all_elems[v] for s, v in zip(slots, vals)})
-        results.append((point, is_deep_bruteforce(point)))
+        results.append((point, _is_deep(n, zeros)))
     return results

@@ -97,11 +97,14 @@ Triangle = Tuple[int, int, int]
 
 
 class _Complex:
-    """Raw half-edge combinatorics shared by surfaces and their cuttings."""
+    """Raw half-edge combinatorics shared by surfaces and their cuttings.
+    `glue` is a read-only view of the gluing dict `_glue`, which this code
+    reads directly: a lookup through the view costs about twice as much."""
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         self.triangles: Tuple[Triangle, ...] = tuple(tuple(t) for t in triangles)
-        self.glue: Dict[int, int] = dict(glue)
+        self._glue: Dict[int, int] = dict(glue)
+        self.glue: Mapping[int, int] = MappingProxyType(self._glue)
         self.side_pos: Dict[int, Tuple[int, int]] = {}
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
@@ -110,57 +113,36 @@ class _Complex:
                 if s in self.side_pos:
                     raise InvalidPairing(f"side {s} used twice")
                 self.side_pos[s] = (t, k)
-        for a, b in self.glue.items():
+        for a, b in self._glue.items():
             if a == b:
                 raise NonOrientableGluing(f"side {a} glued to itself")
-            if self.glue.get(b) != a:
+            if self._glue.get(b) != a:
                 raise InvalidPairing(f"gluing of {a} and {b} is not involutive")
             if a not in self.side_pos or b not in self.side_pos:
                 raise InvalidPairing(f"gluing touches unknown side {a} or {b}")
         self.sides = sorted(self.side_pos)
-        self.boundary_sides = [s for s in self.sides if s not in self.glue]
+        self.boundary_sides = [s for s in self.sides if s not in self._glue]
         self._build_arcs()
         self._build_vertices()
-
-    def flipped(self, replaced: Mapping[int, Triangle]) -> "_Complex":
-        """This complex with the triangles at the given indices replaced by
-        triangles over the same sides.
-
-        The gluing, the side set and the arcs depend on neither, so they
-        are shared with this complex; the vertices are rebuilt."""
-        cx = _Complex.__new__(_Complex)
-        triangles = list(self.triangles)
-        cx.side_pos = dict(self.side_pos)
-        for t, tri in replaced.items():
-            if len(set(tri)) != 3:
-                raise InvalidPairing(f"triangle {t} repeats a side id")
-            triangles[t] = tri
-            for k, s in enumerate(tri):
-                cx.side_pos[s] = (t, k)
-        cx.triangles = tuple(triangles)
-        cx.glue = self.glue
-        cx.sides = self.sides
-        cx.boundary_sides = self.boundary_sides
-        cx.arcs = self.arcs
-        cx.arc_of_side = self.arc_of_side
-        cx._build_vertices()
-        return cx
 
     # -- arcs -------------------------------------------------------------
 
     def _build_arcs(self) -> None:
         self.arcs: List[Tuple[int, ...]] = []
-        self.arc_of_side: Dict[int, int] = {}
+        self._arc_of_side: Dict[int, int] = {}
         done = set()
         for s in self.sides:
             if s in done:
                 continue
-            orbit = (s, self.glue[s]) if s in self.glue else (s,)
+            orbit = (s, self._glue[s]) if s in self._glue else (s,)
             aid = len(self.arcs)
             self.arcs.append(tuple(sorted(orbit)))
             for x in orbit:
-                self.arc_of_side[x] = aid
+                self._arc_of_side[x] = aid
                 done.add(x)
+
+    def arc_of_side(self, s: int) -> int:
+        return self._arc_of_side[s]
 
     def arc_is_boundary(self, aid: int) -> bool:
         return len(self.arcs[aid]) == 1
@@ -184,16 +166,22 @@ class _Complex:
     def tri_of_side(self, s: int) -> int:
         return self.side_pos[s][0]
 
+    def _unclosed(self, s0: int) -> SurfaceError:
+        # no vertex or boundary walk is longer than the side count, so a
+        # longer one means the side positions are inconsistent
+        return SurfaceError(f"the walk from side {s0} does not close")
+
     # -- vertices -----------------------------------------------------------
 
     def _build_vertices(self) -> None:
         # sides sharing a tail vertex form an orbit of s -> next(glue(s));
         # each orbit of a boundary vertex is a path ending at a boundary side
         def rot(s: int) -> Optional[int]:
-            g = self.glue.get(s)
+            g = self._glue.get(s)
             return None if g is None else self.next_in_tri(g)
 
-        starts = [s for s in self.sides if self.prev_in_tri(s) not in self.glue]
+        limit = len(self.sides)
+        starts = [s for s in self.sides if self.prev_in_tri(s) not in self._glue]
         self.vertex_of_side: Dict[int, int] = {}
         self.vertex_fans: List[List[int]] = []
         self.interior_vertices = 0
@@ -201,23 +189,26 @@ class _Complex:
             fan = []
             s: Optional[int] = s0
             while s is not None:
+                if len(fan) == limit:
+                    raise self._unclosed(s0)
                 fan.append(s)
                 self.vertex_of_side[s] = len(self.vertex_fans)
                 s = rot(s)
             self.vertex_fans.append(fan)
-        leftover = [s for s in self.sides if s not in self.vertex_of_side]
-        while leftover:
-            s0 = leftover[0]
+        for s0 in self.sides:
+            if s0 in self.vertex_of_side:
+                continue
             cycle = [s0]
             self.vertex_of_side[s0] = len(self.vertex_fans)
             s = rot(s0)
             while s != s0:
+                if s is None or len(cycle) == limit:
+                    raise self._unclosed(s0)
                 cycle.append(s)
                 self.vertex_of_side[s] = len(self.vertex_fans)
                 s = rot(s)
             self.vertex_fans.append(cycle)
             self.interior_vertices += 1
-            leftover = [x for x in leftover if x not in self.vertex_of_side]
 
     def tail_vertex(self, s: int) -> int:
         return self.vertex_of_side[s]
@@ -229,14 +220,12 @@ class _Complex:
 
     def boundary_components(self) -> List[List[int]]:
         # fans of boundary vertices end in their unique boundary side
-        terminal = {}
-        for fan in self.vertex_fans:
-            last = fan[-1]
-            if last not in self.glue:
-                terminal[self.vertex_of_side[last]] = last
-        succ = {}
-        for s in self.boundary_sides:
-            succ[s] = terminal[self.head_vertex(s)]
+        terminal = {
+            self.vertex_of_side[fan[-1]]: fan[-1]
+            for fan in self.vertex_fans
+            if fan[-1] not in self._glue
+        }
+        succ = {s: terminal[self.head_vertex(s)] for s in self.boundary_sides}
         comps = []
         todo = set(self.boundary_sides)
         while todo:
@@ -245,6 +234,8 @@ class _Complex:
             todo.discard(s0)
             s = succ[s0]
             while s != s0:
+                if len(walk) == len(self.sides):
+                    raise self._unclosed(s0)
                 walk.append(s)
                 todo.discard(s)
                 s = succ[s]
@@ -259,7 +250,7 @@ class _Complex:
         while stack:
             t = stack.pop()
             for s in self.triangles[t]:
-                g = self.glue.get(s)
+                g = self._glue.get(s)
                 if g is not None:
                     t2 = self.tri_of_side(g)
                     if t2 not in seen:
@@ -272,8 +263,9 @@ class _Complex:
         return (len(self.vertex_fans), len(self.arcs), len(self.triangles))
 
 
-class SurfaceTriangulation:
-    """An unpunctured, connected, triangulated marked surface.
+class SurfaceTriangulation(_Complex):
+    """An unpunctured, connected, triangulated marked surface: a half-edge
+    complex that passes the surface checks.
 
     Immutable; flips return a new triangulation sharing the reference and
     extending the flip path.  Arc ids are glue-orbits of side ids, hence
@@ -289,22 +281,22 @@ class SurfaceTriangulation:
         reference: Optional["SurfaceTriangulation"] = None,
         flip_path: Tuple[int, ...] = (),
     ):
-        self._c = _Complex(triangles, glue)
+        super().__init__(triangles, glue)
         self.reference = reference
         self.flip_path = tuple(flip_path)
         self._check_surface()
 
     def _check_surface(self) -> None:
-        """Validate self._c as a connected, unpunctured marked surface and
-        record its genus, boundary count and marked points."""
-        if not self._c.connected():
+        """Validate this complex as a connected, unpunctured marked surface
+        and record its genus, boundary count and marked points."""
+        if not self.connected():
             raise DisconnectedResult("triangle adjacency graph is disconnected")
-        if not self._c.boundary_sides:
+        if not self.boundary_sides:
             raise UnmarkedSurface("no boundary, hence no marked points")
-        if self._c.interior_vertices:
+        if self.interior_vertices:
             raise UnmarkedSurface("gluing creates punctures (interior vertices)")
-        v, e, f = self._c.counts()
-        b = len(self._c.boundary_components())
+        v, e, f = self.counts()
+        b = len(self.boundary_components())
         chi = v - e + f
         if (2 - b - chi) % 2 != 0:
             raise SurfaceError("non-integral genus; gluing data is inconsistent")
@@ -315,33 +307,6 @@ class SurfaceTriangulation:
             raise NonOrientableGluing("negative genus; gluing is not orientable")
         if e != 6 * self.genus + 3 * b + 2 * v - 6:
             raise SurfaceError("arc count identity failed; not a triangulation")
-
-    # -- delegation --------------------------------------------------------
-
-    @property
-    def triangles(self) -> Tuple[Triangle, ...]:
-        return self._c.triangles
-
-    @property
-    def glue(self) -> Mapping[int, int]:
-        """Read-only: every triangulation of a flip chain shares it."""
-        return MappingProxyType(self._c.glue)
-
-    @property
-    def arcs(self) -> List[Tuple[int, ...]]:
-        return self._c.arcs
-
-    def arc_of_side(self, s: int) -> int:
-        return self._c.arc_of_side[s]
-
-    def interior_arcs(self) -> List[int]:
-        return self._c.interior_arcs()
-
-    def boundary_arcs(self) -> List[int]:
-        return self._c.boundary_arcs()
-
-    def arc_is_boundary(self, aid: int) -> bool:
-        return self._c.arc_is_boundary(aid)
 
     def ref(self) -> "SurfaceTriangulation":
         return self.reference if self.reference is not None else self
@@ -373,20 +338,34 @@ class SurfaceTriangulation:
         if len(arc) == 1:
             raise BoundaryArc(f"arc {aid} is a boundary arc")
         a1, a2 = arc
-        t1 = self.triangles[self._c.tri_of_side(a1)]
-        t2 = self.triangles[self._c.tri_of_side(a2)]
+        t1 = self.triangles[self.tri_of_side(a1)]
+        t2 = self.triangles[self.tri_of_side(a2)]
         i1, i2 = t1.index(a1), t2.index(a2)
         p, q = t1[(i1 + 1) % 3], t1[(i1 + 2) % 3]
         r, s = t2[(i2 + 1) % 3], t2[(i2 + 2) % 3]
         return a1, p, q, a2, r, s
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
-        """Re-diagonalize the quadrilateral around an interior arc."""
+        """Re-diagonalize the quadrilateral around an interior arc.  The
+        gluing, sides and arcs are shared; every surface check runs again."""
         a1, p, q, a2, r, s = self.flip_quad(aid)
+        replaced = {self.tri_of_side(a1): (a1, q, r), self.tri_of_side(a2): (a2, s, p)}
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
-        out._c = self._c.flipped(
-            {self._c.tri_of_side(a1): (a1, q, r), self._c.tri_of_side(a2): (a2, s, p)}
-        )
+        triangles = list(self.triangles)
+        side_pos = dict(self.side_pos)
+        for t, tri in replaced.items():
+            if len(set(tri)) != 3:
+                raise InvalidPairing(f"triangle {t} repeats a side id")
+            triangles[t] = tri
+            for k, x in enumerate(tri):
+                side_pos[x] = (t, k)
+        # set in the order __init__ sets them, so that every triangulation
+        # shares one instance attribute layout
+        out.triangles = tuple(triangles)
+        out._glue, out.glue, out.side_pos = self._glue, self.glue, side_pos
+        out.sides, out.boundary_sides = self.sides, self.boundary_sides
+        out.arcs, out._arc_of_side = self.arcs, self._arc_of_side
+        out._build_vertices()
         out.reference = self.ref()
         out.flip_path = self.flip_path + (aid,)
         out._check_surface()
@@ -483,9 +462,6 @@ class Z2Class:
             total = sum(self.labels[self.carrier.arc_of_side(s)] for s in tri)
             if total % 2 != 0:
                 raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
-
-    def label_of(self, aid: int) -> int:
-        return self.labels[aid]
 
     def zero_arcs(self) -> FrozenSet[int]:
         return frozenset(a for a, v in enumerate(self.labels) if v == 0)
@@ -605,7 +581,7 @@ class Dissection:
         adj: Dict[int, List[int]] = {i: [] for i in range(len(t.triangles))}
         for a in tree_arcs:
             s1, s2 = t.arcs[a]
-            t1, t2 = t._c.tri_of_side(s1), t._c.tri_of_side(s2)
+            t1, t2 = t.tri_of_side(s1), t.tri_of_side(s2)
             adj[t1].append(t2)
             adj[t2].append(t1)
         seen = {0}
@@ -635,7 +611,7 @@ def dissection_spanning_tree(t: SurfaceTriangulation) -> Dissection:
                 if a in tree:
                     continue
                 s1, s2 = t.arcs[a]
-                t1, t2 = t._c.tri_of_side(s1), t._c.tri_of_side(s2)
+                t1, t2 = t.tri_of_side(s1), t.tri_of_side(s2)
                 if t1 == tri and t2 not in seen:
                     seen.add(t2)
                     tree.add(a)
@@ -798,9 +774,10 @@ class CutPolygon:
         return (t, t + 1) if t < self.size else (1, self.size)
 
 
-def cut_polygon(d: Dissection) -> CutPolygon:
-    t = d.carrier
-    cx = _cut_complex_of(t, d.arcs)
+def _cut(d: Dissection) -> Tuple[_Complex, List[int], Dict[int, int]]:
+    """The complex cut open along the dissection, its boundary walk, and
+    the 1-based polygon vertex number of each of its vertices."""
+    cx = _cut_complex_of(d.carrier, d.arcs)
     if cx.interior_vertices:
         raise NotADissection("cutting left interior vertices")
     comps = cx.boundary_components()
@@ -810,10 +787,13 @@ def cut_polygon(d: Dissection) -> CutPolygon:
     v, e, f = cx.counts()
     if v - e + f != 1:
         raise NotADissection("cut complex is not a disk")
-    vertex_number = {}
-    for idx, s in enumerate(walk):
-        vertex_number[cx.tail_vertex(s)] = idx + 1
-    k = len(walk)
+    vertex_number = {cx.tail_vertex(s): idx + 1 for idx, s in enumerate(walk)}
+    return cx, walk, vertex_number
+
+
+def cut_polygon(d: Dissection) -> CutPolygon:
+    t = d.carrier
+    cx, walk, vertex_number = _cut(d)
     diagonal_of_arc: Dict[int, Tuple[int, int]] = {}
     for aid in t.interior_arcs():
         if aid in d.arcs:
@@ -823,7 +803,7 @@ def cut_polygon(d: Dissection) -> CutPolygon:
         j = vertex_number[cx.head_vertex(s)]
         diagonal_of_arc[aid] = seg(i, j)
     return CutPolygon(
-        size=k,
+        size=len(walk),
         edge_source=tuple(walk),
         arc_of_edge_source=tuple(t.arc_of_side(s) for s in walk),
         diagonal_of_arc=diagonal_of_arc,
@@ -957,17 +937,16 @@ def flip_evaluation(
         vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
     )
     old = p.values.get(aid)
-    labels2 = _transport_labels(t, p.z2.labels, aid)
-    t2 = t.flip(aid)
+    z2 = transport_class(p.z2, aid)
 
     new_value: Optional[FieldValue]
-    if not _flip_determined(p, aid, labels2[aid]):
+    if not _flip_determined(p, aid, z2.labels[aid]):
         if not allow_unknown:
             raise ValueUnderdetermined(
                 f"flip of arc {aid}: replacement has label 1 but no local derivation"
             )
         new_value = None
-    elif labels2[aid] == 0:
+    elif z2.labels[aid] == 0:
         new_value = p.ctx.zero()
     else:
         new_value = exchange / old
@@ -983,9 +962,9 @@ def flip_evaluation(
         dissection=p.dissection,
         boundary_values=p.boundary_values,
         dissection_values=p.dissection_values,
-        triangulation=t2,
+        triangulation=z2.carrier,
         values=values2,
-        z2=Z2Class(t2, labels2),
+        z2=z2,
         ctx=p.ctx,
     )
 
@@ -1089,11 +1068,7 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
     t = d.carrier
     if t.num_marked % 2 != 0:
         raise OddMarkedPoints("alternating covers need an even marked-point count")
-    cp = cut_polygon(d)
-    cut_cx = _cut_complex_of(t, d.arcs)
-    vertex_number = {}
-    for idx, s in enumerate(cp.edge_source):
-        vertex_number[cut_cx.tail_vertex(s)] = idx + 1
+    cut_cx, _, vertex_number = _cut(d)
 
     def color(copy: int, s: int, at_head: bool) -> int:
         vtx = cut_cx.head_vertex(s) if at_head else cut_cx.tail_vertex(s)
@@ -1154,10 +1129,9 @@ def _validate_cover(
         if cover.vertex_colors[cx.tail_vertex(s)] == cover.vertex_colors[cx.head_vertex(s)]:
             raise SurfaceError("adjacent cover marked points share a color")
     # the two preimages of each base marked point have opposite colors
-    base_cx = base._c
     preimages: Dict[int, Set[int]] = {}
     for s in cx.sides:
-        base_vertex = base_cx.tail_vertex(cover.projection[s])
+        base_vertex = base.tail_vertex(cover.projection[s])
         preimages.setdefault(base_vertex, set()).add(cx.tail_vertex(s))
     for base_vertex, lifted in preimages.items():
         if len(lifted) != 2:
@@ -1188,7 +1162,7 @@ def _boundary_pinned_isomorphism(
         for r in range(3):
             to_triangles.add((tri[r], tri[(r + 1) % 3], tri[(r + 2) % 3]))
     for image in itertools.permutations(interior_to):
-        phi = {s: s for s in t_from._c.boundary_sides}
+        phi = {s: s for s in t_from.boundary_sides}
         phi.update(dict(zip(interior_from, image)))
         if any(phi[t_from.glue[s]] != t_to.glue[phi[s]] for s in interior_from):
             continue

@@ -1,0 +1,48 @@
+"""Exact paths stay exact: no module of the package uses a float."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "deeplocus").glob("*.py"))
+INEXACT_MATH = {"sqrt", "pow", "log", "exp"}
+
+
+def inexact_uses(tree: ast.AST):
+    """(line, what) for each float literal, use of the name float, and
+    inexact math function in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node.lineno, "the name float"
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+            and node.attr in INEXACT_MATH
+        ):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in INEXACT_MATH:
+                    yield node.lineno, f"from math import {alias.name}"
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"field.py", "polygon.py", "rank2.py", "surface.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floats_on_exact_paths(path):
+    found = list(inexact_uses(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, [f"{path.name}:{line}: {what}" for line, what in found]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["x = 0.5", "y = float(x)", "y = math.sqrt(x)", "y = math.exp(x)", "from math import log"],
+)
+def test_guard_flags(snippet):
+    assert list(inexact_uses(ast.parse(snippet)))

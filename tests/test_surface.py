@@ -90,6 +90,30 @@ class TestBuilding:
         g, b, m, arcs = named_surface(name).invariants()
         assert arcs == 6 * g + 3 * b + 2 * m - 6
 
+    def test_inconsistent_side_position_raises(self):
+        # an interior side placed at a wrong slot breaks the vertex walks,
+        # which must stop after the side count instead of looping forever
+        t0 = named_surface("annulus22")
+        for s in t0.sides:
+            if s not in t0.glue:
+                continue
+            for slot in itertools.product(range(len(t0.triangles)), range(3)):
+                if slot == t0.side_pos[s]:
+                    continue
+                t = named_surface("annulus22")
+                t.side_pos[s] = slot
+                with pytest.raises(SurfaceError, match="does not close"):
+                    t._build_vertices()
+
+    def test_boundary_walk_is_bounded(self):
+        # with every boundary side followed by the second one, the walk
+        # from the first boundary side never returns to it
+        t = named_surface("disk6")
+        first, other = t.boundary_sides[0], t.boundary_sides[1]
+        t.head_vertex = lambda s: t.tail_vertex(other)
+        with pytest.raises(SurfaceError, match=f"side {first} does not close"):
+            t.boundary_components()
+
 
 class TestFlips:
     def test_square_disk_flip(self):
@@ -152,11 +176,13 @@ class TestFlips:
             t = t.flip(aid)
             fresh = SurfaceTriangulation(t.triangles, dict(t.glue))
             assert t.triangles == fresh.triangles
-            assert t._c.side_pos == fresh._c.side_pos
+            assert t.side_pos == fresh.side_pos
             assert t.arcs == fresh.arcs
-            assert t._c.arc_of_side == fresh._c.arc_of_side
-            assert t._c.vertex_fans == fresh._c.vertex_fans
-            assert t._c.interior_vertices == fresh._c.interior_vertices == 0
+            assert {s: t.arc_of_side(s) for s in t.sides} == {
+                s: fresh.arc_of_side(s) for s in fresh.sides
+            }
+            assert t.vertex_fans == fresh.vertex_fans
+            assert t.interior_vertices == fresh.interior_vertices == 0
             assert t.invariants() == fresh.invariants() == invariants
         assert t.replay()[-1] == t
         with pytest.raises(BoundaryArc):
