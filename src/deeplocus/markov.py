@@ -28,6 +28,8 @@ from .field import FieldContext, FieldValue
 DIRECTIONS = ("x", "y", "z")
 
 MAX_SCAN_PRIME = 101
+# explore_and_verify builds 3 * 2^(depth-1) nodes at the last level alone
+MAX_EXPLORE_DEPTH = 12
 
 
 class MarkovError(DeepLocusError):
@@ -44,6 +46,10 @@ class ZeroDenominator(MarkovError, ZeroDivisionError):
 
 class SearchTooLarge(MarkovError):
     pass
+
+
+class ExploreTooDeep(MarkovError):
+    """An exploration depth above MAX_EXPLORE_DEPTH."""
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,14 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
       their own type everywhere;
     - on torus clusters (all three values nonzero) the Markov element is
       constant, equal to M.
+
+    Refused for depth above MAX_EXPLORE_DEPTH, before any node is built.
     """
+    if depth > MAX_EXPLORE_DEPTH:
+        raise ExploreTooDeep(
+            f"depth {depth} visits 1 + 3 * (2^{depth} - 1) nodes;"
+            f" it exceeds the cap MAX_EXPLORE_DEPTH = {MAX_EXPLORE_DEPTH}"
+        )
     deep_type = classify_deep_upper(p)
     report = ExploreReport(p, depth)
     root = TreeNode((), p.values())

@@ -50,6 +50,15 @@ class StuckPropagation(Rank2Error):
     """Neither the division rule nor the closed form can extend the window."""
 
 
+class BetaSearchTooLarge(Rank2Error):
+    """An F_p frozen-value search above MAX_BETA_SEARCH element tries."""
+
+
+# element tries of deep_points' own beta search: (p-1)^f betas, each
+# scanning all p elements for its alphas
+MAX_BETA_SEARCH = 10**7
+
+
 def positive_part(v: Vector) -> Vector:
     return tuple(max(x, 0) for x in v)
 
@@ -448,6 +457,12 @@ def _beta_candidates(
     if betas is not None:
         return [tuple(b) for b in betas]
     if ctx.kind == PRIME_FIELD:
+        tries = (ctx.p - 1) ** spec.f * ctx.p
+        if tries > MAX_BETA_SEARCH:
+            raise BetaSearchTooLarge(
+                f"f={spec.f} over F_{ctx.p} tries (p-1)^f * p = {tries} elements;"
+                f" it exceeds the cap MAX_BETA_SEARCH = {MAX_BETA_SEARCH}"
+            )
         return list(itertools.product(list(ctx.nonzero_elements()), repeat=spec.f))
     raise EnumerationUnsupported(
         "f >= 1 over an infinite field requires caller-supplied beta candidates"

@@ -268,16 +268,52 @@ def test_rank2_over_a_huge_prime_exits_1_without_scanning(monkeypatch, capsys):
     assert "2147483647" in err and "65536" in err
 
 
+@pytest.mark.parametrize("e1, e2", [("1", "0"), ("1,1", "0,0")])
+def test_rank2_beta_search_over_a_large_prime_exits_1_without_scanning(
+    e1, e2, monkeypatch, capsys
+):
+    from deeplocus.field import FieldContext
+
+    def no_scan(self):
+        raise AssertionError("beta search started")
+
+    monkeypatch.setattr(FieldContext, "elements", no_scan)
+    code, out = run_cli(
+        ["rank2", "--b", "2", "--c", "2", "--e1", e1, "--e2", e2, "--field", "fp:65521"]
+    )
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: BetaSearchTooLarge") and err.count("\n") == 1
+    assert "65521" in err and str(10**7) in err
+
+
+def test_markov_verify_too_deep_exits_1_without_exploring(monkeypatch, capsys):
+    from deeplocus import markov
+
+    def no_mutation(*args):
+        raise AssertionError("exploration started")
+
+    monkeypatch.setattr(markov, "mutate_upper", no_mutation)
+    depth = markov.MAX_EXPLORE_DEPTH + 1
+    code, out = run_cli(["markov", "verify", "--point", "1,1,1,3", "--depth", str(depth)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ExploreTooDeep") and err.count("\n") == 1
+    assert f"depth {depth}" in err
+
+
 def test_cli_output_matches_goldens():
     # sha256 of stdout and the exit code of every scenario at --seed 3 and
-    # of the README's subcommand examples: a refactor leaves them unchanged
+    # of the README's subcommand examples: a refactor leaves them unchanged.
+    # A report echoes the --surface path it read, so the data directory is
+    # written back as {data} to keep the digests independent of the checkout.
     with open(os.path.join(DATA, "cli_goldens.json")) as fh:
         goldens = json.load(fh)
     mismatches = []
     for entry in goldens:
         argv = [a.replace("{data}", DATA) for a in entry["argv"]]
         code, out = run_cli(argv)
-        digest = hashlib.sha256(out.encode()).hexdigest()
+        digest = hashlib.sha256(out.replace(DATA, "{data}").encode()).hexdigest()
         if (code, digest) != (entry["exit_code"], entry["stdout_sha256"]):
             mismatches.append(" ".join(entry["argv"]))
     assert not mismatches, mismatches
