@@ -95,6 +95,11 @@ def _surface_file(args) -> Optional[Tuple[str, surface.SurfaceTriangulation]]:
     return (args.surface, ingest_surface(args.surface)) if args.surface else None
 
 
+def _check_steps(steps: Optional[int]) -> None:
+    if steps is not None and steps < 1:
+        raise ParseError(f"--steps must be at least 1, got {steps}")
+
+
 def _load_surface(args) -> surface.SurfaceTriangulation:
     if getattr(args, "surface", None):
         return ingest_surface(args.surface)
@@ -253,6 +258,7 @@ def cmd_surface(args) -> int:
         print(rep.render(args.json))
         return rep.exit_code
     if args.surface_cmd == "deep":
+        _check_steps(args.steps)
         t = _load_surface(args)
         point = ingest_deep_fixture(args.fixture, t)
         walk = surface.verify_deep_random_walk(point, args.steps, args.seed)
@@ -275,6 +281,7 @@ def cmd_scenario(args) -> int:
         for name in sorted(SCENARIOS):
             print(name)
         return 0
+    _check_steps(args.steps)
     rep = run_scenario(args.name, args.seed, args.steps, _surface_file(args))
     print(rep.render(args.json))
     return rep.exit_code
@@ -287,11 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default="q", help="q | qi | fp:<p>")
+    def flags(p, field=False, seed=False, depth=False):
+        """--json everywhere; --field, --seed and --depth where they are read."""
         p.add_argument("--json", action="store_true", help="emit JSON output")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--depth", type=int, default=6, help="tree/window depth")
+        if field:
+            p.add_argument("--field", default="q", help="q | qi | fp:<p>")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        if depth:
+            p.add_argument("--depth", type=int, default=6, help="tree/window depth")
 
     p_poly = sub.add_parser("polygon", help="type-A and boundary-coefficient polygons")
     poly_sub = p_poly.add_subparsers(dest="polygon_cmd", required=True)
@@ -304,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=polygon.MODE_TYPE_A,
                    choices=[polygon.MODE_TYPE_A, polygon.MODE_BOUNDARY])
     for sp in poly_sub.choices.values():
-        common(sp)
+        flags(sp, field=True)
 
     p_rank2 = sub.add_parser("rank2", help="rank-2 deep points and windows")
-    common(p_rank2)
+    flags(p_rank2, field=True, depth=True)
     p_rank2.add_argument("--b", type=int, required=True)
     p_rank2.add_argument("--c", type=int, required=True)
     p_rank2.add_argument("--e1", default="", help="comma list of integers")
@@ -321,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = markov_sub.add_parser("verify")
     p.add_argument("--point", required=True, help="x,y,z,M")
     p.add_argument("--trace", action="store_true")
-    for sp in markov_sub.choices.values():
-        common(sp)
+    for name, sp in markov_sub.choices.items():
+        flags(sp, field=True, depth=name == "verify")
 
     p_surface = sub.add_parser("surface", help="marked surface triangulations")
     surface_sub = p_surface.add_subparsers(dest="surface_cmd", required=True)
@@ -332,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--name", help="built-in surface name")
         if cmd == "deep":
             p.add_argument("--fixture", required=True, help="deep point fixture JSON")
-            p.add_argument("--steps", type=int, default=200)
-        common(p)
+            p.add_argument("--steps", type=int, default=200, help="flips, at least 1")
+        flags(p, seed=cmd == "deep")
 
     p_scn = sub.add_parser("scenario", help="reproduce a classification end to end")
-    common(p_scn)
+    flags(p_scn, seed=True)
     p_scn.add_argument("name", help="scenario name, or `list`")
-    p_scn.add_argument("--steps", type=int, default=None)
+    p_scn.add_argument("--steps", type=int, default=None, help="flips, at least 1")
     p_scn.add_argument("--surface", help="surface description JSON (surface scenarios)")
 
     return parser

@@ -11,8 +11,9 @@ identity.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
-from typing import Iterator, List, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import DeepLocusError
 
@@ -43,7 +44,7 @@ class InfiniteField(FieldError):
 
 
 class UnsupportedExponent(FieldError):
-    """roots_of_minus_one exponent outside the supported range for Q(i)."""
+    """A root over Q(i) whose exponent is not a power of two."""
 
 
 class UnparsableValue(FieldError, ValueError):
@@ -162,35 +163,90 @@ class FieldContext:
         next(it)
         return it
 
-    def scan_roots(self, target: "FieldValue", k: int) -> List["FieldValue"]:
-        """All alpha in F_p with alpha**k == target, in residue order, by
-        trying every element; refused for p above MAX_ROOT_SCAN_PRIME."""
-        if self.kind == PRIME_FIELD and self.p > MAX_ROOT_SCAN_PRIME:
-            raise RootScanTooLarge(
-                f"root finding over F_{self.p} tries all {self.p} elements;"
-                f" p exceeds the cap MAX_ROOT_SCAN_PRIME = {MAX_ROOT_SCAN_PRIME}"
-            )
-        return [a for a in self.elements() if a**k == target]
+    def roots(self, target: "FieldValue", k: int) -> List["FieldValue"]:
+        """All alpha with alpha**k == target, exactly, in sort_key order.
+
+        F_p tries every element, and is refused above MAX_ROOT_SCAN_PRIME;
+        Q takes exact integer roots of numerator and denominator; Q(i)
+        takes Gaussian square roots log2(k) times, so k must be a power
+        of two."""
+        if k < 1:
+            raise ValueError("exponent must be a positive integer")
+        if k == 1:
+            return [target]
+        if self.kind == PRIME_FIELD:
+            if self.p > MAX_ROOT_SCAN_PRIME:
+                raise RootScanTooLarge(
+                    f"root finding over F_{self.p} tries all {self.p} elements;"
+                    f" p exceeds the cap MAX_ROOT_SCAN_PRIME = {MAX_ROOT_SCAN_PRIME}"
+                )
+            return [a for a in self.elements() if a**k == target]
+        if self.kind == RATIONALS:
+            q = target._v
+            if k % 2:
+                r = _fraction_root(abs(q), k)
+                return [] if r is None else [FieldValue(self, r if q >= 0 else -r)]
+            r = _fraction_root(q, k)
+            if r is None:
+                return []
+            return [FieldValue(self, -r), FieldValue(self, r)] if r else [FieldValue(self, r)]
+        if k & (k - 1):
+            raise UnsupportedExponent(f"exponent {k} unsupported over Q(i): not a power of two")
+        found = [target._v]
+        for _ in range(k.bit_length() - 1):
+            found = sorted({r for v in found for r in _gaussian_sqrt(*v)})
+        out = [FieldValue(self, v) for v in found]
+        assert all(v**k == target for v in out)
+        return out
 
     def roots_of_minus_one(self, b: int) -> List["FieldValue"]:
-        """All alpha with alpha**b == -1, sorted deterministically."""
-        if b < 1:
-            raise ValueError("exponent must be a positive integer")
-        minus_one = self.minus_one()
-        if self.kind == PRIME_FIELD:
-            return self.scan_roots(minus_one, b)
-        if self.kind == RATIONALS:
-            return [minus_one] if b % 2 == 1 else []
-        # Q(i): only the exponents whose solutions are determined by
-        # rational data are supported.
-        if b == 1:
-            return [minus_one]
-        if b == 2:
-            return [self.gaussian(0, -1), self.gaussian(0, 1)]
-        if b == 4:
-            # the solutions are primitive 8th roots of unity, none rational
-            return []
-        raise UnsupportedExponent(f"exponent {b} unsupported over Q(i)")
+        """All alpha with alpha**b == -1, in sort_key order."""
+        return self.roots(self.minus_one(), b)
+
+
+def _int_root(m: int, k: int) -> Optional[int]:
+    """The exact k-th root of the integer m >= 0, if it is an integer."""
+    if k == 2:
+        r = math.isqrt(m)
+    elif m == 0:
+        r = 0
+    else:
+        # Newton's iteration from above converges to the floor of the root
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            nxt = ((k - 1) * r + m // r ** (k - 1)) // k
+            if nxt >= r:
+                break
+            r = nxt
+    return r if r**k == m else None
+
+
+def _fraction_root(q: Fraction, k: int) -> Optional[Fraction]:
+    """The exact nonnegative k-th root of q >= 0, if it is rational."""
+    if q < 0:
+        return None
+    rn = _int_root(q.numerator, k)
+    rd = _int_root(q.denominator, k)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn, rd)
+
+
+def _gaussian_sqrt(re: Fraction, im: Fraction) -> List[Tuple[Fraction, Fraction]]:
+    """The square roots (x, y) of re + im*i with x, y rational."""
+    if im == 0:
+        r = _fraction_root(re, 2)
+        if r is not None:
+            return [(r, Fraction(0)), (-r, Fraction(0))]
+        s = _fraction_root(-re, 2)
+        return [] if s is None else [(Fraction(0), s), (Fraction(0), -s)]
+    # (x + y*i)^2 = re + im*i with im != 0 gives x^2 = (re + |re + im*i|)/2 > 0
+    norm = _fraction_root(re * re + im * im, 2)
+    x = None if norm is None else _fraction_root((re + norm) / 2, 2)
+    if x is None:
+        return []
+    y = im / (2 * x)
+    return [(x, y), (-x, -y)]
 
 
 QQ = FieldContext(RATIONALS)

@@ -153,7 +153,7 @@ def classify_deep_upper(p: MarkovUpperPoint) -> Optional[DeepType]:
 def enumerate_deep_upper(ctx: FieldContext) -> List[MarkovUpperPoint]:
     """Exhaustive scan of the variety over a small prime field, keeping
     the deep points."""
-    if ctx.kind != "prime-field":
+    if not ctx.p:
         raise SearchTooLarge("exhaustive enumeration needs a finite field")
     if ctx.p > MAX_SCAN_PRIME:
         raise SearchTooLarge(f"p={ctx.p} exceeds the p^4 scan cap {MAX_SCAN_PRIME}")

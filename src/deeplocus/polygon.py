@@ -520,7 +520,7 @@ def bruteforce_variety_scan(
     failing prefix skips every assignment that extends it.  The cap is
     still checked against the nominal assignment count.
     """
-    if ctx.kind != "prime-field":
+    if not ctx.p:
         raise SearchTooLarge("exhaustive scans need a finite field")
     diagonals = polygon_diagonals(n)
     edges = polygon_edges(n)

@@ -25,11 +25,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue, GAUSSIAN_RATIONALS, PRIME_FIELD, RATIONALS
+from .field import FieldContext, FieldValue
 
 Vector = Tuple[int, ...]
 
@@ -336,15 +335,10 @@ def verify_deep(p: Rank2Point, N: int = 10) -> bool:
     for i in range(ev.lo + 1, ev.hi):
         if not relation_holds(p.spec, evw, p.ys, ev.values, i):
             return False
-    evens_zero = all(ev.values[i].is_zero for i in range(ev.lo, ev.hi + 1) if i % 2 == 0)
-    odds_zero = all(ev.values[i].is_zero for i in range(ev.lo, ev.hi + 1) if i % 2 != 0)
-    evens_nonzero = all(
-        not ev.values[i].is_zero for i in range(ev.lo, ev.hi + 1) if i % 2 == 0
-    )
-    odds_nonzero = all(
-        not ev.values[i].is_zero for i in range(ev.lo, ev.hi + 1) if i % 2 != 0
-    )
-    return (evens_zero and odds_nonzero) or (odds_zero and evens_nonzero)
+    zero, nonzero = set(), set()
+    for i in range(ev.lo, ev.hi + 1):
+        (zero if ev.values[i].is_zero else nonzero).add(i % 2)
+    return len(zero) == 1 and not zero & nonzero
 
 
 def random_torus_point(
@@ -375,80 +369,6 @@ def random_torus_point(
 # deep point families
 
 
-def _int_root(m: int, k: int) -> Optional[int]:
-    """The exact k-th root of the integer m >= 0, if it is an integer."""
-    if k == 2:
-        r = math.isqrt(m)
-    elif m == 0:
-        r = 0
-    else:
-        # Newton's iteration from above converges to the floor of the root
-        r = 1 << -(-m.bit_length() // k)
-        while True:
-            nxt = ((k - 1) * r + m // r ** (k - 1)) // k
-            if nxt >= r:
-                break
-            r = nxt
-    return r if r**k == m else None
-
-
-def _fraction_root(q: Fraction, k: int) -> Optional[Fraction]:
-    """The exact nonnegative k-th root of q >= 0, if it is rational."""
-    if q < 0:
-        return None
-    rn = _int_root(q.numerator, k)
-    rd = _int_root(q.denominator, k)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _nth_roots(ctx: FieldContext, target: FieldValue, k: int) -> List[FieldValue]:
-    """All solutions of alpha^k = target, exactly, sorted."""
-    if k == 1:
-        return [target]
-    if ctx.kind == PRIME_FIELD:
-        return ctx.scan_roots(target, k)
-    if ctx.kind == RATIONALS:
-        q = target._v
-        out = []
-        if k % 2 == 1:
-            r = _fraction_root(abs(q), k)
-            if r is not None:
-                out.append(FieldValue(ctx, r if q >= 0 else -r))
-        else:
-            r = _fraction_root(q, k)
-            if r is not None:
-                out.extend([FieldValue(ctx, -r), FieldValue(ctx, r)])
-                if r == 0:
-                    out = [FieldValue(ctx, r)]
-        return out
-    if ctx.kind == GAUSSIAN_RATIONALS and k == 2:
-        re, im = target._v
-        roots = []
-        if im == 0:
-            r = _fraction_root(re, 2) if re >= 0 else None
-            if r is not None:
-                roots = [(r, Fraction(0)), (-r, Fraction(0))]
-            else:
-                s = _fraction_root(-re, 2)
-                if s is not None:
-                    roots = [(Fraction(0), s), (Fraction(0), -s)]
-        else:
-            norm = _fraction_root(re * re + im * im, 2)
-            if norm is not None:
-                x = _fraction_root((re + norm) / 2, 2)
-                if x is not None and x != 0:
-                    y = im / (2 * x)
-                    roots = [(x, y), (-x, -y)]
-        out = [ctx.gaussian(a, b) for a, b in roots]
-        assert all(v * v == target for v in out)
-        return sorted(set(out), key=lambda v: v.sort_key())
-    raise EnumerationUnsupported(
-        f"cannot extract {k}-th roots over {ctx!r}"
-    )
-
-
 def _beta_candidates(
     spec: Rank2Spec, ctx: FieldContext, betas: Optional[Iterable[Tuple[FieldValue, ...]]]
 ) -> List[Tuple[FieldValue, ...]]:
@@ -456,7 +376,7 @@ def _beta_candidates(
         return [()]
     if betas is not None:
         return [tuple(b) for b in betas]
-    if ctx.kind == PRIME_FIELD:
+    if ctx.p:
         tries = (ctx.p - 1) ** spec.f * ctx.p
         if tries > MAX_BETA_SEARCH:
             raise BetaSearchTooLarge(
@@ -472,11 +392,10 @@ def _beta_candidates(
 def _family_alphas(
     ctx: FieldContext, beta: Tuple[FieldValue, ...], e: Vector, exponent: int
 ) -> List[FieldValue]:
-    """Solutions alpha of  beta^[e]+ * alpha^exponent + beta^[e]- = 0."""
-    if len(e) == 0:
-        return ctx.roots_of_minus_one(exponent)
+    """Solutions alpha of  beta^[e]+ * alpha^exponent + beta^[e]- = 0
+    (for f = 0 the empty monomial is 1, so alpha^exponent = -1)."""
     target = -y_monomial(beta, vsub(negative_part(e), positive_part(e)), ctx)
-    return [a for a in _nth_roots(ctx, target, exponent) if not a.is_zero]
+    return ctx.roots(target, exponent)
 
 
 def deep_points(

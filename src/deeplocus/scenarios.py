@@ -383,7 +383,7 @@ def scenario_surface_components(
 
 
 def scenario_surface_deep_walk(seed: int, steps: Optional[int], **_) -> Report:
-    steps = steps or 500
+    steps = 500 if steps is None else steps
     rep = Report("surface-deep-walk", {"seed": seed, "steps": steps})
     t = surface.named_surface("annulus22")
     d = surface.Dissection(t, frozenset([0]))

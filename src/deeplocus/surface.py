@@ -578,20 +578,7 @@ class Dissection:
         tree_arcs = [a for a in t.interior_arcs() if a not in self.arcs]
         if len(tree_arcs) != len(t.triangles) - 1:
             raise NotADissection("complement has the wrong size for a spanning tree")
-        adj: Dict[int, List[int]] = {i: [] for i in range(len(t.triangles))}
-        for a in tree_arcs:
-            s1, s2 = t.arcs[a]
-            t1, t2 = t.tri_of_side(s1), t.tri_of_side(s2)
-            adj[t1].append(t2)
-            adj[t2].append(t1)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(t.triangles):
+        if not _cut_complex_of(t, self.arcs).connected():
             raise NotADissection("complement does not span the triangles")
 
     def sorted_arcs(self) -> List[int]:
@@ -607,19 +594,14 @@ def dissection_spanning_tree(t: SurfaceTriangulation) -> Dissection:
     while frontier:
         next_frontier = []
         for tri in frontier:
-            for a in t.interior_arcs():
-                if a in tree:
-                    continue
-                s1, s2 = t.arcs[a]
-                t1, t2 = t.tri_of_side(s1), t.tri_of_side(s2)
-                if t1 == tri and t2 not in seen:
-                    seen.add(t2)
+            # the triangle's own interior arcs, each with its far side
+            far = {t.arc_of_side(s): t.glue[s] for s in t.triangles[tri] if s in t.glue}
+            for a in sorted(far):
+                nb = t.tri_of_side(far[a])
+                if nb not in seen:
+                    seen.add(nb)
                     tree.add(a)
-                    next_frontier.append(t2)
-                elif t2 == tri and t1 not in seen:
-                    seen.add(t1)
-                    tree.add(a)
-                    next_frontier.append(t1)
+                    next_frontier.append(nb)
         frontier = next_frontier
     arcs = frozenset(a for a in t.interior_arcs() if a not in tree)
     return Dissection(t, arcs)
@@ -1001,6 +983,9 @@ def verify_deep_random_walk(
     visited triangulation some arc vanishes, every triangle kills an odd
     number of its sides, and every computable exchange identity holds."""
     import random as _random
+
+    if steps < 0:
+        raise SurfaceError(f"a walk takes a nonnegative number of steps, got {steps}")
 
     rng = _random.Random(seed)
     report = WalkReport(steps)

@@ -238,6 +238,12 @@ BAD_INPUTS = {
         {"field": "q", "values": DEEP_FIXTURE["values"]},
     ),
     "fixture-not-an-object": (DEEP_ON_ANNULUS22 + ["--fixture", "{file}"], [0, 1]),
+    "scenario-steps-zero": (["scenario", "surface-deep-walk", "--steps", "0"], None),
+    "scenario-steps-negative": (["scenario", "surface-deep-walk", "--steps", "-5"], None),
+    "surface-deep-steps-negative": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}", "--steps", "-3"],
+        DEEP_FIXTURE,
+    ),
 }
 
 
@@ -252,6 +258,34 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# each subcommand's argv, and the flags it does not read
+UNREAD_FLAGS = [
+    (["polygon", "deep-typea", "--rank", "3"], ["--seed", "--depth"]),
+    (["polygon", "from-edges", "--edges", "1,1,1,1"], ["--seed", "--depth"]),
+    (["polygon", "scan", "--n", "4", "--field", "fp:2"], ["--seed", "--depth"]),
+    (["rank2", "--b", "2", "--c", "2"], ["--seed"]),
+    (["markov", "classify", "--point", "0,1,2,0"], ["--seed", "--depth"]),
+    (["markov", "enumerate", "--field", "fp:2"], ["--seed", "--depth"]),
+    (["markov", "verify", "--point", "1,1,1,3"], ["--seed"]),
+    (["surface", "invariants", "--name", "disk4"], ["--field", "--seed", "--depth"]),
+    (["surface", "components", "--name", "disk4"], ["--field", "--seed", "--depth"]),
+    (DEEP_ON_ANNULUS22 + ["--fixture", "x.json"], ["--field", "--depth"]),
+    (["scenario", "list"], ["--field", "--depth"]),
+]
+FLAG_VALUES = {"--field": "q", "--seed": "1", "--depth": "6"}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(argv, flag) for argv, flags in UNREAD_FLAGS for flag in flags],
+    ids=lambda v: " ".join(a for a in v[:2] if a[0] != "-") if isinstance(v, list) else v,
+)
+def test_unread_flag_exits_2_naming_it(argv, flag, capsys):
+    code, out = run_cli(argv + [flag, FLAG_VALUES[flag]])
+    assert (code, out) == (2, "")
+    assert flag in capsys.readouterr().err
 
 
 def test_rank2_over_a_huge_prime_exits_1_without_scanning(monkeypatch, capsys):

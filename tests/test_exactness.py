@@ -1,4 +1,5 @@
-"""Exact paths stay exact: no module of the package uses a float."""
+"""Exact paths stay exact: no module of the package uses a float, and
+only field.py looks inside a field value or builds one from a payload."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,46 @@ def test_no_floats_on_exact_paths(path):
 )
 def test_guard_flags(snippet):
     assert list(inexact_uses(ast.parse(snippet)))
+
+
+FIELD_INTERNALS = {"kind", "_v"}
+
+
+def field_internals(tree: ast.AST):
+    """(line, what) for each read of a context's kind or a value's payload,
+    and each FieldValue(...) construction, in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS:
+            yield node.lineno, f"attribute .{node.attr}"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "FieldValue":
+                yield node.lineno, "FieldValue(...) call"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "field.py"], ids=lambda p: p.name
+)
+def test_field_internals_stay_in_field(path):
+    found = list(field_internals(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, [f"{path.name}:{line}: {what}" for line, what in found]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "k = ctx.kind",
+        "q = target._v",
+        "v = FieldValue(ctx, 3)",
+        "v = field.FieldValue(ctx, 3)",
+        "if ctx.kind != 'prime-field': pass",
+    ],
+)
+def test_field_guard_flags(snippet):
+    assert list(field_internals(ast.parse(snippet)))
+
+
+@pytest.mark.parametrize("snippet", ["x: FieldValue = ctx.one()", "p = ctx.p", "k = kind"])
+def test_field_guard_passes(snippet):
+    assert not list(field_internals(ast.parse(snippet)))

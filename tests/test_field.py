@@ -119,9 +119,7 @@ def test_roots_count_matches_cyclic_group_analysis(p, b):
 
 
 def test_root_scan_is_capped(monkeypatch):
-    # past the cap both root finders refuse before trying any element
-    from deeplocus.rank2 import _nth_roots
-
+    # past the cap root finding refuses before trying any element
     def no_scan(self):
         raise AssertionError("root scan started")
 
@@ -130,7 +128,30 @@ def test_root_scan_is_capped(monkeypatch):
         with pytest.raises(RootScanTooLarge, match=f"F_{ctx.p}.*{MAX_ROOT_SCAN_PRIME}"):
             ctx.roots_of_minus_one(2)
         with pytest.raises(RootScanTooLarge):
-            _nth_roots(ctx, ctx.from_int(4), 2)
+            ctx.roots(ctx.from_int(4), 2)
+
+
+@pytest.mark.parametrize(
+    "ctx, k", [(QQ, k) for k in range(1, 6)] + [(QI, k) for k in (1, 2, 4, 8)]
+)
+def test_roots_recover_seeded_powers(ctx, k):
+    rng = random.Random(7000 + k)
+    for _ in range(40):
+        s = random_value(ctx, rng)
+        found = ctx.roots(s**k, k)
+        assert s in found
+        assert all(v**k == s**k for v in found)
+        keys = [v.sort_key() for v in found]
+        assert keys == sorted(set(keys))
+
+
+def test_roots_exponent_errors():
+    for k in (3, 5, 6):
+        with pytest.raises(UnsupportedExponent):
+            QI.roots(QI.i(), k)
+    for ctx in (QQ, QI, F5):
+        with pytest.raises(ValueError):
+            ctx.roots(ctx.one(), 0)
 
 
 def test_prime_validation():

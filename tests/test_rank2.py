@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from deeplocus import rank2
-from deeplocus.field import QI, QQ, prime_field
+from deeplocus.field import QI, QQ, _fraction_root, prime_field
 from deeplocus.rank2 import (
     EnumerationUnsupported,
     InvalidPoint,
     Rank2Point,
     Rank2Spec,
     StuckPropagation,
-    _fraction_root,
     _relation_rhs,
     closed_form_step,
     deep_points,

@@ -572,6 +572,19 @@ class TestDeepPoints:
         report = verify_deep_random_walk(p, 200, seed=11)
         assert report.passed, report.failures[:3]
 
+    def test_walk_refuses_negative_steps_before_any_check(self, monkeypatch):
+        import deeplocus.surface as surface_module
+
+        t = named_surface("annulus22")
+        p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+
+        def no_check(*args):
+            raise AssertionError("walk started checking")
+
+        monkeypatch.setattr(surface_module, "_check_state", no_check)
+        with pytest.raises(SurfaceError, match="-1"):
+            verify_deep_random_walk(p, -1, seed=0)
+
     @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
     def test_walk_matches_a_full_retest_walk(self, ctx):
         # the walk re-tests only the arcs a flip touches; the reference
