@@ -338,7 +338,14 @@ class FieldValue:
         return FieldValue(self.ctx, (a + c, b + d))
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
-        return self + (-other)
+        self._check(other)
+        k = self.ctx.kind
+        if k == PRIME_FIELD:
+            return FieldValue(self.ctx, (self._v - other._v) % self.ctx.p)
+        if k == RATIONALS:
+            return FieldValue(self.ctx, self._v - other._v)
+        (a, b), (c, d) = self._v, other._v
+        return FieldValue(self.ctx, (a - c, b - d))
 
     def __neg__(self) -> "FieldValue":
         k = self.ctx.kind
@@ -380,12 +387,20 @@ class FieldValue:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ctx.one()
+        if n == 0:
+            return self.ctx.one()
+        # square only while higher bits remain, and start at the lowest set
+        # bit: x**n takes at most 2 * n.bit_length() - 1 multiplies
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 

@@ -226,26 +226,36 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
         next_frontier = []
         for node in frontier:
             seen += 1
-            _check_node(node, p, deep_type, report)
+            # each value's square, shared by the node check and the
+            # exchange checks of its children
+            squares = tuple(v * v for v in node.values)
+            _check_node(node, squares, p, deep_type, report)
             if len(node.path) < depth:
                 for d in DIRECTIONS:
                     if node.path and node.path[-1] == d:
                         continue
                     child = mutate_upper(node, p.M, d)
-                    _check_exchange(node, child, d, report)
+                    _check_exchange(node, squares, child, d, report)
                     next_frontier.append(child)
         frontier = next_frontier
     report.nodes_visited = seen
     return report
 
 
-def _check_node(node: TreeNode, p: MarkovUpperPoint, deep_type, report) -> None:
+def _check_node(
+    node: TreeNode, squares: Tuple[FieldValue, ...], p: MarkovUpperPoint, deep_type, report
+) -> None:
     vx, vy, vz = node.values
     if deep_type is None:
         if not (vx.is_zero or vy.is_zero or vz.is_zero):
-            m = markov_element(vx, vy, vz)
-            report.markov_element_values[node.path] = m
-            if m != p.M:
+            # with xyz nonzero, (x^2+y^2+z^2)/xyz == M iff x^2+y^2+z^2 == M*xyz
+            den = vx * vy * vz
+            total = squares[0] + squares[1] + squares[2]
+            if total == p.M * den:
+                report.markov_element_values[node.path] = p.M
+            else:
+                m = total / den
+                report.markov_element_values[node.path] = m
                 report.failures.append(
                     f"Markov element {m} differs from M={p.M} at {node.path}"
                 )
@@ -266,11 +276,14 @@ def _check_node(node: TreeNode, p: MarkovUpperPoint, deep_type, report) -> None:
             )
 
 
-def _check_exchange(node: TreeNode, child: TreeNode, direction: str, report) -> None:
+def _check_exchange(
+    node: TreeNode, squares: Tuple[FieldValue, ...], child: TreeNode, direction: str, report
+) -> None:
+    """v * v' == the sum of the other two squares, from the node's squares."""
     k = DIRECTIONS.index(direction)
     v, v_new = node.values[k], child.values[k]
-    others = [val for t, val in enumerate(node.values) if t != k]
-    if v * v_new != others[0] ** 2 + others[1] ** 2:
+    others = [sq for t, sq in enumerate(squares) if t != k]
+    if v * v_new != others[0] + others[1]:
         report.failures.append(
             f"exchange identity fails mutating {direction} at {node.path}"
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
@@ -80,10 +80,11 @@ def vscale(k: int, v: Vector) -> Vector:
 
 
 def y_monomial(ys: Sequence[FieldValue], v: Vector, ctx: FieldContext) -> FieldValue:
-    out = ctx.one()
+    out = None
     for yk, vk in zip(ys, v):
-        out = out * yk**vk
-    return out
+        if vk:
+            out = yk**vk if out is None else out * yk**vk
+    return ctx.one() if out is None else out
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,65 @@ class Rank2Spec:
         return self.b if i % 2 == 1 else self.c
 
 
+class _WindowMemo:
+    """What the steps on one e-vector window would rebuild at every index,
+    for the frozen values ys of one point in one field: the y-monomials,
+    by exponent vector, and the coefficient values of each g polynomial,
+    by (outer, inner, e).  Other ys, or another field, start it afresh."""
+
+    __slots__ = ("ctx", "ys", "monomials", "g_coefs")
+
+    def __init__(self) -> None:
+        self.ctx: Optional[FieldContext] = None
+        self.ys: Tuple[FieldValue, ...] = ()
+        self.monomials: Dict[Vector, FieldValue] = {}
+        self.g_coefs: Dict[Tuple[int, int, Vector], List[FieldValue]] = {}
+
+    def _use(self, ys: Sequence[FieldValue], ctx: FieldContext) -> None:
+        if ctx is not self.ctx or (ys is not self.ys and tuple(ys) != self.ys):
+            self.ctx, self.ys = ctx, tuple(ys)
+            self.monomials, self.g_coefs = {}, {}
+
+    def y(self, ys: Sequence[FieldValue], v: Vector, ctx: FieldContext) -> FieldValue:
+        """y_monomial(ys, v, ctx), built once per window."""
+        self._use(ys, ctx)
+        out = self.monomials.get(v)
+        if out is None:
+            out = self.monomials[v] = y_monomial(ys, v, ctx)
+        return out
+
+    def g_value(
+        self, outer: int, inner: int, e: Vector, x: FieldValue, ys: Sequence[FieldValue]
+    ) -> FieldValue:
+        """_binomial_g(outer, inner, e).evaluate(x, ys), by Horner's rule in
+        x^inner over coefficients built once per window."""
+        ctx = x.ctx
+        self._use(ys, ctx)
+        key = (outer, inner, e)
+        coefs = self.g_coefs.get(key)
+        if coefs is None:
+            # g's terms have x-degrees 0, inner, 2*inner, ... in order
+            coefs = self.g_coefs[key] = [
+                ctx.from_int(coef) * self.y(ys, yexp, ctx)
+                for coef, yexp, _ in _binomial_g(outer, inner, e).terms
+            ]
+        out = coefs[-1]
+        if len(coefs) > 1:
+            t = x**inner
+            for c in reversed(coefs[:-1]):
+                out = out * t + c
+        return out
+
+
 @dataclass(frozen=True)
 class EVectorWindow:
     spec: Rank2Spec
     lo: int
     hi: int
     vectors: Dict[int, Vector]
+    _memo: _WindowMemo = field(
+        default_factory=_WindowMemo, init=False, compare=False, repr=False
+    )
 
     def __getitem__(self, i: int) -> Vector:
         return self.vectors[i]
@@ -157,15 +211,19 @@ class Rank2Point:
 
 
 def _relation_rhs(
-    spec: Rank2Spec, e: Vector, ys: Sequence[FieldValue], x: FieldValue, i: int
+    spec: Rank2Spec,
+    e: Vector,
+    ys: Sequence[FieldValue],
+    x: FieldValue,
+    i: int,
+    _memo: Optional[_WindowMemo] = None,
 ) -> FieldValue:
     """y^[e]+ x^(b|c) + y^[e]-: the right side of the mutation relation at
-    index i, with exchange-direction vector e and middle value x = x_i."""
+    index i, with exchange-direction vector e and middle value x = x_i.
+    Given a window's memo, the y-monomials come from it."""
     ctx = x.ctx
-    return (
-        y_monomial(ys, positive_part(e), ctx) * x ** spec.degree(i)
-        + y_monomial(ys, negative_part(e), ctx)
-    )
+    y = y_monomial if _memo is None else _memo.y
+    return y(ys, positive_part(e), ctx) * x ** spec.degree(i) + y(ys, negative_part(e), ctx)
 
 
 def presentation_residuals(p: Rank2Point) -> Tuple[FieldValue, FieldValue]:
@@ -242,7 +300,7 @@ def division_step(
     if divisor.is_zero:
         return None
     mid = j + s
-    return _relation_rhs(spec, evw[mid], ys, window[mid], mid) / divisor
+    return _relation_rhs(spec, evw[mid], ys, window[mid], mid, evw._memo) / divisor
 
 
 def closed_form_step(
@@ -258,20 +316,21 @@ def closed_form_step(
     Uses x_{j+s}, x_{j+2s}, x_{j+4s}; valid at every variety point.
     """
     ctx = window[j + s].ctx
+    y = evw._memo.y
     outer = spec.degree(j + s)
     inner = spec.degree(j)
     e_mid = evw[j + 2 * s]
     e_adj = evw[j + s]
     e_far = evw[j + 3 * s]
-    g = _binomial_g(outer, inner, e_mid)
-    gval = g.evaluate(window[j + 2 * s], ys)
-    term1 = -y_monomial(ys, negative_part(e_adj), ctx) * window[j + 2 * s] ** (inner - 1) * gval
+    x_mid = window[j + 2 * s]
+    gval = evw._memo.g_value(outer, inner, e_mid, x_mid, ys)
+    term1 = -y(ys, negative_part(e_adj), ctx) * x_mid ** (inner - 1) * gval
     term2 = (
-        y_monomial(ys, vsub(negative_part(e_adj), positive_part(e_far)), ctx)
+        y(ys, vsub(negative_part(e_adj), positive_part(e_far)), ctx)
         * window[j + 4 * s]
         * window[j + s] ** outer
     )
-    return y_monomial(ys, vscale(-outer, negative_part(e_mid)), ctx) * (term1 + term2)
+    return y(ys, vscale(-outer, negative_part(e_mid)), ctx) * (term1 + term2)
 
 
 @dataclass(frozen=True)
@@ -301,7 +360,7 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
             # divisor x_{j+2s} vanished: the relation at j+s forces its
             # right side to vanish too, or no valid extension exists
             mid = j + s
-            rhs = _relation_rhs(p.spec, evw[mid], p.ys, w[mid], mid)
+            rhs = _relation_rhs(p.spec, evw[mid], p.ys, w[mid], mid, evw._memo)
             if not rhs.is_zero:
                 raise StuckPropagation(
                     f"x_{j + 2 * s} = 0 but the relation at {mid} has value {rhs}"
@@ -324,7 +383,9 @@ def relation_holds(
     i: int,
 ) -> bool:
     """Exact identity check of the mutation relation at index i."""
-    return window[i - 1] * window[i + 1] == _relation_rhs(spec, evw[i], ys, window[i], i)
+    return window[i - 1] * window[i + 1] == _relation_rhs(
+        spec, evw[i], ys, window[i], i, evw._memo
+    )
 
 
 def verify_deep(p: Rank2Point, N: int = 10) -> bool:
@@ -375,7 +436,14 @@ def _beta_candidates(
     if spec.f == 0:
         return [()]
     if betas is not None:
-        return [tuple(b) for b in betas]
+        out = [tuple(b) for b in betas]
+        for beta in out:
+            if any(v.is_zero for v in beta):
+                raise Rank2Error(
+                    f"beta ({', '.join(map(str, beta))}) has a zero entry;"
+                    " frozen values must be nonzero"
+                )
+        return out
     if ctx.p:
         tries = (ctx.p - 1) ** spec.f * ctx.p
         if tries > MAX_BETA_SEARCH:

@@ -7,6 +7,7 @@ from deeplocus.field import (
     ContextMismatch,
     DivisionByZero,
     FieldContext,
+    FieldValue,
     InfiniteField,
     MAX_ROOT_SCAN_PRIME,
     QI,
@@ -52,6 +53,9 @@ def test_contexts_are_interned():
 def test_context_mismatch():
     with pytest.raises(ContextMismatch):
         arithmetic(QQ.one(), F5.one(), "add")
+    for a, b in [(QQ.one(), F5.one()), (F5.one(), prime_field(7).one()), (QI.i(), QQ.one())]:
+        with pytest.raises(ContextMismatch):
+            a - b
 
 
 @pytest.mark.parametrize("ctx", ALL_CONTEXTS)
@@ -64,6 +68,7 @@ def test_field_axioms(ctx, rng):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == ctx.zero()
+        assert a - b == a + (-b)
         if not a.is_zero:
             assert a * a.inverse() == ctx.one()
         assert a + b == b + a
@@ -77,6 +82,40 @@ def test_powers(ctx, rng):
         assert a**0 == ctx.one()
         assert a**3 == a * a * a
         assert a**-2 == (a * a).inverse()
+
+
+@pytest.mark.parametrize("ctx", ALL_CONTEXTS)
+def test_power_matches_repeated_product(ctx, rng):
+    for _ in range(3):
+        a = random_value(ctx, rng, nonzero=True)
+        prod = ctx.one()
+        for n in range(41):
+            assert a**n == prod
+            prod = prod * a
+        for n in range(1, 6):
+            assert a**-n == (a**n).inverse()
+
+
+def test_power_multiply_count(monkeypatch):
+    # square-and-multiply without a square past the top bit or a product
+    # with one: x**n takes at most 2 * n.bit_length() - 1 multiplies
+    count = [0]
+    mul = FieldValue.__mul__
+
+    def counting_mul(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldValue, "__mul__", counting_mul)
+    for ctx in ALL_CONTEXTS:
+        a = ctx.from_int(3)
+        count[0] = 0
+        a**2
+        assert count[0] == 1
+        for n in range(1, 130):
+            count[0] = 0
+            a**n
+            assert count[0] <= 2 * n.bit_length() - 1, n
 
 
 def test_char_two_collapses_signs():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from deeplocus import markov
 from deeplocus.field import QI, QQ, prime_field
 from deeplocus.markov import (
     ClusterRestriction,
@@ -262,3 +263,63 @@ class TestExploration:
         r2 = explore_and_verify(pt(F5, 0, 2, 4, 0), depth=3)
         assert r1.passed and r2.passed
         assert r1.point != r2.point
+
+
+def reduced_words(depth):
+    for n in range(depth + 1):
+        for word in itertools.product("xyz", repeat=n):
+            if all(a != b for a, b in zip(word, word[1:])):
+                yield word
+
+
+def replay(p, path):
+    node = TreeNode((), p.values())
+    for d in path:
+        node = mutate_upper(node, p.M, d)
+    assert node.path == path
+    return node.values
+
+
+class TestExplorationOracle:
+    @pytest.mark.parametrize("ctx", [QQ, F7, prime_field(13)], ids=["Q", "F7", "F13"])
+    def test_element_values_match_replayed_paths(self, ctx):
+        # every torus cluster of the tree records markov_element of the
+        # values that replaying its word reaches, and no other cluster does
+        rng = random.Random(20261018)
+        depth = 5
+        for _ in range(6):
+            x, y, z = (random_value(ctx, rng, nonzero=True) for _ in range(3))
+            p = MarkovUpperPoint(x, y, z, markov_element(x, y, z))
+            report = explore_and_verify(p, depth=depth)
+            words = list(reduced_words(depth))
+            expected = {}
+            for path in words:
+                vals = replay(p, path)
+                if not any(v.is_zero for v in vals):
+                    expected[path] = markov_element(*vals)
+            assert report.nodes_visited == len(words)
+            assert report.failures == []
+            assert report.markov_element_values == expected
+
+    @pytest.mark.parametrize("ctx", [QQ, F7], ids=["Q", "F7"])
+    def test_perturbed_mutation_is_named_with_its_quotient(self, ctx, monkeypatch):
+        target = ("x", "y", "z")
+
+        def mutant(node, M, direction):
+            child = mutate_upper(node, M, direction)
+            if child.path != target:
+                return child
+            vals = list(child.values)
+            k = markov.DIRECTIONS.index(direction)
+            vals[k] = vals[k] + ctx.one()
+            return TreeNode(child.path, tuple(vals))
+
+        p = pt(ctx, 1, 1, 1, 3)
+        x, y, z = replay(p, target)
+        quotient = markov_element(x, y, z + ctx.one())
+        monkeypatch.setattr(markov, "mutate_upper", mutant)
+        report = explore_and_verify(p, depth=4)
+        assert not report.passed
+        assert quotient != p.M
+        assert report.markov_element_values[target] == quotient
+        assert f"Markov element {quotient} differs from M={p.M} at {target}" in report.failures

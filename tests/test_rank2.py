@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from deeplocus import rank2
-from deeplocus.field import QI, QQ, _fraction_root, prime_field
+from deeplocus.field import QI, QQ, FieldContext, UnsupportedExponent, _fraction_root, prime_field
 from deeplocus.rank2 import (
     EnumerationUnsupported,
     InvalidPoint,
+    Rank2Error,
     Rank2Point,
     Rank2Spec,
     StuckPropagation,
@@ -349,3 +350,84 @@ class TestClosedForm:
                     assert div == closed == ev[j]
                     checked += 1
         assert checked > 50
+
+
+def stepwise_window(p, N):
+    """[-N, N+3] filled one step at a time with the public steps, each on a
+    fresh e-vector window, so no step sees another step's tables."""
+    lo, hi = -N, N + 3
+    w = dict(enumerate(p.xs))
+    steps = [(j, -1) for j in range(4, hi + 1)] + [(j, +1) for j in range(-1, lo - 1, -1)]
+    for j, s in steps:
+        v = division_step(p.spec, e_vectors(p.spec, lo - 1, hi + 1), p.ys, w, j, s)
+        if v is None:
+            v = closed_form_step(p.spec, e_vectors(p.spec, lo - 1, hi + 1), p.ys, w, j, s)
+        w[j] = v
+    return w
+
+
+ORACLE_E = {0: ((), ()), 1: ((1,), (-1,)), 2: ((1, -2), (0, 1))}
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("f", [0, 1, 2])
+    @pytest.mark.parametrize("bc", list(itertools.product([1, 2, 3], repeat=2)))
+    def test_extend_evaluation_matches_stepwise_fill(self, bc, f):
+        b, c = bc
+        spec = Rank2Spec(b, c, f, *ORACLE_E[f])
+        rng = random.Random(1000 * b + 100 * c + f)
+        checked = 0
+        for ctx in (QQ, QI, prime_field(13)):
+            points = [random_torus_point(spec, ctx, rng) for _ in range(2)]
+            betas = None
+            if f and not ctx.p:
+                betas = [(ctx.minus_one(),) * f, (ctx.one(),) * f]
+            try:
+                deep = [q for q, _ in deep_points(spec, ctx, betas)]
+            except UnsupportedExponent:
+                # Q(i) roots need a power-of-two exponent
+                deep = []
+            points += deep[:: max(1, len(deep) // 3)]
+            for p in points:
+                if p is None:
+                    continue
+                ev = extend_evaluation(p, 4)
+                assert ev.values == stepwise_window(p, 4)
+                checked += 1
+        assert checked >= 6
+
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_one_window_serves_points_of_other_ys_and_fields(self, f):
+        # a window's tables belong to one point's ys in one field: steps for
+        # the next point, or another field, match steps on a fresh window
+        spec = Rank2Spec(2, 3, f, *ORACLE_E[f])
+        rng = random.Random(77 + f)
+        shared = e_vectors(spec, -6, 9)
+        compared = 0
+        for _ in range(8):
+            for ctx in (F7, QQ, prime_field(13)):
+                p = random_torus_point(spec, ctx, rng)
+                ev = extend_evaluation(p, 5)
+                for j, s in [(4, -1), (6, -1), (-1, +1), (-3, +1)]:
+                    for step in (division_step, closed_form_step):
+                        fresh = step(spec, e_vectors(spec, -6, 9), p.ys, ev.values, j, s)
+                        assert step(spec, shared, p.ys, ev.values, j, s) == fresh
+                        compared += 1
+        assert compared == 8 * 3 * 4 * 2
+
+
+@pytest.mark.parametrize("e1", [(1,), (-1,), (0,)])
+def test_zero_beta_is_rejected_before_any_root(e1, monkeypatch):
+    def no_roots(self, target, k):
+        raise AssertionError("root taken")
+
+    monkeypatch.setattr(FieldContext, "roots", no_roots)
+    spec = Rank2Spec(2, 2, 1, e1, (0,))
+    with pytest.raises(Rank2Error, match=r"beta \(0\)"):
+        deep_points(spec, QQ, betas=[(QQ.zero(),)])
+    with pytest.raises(Rank2Error, match=r"beta \(1/2, 0\)"):
+        deep_points(
+            Rank2Spec(2, 2, 2, e1 * 2, (0, 0)),
+            QQ,
+            betas=[(QQ.one(), QQ.one()), (QQ.rational(1, 2), QQ.zero())],
+        )
