@@ -5,7 +5,8 @@ All downstream modules are field-generic; they only ever manipulate
 stored in canonical form (rationals in lowest terms with positive
 denominator, residues in ``[0, p)``), and compare structurally.  The
 factories return one shared context per field, so contexts compare by
-identity.
+identity.  ``FieldContext.first_nonzero_relation`` tests a table of
+polynomial identities at a point's values without building values.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DeepLocusError
 
@@ -25,6 +26,12 @@ _MAX_PRIME = 2**31
 
 # F_p root finding tries every element, so it is refused past this prime
 MAX_ROOT_SCAN_PRIME = 2**16
+
+
+# a relation is a sum of monomials (c, idx): the integer c times the product
+# of the values at the indices idx, which may repeat
+Monomial = Tuple[int, Tuple[int, ...]]
+Relation = Tuple[Monomial, ...]
 
 
 class FieldError(DeepLocusError):
@@ -202,6 +209,88 @@ class FieldContext:
     def roots_of_minus_one(self, b: int) -> List["FieldValue"]:
         """All alpha with alpha**b == -1, in sort_key order."""
         return self.roots(self.minus_one(), b)
+
+    # -- identity tests -----------------------------------------------------
+
+    def first_nonzero_relation(
+        self, values: Sequence["FieldValue"], relations: Sequence[Relation]
+    ) -> Optional[int]:
+        """The index of the first relation that does not vanish at values,
+        or None when every one does.
+
+        Each relation is a sum of monomials (c, idx) over indices into
+        values; see Relation.  The test is exact, reads each value once and
+        builds no FieldValue: F_p sums a relation over the residues and
+        reduces once; Q cross-multiplies integer numerators and
+        denominators; Q(i) does the same over Gaussian integers, with one
+        denominator per value."""
+        for v in values:
+            if v.ctx is not self:
+                raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
+        if self.kind == PRIME_FIELD:
+            return _first_nonzero_mod([v._v for v in values], self.p, relations)
+        if self.kind == RATIONALS:
+            return _first_nonzero_q(
+                [v._v.numerator for v in values], [v._v.denominator for v in values], relations
+            )
+        re, im, dens = [], [], []
+        for v in values:
+            a, b = v._v
+            den = math.lcm(a.denominator, b.denominator)
+            re.append(a.numerator * (den // a.denominator))
+            im.append(b.numerator * (den // b.denominator))
+            dens.append(den)
+        return _first_nonzero_qi(re, im, dens, relations)
+
+
+def _first_nonzero_mod(res: List[int], p: int, relations: Sequence[Relation]) -> Optional[int]:
+    for r, relation in enumerate(relations):
+        total = 0
+        for c, idx in relation:
+            for i in idx:
+                c *= res[i]
+            total += c
+        if total % p:
+            return r
+    return None
+
+
+def _first_nonzero_q(
+    nums: List[int], dens: List[int], relations: Sequence[Relation]
+) -> Optional[int]:
+    for r, relation in enumerate(relations):
+        # the sum so far is top / bottom, never reduced:
+        # a/b + c/d = (a*d + c*b) / (b*d), and bottom is never zero
+        top, bottom = 0, 1
+        for c, idx in relation:
+            den = 1
+            for i in idx:
+                c *= nums[i]
+                den *= dens[i]
+            top = top * den + c * bottom
+            bottom *= den
+        if top:
+            return r
+    return None
+
+
+def _first_nonzero_qi(
+    re: List[int], im: List[int], dens: List[int], relations: Sequence[Relation]
+) -> Optional[int]:
+    # value t is (re[t] + im[t]*i) / dens[t]; as over Q, with Gaussian tops
+    for r, relation in enumerate(relations):
+        top_re, top_im, bottom = 0, 0, 1
+        for c, idx in relation:
+            a, b, den = c, 0, 1
+            for i in idx:
+                a, b = a * re[i] - b * im[i], a * im[i] + b * re[i]
+                den *= dens[i]
+            top_re = top_re * den + a * bottom
+            top_im = top_im * den + b * bottom
+            bottom *= den
+        if top_re or top_im:
+            return r
+    return None
 
 
 def _int_root(m: int, k: int) -> Optional[int]:

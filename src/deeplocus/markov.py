@@ -18,12 +18,13 @@ single all-variables-zero point and is injective elsewhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue
+from .field import FieldContext, FieldValue, Relation
 
 DIRECTIONS = ("x", "y", "z")
 
@@ -210,7 +211,10 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     - on torus clusters (all three values nonzero) the Markov element is
       constant, equal to M.
 
-    Refused for depth above MAX_EXPLORE_DEPTH, before any node is built.
+    The identities of each node and its children are checked together by
+    one exact identity test; field values rebuild the message of each one
+    that fails.  Refused for depth above MAX_EXPLORE_DEPTH, before any node
+    is built.
     """
     if depth > MAX_EXPLORE_DEPTH:
         raise ExploreTooDeep(
@@ -226,42 +230,71 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
         next_frontier = []
         for node in frontier:
             seen += 1
-            # each value's square, shared by the node check and the
-            # exchange checks of its children
-            squares = tuple(v * v for v in node.values)
-            _check_node(node, squares, p, deep_type, report)
+            if deep_type is None:
+                torus = not any(v.is_zero for v in node.values)
+            else:
+                torus = False
+                _check_zero_pattern(node, deep_type, report)
+            dirs: Tuple[str, ...] = ()
             if len(node.path) < depth:
-                for d in DIRECTIONS:
-                    if node.path and node.path[-1] == d:
-                        continue
-                    child = mutate_upper(node, p.M, d)
-                    _check_exchange(node, squares, child, d, report)
-                    next_frontier.append(child)
+                dirs = tuple(d for d in DIRECTIONS if not node.path or node.path[-1] != d)
+            children = [mutate_upper(node, p.M, d) for d in dirs]
+            values = node.values + (p.M,) + tuple(
+                child.values[DIRECTIONS.index(d)] for d, child in zip(dirs, children)
+            )
+            relations = _node_relations(torus, dirs)
+            if p.ctx.first_nonzero_relation(values, relations) is None:
+                if torus:
+                    report.markov_element_values[node.path] = p.M
+            else:
+                _record_failures(node, values, relations, torus, dirs, p, report)
+            next_frontier += children
         frontier = next_frontier
     report.nodes_visited = seen
     return report
 
 
-def _check_node(
-    node: TreeNode, squares: Tuple[FieldValue, ...], p: MarkovUpperPoint, deep_type, report
+@functools.lru_cache(maxsize=None)
+def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> Tuple[Relation, ...]:
+    """The identities of one tree node, over its values (x, y, z, M, then the
+    new value of each child, one per direction in dirs): on a torus cluster
+    x^2 + y^2 + z^2 - M*x*y*z, which vanishes iff the Markov element is M;
+    then each child's exchange identity v*v' - (the other two squares)."""
+    relations = []
+    if torus:
+        relations.append(((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2))))
+    for slot, d in enumerate(dirs, start=4):
+        k = DIRECTIONS.index(d)
+        relations.append(((1, (k, slot)),) + tuple((-1, (t, t)) for t in range(3) if t != k))
+    return tuple(relations)
+
+
+def _record_failures(
+    node: TreeNode,
+    values: Tuple[FieldValue, ...],
+    relations: Tuple[Relation, ...],
+    torus: bool,
+    dirs: Tuple[str, ...],
+    p: MarkovUpperPoint,
+    report: ExploreReport,
 ) -> None:
-    vx, vy, vz = node.values
-    if deep_type is None:
-        if not (vx.is_zero or vy.is_zero or vz.is_zero):
-            # with xyz nonzero, (x^2+y^2+z^2)/xyz == M iff x^2+y^2+z^2 == M*xyz
-            den = vx * vy * vz
-            total = squares[0] + squares[1] + squares[2]
-            if total == p.M * den:
-                report.markov_element_values[node.path] = p.M
-            else:
-                m = total / den
-                report.markov_element_values[node.path] = m
-                report.failures.append(
-                    f"Markov element {m} differs from M={p.M} at {node.path}"
-                )
-        return
+    """Report each of a node's identities that fails, in order."""
+    for t, relation in enumerate(relations):
+        holds = p.ctx.first_nonzero_relation(values, (relation,)) is None
+        if torus and t == 0:
+            m = p.M if holds else markov_element(*node.values)
+            report.markov_element_values[node.path] = m
+            if not holds:
+                report.failures.append(f"Markov element {m} differs from M={p.M} at {node.path}")
+        elif not holds:
+            report.failures.append(
+                f"exchange identity fails mutating {dirs[t - 1 if torus else t]} at {node.path}"
+            )
+
+
+def _check_zero_pattern(node: TreeNode, deep_type: DeepType, report: ExploreReport) -> None:
     if deep_type.tag == "A":
-        if not (vx.is_zero and vy.is_zero and vz.is_zero):
+        if not all(v.is_zero for v in node.values):
             report.failures.append(f"type A values not all zero at {node.path}")
         return
     expected_zero = DIRECTIONS.index(deep_type.tag.lower())
@@ -274,16 +307,3 @@ def _check_node(
             report.failures.append(
                 f"unexpected zero of {DIRECTIONS[k]}-type at {node.path}"
             )
-
-
-def _check_exchange(
-    node: TreeNode, squares: Tuple[FieldValue, ...], child: TreeNode, direction: str, report
-) -> None:
-    """v * v' == the sum of the other two squares, from the node's squares."""
-    k = DIRECTIONS.index(direction)
-    v, v_new = node.values[k], child.values[k]
-    others = [sq for t, sq in enumerate(squares) if t != k]
-    if v * v_new != others[0] + others[1]:
-        report.failures.append(
-            f"exchange identity fails mutating {direction} at {node.path}"
-        )

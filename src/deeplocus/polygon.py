@@ -10,7 +10,10 @@ with edges nonzero ("boundary-coefficients" mode) or equal to one
 polygon contains a diagonal sent to zero; deepness is certified here by
 checking every triangulation, never by trusting a formula.  The
 triangulations of each n-gon are enumerated once and cached as bitmasks
-over its diagonals, so a certificate is one AND per triangulation.
+over its diagonals, so a certificate is one AND per triangulation.  The
+Ptolemy relations of each n-gon are cached as one table of signed
+monomials, which the field's exact identity test checks without building
+field values; ptolemy_residuals stays as the field-value oracle.
 
 The exhaustive variety scan over F_p prunes: it assigns edges, then
 diagonals, as raw residues and rejects a partial assignment as soon as a
@@ -28,9 +31,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue, product
+from .field import FieldContext, FieldValue, Relation, product
 
 Segment = Tuple[int, int]
+Quad = Tuple[int, int, int, int]
 
 MODE_BOUNDARY = "boundary-coefficients"
 MODE_TYPE_A = "type-A"
@@ -102,6 +106,13 @@ def polygon_edges(n: int) -> List[Segment]:
 
 def polygon_segments(n: int) -> List[Segment]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+
+
+@functools.lru_cache(maxsize=32)
+def _segments(n: int) -> Tuple[Segment, ...]:
+    """polygon_segments(n), built once: every point of the n-gon keys its
+    values by these same tuples."""
+    return tuple(polygon_segments(n))
 
 
 def polygon_diagonals(n: int) -> List[Segment]:
@@ -191,7 +202,7 @@ class PolygonPoint:
             raise SizeOutOfRange("polygon needs at least 3 vertices")
         if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
             raise PolygonError(f"unknown mode {mode!r}")
-        expected = polygon_segments(n)
+        expected = _segments(n)
         missing = [s for s in expected if s not in values]
         if missing:
             raise PolygonError(f"missing values for segments {missing[:4]}")
@@ -231,7 +242,7 @@ class PolygonPoint:
     def is_valid(self) -> bool:
         if self.mode_violations():
             return False
-        return all(r.is_zero for _, r in ptolemy_residuals(self))
+        return first_ptolemy_failure(self) is None
 
     def to_json(self) -> dict:
         return {
@@ -252,17 +263,47 @@ class PolygonPoint:
         return cls(data["n"], data["mode"], values)
 
 
-def ptolemy_residuals(p: PolygonPoint) -> List[Tuple[Tuple[int, int, int, int], FieldValue]]:
+def _ptolemy_residual(p: PolygonPoint, quad: Quad) -> FieldValue:
+    i, j, k, l = quad
+    return (
+        p.value(i, k) * p.value(j, l)
+        - p.value(i, j) * p.value(k, l)
+        - p.value(i, l) * p.value(j, k)
+    )
+
+
+def ptolemy_residuals(p: PolygonPoint) -> List[Tuple[Quad, FieldValue]]:
     """One residual x_ik*x_jl - x_ij*x_kl - x_il*x_jk per 4-subset of vertices."""
-    out = []
-    for i, j, k, l in itertools.combinations(range(1, p.n + 1), 4):
-        r = (
-            p.value(i, k) * p.value(j, l)
-            - p.value(i, j) * p.value(k, l)
-            - p.value(i, l) * p.value(j, k)
+    return [
+        (quad, _ptolemy_residual(p, quad))
+        for quad in itertools.combinations(range(1, p.n + 1), 4)
+    ]
+
+
+@functools.lru_cache(maxsize=32)
+def _ptolemy_table(n: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
+    """The 4-subsets of vertices of the n-gon in combinations order, and
+    each one's Ptolemy relation x_ik*x_jl - x_ij*x_kl - x_il*x_jk as signed
+    monomials over the indices of polygon_segments(n)."""
+    index = {s: t for t, s in enumerate(_segments(n))}
+    quads = tuple(itertools.combinations(range(1, n + 1), 4))
+    relations = tuple(
+        (
+            (1, (index[i, k], index[j, l])),
+            (-1, (index[i, j], index[k, l])),
+            (-1, (index[i, l], index[j, k])),
         )
-        out.append(((i, j, k, l), r))
-    return out
+        for i, j, k, l in quads
+    )
+    return quads, relations
+
+
+def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
+    """The first 4-subset, in ptolemy_residuals order, whose residual does
+    not vanish, or None.  Exact, and builds no field values."""
+    quads, relations = _ptolemy_table(p.n)
+    r = p.ctx.first_nonzero_relation([p.values[s] for s in _segments(p.n)], relations)
+    return None if r is None else quads[r]
 
 
 def is_deep_bruteforce(p: PolygonPoint) -> bool:
@@ -270,9 +311,9 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
     bad = p.mode_violations()
     if bad:
         raise InvalidPoint("; ".join(bad))
-    for quad, r in ptolemy_residuals(p):
-        if not r.is_zero:
-            raise InvalidPoint(f"Ptolemy residual at {quad} is {r}")
+    quad = first_ptolemy_failure(p)
+    if quad is not None:
+        raise InvalidPoint(f"Ptolemy residual at {quad} is {_ptolemy_residual(p, quad)}")
     zeros = 0
     for t, d in enumerate(polygon_diagonals(p.n)):
         if p.values[d].is_zero:
@@ -334,8 +375,10 @@ def deep_point_from_edges(
             values[s] = ctx.minus_one() ** ((j - i - 1) // 2) * num / den
 
     point = PolygonPoint(n, _mode_of(values, n), values)
-    bad = [q for q, r in ptolemy_residuals(point) if not r.is_zero]
-    assert not bad, f"constructed point fails Ptolemy at {bad[:3]}"
+    assert first_ptolemy_failure(point) is None, (
+        "constructed point fails Ptolemy at"
+        f" {[q for q, r in ptolemy_residuals(point) if not r.is_zero][:3]}"
+    )
     return point
 
 

@@ -339,6 +339,8 @@ class Rank2Evaluation:
     lo: int
     hi: int
     values: Dict[int, FieldValue]
+    # the e-vector window on [lo - 1, hi + 1] that filled values, with its memo
+    _window: Optional[EVectorWindow] = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, i: int) -> FieldValue:
         return self.values[i]
@@ -372,7 +374,7 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
         advance(j, -1)
     for j in range(-1, lo - 1, -1):
         advance(j, +1)
-    return Rank2Evaluation(p, lo, hi, w)
+    return Rank2Evaluation(p, lo, hi, w, evw)
 
 
 def relation_holds(
@@ -392,9 +394,8 @@ def verify_deep(p: Rank2Point, N: int = 10) -> bool:
     """Certify deepness on [-N, N+3]: every relation holds exactly and the
     zero set is exactly the evens or exactly the odds."""
     ev = extend_evaluation(p, N)
-    evw = e_vectors(p.spec, ev.lo - 1, ev.hi + 1)
     for i in range(ev.lo + 1, ev.hi):
-        if not relation_holds(p.spec, evw, p.ys, ev.values, i):
+        if not relation_holds(p.spec, ev._window, p.ys, ev.values, i):
             return False
     zero, nonzero = set(), set()
     for i in range(ev.lo, ev.hi + 1):

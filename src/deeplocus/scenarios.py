@@ -77,7 +77,7 @@ def scenario_polygon_a3(**_) -> Report:
     point = polygon.unique_deep_point_typeA(3, QQ)
     rep.check(
         "all 15 Ptolemy residuals vanish",
-        all(r.is_zero for _, r in polygon.ptolemy_residuals(point)),
+        polygon.first_ptolemy_failure(point) is None,
     )
     long_diags = [(1, 4), (2, 5), (3, 6)]
     rep.check(
@@ -115,7 +115,7 @@ def scenario_polygon_uniqueness(**_) -> Report:
             if exists and expected:
                 rep.check(
                     f"rank {rank} over {label}: residuals vanish and brute-force certifies",
-                    all(r.is_zero for _, r in polygon.ptolemy_residuals(point))
+                    polygon.first_ptolemy_failure(point) is None
                     and polygon.is_deep_bruteforce(point),
                 )
     return rep

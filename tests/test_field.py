@@ -1,8 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from deeplocus import markov, polygon
 from deeplocus.field import (
     ContextMismatch,
     DivisionByZero,
@@ -17,6 +19,7 @@ from deeplocus.field import (
     arithmetic,
     gaussian_rationals,
     prime_field,
+    product,
     rationals,
 )
 
@@ -226,3 +229,142 @@ def test_context_identity():
     assert QQ != QI
     assert QQ.characteristic == 0 and QI.characteristic == 0
     assert prime_field(7).characteristic == 7
+
+
+# ---------------------------------------------------------------------------
+# the exact identity test, against relations evaluated through field values
+
+IDENTITY_FIELDS = [QQ, QI, F2, F3, prime_field(101)]
+IDENTITY_IDS = ["Q", "Qi", "F2", "F3", "F101"]
+
+
+def evaluate(ctx, values, relation):
+    total = ctx.zero()
+    for c, idx in relation:
+        total = total + ctx.from_int(c) * product(ctx, (values[i] for i in idx))
+    return total
+
+
+def first_nonzero_by_field_values(ctx, values, relations):
+    return next(
+        (t for t, rel in enumerate(relations) if not evaluate(ctx, values, rel).is_zero), None
+    )
+
+
+def identity_draw(ctx, rng, nonzero=False):
+    """Zero, a small signed value, or one with 30-digit parts."""
+    while True:
+        kind = rng.randrange(3)
+        if kind == 0:
+            v = ctx.zero()
+        elif kind == 1:
+            v = random_value(ctx, rng)
+        elif ctx.p:
+            v = ctx.from_int(rng.randrange(-10**30, 10**30))
+        else:
+            re, im = (Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in "ri")
+            v = ctx.gaussian(re, im) if ctx is QI else ctx.rational(re.numerator, re.denominator)
+        if not nonzero or not v.is_zero:
+            return v
+
+
+def perturbed(ctx, values, rng):
+    t = rng.randrange(len(values))
+    return values[:t] + [values[t] + ctx.one()] + values[t + 1:]
+
+
+def ptolemy_vectors(ctx, n, rng, count):
+    """Points of the n-gon's variety propagated from random seeds, each with
+    a perturbed copy, and vectors drawn at random."""
+    tris = polygon.enumerate_triangulations(n)
+    segments = polygon.polygon_segments(n)
+    for _ in range(count):
+        tri = rng.choice(tris)
+        seeds = list(polygon.polygon_edges(n)) + sorted(tri.diagonals)
+        # nonzero seeds on a triangulation determine every other segment
+        filled = polygon._propagate(n, {s: identity_draw(ctx, rng, nonzero=True) for s in seeds})
+        values = [filled[s] for s in segments]
+        yield values
+        yield perturbed(ctx, values, rng)
+        yield [identity_draw(ctx, rng) for _ in segments]
+    if n % 2 == 0 and ctx.p != 2:
+        # deep points: every even-gap diagonal is zero
+        point = polygon.deep_point_from_edges(n, _closing_edges(ctx, n, rng))
+        values = [point.values[s] for s in segments]
+        yield values
+        yield perturbed(ctx, values, rng)
+
+
+def _closing_edges(ctx, n, rng):
+    edges = polygon.polygon_edges(n)
+    vals = [identity_draw(ctx, rng, nonzero=True) for _ in range(n - 1)]
+    sign = ctx.minus_one() ** ((n + 2) // 2)
+    out = dict(zip(edges, vals))
+    out[(1, n)] = product(ctx, vals[0::2]) / (product(ctx, vals[1::2]) * sign)
+    return out
+
+
+def markov_vectors(ctx, rng, count):
+    """(x, y, z, M, x', y', z') with x', y', z' the three mutations: points
+    of the Markov variety, each with a perturbed copy, and random vectors."""
+    for _ in range(count):
+        x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
+        M = markov.markov_element(x, y, z)
+        values = [x, y, z, M, y * z * M - x, x * z * M - y, x * y * M - z]
+        yield values
+        yield perturbed(ctx, values, rng)
+        yield [identity_draw(ctx, rng) for _ in range(7)]
+    zero = ctx.zero()
+    yield [zero, zero, zero, identity_draw(ctx, rng)] + [zero] * 3
+
+
+class TestIdentityOracle:
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_ptolemy_tables(self, ctx, n):
+        rng = random.Random(9100 + 10 * n + ctx.p)
+        quads, relations = polygon._ptolemy_table(n)
+        outcomes = set()
+        for values in ptolemy_vectors(ctx, n, rng, count=4):
+            want = first_nonzero_by_field_values(ctx, values, relations)
+            assert ctx.first_nonzero_relation(values, relations) == want
+            # the table is ptolemy_residuals, in its order
+            point = polygon.PolygonPoint(
+                n, polygon.MODE_BOUNDARY, dict(zip(polygon.polygon_segments(n), values))
+            )
+            first = next((q for q, r in polygon.ptolemy_residuals(point) if not r.is_zero), None)
+            assert polygon.first_ptolemy_failure(point) == first
+            assert first == (None if want is None else quads[want])
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_markov_node_and_exchange_relations(self, ctx):
+        rng = random.Random(9200 + ctx.p)
+        tables = [
+            markov._node_relations(torus, dirs)
+            for torus in (True, False)
+            for dirs in (("x", "y", "z"), ("y", "z"), ("x", "z"), ("x", "y"), ())
+        ]
+        failing_at = set()
+        for values in markov_vectors(ctx, rng, count=25):
+            for relations in tables:
+                want = first_nonzero_by_field_values(ctx, values, relations)
+                assert ctx.first_nonzero_relation(values, relations) == want
+                failing_at.add(want)
+        assert {None, 0, 1} <= failing_at
+
+    def test_constant_and_repeated_indices(self):
+        relations = [((3, ()), (-1, (0, 0, 0))), ((1, (0, 1)), (-2, ()))]
+        for ctx in IDENTITY_FIELDS:
+            values = [ctx.from_int(3), ctx.rational(2, 3) if not ctx.p else ctx.from_int(2)]
+            want = first_nonzero_by_field_values(ctx, values, relations)
+            assert ctx.first_nonzero_relation(values, relations) == want
+        cube_is_one = [((1, ()), (-1, (0, 0, 0)))]
+        assert QQ.first_nonzero_relation([QQ.one()], cube_is_one) is None
+        assert QQ.first_nonzero_relation([QQ.from_int(2)], cube_is_one) == 0
+        assert QI.first_nonzero_relation([QI.i(), QI.rational(-1, 7)], [((1, (0, 0)), (1, ()))]) is None
+
+    def test_values_from_another_field_are_refused(self):
+        with pytest.raises(ContextMismatch):
+            QQ.first_nonzero_relation([QQ.one(), F5.one()], [((1, (0, 1)),)])

@@ -323,3 +323,48 @@ class TestExplorationOracle:
         assert quotient != p.M
         assert report.markov_element_values[target] == quotient
         assert f"Markov element {quotient} differs from M={p.M} at {target}" in report.failures
+
+    @pytest.mark.parametrize(
+        "ctx, expected",
+        [
+            (
+                QQ,
+                [
+                    "exchange identity fails mutating z at ('x', 'y')",
+                    "Markov element 929/300 differs from M=3 at ('x', 'y', 'z')",
+                    "exchange identity fails mutating x at ('x', 'y', 'z')",
+                    "exchange identity fails mutating y at ('x', 'y', 'z')",
+                    "Markov element 201629/67200 differs from M=3 at ('x', 'y', 'z', 'x')",
+                    "Markov element 31529/10500 differs from M=3 at ('x', 'y', 'z', 'y')",
+                ],
+            ),
+            (
+                F7,
+                [
+                    "exchange identity fails mutating z at ('x', 'y')",
+                    "Markov element 2 mod 7 differs from M=3 mod 7 at ('x', 'y', 'z')",
+                    "exchange identity fails mutating x at ('x', 'y', 'z')",
+                    "exchange identity fails mutating y at ('x', 'y', 'z')",
+                ],
+            ),
+        ],
+        ids=["Q", "F7"],
+    )
+    def test_failure_texts_and_order(self, ctx, expected, monkeypatch):
+        # one perturbed cluster breaks its own exchange, its Markov element
+        # and its children's exchanges, and the Markov element of each torus
+        # cluster below it
+        target = ("x", "y", "z")
+
+        def mutant(node, M, direction):
+            child = mutate_upper(node, M, direction)
+            if child.path != target:
+                return child
+            vals = list(child.values)
+            k = markov.DIRECTIONS.index(direction)
+            vals[k] = vals[k] + ctx.one()
+            return TreeNode(child.path, tuple(vals))
+
+        monkeypatch.setattr(markov, "mutate_upper", mutant)
+        report = explore_and_verify(pt(ctx, 1, 1, 1, 3), depth=4)
+        assert report.failures == expected

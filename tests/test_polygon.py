@@ -138,6 +138,18 @@ class TestDeepCertification:
         with pytest.raises(InvalidPoint):
             is_deep_bruteforce(p)
 
+    @pytest.mark.parametrize(
+        "ctx, text", [(QQ, "-1"), (prime_field(7), "6 mod 7")], ids=["Q", "F7"]
+    )
+    def test_invalid_point_names_its_first_residual(self, ctx, text):
+        # x13 = 1 keeps the relation at (1, 2, 3, 4) and breaks the next one
+        values = dict(unique_deep_point_typeA(3, ctx).values)
+        values[(1, 3)] = ctx.one()
+        p = PolygonPoint(6, MODE_TYPE_A, values)
+        with pytest.raises(InvalidPoint) as err:
+            is_deep_bruteforce(p)
+        assert str(err.value) == f"Ptolemy residual at (1, 2, 3, 5) is {text}"
+
     def test_zero_edges_rejected(self):
         # every residual vanishes, but boundary mode needs nonzero edges
         zero, one = QQ.zero(), QQ.one()

@@ -416,6 +416,24 @@ class TestWindowOracle:
         assert compared == 8 * 3 * 4 * 2
 
 
+@pytest.mark.parametrize("ctx", [QI, F5], ids=["Qi", "F5"])
+def test_verify_deep_builds_one_window(ctx, monkeypatch):
+    # verify_deep checks the relations on the window extend_evaluation filled
+    calls = []
+
+    def counted(spec, lo, hi):
+        calls.append((lo, hi))
+        return e_vectors(spec, lo, hi)
+
+    monkeypatch.setattr(rank2, "e_vectors", counted)
+    points = deep_points(Rank2Spec(2, 2), ctx)
+    assert points
+    for p, _ in points:
+        calls.clear()
+        assert verify_deep(p, N=6)
+        assert calls == [(-7, 10)]
+
+
 @pytest.mark.parametrize("e1", [(1,), (-1,), (0,)])
 def test_zero_beta_is_rejected_before_any_root(e1, monkeypatch):
     def no_roots(self, target, k):
