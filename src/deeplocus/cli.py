@@ -95,9 +95,9 @@ def _surface_file(args) -> Optional[Tuple[str, surface.SurfaceTriangulation]]:
     return (args.surface, ingest_surface(args.surface)) if args.surface else None
 
 
-def _check_steps(steps: Optional[int]) -> None:
-    if steps is not None and steps < 1:
-        raise ParseError(f"--steps must be at least 1, got {steps}")
+def _at_least(flag: str, value: Optional[int], least: int) -> None:
+    if value is not None and value < least:
+        raise ParseError(f"{flag} must be at least {least}, got {value}")
 
 
 def _load_surface(args) -> surface.SurfaceTriangulation:
@@ -159,9 +159,10 @@ def cmd_rank2(args) -> int:
     ctx = parse_field(args.field)
     e1 = _int_list(args.e1, "--e1")
     e2 = _int_list(args.e2, "--e2")
+    depth = args.depth
+    _at_least("--depth", depth, 0)
     spec = rank2.Rank2Spec(args.b, args.c, len(e1), e1, e2)
     points = rank2.deep_points(spec, ctx)
-    depth = args.depth
     entries = []
     for point, parity in points:
         ev = rank2.extend_evaluation(point, depth)
@@ -170,7 +171,7 @@ def cmd_rank2(args) -> int:
                 "x": [str(v) for v in point.xs],
                 "y": [str(v) for v in point.ys],
                 "kills": parity,
-                "verified": rank2.verify_deep(point, N=depth),
+                "verified": ev.is_deep(),
                 "window": {str(i): str(ev.values[i]) for i in range(-depth, depth + 4)},
             }
         )
@@ -217,6 +218,7 @@ def cmd_markov(args) -> int:
         print(json.dumps(doc, sort_keys=True))
         return 0
     if args.markov_cmd == "verify":
+        _at_least("--depth", args.depth, 0)
         x, y, z, M = (ctx.parse(v) for v in args.point.split(","))
         p = markov.MarkovUpperPoint(x, y, z, M)
         report = markov.explore_and_verify(p, depth=args.depth)
@@ -258,7 +260,7 @@ def cmd_surface(args) -> int:
         print(rep.render(args.json))
         return rep.exit_code
     if args.surface_cmd == "deep":
-        _check_steps(args.steps)
+        _at_least("--steps", args.steps, 1)
         t = _load_surface(args)
         point = ingest_deep_fixture(args.fixture, t)
         walk = surface.verify_deep_random_walk(point, args.steps, args.seed)
@@ -281,7 +283,7 @@ def cmd_scenario(args) -> int:
         for name in sorted(SCENARIOS):
             print(name)
         return 0
-    _check_steps(args.steps)
+    _at_least("--steps", args.steps, 1)
     rep = run_scenario(args.name, args.seed, args.steps, _surface_file(args))
     print(rep.render(args.json))
     return rep.exit_code

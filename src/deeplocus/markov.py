@@ -214,8 +214,10 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     The identities of each node and its children are checked together by
     one exact identity test; field values rebuild the message of each one
     that fails.  Refused for depth above MAX_EXPLORE_DEPTH, before any node
-    is built.
+    is built, as is a negative depth.
     """
+    if depth < 0:
+        raise MarkovError(f"depth must be at least 0, got {depth}")
     if depth > MAX_EXPLORE_DEPTH:
         raise ExploreTooDeep(
             f"depth {depth} visits 1 + 3 * (2^{depth} - 1) nodes;"

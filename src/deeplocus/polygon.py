@@ -28,7 +28,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue, Relation, product
@@ -327,12 +327,14 @@ def _is_deep(n: int, zeros: int) -> bool:
     return all(mask & zeros for mask in _triangulation_masks(n))
 
 
-def _alternating_product(values: Mapping[Segment, FieldValue], cycle: List[Segment], ctx) -> FieldValue:
-    # cycle lists the edges (1,2),(2,3),...,(n-1,n),(1,n); odd slots are the
-    # numerator, starting with (1,2), and (1,n) lands in the denominator
-    num = product(ctx, (values[e] for e in cycle[0::2]))
-    den = product(ctx, (values[e] for e in cycle[1::2]))
-    return num / den
+def alternating_condition(cycle: Sequence[FieldValue]) -> Tuple[FieldValue, FieldValue]:
+    """For edge values of an even n-gon in cycle order (1,2),(2,3),...,
+    (n-1,n),(1,n): their alternating product, odd slots over even slots,
+    and the sign (-1)**((n+2)/2) that it equals when a deep point extends
+    them."""
+    ctx = cycle[0].ctx
+    alt = product(ctx, cycle[0::2]) / product(ctx, cycle[1::2])
+    return alt, ctx.minus_one() ** ((len(cycle) + 2) // 2)
 
 
 def deep_point_from_edges(
@@ -355,8 +357,7 @@ def deep_point_from_edges(
         if edge_values[e].is_zero:
             raise ZeroEdge(f"edge {e} must be nonzero")
     ctx = edge_values[edges[0]].ctx
-    sign = ctx.minus_one() ** ((n + 2) // 2)
-    alt = _alternating_product(edge_values, edges, ctx)
+    alt, sign = alternating_condition([edge_values[e] for e in edges])
     if alt != sign:
         raise ConditionViolated(
             f"alternating edge product is {alt}, needed {sign}"
@@ -392,47 +393,45 @@ def unique_deep_point_typeA(n_rank: int, ctx: FieldContext) -> PolygonPoint:
     n = n_rank + 3
     if n % 2 == 1:
         raise NoDeepPoint(f"rank {n_rank}: polygon size {n} is odd")
-    one = ctx.one()
-    sign = ctx.minus_one() ** ((n + 2) // 2)
-    if sign != one:
-        raise NoDeepPoint(
-            f"rank {n_rank}: needs 1 = (-1)^{(n + 2) // 2}, false in this field"
-        )
-    edge_values = {e: one for e in polygon_edges(n)}
+    edge_values = {e: ctx.one() for e in polygon_edges(n)}
+    alt, sign = alternating_condition(list(edge_values.values()))
+    if alt != sign:
+        raise NoDeepPoint(f"rank {n_rank}: needs 1 = (-1)^{(n + 2) // 2}, false in this field")
     return deep_point_from_edges(n, edge_values)
 
 
 def _propagate(n: int, values: Dict[Segment, FieldValue]) -> Dict[Segment, FieldValue]:
-    """Fill unknown segment values using Ptolemy relations with a single
-    unknown whose partner in its pair is known and nonzero.  Raises if
-    propagation stalls."""
-    # each relation as three segment pairs: the product of the diagonal
-    # pair is the sum of the products of the two side pairs
-    relations = [
-        (((i, k), (j, l)), ((i, j), (k, l)), ((i, l), (j, k)))
-        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)
-    ]
-    todo = {s for s in polygon_segments(n) if s not in values}
+    """Fill unknown segment values in place from the Ptolemy relations with
+    a single unknown whose partner in its monomial is known and nonzero,
+    in table order, pass after pass; a relation is dropped once all its
+    segments are known.  Raises if propagation stalls."""
+    segments = _segments(n)
+    known = [values.get(s) for s in segments]
+    live = _ptolemy_table(n)[1]
     progress = True
-    while todo and progress:
-        progress = False
-        for pairs in relations:
-            unknown = [(t, m) for t in range(3) for m in range(2) if pairs[t][m] not in values]
+    while progress and None in known:
+        progress, waiting = False, []
+        for relation in live:
+            unknown = [s for _, idx in relation for s in idx if known[s] is None]
+            if unknown:
+                waiting.append(relation)
             if len(unknown) != 1:
                 continue
-            t, m = unknown[0]
-            u, partner = pairs[t][m], values[pairs[t][1 - m]]
+            u = unknown[0]
+            t = next(t for t, (_, idx) in enumerate(relation) if u in idx)
+            (c, (x, y)), (ca, (a, b)), (cb, (d, e)) = relation[t], *relation[:t], *relation[t + 1:]
+            partner = known[y if x == u else x]
             if partner.is_zero:
                 continue
-            (a, b), (c, d) = pairs[:t] + pairs[t + 1:]
-            # solving for a side, the other side pair moves to the right
-            # with a minus sign
-            other = values[c] * values[d]
-            values[u] = (values[a] * values[b] + (other if t == 0 else -other)) / partner
-            todo.discard(u)
+            # c*x_u*partner + ca*x_a*x_b + cb*x_d*x_e = 0, every c being +-1
+            left, right = known[a] * known[b], known[d] * known[e]
+            v = (left + right if ca == cb else left - right) / partner
+            known[u] = values[segments[u]] = v if c != ca else -v
             progress = True
+        live = waiting
+    todo = [s for s, v in zip(segments, known) if v is None]
     if todo:
-        raise UnderdeterminedPoint(f"could not determine segments {sorted(todo)[:4]}")
+        raise UnderdeterminedPoint(f"could not determine segments {todo[:4]}")
     return values
 
 
@@ -546,6 +545,20 @@ def max_search_cap(override: Optional[int] = None) -> int:
         ) from None
 
 
+@functools.lru_cache(maxsize=32)
+def _scan_table(n: int) -> Tuple[Tuple[Segment, ...], Tuple[Tuple[Tuple[int, ...], ...], ...]]:
+    """The scan's slots, polygon_edges(n) then polygon_diagonals(n), and
+    _ptolemy_table(n) over them: entry t holds each relation whose last
+    slot is t, as the slots (a, b, c, d, e, f) of x_a x_b - x_c x_d - x_e x_f."""
+    slots = tuple(polygon_edges(n) + polygon_diagonals(n))
+    slot_of = [slots.index(s) for s in _segments(n)]
+    buckets: List[List[Tuple[int, ...]]] = [[] for _ in slots]
+    for relation in _ptolemy_table(n)[1]:
+        six = tuple(slot_of[s] for _, idx in relation for s in idx)
+        buckets[max(six)].append(six)
+    return slots, tuple(map(tuple, buckets))
+
+
 def bruteforce_variety_scan(
     n: int,
     ctx: FieldContext,
@@ -568,10 +581,7 @@ def bruteforce_variety_scan(
     diagonals = polygon_diagonals(n)
     edges = polygon_edges(n)
     p = ctx.p
-    if mode == MODE_TYPE_A:
-        free_edge_count = 0
-    else:
-        free_edge_count = len(edges)
+    free_edge_count = 0 if mode == MODE_TYPE_A else len(edges)
     size = p ** len(diagonals) * max(1, (p - 1) ** free_edge_count)
     cap = max_search_cap(max_search)
     if size > cap:
@@ -580,18 +590,9 @@ def bruteforce_variety_scan(
         raise PolygonError(f"unknown mode {mode!r}")
 
     all_elems = list(ctx.elements())
-    slots = edges + diagonals
+    slots, relations = _scan_table(n)
     edge_choices = range(1, 2) if mode == MODE_TYPE_A else range(1, p)
     choices = [edge_choices] * len(edges) + [range(p)] * len(diagonals)
-    # relations[t]: the Ptolemy relations whose last assigned segment is
-    # slot t, as slot indices (a, b, c, d, e, f) of the residual
-    # x_a x_b - x_c x_d - x_e x_f
-    index = {s: t for t, s in enumerate(slots)}
-    relations: List[List[Tuple[int, ...]]] = [[] for _ in slots]
-    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
-        six = tuple(index[s] for s in ((i, k), (j, l), (i, j), (k, l), (i, l), (j, k)))
-        relations[max(six)].append(six)
-
     results: List[Tuple[PolygonPoint, bool]] = []
     vals = [0] * len(slots)
     # a flat depth-first walk: stack[t] iterates the values of slot t

@@ -345,11 +345,24 @@ class Rank2Evaluation:
     def __getitem__(self, i: int) -> FieldValue:
         return self.values[i]
 
+    def is_deep(self) -> bool:
+        """Every relation inside the window holds exactly and the zero set
+        is exactly the evens or exactly the odds."""
+        for i in range(self.lo + 1, self.hi):
+            if not relation_holds(self.point.spec, self._window, self.point.ys, self.values, i):
+                return False
+        zero, nonzero = set(), set()
+        for i in range(self.lo, self.hi + 1):
+            (zero if self.values[i].is_zero else nonzero).add(i % 2)
+        return len(zero) == 1 and not zero & nonzero
+
 
 def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
-    """Fill the window [-N, N+3].  Where the division rule is blocked by a
-    vanishing neighbor, the relation there must already be consistent and
-    the closed form takes over; otherwise the candidate is invalid."""
+    """Fill the window [-N, N+3], N >= 0.  Where the division rule is
+    blocked by a vanishing neighbor, the relation there must hold already
+    and the closed form takes over; otherwise the candidate is invalid."""
+    if N < 0:
+        raise Rank2Error(f"window depth N must be at least 0, got {N}")
     if not is_valid_point(p):
         raise InvalidPoint(f"presentation residuals are {presentation_residuals(p)}")
     lo, hi = -N, N + 3
@@ -391,16 +404,8 @@ def relation_holds(
 
 
 def verify_deep(p: Rank2Point, N: int = 10) -> bool:
-    """Certify deepness on [-N, N+3]: every relation holds exactly and the
-    zero set is exactly the evens or exactly the odds."""
-    ev = extend_evaluation(p, N)
-    for i in range(ev.lo + 1, ev.hi):
-        if not relation_holds(p.spec, ev._window, p.ys, ev.values, i):
-            return False
-    zero, nonzero = set(), set()
-    for i in range(ev.lo, ev.hi + 1):
-        (zero if ev.values[i].is_zero else nonzero).add(i % 2)
-    return len(zero) == 1 and not zero & nonzero
+    """Certify deepness on [-N, N+3]; see Rank2Evaluation.is_deep."""
+    return extend_evaluation(p, N).is_deep()
 
 
 def random_torus_point(

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue
-from .polygon import ConditionViolated, deep_point_from_edges, seg
+from .polygon import ConditionViolated, alternating_condition, deep_point_from_edges, seg
 
 
 class SurfaceError(DeepLocusError):
@@ -870,23 +870,13 @@ def solve_closing_value(
         raise SurfaceError("the closing arc must be a boundary arc")
     cp = cut_polygon(d)
     ctx = next(iter(values.values())).ctx
-    sign = ctx.minus_one() ** ((cp.size + 2) // 2)
-    num, den = ctx.one(), ctx.one()
-    target_in_numerator = None
-    for slot in range(1, cp.size + 1):
-        aid = cp.arc_of_edge_source[slot - 1]
-        if aid == target_arc:
-            target_in_numerator = slot % 2 == 1
-            continue
-        if slot % 2 == 1:
-            num = num * values[aid]
-        else:
-            den = den * values[aid]
-    if target_in_numerator is None:
+    sources = cp.arc_of_edge_source
+    if target_arc not in sources:
         raise SurfaceError("closing arc does not appear on the cut polygon")
-    if target_in_numerator:
-        return sign * den / num
-    return num / (sign * den)
+    # with one on the target, the condition reads target**(+-1) * alt == sign
+    cycle = [ctx.one() if a == target_arc else values[a] for a in sources]
+    alt, sign = alternating_condition(cycle)
+    return sign / alt if sources.index(target_arc) % 2 == 0 else alt / sign
 
 
 def _flip_determined(p: SurfaceDeepPoint, aid: int, new_label: int) -> bool:

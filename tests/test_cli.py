@@ -244,6 +244,14 @@ BAD_INPUTS = {
         DEEP_ON_ANNULUS22 + ["--fixture", "{file}", "--steps", "-3"],
         DEEP_FIXTURE,
     ),
+    "rank2-depth-negative": (
+        ["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", "-1", "--json"],
+        None,
+    ),
+    "markov-depth-negative": (
+        ["markov", "verify", "--point", "1,1,1,3", "--depth", "-3", "--json"],
+        None,
+    ),
 }
 
 
@@ -334,6 +342,25 @@ def test_markov_verify_too_deep_exits_1_without_exploring(monkeypatch, capsys):
     assert (code, out) == (1, "")
     assert err.startswith("error: ExploreTooDeep") and err.count("\n") == 1
     assert f"depth {depth}" in err
+
+
+def test_rank2_builds_one_window_per_point(monkeypatch):
+    # the verified flag is read off the window the output prints
+    from deeplocus import rank2
+
+    calls = []
+    real = rank2.e_vectors
+
+    def counted(spec, lo, hi):
+        calls.append((lo, hi))
+        return real(spec, lo, hi)
+
+    monkeypatch.setattr(rank2, "e_vectors", counted)
+    argv = ["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", "3", "--json"]
+    code, out = run_cli(argv)
+    entries = json.loads(out)["deep_points"]
+    assert code == 0 and len(entries) == 4 and all(e["verified"] for e in entries)
+    assert calls == [(-4, 7)] * 4
 
 
 def test_cli_output_matches_goldens():

@@ -265,6 +265,23 @@ class TestExploration:
         assert r1.point != r2.point
 
 
+def test_negative_depth_is_rejected_before_any_node(monkeypatch):
+    # depth 0 checks the root alone; a negative depth names no tree, so a
+    # passing report for it would certify nothing
+    p = pt(QQ, 1, 1, 1, 3)
+    report = explore_and_verify(p, depth=0)
+    assert report.passed and report.nodes_visited == 1
+
+    def no_work(*args):
+        raise AssertionError("exploration started")
+
+    monkeypatch.setattr(markov, "classify_deep_upper", no_work)
+    monkeypatch.setattr(markov, "mutate_upper", no_work)
+    for depth in (-1, -3):
+        with pytest.raises(markov.MarkovError, match=f"at least 0, got {depth}"):
+            explore_and_verify(p, depth=depth)
+
+
 def reduced_words(depth):
     for n in range(depth + 1):
         for word in itertools.product("xyz", repeat=n):

@@ -18,6 +18,7 @@ from deeplocus.polygon import (
     PolygonTriangulation,
     SearchTooLarge,
     SizeOutOfRange,
+    UnderdeterminedPoint,
     ZeroCutValue,
     _propagate,
     bruteforce_variety_scan,
@@ -478,6 +479,33 @@ class TestPropagation:
             values = dict(point.values)
             del values[s]
             assert _propagate(n, values) == point.values
+
+    @pytest.mark.parametrize(
+        "diagonals, stuck",
+        [
+            ({(1, 3): 2, (1, 4): 3}, [(1, 5), (2, 5), (2, 6), (3, 5)]),
+            ({}, [(1, 3), (1, 4), (1, 5), (2, 4)]),
+        ],
+        ids=["two-diagonals", "edges-only"],
+    )
+    def test_stall_names_the_first_undetermined_segments(self, diagonals, stuck):
+        # a hexagon needs three seed diagonals; with fewer, propagation
+        # stalls and names the first four segments it could not reach
+        values = {e: QQ.one() for e in polygon_edges(6)}
+        values.update((d, QQ.from_int(v)) for d, v in diagonals.items())
+        with pytest.raises(UnderdeterminedPoint) as raised:
+            _propagate(6, values)
+        assert str(raised.value) == f"could not determine segments {stuck}"
+
+    def test_stall_keeps_what_it_solved_in_place(self):
+        # the quad (1, 2, 3, 4) gives x13 x24 = x12 x34 + x14 x23, so
+        # x24 = (1 + 3) / 2; nothing else is reachable
+        seeds = {e: QQ.one() for e in polygon_edges(6)}
+        seeds.update({(1, 3): QQ.from_int(2), (1, 4): QQ.from_int(3)})
+        values = dict(seeds)
+        with pytest.raises(UnderdeterminedPoint):
+            _propagate(6, values)
+        assert values == {**seeds, (2, 4): QQ.from_int(2)}
 
 
 class TestOracles:

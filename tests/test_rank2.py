@@ -449,3 +449,21 @@ def test_zero_beta_is_rejected_before_any_root(e1, monkeypatch):
             QQ,
             betas=[(QQ.one(), QQ.one()), (QQ.rational(1, 2), QQ.zero())],
         )
+
+
+def test_negative_window_depth_is_rejected_before_any_work(monkeypatch):
+    # [-N, N+3] with N < 0 holds no relation, so a certificate on it would
+    # check nothing; N = 0 still checks the relations at 1 and 2
+    points = deep_points(Rank2Spec(2, 2), F5)
+    assert points and all(verify_deep(p, N=0) for p, _ in points)
+
+    def no_window(spec, lo, hi):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(rank2, "e_vectors", no_window)
+    for p, _ in points:
+        for N in (-1, -3):
+            with pytest.raises(Rank2Error, match=f"at least 0, got {N}"):
+                extend_evaluation(p, N)
+            with pytest.raises(Rank2Error, match=f"at least 0, got {N}"):
+                verify_deep(p, N)
