@@ -83,10 +83,6 @@ class SearchTooLarge(PolygonError):
     pass
 
 
-class UnderdeterminedPoint(PolygonError):
-    """Value propagation stalled; the seed does not determine the point."""
-
-
 class InvalidSearchCap(PolygonError):
     """DEEPLOCUS_MAX_SEARCH does not hold an integer."""
 
@@ -400,39 +396,17 @@ def unique_deep_point_typeA(n_rank: int, ctx: FieldContext) -> PolygonPoint:
     return deep_point_from_edges(n, edge_values)
 
 
-def _propagate(n: int, values: Dict[Segment, FieldValue]) -> Dict[Segment, FieldValue]:
-    """Fill unknown segment values in place from the Ptolemy relations with
-    a single unknown whose partner in its monomial is known and nonzero,
-    in table order, pass after pass; a relation is dropped once all its
-    segments are known.  Raises if propagation stalls."""
-    segments = _segments(n)
-    known = [values.get(s) for s in segments]
-    live = _ptolemy_table(n)[1]
-    progress = True
-    while progress and None in known:
-        progress, waiting = False, []
-        for relation in live:
-            unknown = [s for _, idx in relation for s in idx if known[s] is None]
-            if unknown:
-                waiting.append(relation)
-            if len(unknown) != 1:
-                continue
-            u = unknown[0]
-            t = next(t for t, (_, idx) in enumerate(relation) if u in idx)
-            (c, (x, y)), (ca, (a, b)), (cb, (d, e)) = relation[t], *relation[:t], *relation[t + 1:]
-            partner = known[y if x == u else x]
-            if partner.is_zero:
-                continue
-            # c*x_u*partner + ca*x_a*x_b + cb*x_d*x_e = 0, every c being +-1
-            left, right = known[a] * known[b], known[d] * known[e]
-            v = (left + right if ca == cb else left - right) / partner
-            known[u] = values[segments[u]] = v if c != ca else -v
-            progress = True
-        live = waiting
-    todo = [s for s, v in zip(segments, known) if v is None]
-    if todo:
-        raise UnderdeterminedPoint(f"could not determine segments {todo[:4]}")
-    return values
+def _glue(
+    values: Dict[Segment, FieldValue], i: int, j: int, left: Sequence[int], right: Sequence[int]
+) -> None:
+    """Fill x_ab in place for each a in left and b in right across the known
+    nonzero chord (i, j), with i, a, j, b in cyclic order, from the crossing
+    Ptolemy relation x_ij x_ab = x_ia x_jb + x_aj x_bi."""
+    chord = values[seg(i, j)]
+    for a in left:
+        ia, aj = values[seg(i, a)], values[seg(a, j)]
+        for b in right:
+            values[seg(a, b)] = (ia * values[seg(j, b)] + aj * values[seg(b, i)]) / chord
 
 
 def _mode_of(values: Mapping[Segment, FieldValue], n: int) -> str:
@@ -442,9 +416,8 @@ def _mode_of(values: Mapping[Segment, FieldValue], n: int) -> str:
 
 
 def _complete(n: int, values: Dict[Segment, FieldValue], message: str) -> PolygonPoint:
-    """The point that propagation derives from values; raises InvalidPoint
+    """The point with these values on every segment; raises InvalidPoint
     with message unless it satisfies every Ptolemy relation."""
-    _propagate(n, values)
     point = PolygonPoint(n, _mode_of(values, n), values)
     if not point.is_valid():
         raise InvalidPoint(message)
@@ -457,18 +430,31 @@ def extend_from_triangulation(
     diagonal_values: Mapping[Segment, FieldValue],
     edge_values: Mapping[Segment, FieldValue],
 ) -> PolygonPoint:
-    """The unique point with the given values on a triangulation's diagonals
-    (all nonzero) and on the edges; every other segment is derived."""
-    values: Dict[Segment, FieldValue] = {}
-    for e in polygon_edges(n):
+    """The unique point with the given nonzero values on the edges and on
+    the diagonals of tri, a triangulation of the n-gon.  Each chord (i, j)
+    of tri, and the edge (1, n), has its triangle (i, t, j) inside i..j;
+    shortest first, gluing across (t, j) and then (i, t) fills the
+    sub-polygon on i..j, dividing only by seed values."""
+    if tri.n != n:
+        raise SizeOutOfRange(f"a triangulation of the {tri.n}-gon cannot seed the {n}-gon")
+    edges, diagonals = polygon_edges(n), tri.sorted_diagonals()
+    missing = [e for e in edges if e not in edge_values]
+    missing += [d for d in diagonals if d not in diagonal_values]
+    if missing:
+        raise PolygonError(f"missing values for segments {missing}")
+    for e in edges:
         if edge_values[e].is_zero:
             raise ZeroEdge(f"edge {e} must be nonzero")
-        values[e] = edge_values[e]
     for d in tri.diagonals:
-        v = diagonal_values[d]
-        if v.is_zero:
+        if diagonal_values[d].is_zero:
             raise ZeroCutValue(f"seed diagonal {d} must be nonzero")
-        values[d] = v
+    values = {e: edge_values[e] for e in edges}
+    values.update((d, diagonal_values[d]) for d in tri.diagonals)
+    chords = set(values)
+    for i, j in sorted(diagonals + [(1, n)], key=lambda d: d[1] - d[0]):
+        t = next(t for t in range(i + 1, j) if (i, t) in chords and (t, j) in chords)
+        _glue(values, t, j, range(t + 1, j), [i])
+        _glue(values, i, t, range(i + 1, t), range(t + 1, j + 1))
     return _complete(n, values, "seed values are inconsistent with the Ptolemy relations")
 
 
@@ -505,13 +491,17 @@ def glue_cut_halves(
 ) -> PolygonPoint:
     """Inverse of cut_along_diagonal(p, d) for a point p of the n-gon.
 
-    The halves carry the cut value on their closing edges (1, m); segments
-    crossing the reinstated diagonal are recovered through the Ptolemy
-    relations, so the round trip is exact."""
+    The halves carry the cut value on their closing edges (1, m).  Each
+    segment (a, b) crossing the reinstated diagonal (i, j) is recovered by
+    one division, from x_ij x_ab = x_ia x_jb + x_aj x_bi, whose other terms
+    lie in the halves, so the round trip is exact."""
     ma, mb = pa.n, pb.n
     if ma + mb - 2 != n:
         raise PolygonError(f"halves of sizes {ma},{mb} do not glue to an {n}-gon")
-    i, j = seg(*d)
+    d = seg(*d)
+    if is_edge(d, n) or d not in _segments(n):
+        raise NotADiagonal(f"{d} is not a diagonal of the {n}-gon")
+    i, j = d
     if j - i != ma - 1:
         raise NotADiagonal(f"first half does not span the hull of {d}")
     cut_value = pa.values[(1, ma)]
@@ -528,6 +518,7 @@ def glue_cut_halves(
         values[seg(wrap(i + a - 1), wrap(i + b - 1))] = pa.value(a, b)
     for a, b in itertools.combinations(range(1, mb + 1), 2):
         values[seg(wrap(j + a - 1), wrap(j + b - 1))] = pb.value(a, b)
+    _glue(values, i, j, range(i + 1, j), [wrap(j + b) for b in range(1, mb - 1)])
     return _complete(n, values, "glued values are inconsistent")
 
 

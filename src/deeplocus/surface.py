@@ -274,16 +274,10 @@ class SurfaceTriangulation(_Complex):
     triangles and the vertices, but still runs every surface check.
     """
 
-    def __init__(
-        self,
-        triangles: Sequence[Triangle],
-        glue: Mapping[int, int],
-        reference: Optional["SurfaceTriangulation"] = None,
-        flip_path: Tuple[int, ...] = (),
-    ):
+    def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         super().__init__(triangles, glue)
-        self.reference = reference
-        self.flip_path = tuple(flip_path)
+        self.reference: Optional["SurfaceTriangulation"] = None
+        self.flip_path: Tuple[int, ...] = ()
         self._check_surface()
 
     def _check_surface(self) -> None:

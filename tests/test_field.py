@@ -274,7 +274,7 @@ def perturbed(ctx, values, rng):
 
 
 def ptolemy_vectors(ctx, n, rng, count):
-    """Points of the n-gon's variety propagated from random seeds, each with
+    """Points of the n-gon's variety extended from random seeds, each with
     a perturbed copy, and vectors drawn at random."""
     tris = polygon.enumerate_triangulations(n)
     segments = polygon.polygon_segments(n)
@@ -282,7 +282,8 @@ def ptolemy_vectors(ctx, n, rng, count):
         tri = rng.choice(tris)
         seeds = list(polygon.polygon_edges(n)) + sorted(tri.diagonals)
         # nonzero seeds on a triangulation determine every other segment
-        filled = polygon._propagate(n, {s: identity_draw(ctx, rng, nonzero=True) for s in seeds})
+        drawn = {s: identity_draw(ctx, rng, nonzero=True) for s in seeds}
+        filled = polygon.extend_from_triangulation(n, tri, drawn, drawn).values
         values = [filled[s] for s in segments]
         yield values
         yield perturbed(ctx, values, rng)

@@ -18,9 +18,7 @@ from deeplocus.polygon import (
     PolygonTriangulation,
     SearchTooLarge,
     SizeOutOfRange,
-    UnderdeterminedPoint,
     ZeroCutValue,
-    _propagate,
     bruteforce_variety_scan,
     catalan,
     cut_along_diagonal,
@@ -311,6 +309,14 @@ class TestCutAndGlue:
             left, right = cut_along_diagonal(point, d)
             assert glue_cut_halves(left, right, 6, d) == point
 
+    @pytest.mark.parametrize("d", [(5, 8), (-1, 2)], ids=["5-8", "m1-2"])
+    def test_glue_rejects_a_non_diagonal(self, d):
+        # the halves of a cut along (2, 5) span three vertex steps, as
+        # (5, 8) and (-1, 2) do, but neither is a diagonal of the hexagon
+        left, right = cut_along_diagonal(badcut_point(QQ.from_int(3)), (2, 5))
+        with pytest.raises(NotADiagonal):
+            glue_cut_halves(left, right, 6, d)
+
 
 class TestVarietyScan:
     def test_pentagon_f3_has_no_deep_points(self):
@@ -425,14 +431,14 @@ def seeded_deep_point(ctx, n, rng):
     return deep_point_from_edges(n, dict(zip(edges, vals + [closing])))
 
 
-# random seed values almost always propagate; a run of failures this long
-# means propagation itself is wrong
+# nonzero seed values always extend to a valid point; a run of failures
+# this long means the extension itself is wrong
 SEEDED_POINT_TRIES = 200
 
 
 def seeded_torus_point(ctx, n, rng):
     """extend_from_triangulation from a random triangulation, retried
-    until the seed values propagate to a valid point."""
+    until the seed values extend to a valid point."""
     tris = enumerate_triangulations(n)
     last_error = None
     for _ in range(SEEDED_POINT_TRIES):
@@ -456,8 +462,8 @@ class TestPropagation:
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("ctx", [QQ, prime_field(101)], ids=["Q", "F101"])
     def test_every_nonzero_triangulation_reseeds_the_point(self, n, ctx, rng):
-        # Ptolemy propagation from any triangulation that the point keeps
-        # nonzero recovers the whole point
+        # extension from any triangulation that the point keeps nonzero
+        # recovers the whole point
         for _ in range(3):
             point = seeded_torus_point(ctx, n, rng)
             edges = {e: point.values[e] for e in polygon_edges(n)}
@@ -470,42 +476,42 @@ class TestPropagation:
             for tri in seeds:
                 assert extend_from_triangulation(n, tri, point.values, edges) == point
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    @pytest.mark.parametrize("ctx", [QQ, prime_field(101)], ids=["Q", "F101"])
-    def test_each_segment_is_recovered_from_the_others(self, n, ctx, rng):
-        # reaches the unknown in each of the relation's three pairs
-        point = seeded_torus_point(ctx, n, rng)
-        for s in polygon_segments(n):
-            values = dict(point.values)
-            del values[s]
-            assert _propagate(n, values) == point.values
 
-    @pytest.mark.parametrize(
-        "diagonals, stuck",
-        [
-            ({(1, 3): 2, (1, 4): 3}, [(1, 5), (2, 5), (2, 6), (3, 5)]),
-            ({}, [(1, 3), (1, 4), (1, 5), (2, 4)]),
-        ],
-        ids=["two-diagonals", "edges-only"],
-    )
-    def test_stall_names_the_first_undetermined_segments(self, diagonals, stuck):
-        # a hexagon needs three seed diagonals; with fewer, propagation
-        # stalls and names the first four segments it could not reach
-        values = {e: QQ.one() for e in polygon_edges(6)}
-        values.update((d, QQ.from_int(v)) for d, v in diagonals.items())
-        with pytest.raises(UnderdeterminedPoint) as raised:
-            _propagate(6, values)
-        assert str(raised.value) == f"could not determine segments {stuck}"
+class TestGluing:
+    """extend_from_triangulation and glue_cut_halves, which fill segments
+    through the crossing Ptolemy relation."""
 
-    def test_stall_keeps_what_it_solved_in_place(self):
-        # the quad (1, 2, 3, 4) gives x13 x24 = x12 x34 + x14 x23, so
-        # x24 = (1 + 3) / 2; nothing else is reachable
-        seeds = {e: QQ.one() for e in polygon_edges(6)}
-        seeds.update({(1, 3): QQ.from_int(2), (1, 4): QQ.from_int(3)})
-        values = dict(seeds)
-        with pytest.raises(UnderdeterminedPoint):
-            _propagate(6, values)
-        assert values == {**seeds, (2, 4): QQ.from_int(2)}
+    @pytest.mark.parametrize("n, ctx", [(6, F3), (8, F2)], ids=["6-F3", "8-F2"])
+    def test_every_nonzero_seed_extends_and_round_trips(self, n, ctx):
+        # every nonzero seed on every triangulation: 7168 hexagon seeds over
+        # F3, 132 octagon seeds over F2
+        nonzero = [ctx.from_int(v) for v in range(1, ctx.p)]
+        edges = polygon_edges(n)
+        for tri in enumerate_triangulations(n):
+            diagonals = tri.sorted_diagonals()
+            for draw in itertools.product(nonzero, repeat=n + len(diagonals)):
+                seeds = dict(zip(edges + diagonals, draw))
+                point = extend_from_triangulation(n, tri, seeds, seeds)
+                assert point.is_valid()
+                assert all(point.values[s] == v for s, v in seeds.items())
+                for d in diagonals:
+                    left, right = cut_along_diagonal(point, d)
+                    assert glue_cut_halves(left, right, n, d) == point
+
+    @pytest.mark.parametrize("n, m", [(6, 8), (8, 6)])
+    def test_extend_rejects_a_triangulation_of_another_size(self, n, m):
+        tri = enumerate_triangulations(m)[0]
+        values = {s: QQ.one() for s in polygon_segments(max(n, m))}
+        with pytest.raises(SizeOutOfRange) as raised:
+            extend_from_triangulation(n, tri, values, values)
+        assert f"{m}-gon" in str(raised.value) and f"{n}-gon" in str(raised.value)
+
+    def test_extend_names_missing_seed_values(self):
+        tri = PolygonTriangulation(6, frozenset({(1, 3), (1, 4), (1, 5)}))
+        edges = {e: QQ.one() for e in polygon_edges(6) if e != (3, 4)}
+        with pytest.raises(PolygonError) as raised:
+            extend_from_triangulation(6, tri, {(1, 3): QQ.one()}, edges)
+        assert str(raised.value) == "missing values for segments [(3, 4), (1, 4), (1, 5)]"
 
 
 class TestOracles:
