@@ -22,6 +22,7 @@ The deep machinery:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -82,10 +83,6 @@ class OddMarkedPoints(SurfaceError):
 
 
 class ZeroValue(SurfaceError):
-    pass
-
-
-class ValueUnderdetermined(SurfaceError):
     pass
 
 
@@ -461,15 +458,21 @@ class Z2Class:
         return frozenset(a for a, v in enumerate(self.labels) if v == 0)
 
 
-def solve_classes(t: SurfaceTriangulation) -> List[Z2Class]:
-    """All label classes, by GF(2) elimination over the interior arcs.
+def solve_classes(
+    t: SurfaceTriangulation, ones: FrozenSet[int] = frozenset()
+) -> List[Z2Class]:
+    """All label classes that label every interior arc in `ones` 1, by
+    GF(2) elimination over the interior arcs: each arc in `ones` adds one
+    row pinning its label.
 
-    Count is 2^(2g+b-1) when the number of marked points is even, else 0.
+    With no pins the count is 2^(2g+b-1) when the number of marked points
+    is even, else 0; pinning a dissection's arcs leaves one class.
     """
     interior = t.interior_arcs()
     col = {a: i for i, a in enumerate(interior)}
     nvars = len(interior)
-    rows = []
+    # a boundary arc is labeled 1 already, so pinning it adds no row
+    rows = [(1 << col[a], 1) for a in ones if a in col]
     for tri in t.triangles:
         mask = 0
         rhs = 0
@@ -688,9 +691,7 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
 
 def class_of_dissection(d: Dissection) -> Z2Class:
     """The unique class labeling every dissection arc (and the boundary) 1."""
-    matches = [
-        c for c in solve_classes(d.carrier) if all(c.labels[a] == 1 for a in d.arcs)
-    ]
+    matches = solve_classes(d.carrier, d.arcs)
     if not matches:
         raise NoClass("no class exists (odd number of marked points)")
     if len(matches) > 1:
@@ -704,18 +705,12 @@ def subset_bijection(d: Dissection) -> Dict[FrozenSet[int], Z2Class]:
     classes = solve_classes(d.carrier)
     if not classes:
         raise NoClass("no classes exist (odd number of marked points)")
-    out: Dict[FrozenSet[int], Z2Class] = {}
-    arcs = d.sorted_arcs()
-    for bits in itertools.product((0, 1), repeat=len(arcs)):
-        s = frozenset(a for a, bit in zip(arcs, bits) if bit == 0)
-        matches = [
-            c
-            for c in classes
-            if all(c.labels[a] == (0 if a in s else 1) for a in arcs)
-        ]
-        if len(matches) != 1:
-            raise NonUnique(f"subset {sorted(s)} pinned {len(matches)} classes")
-        out[s] = matches[0]
+    out = {c.zero_arcs() & d.arcs: c for c in classes}
+    if not len(out) == len(classes) == 2 ** len(d.arcs):
+        raise NonUnique(
+            f"{len(classes)} classes vanish on {len(out)} distinct subsets"
+            f" of the {len(d.arcs)} dissection arcs"
+        )
     return out
 
 
@@ -738,11 +733,10 @@ class CutPolygon:
     """The polygon obtained by unglueing the dissection arcs.
 
     Boundary slots are numbered so slot t (1-based) runs from polygon
-    vertex t to t+1; `edge_source[t]` is the surface side occupying it.
+    vertex t to t+1; `arc_of_edge_source[t - 1]` is the arc occupying it.
     `diagonal_of_arc` places every remaining interior arc as a chord."""
 
     size: int
-    edge_source: Tuple[int, ...]
     arc_of_edge_source: Tuple[int, ...]
     diagonal_of_arc: Dict[int, Tuple[int, int]]
 
@@ -780,7 +774,6 @@ def cut_polygon(d: Dissection) -> CutPolygon:
         diagonal_of_arc[aid] = seg(i, j)
     return CutPolygon(
         size=len(walk),
-        edge_source=tuple(walk),
         arc_of_edge_source=tuple(t.arc_of_side(s) for s in walk),
         diagonal_of_arc=diagonal_of_arc,
     )
@@ -794,15 +787,16 @@ def cut_polygon(d: Dissection) -> CutPolygon:
 class SurfaceDeepPoint:
     """A deep point: values on every arc of the current triangulation
     (None marks a value the flip walk could not derive), together with the
-    label class whose zero set is exactly the vanishing arcs."""
+    label class whose zero set is exactly the vanishing arcs; the class's
+    carrier is the current triangulation."""
 
-    dissection: Dissection
-    boundary_values: Dict[int, FieldValue]
-    dissection_values: Dict[int, FieldValue]
-    triangulation: SurfaceTriangulation
     values: Dict[int, Optional[FieldValue]]
     z2: Z2Class
     ctx: FieldContext
+
+    @property
+    def triangulation(self) -> SurfaceTriangulation:
+        return self.z2.carrier
 
 
 def deep_point_from_dissection(
@@ -841,16 +835,7 @@ def deep_point_from_dissection(
     for aid, v in values.items():
         if v.is_zero != (cls.labels[aid] == 0):
             raise SurfaceError(f"value/label mismatch on arc {aid}")
-    ctx = next(iter(boundary_values.values())).ctx
-    return SurfaceDeepPoint(
-        dissection=d,
-        boundary_values=dict(boundary_values),
-        dissection_values=dict(dissection_values),
-        triangulation=t,
-        values=values,
-        z2=cls,
-        ctx=ctx,
-    )
+    return SurfaceDeepPoint(values, cls, next(iter(boundary_values.values())).ctx)
 
 
 def solve_closing_value(
@@ -887,14 +872,12 @@ def _flip_determined(p: SurfaceDeepPoint, aid: int, new_label: int) -> bool:
     return all(p.values.get(t.arc_of_side(x)) is not None for x in (pp, qq, rr, ss))
 
 
-def flip_evaluation(
-    p: SurfaceDeepPoint, aid: int, allow_unknown: bool = False
-) -> SurfaceDeepPoint:
+def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     """Carry the deep point across one flip.
 
     The class always transports; the new arc's value is 0 when its label
     is 0, is derived from the quadrilateral exchange relation when the old
-    value is known and nonzero, and is otherwise underdetermined."""
+    value is known and nonzero, and is otherwise underdetermined (None)."""
     t = p.triangulation
     a1, pp, qq, a2, rr, ss = t.flip_quad(aid)
     arc = t.arc_of_side
@@ -907,10 +890,6 @@ def flip_evaluation(
 
     new_value: Optional[FieldValue]
     if not _flip_determined(p, aid, z2.labels[aid]):
-        if not allow_unknown:
-            raise ValueUnderdetermined(
-                f"flip of arc {aid}: replacement has label 1 but no local derivation"
-            )
         new_value = None
     elif z2.labels[aid] == 0:
         new_value = p.ctx.zero()
@@ -924,15 +903,7 @@ def flip_evaluation(
 
     values2 = dict(p.values)
     values2[aid] = new_value
-    return SurfaceDeepPoint(
-        dissection=p.dissection,
-        boundary_values=p.boundary_values,
-        dissection_values=p.dissection_values,
-        triangulation=z2.carrier,
-        values=values2,
-        z2=z2,
-        ctx=p.ctx,
-    )
+    return SurfaceDeepPoint(values2, z2, p.ctx)
 
 
 @dataclass
@@ -988,7 +959,7 @@ def verify_deep_random_walk(
         pool = [a for a in candidates if determined[a]] or candidates
         aid = rng.choice(pool)
         try:
-            state = flip_evaluation(state, aid, allow_unknown=True)
+            state = flip_evaluation(state, aid)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
@@ -1173,16 +1144,10 @@ def _twist_action(
                 if phi is not None:
                     action = {}
                     for cls in solve_classes(t0):
-                        labels = cls.labels
-                        chain = t0
-                        for step in new_path:
-                            labels = _transport_labels(chain, labels, step)
-                            chain = chain.flip(step)
+                        labels = functools.reduce(transport_class, new_path, cls).labels
                         relabeled = [0] * len(t0.arcs)
                         for side, image in phi.items():
-                            relabeled[t0.arc_of_side(image)] = labels[
-                                chain.arc_of_side(side)
-                            ]
+                            relabeled[t0.arc_of_side(image)] = labels[t2.arc_of_side(side)]
                         action[cls.labels] = tuple(relabeled)
                     return new_path, action
                 next_sequences.append((new_path, t2))

@@ -188,6 +188,37 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["passed"] and doc["undetermined_values"] == 0
 
+    def test_surface_deep_on_a_genus8_file(self, tmp_path):
+        # the fixture's class comes from one pinned GF(2) solve; listing
+        # all 2^16 label classes first took seconds
+        from deeplocus.surface import dissection_spanning_tree, solve_closing_value
+
+        gluings = [[4 * k + i, 4 * k + i + 2] for k in range(8) for i in (0, 1)]
+        surface_file = tmp_path / "genus8.json"
+        surface_file.write_text(json.dumps({"polygon_sides": 34, "gluings": gluings}))
+        t = ingest_surface(str(surface_file))
+        assert t.invariants()[:2] == (8, 1)
+        d = dissection_spanning_tree(t)
+        arcs = [*t.boundary_arcs(), *sorted(d.arcs)]
+        values = {a: QQ.from_int(k + 2) for k, a in enumerate(arcs)}
+        target = t.boundary_arcs()[0]
+        values[target] = solve_closing_value(d, values, target)
+        fixture = tmp_path / "genus8_deep.json"
+        fixture.write_text(
+            json.dumps(
+                {
+                    "field": "q",
+                    "dissection": sorted(d.arcs),
+                    "values": {str(a): str(v) for a, v in values.items()},
+                }
+            )
+        )
+        argv = ["surface", "deep", "--surface", str(surface_file)]
+        argv += ["--fixture", str(fixture), "--steps", "20", "--json"]
+        code, out = run_cli(argv)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_error_exit_code(self):
         code, _ = run_cli(["polygon", "from-edges", "--edges", "1,1,1,1"])
         assert code == 1  # all-ones square violates the product condition

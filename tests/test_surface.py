@@ -57,6 +57,13 @@ def ones_deep_point(t, dissection=None, special=None):
     return deep_point_from_dissection(d, bvals, dvals)
 
 
+def genus_surface(g):
+    """Genus g with one boundary component: a (4g+2)-gon whose first 4g
+    sides are glued crosswise in blocks of four, as genus2 is."""
+    blocks = [((4 * k, 4 * k + 2), (4 * k + 1, 4 * k + 3)) for k in range(g)]
+    return build_from_gluing(4 * g + 2, [pair for block in blocks for pair in block])
+
+
 class TestBuilding:
     def test_disk(self):
         assert named_surface("disk6").invariants() == (0, 1, 6, 9)
@@ -388,6 +395,83 @@ class TestDissections:
                 assert carried.labels == original.labels
 
 
+def flipped_carriers(name, count=3, flips=4):
+    """The named surface and `count` seeded carriers `flips` flips away."""
+    rng = random.Random(f"carriers/{name}")
+    yield named_surface(name)
+    for _ in range(count):
+        t = named_surface(name)
+        for _ in range(flips):
+            t = t.flip(rng.choice(t.interior_arcs()))
+        yield t
+
+
+def filtered_bijection(d):
+    """subset_bijection's oracle: for each subset S of the dissection,
+    filter the full class list for the classes vanishing exactly on S."""
+    classes = solve_classes(d.carrier)
+    arcs = d.sorted_arcs()
+    out = {}
+    for bits in itertools.product((0, 1), repeat=len(arcs)):
+        s = frozenset(a for a, bit in zip(arcs, bits) if bit == 0)
+        [out[s]] = [
+            c for c in classes if all(c.labels[a] == (0 if a in s else 1) for a in arcs)
+        ]
+    return out
+
+
+class TestPinnedSolve:
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_class_of_dissection_matches_the_filter(self, name):
+        from deeplocus.surface import _all_dissections
+
+        for t in flipped_carriers(name):
+            dissections = _all_dissections(t)
+            assert dissections
+            for d in dissections:
+                want = [
+                    c
+                    for c in solve_classes(t)
+                    if all(c.labels[a] == 1 for a in d.arcs)
+                ]
+                assert len(want) == (1 if t.num_marked % 2 == 0 else 0)
+                if want:
+                    assert class_of_dissection(d) == want[0]
+                else:
+                    with pytest.raises(NoClass):
+                        class_of_dissection(d)
+
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_subset_bijection_matches_the_filter(self, name):
+        from deeplocus.surface import _all_dissections
+
+        for t in flipped_carriers(name):
+            for d in _all_dissections(t):
+                if t.num_marked % 2:
+                    with pytest.raises(NoClass):
+                        subset_bijection(d)
+                else:
+                    assert subset_bijection(d) == filtered_bijection(d)
+
+    def test_genus8_class_of_dissection_validates_one_class(self, monkeypatch):
+        # listing every class first would validate 2^16 of them
+        t = genus_surface(8)
+        assert t.invariants()[:3] == (8, 1, 2)
+        d = dissection_spanning_tree(t)
+        validated = []
+        check = Z2Class.__post_init__
+
+        def counted(cls):
+            validated.append(cls.labels)
+            check(cls)
+
+        monkeypatch.setattr(Z2Class, "__post_init__", counted)
+        cls = class_of_dissection(d)
+        assert len(validated) == 1
+        assert all(cls.labels[a] == 1 for a in d.arcs)
+        assert any(v == 0 for v in cls.labels)
+
+
 class TestSubsetBijection:
     def test_disk_trivial(self):
         t = named_surface("disk6")
@@ -482,7 +566,7 @@ class TestDeepPoints:
         t = named_surface("annulus22")
         p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(3)})
         for aid in t.interior_arcs():
-            q = flip_evaluation(p, aid, allow_unknown=True)
+            q = flip_evaluation(p, aid)
             labels = q.z2.labels
             assert any(v == 0 for v in labels)
             for tri in q.triangulation.triangles:
@@ -494,7 +578,7 @@ class TestDeepPoints:
     def test_flip_value_edge_cases(self):
         # zero-valued arc whose replacement keeps label 0: value stays 0
         # without any division; replacement with label 1: underdetermined
-        from deeplocus.surface import ValueUnderdetermined, _transport_labels
+        from deeplocus.surface import _transport_labels
         import random as _random
 
         t = named_surface("annulus22")
@@ -515,17 +599,13 @@ class TestDeepPoints:
                     assert q.values[aid].is_zero
                     seen_zero_to_zero = True
                 else:
-                    with pytest.raises(ValueUnderdetermined):
-                        flip_evaluation(state, aid)
-                    q = flip_evaluation(state, aid, allow_unknown=True)
+                    q = flip_evaluation(state, aid)
                     assert q.values[aid] is None
                     seen_underdetermined = True
             if seen_zero_to_zero and seen_underdetermined:
                 break
             try:
-                state = flip_evaluation(
-                    state, rng.choice(tcur.interior_arcs()), allow_unknown=True
-                )
+                state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
             except SurfaceError:
                 pass
         assert seen_zero_to_zero and seen_underdetermined
@@ -533,7 +613,6 @@ class TestDeepPoints:
     @pytest.mark.parametrize("name", ["annulus22", "genus2"])
     def test_flip_determined_matches_flip_evaluation(self, name):
         from deeplocus.surface import (
-            ValueUnderdetermined,
             _flip_determined,
             _transport_labels,
             solve_closing_value,
@@ -554,16 +633,10 @@ class TestDeepPoints:
             for aid in tcur.interior_arcs():
                 label = _transport_labels(tcur, state.z2.labels, aid)[aid]
                 determined = _flip_determined(state, aid, label)
-                try:
-                    flip_evaluation(state, aid)
-                    raised = False
-                except ValueUnderdetermined:
-                    raised = True
-                assert determined != raised, (name, aid)
+                derived = flip_evaluation(state, aid).values[aid] is not None
+                assert determined == derived, (name, aid)
                 seen.add(determined)
-            state = flip_evaluation(
-                state, rng.choice(tcur.interior_arcs()), allow_unknown=True
-            )
+            state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
         assert seen == {True, False}
 
     def test_walks(self):
@@ -614,7 +687,7 @@ class TestDeepPoints:
                 ]
                 aid = rng.choice(defined if defined else candidates)
                 try:
-                    state = flip_evaluation(state, aid, allow_unknown=True)
+                    state = flip_evaluation(state, aid)
                 except SurfaceError as exc:
                     report.failures.append(f"step {step}: {exc}")
                     break
@@ -654,10 +727,6 @@ class TestDeepPoints:
         d = Dissection(t, frozenset([0]))
         p = ones_deep_point(t, d, {0: QQ.from_int(5)})
         fake = SurfaceDeepPoint(
-            dissection=p.dissection,
-            boundary_values=p.boundary_values,
-            dissection_values=p.dissection_values,
-            triangulation=t,
             values={a: QQ.one() for a in range(len(t.arcs))},
             z2=p.z2.__class__.__new__(p.z2.__class__),
             ctx=QQ,
