@@ -91,6 +91,9 @@ class AvoidanceFailed(SurfaceError):
 
 
 Triangle = Tuple[int, int, int]
+Quad = Tuple[int, int, int, int, int, int]
+# the longest flip sequence the Dehn twist search tries
+MAX_TWIST_FLIPS = 4
 
 
 class _Complex:
@@ -322,7 +325,7 @@ class SurfaceTriangulation(_Complex):
 
     # -- flips ----------------------------------------------------------------
 
-    def flip_quad(self, aid: int) -> Tuple[int, int, int, int, int, int]:
+    def flip_quad(self, aid: int) -> Quad:
         """(a1, p, q, a2, r, s): the flipped arc's sides and the cyclic
         quadrilateral sides around it."""
         arc = self.arcs[aid]
@@ -458,19 +461,13 @@ class Z2Class:
         return frozenset(a for a, v in enumerate(self.labels) if v == 0)
 
 
-def solve_classes(
+def _eliminate(
     t: SurfaceTriangulation, ones: FrozenSet[int] = frozenset()
-) -> List[Z2Class]:
-    """All label classes that label every interior arc in `ones` 1, by
-    GF(2) elimination over the interior arcs: each arc in `ones` adds one
-    row pinning its label.
-
-    With no pins the count is 2^(2g+b-1) when the number of marked points
-    is even, else 0; pinning a dissection's arcs leaves one class.
-    """
-    interior = t.interior_arcs()
-    col = {a: i for i, a in enumerate(interior)}
-    nvars = len(interior)
+) -> Optional[Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]]:
+    """GF(2) elimination of the cocycle rows, and of one row per arc in
+    `ones` pinning its label to 1: each interior arc's column and the pivot
+    rows keyed by their lowest column, or None when there is no solution."""
+    col = {a: i for i, a in enumerate(t.interior_arcs())}
     # a boundary arc is labeled 1 already, so pinning it adds no row
     rows = [(1 << col[a], 1) for a in ones if a in col]
     for tri in t.triangles:
@@ -484,7 +481,6 @@ def solve_classes(
                 rhs ^= 1
         rows.append((mask, rhs))
 
-    # forward elimination
     pivots: Dict[int, Tuple[int, int]] = {}
     for mask, rhs in rows:
         for pcol, (pmask, prhs) in pivots.items():
@@ -493,11 +489,34 @@ def solve_classes(
                 rhs ^= prhs
         if mask == 0:
             if rhs:
-                return []
+                return None
             continue
         low = (mask & -mask).bit_length() - 1
         pivots[low] = (mask, rhs)
-    free_cols = [i for i in range(nvars) if i not in pivots]
+    return col, pivots
+
+
+def count_classes(t: SurfaceTriangulation) -> int:
+    """The number of label classes, 2^(2g+b-1) when the number of marked
+    points is even, else 0: 2^(free columns), with no class built."""
+    solved = _eliminate(t)
+    if solved is None:
+        return 0
+    col, pivots = solved
+    return 2 ** (len(col) - len(pivots))
+
+
+def solve_classes(
+    t: SurfaceTriangulation, ones: FrozenSet[int] = frozenset()
+) -> List[Z2Class]:
+    """All label classes, sorted, that label every interior arc in `ones`
+    1; pinning a dissection's arcs leaves one.  `count_classes` is the
+    count without the list."""
+    solved = _eliminate(t, ones)
+    if solved is None:
+        return []
+    col, pivots = solved
+    free_cols = [i for i in range(len(col)) if i not in pivots]
 
     classes = []
     for bits in itertools.product((0, 1), repeat=len(free_cols)):
@@ -518,10 +537,10 @@ def solve_classes(
     return classes
 
 
-def _new_label(t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int) -> int:
-    """The label of aid after flipping it: the cocycle completion in
-    either new triangle; the two must agree."""
-    a1, p, q, a2, r, s = t.flip_quad(aid)
+def _new_label(t: SurfaceTriangulation, labels: Tuple[int, ...], quad: Quad) -> int:
+    """The label of the arc inside `quad` (its `flip_quad`) after its flip:
+    the cocycle completion in either new triangle; the two must agree."""
+    _, p, q, _, r, s = quad
     arc = t.arc_of_side
     from_t1 = (labels[arc(q)] + labels[arc(r)]) % 2
     from_t2 = (labels[arc(s)] + labels[arc(p)]) % 2
@@ -531,18 +550,18 @@ def _new_label(t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int) -> in
 
 
 def _transport_labels(
-    t: SurfaceTriangulation, labels: Tuple[int, ...], aid: int
+    t: SurfaceTriangulation, labels: Tuple[int, ...], quad: Quad
 ) -> Tuple[int, ...]:
-    """Labels after flipping aid; only aid's label changes."""
+    """Labels after flipping the arc inside `quad`; only its label changes."""
     out = list(labels)
-    out[aid] = _new_label(t, labels, aid)
+    out[t.arc_of_side(quad[0])] = _new_label(t, labels, quad)
     return tuple(out)
 
 
 def transport_class(cls: Z2Class, aid: int) -> Z2Class:
     """The class carried across one flip (labels on the flipped carrier)."""
-    labels = _transport_labels(cls.carrier, cls.labels, aid)
-    return Z2Class(cls.carrier.flip(aid), labels)
+    t = cls.carrier
+    return Z2Class(t.flip(aid), _transport_labels(t, cls.labels, t.flip_quad(aid)))
 
 
 def transport_to_reference(cls: Z2Class) -> Z2Class:
@@ -551,7 +570,7 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
     labels = cls.labels
     for step in range(len(chain) - 1, 0, -1):
         aid = chain[step].flip_path[-1]
-        labels = _transport_labels(chain[step], labels, aid)
+        labels = _transport_labels(chain[step], labels, chain[step].flip_quad(aid))
     return Z2Class(chain[0], labels)
 
 
@@ -672,7 +691,7 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
             ]
             if not incident:
                 break
-            labels = _transport_labels(tri, labels, incident[0])
+            labels = _transport_labels(tri, labels, tri.flip_quad(incident[0]))
             tri = tri.flip(incident[0])
 
         ear = cx.tri_of_side(s_before)
@@ -787,12 +806,17 @@ def cut_polygon(d: Dissection) -> CutPolygon:
 class SurfaceDeepPoint:
     """A deep point: values on every arc of the current triangulation
     (None marks a value the flip walk could not derive), together with the
-    label class whose zero set is exactly the vanishing arcs; the class's
-    carrier is the current triangulation."""
+    label class whose zero set is exactly the vanishing known values, as
+    construction checks; the class's carrier is the current triangulation."""
 
     values: Dict[int, Optional[FieldValue]]
     z2: Z2Class
     ctx: FieldContext
+
+    def __post_init__(self):
+        for aid, v in self.values.items():
+            if v is not None and v.is_zero != (self.z2.labels[aid] == 0):
+                raise SurfaceError(f"value/label mismatch on arc {aid}")
 
     @property
     def triangulation(self) -> SurfaceTriangulation:
@@ -831,11 +855,8 @@ def deep_point_from_dissection(
     values: Dict[int, Optional[FieldValue]] = dict(value_of_arc)
     for aid, diag in cp.diagonal_of_arc.items():
         values[aid] = poly_point.value(*diag)
-    cls = class_of_dissection(d)
-    for aid, v in values.items():
-        if v.is_zero != (cls.labels[aid] == 0):
-            raise SurfaceError(f"value/label mismatch on arc {aid}")
-    return SurfaceDeepPoint(values, cls, next(iter(boundary_values.values())).ctx)
+    ctx = next(iter(boundary_values.values())).ctx
+    return SurfaceDeepPoint(values, class_of_dissection(d), ctx)
 
 
 def solve_closing_value(
@@ -858,18 +879,18 @@ def solve_closing_value(
     return sign / alt if sources.index(target_arc) % 2 == 0 else alt / sign
 
 
-def _flip_determined(p: SurfaceDeepPoint, aid: int, new_label: int) -> bool:
-    """Whether flipping aid determines the new arc's value: its label
-    new_label is 0, or the old value is known and nonzero and so are the
-    values on the four sides of the quadrilateral."""
+def _flip_determined(p: SurfaceDeepPoint, quad: Quad, new_label: int) -> bool:
+    """Whether flipping the arc inside `quad` (its `flip_quad`) determines
+    the new arc's value: its label new_label is 0, or the old value is known
+    and nonzero and so are the values on the four sides of the quadrilateral."""
     if new_label == 0:
         return True
-    old = p.values.get(aid)
+    arc = p.triangulation.arc_of_side
+    a1, pp, qq, _, rr, ss = quad
+    old = p.values.get(arc(a1))
     if old is None or old.is_zero:
         return False
-    t = p.triangulation
-    _, pp, qq, _, rr, ss = t.flip_quad(aid)
-    return all(p.values.get(t.arc_of_side(x)) is not None for x in (pp, qq, rr, ss))
+    return all(p.values.get(arc(x)) is not None for x in (pp, qq, rr, ss))
 
 
 def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
@@ -879,17 +900,18 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     is 0, is derived from the quadrilateral exchange relation when the old
     value is known and nonzero, and is otherwise underdetermined (None)."""
     t = p.triangulation
-    a1, pp, qq, a2, rr, ss = t.flip_quad(aid)
+    _, pp, qq, _, rr, ss = quad = t.flip_quad(aid)
     arc = t.arc_of_side
     vp, vq, vr, vs = quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
     exchange = (
         vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
     )
     old = p.values.get(aid)
-    z2 = transport_class(p.z2, aid)
+    # transport_class, with the quad worked out above
+    z2 = Z2Class(t.flip(aid), _transport_labels(t, p.z2.labels, quad))
 
     new_value: Optional[FieldValue]
-    if not _flip_determined(p, aid, z2.labels[aid]):
+    if not _flip_determined(p, quad, z2.labels[aid]):
         new_value = None
     elif z2.labels[aid] == 0:
         new_value = p.ctx.zero()
@@ -901,9 +923,7 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
         if old * new_value != exchange:
             raise SurfaceError(f"exchange identity fails at arc {aid}")
 
-    values2 = dict(p.values)
-    values2[aid] = new_value
-    return SurfaceDeepPoint(values2, z2, p.ctx)
+    return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
 
 @dataclass
@@ -918,25 +938,13 @@ class WalkReport:
         return not self.failures
 
 
-def _check_state(p: SurfaceDeepPoint, report: WalkReport, where: str) -> None:
-    t = p.triangulation
-    if not any(v == 0 for v in p.z2.labels):
-        report.failures.append(f"{where}: no arc of the triangulation vanishes")
-    for tri in t.triangles:
-        zeros = sum(1 for s in tri if p.z2.labels[t.arc_of_side(s)] == 0)
-        if zeros % 2 != 1:
-            report.failures.append(f"{where}: triangle {tri} has {zeros} zero sides")
-    for aid, v in p.values.items():
-        if v is not None and v.is_zero != (p.z2.labels[aid] == 0):
-            report.failures.append(f"{where}: value/label mismatch on arc {aid}")
-
-
 def verify_deep_random_walk(
     p: SurfaceDeepPoint, steps: int, seed: int
 ) -> WalkReport:
-    """Seeded random flip walk certifying deepness along the way: at every
-    visited triangulation some arc vanishes, every triangle kills an odd
-    number of its sides, and every computable exchange identity holds."""
+    """Seeded random flip walk certifying deepness along the way: the start
+    state is rebuilt, and each later one made by `flip_evaluation`, through
+    `Z2Class` and `SurfaceDeepPoint`, whose checks each state must pass; and
+    every computable exchange identity holds."""
     import random as _random
 
     if steps < 0:
@@ -944,34 +952,35 @@ def verify_deep_random_walk(
 
     rng = _random.Random(seed)
     report = WalkReport(steps)
-    state = p
-    _check_state(state, report, "start")
+    try:
+        state = SurfaceDeepPoint(p.values, Z2Class(p.z2.carrier, p.z2.labels), p.ctx)
+    except SurfaceError as exc:
+        report.failures.append(f"start: {exc}")
+        return report
     t = state.triangulation
     candidates = sorted(t.interior_arcs())
-    # whether each interior arc's flip determines its value; a flip of aid
-    # changes the label, value and quadrilateral of no arc outside aid and
-    # the arcs of its quadrilateral, so only those are re-tested
-    determined: Dict[int, bool] = {}
+    # each interior arc's quad and whether its flip determines its value; a
+    # flip of aid changes the label, value and quad of no arc outside its
+    # quad, whose six sides include aid's own, so only those are re-tested
+    tested: Dict[int, Tuple[Quad, bool]] = {}
     retest = set(candidates)
     for step in range(steps):
         for a in retest:
-            determined[a] = _flip_determined(state, a, _new_label(t, state.z2.labels, a))
-        pool = [a for a in candidates if determined[a]] or candidates
+            quad = t.flip_quad(a)
+            new_label = _new_label(t, state.z2.labels, quad)
+            tested[a] = (quad, _flip_determined(state, quad, new_label))
+        pool = [a for a in candidates if tested[a][1]] or candidates
         aid = rng.choice(pool)
         try:
             state = flip_evaluation(state, aid)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
-        _, pp, qq, _, rr, ss = t.flip_quad(aid)
         t = state.triangulation
-        retest = {aid} | {
-            a for a in map(t.arc_of_side, (pp, qq, rr, ss)) if not t.arc_is_boundary(a)
-        }
+        retest = {a for a in map(t.arc_of_side, tested[aid][0]) if not t.arc_is_boundary(a)}
         report.flips_taken.append(aid)
         if state.values.get(aid) is None:
             report.undetermined_values += 1
-        _check_state(state, report, f"step {step}")
     return report
 
 
@@ -985,9 +994,6 @@ class AlternatingDoubleCover:
     re-glued along the dissection so endpoint colors match."""
 
     base: SurfaceTriangulation
-    dissection: Dissection
-    triangles: Tuple[Triangle, ...]
-    glue: Dict[int, int]
     projection: Dict[int, int]
     vertex_colors: Dict[int, int]
     complex: _Complex
@@ -1035,13 +1041,10 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
             glue[b] = a
     cover_cx = _Complex(triangles, glue)
 
+    projection = {s: (s - shift if s >= shift else s) for s in cover_cx.sides}
     vertex_colors: Dict[int, int] = {}
     for s in cover_cx.sides:
-        if s >= shift:
-            copy, base_side = 1, s - shift
-        else:
-            copy, base_side = 0, s
-        c = color(copy, base_side, at_head=False)
+        c = color(int(s >= shift), projection[s], at_head=False)
         vtx = cover_cx.tail_vertex(s)
         if vtx in vertex_colors and vertex_colors[vtx] != c:
             raise SurfaceError("cover coloring is inconsistent around a vertex")
@@ -1049,21 +1052,16 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
 
     cover = AlternatingDoubleCover(
         base=t,
-        dissection=d,
-        triangles=tuple(triangles),
-        glue=glue,
-        projection={s: (s - shift if s >= shift else s) for s in cover_cx.sides},
+        projection=projection,
         vertex_colors=vertex_colors,
         complex=cover_cx,
     )
-    _validate_cover(cover, t, shift)
+    _validate_cover(cover)
     return cover
 
 
-def _validate_cover(
-    cover: AlternatingDoubleCover, base: SurfaceTriangulation, shift: int
-) -> None:
-    cx = cover.complex
+def _validate_cover(cover: AlternatingDoubleCover) -> None:
+    cx, base = cover.complex, cover.base
     # adjacent marked points along the cover boundary have opposite colors
     for s in cx.boundary_sides:
         if cover.vertex_colors[cx.tail_vertex(s)] == cover.vertex_colors[cx.head_vertex(s)]:
@@ -1127,12 +1125,12 @@ class DehnTwistReport:
 
 
 def _twist_action(
-    t0: SurfaceTriangulation, max_len: int = 4
+    t0: SurfaceTriangulation,
 ) -> Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Tuple[int, ...]]]:
     """The shortest non-backtracking flip sequence returning to a
     boundary-pinned copy of t0, as a permutation of label classes."""
     sequences = [((), t0)]
-    for length in range(1, max_len + 1):
+    for length in range(1, MAX_TWIST_FLIPS + 1):
         next_sequences = []
         for path, tri in sequences:
             for aid in tri.interior_arcs():

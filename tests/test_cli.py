@@ -169,6 +169,14 @@ class TestSubcommands:
         assert code == 0
         assert "0" in out
 
+    def test_surface_components_on_a_genus8_file(self):
+        path = os.path.join(DATA, "genus8.json")
+        code, out = run_cli(["surface", "components", "--surface", path, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"] == {"failed": 0, "passed": 3}
+        assert doc["assertions"][0]["witness"] == str(2**16)
+
     def test_surface_deep_fixture(self):
         code, out = run_cli(
             [

@@ -26,6 +26,7 @@ from deeplocus.surface import (
     build_from_gluing,
     class_of_dissection,
     congruent,
+    count_classes,
     cut_polygon,
     deep_point_from_dissection,
     dehn_twist_scenario_11_annulus,
@@ -311,6 +312,23 @@ class TestClasses:
                 ba = transport_class(transport_class(cls, b), a)
                 assert ab.labels == ba.labels
 
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_count_matches_the_listing(self, name):
+        for t in flipped_carriers(name):
+            assert count_classes(t) == len(solve_classes(t))
+
+    def test_genus8_count_builds_no_class(self, monkeypatch):
+        # counting the 2^16 classes of a genus-8 surface builds none of them
+        from deeplocus.scenarios import scenario_surface_components
+
+        t = genus_surface(8)
+        validated = []
+        monkeypatch.setattr(Z2Class, "__post_init__", lambda c: validated.append(c))
+        assert count_classes(t) == 2**16
+        report = scenario_surface_components(given_surface=("genus8.json", t))
+        assert (report.passed, report.failed) == (3, 0)
+        assert validated == []
+
     def test_cocycle_validation(self):
         t = named_surface("disk6")
         [cls] = solve_classes(t)
@@ -590,7 +608,7 @@ class TestDeepPoints:
         for _ in range(200):
             tcur = state.triangulation
             for aid in tcur.interior_arcs():
-                labels2 = _transport_labels(tcur, state.z2.labels, aid)
+                labels2 = _transport_labels(tcur, state.z2.labels, tcur.flip_quad(aid))
                 old = state.values.get(aid)
                 if old is None or not old.is_zero:
                     continue
@@ -631,8 +649,9 @@ class TestDeepPoints:
         for _ in range(40):
             tcur = state.triangulation
             for aid in tcur.interior_arcs():
-                label = _transport_labels(tcur, state.z2.labels, aid)[aid]
-                determined = _flip_determined(state, aid, label)
+                quad = tcur.flip_quad(aid)
+                label = _transport_labels(tcur, state.z2.labels, quad)[aid]
+                determined = _flip_determined(state, quad, label)
                 derived = flip_evaluation(state, aid).values[aid] is not None
                 assert determined == derived, (name, aid)
                 seen.add(determined)
@@ -654,7 +673,7 @@ class TestDeepPoints:
         def no_check(*args):
             raise AssertionError("walk started checking")
 
-        monkeypatch.setattr(surface_module, "_check_state", no_check)
+        monkeypatch.setattr(surface_module, "Z2Class", no_check)
         with pytest.raises(SurfaceError, match="-1"):
             verify_deep_random_walk(p, -1, seed=0)
 
@@ -663,8 +682,8 @@ class TestDeepPoints:
         # the walk re-tests only the arcs a flip touches; the reference
         # re-tests every interior arc before every step
         from deeplocus.surface import (
+            SurfaceDeepPoint,
             WalkReport,
-            _check_state,
             _flip_determined,
             _transport_labels,
             solve_closing_value,
@@ -673,18 +692,20 @@ class TestDeepPoints:
         def reference_walk(p, steps, seed):
             rng = random.Random(seed)
             report = WalkReport(steps)
-            state = p
-            _check_state(state, report, "start")
+            try:
+                state = SurfaceDeepPoint(p.values, Z2Class(p.z2.carrier, p.z2.labels), p.ctx)
+            except SurfaceError as exc:
+                report.failures.append(f"start: {exc}")
+                return report
             for step in range(steps):
                 t = state.triangulation
                 candidates = sorted(t.interior_arcs())
-                defined = [
-                    aid
-                    for aid in candidates
-                    if _flip_determined(
-                        state, aid, _transport_labels(t, state.z2.labels, aid)[aid]
-                    )
-                ]
+                defined = []
+                for aid in candidates:
+                    quad = t.flip_quad(aid)
+                    label = _transport_labels(t, state.z2.labels, quad)[aid]
+                    if _flip_determined(state, quad, label):
+                        defined.append(aid)
                 aid = rng.choice(defined if defined else candidates)
                 try:
                     state = flip_evaluation(state, aid)
@@ -694,7 +715,6 @@ class TestDeepPoints:
                 report.flips_taken.append(aid)
                 if state.values.get(aid) is None:
                     report.undetermined_values += 1
-                _check_state(state, report, f"step {step}")
             return report
 
         rng = random.Random(f"walk-oracle/{ctx!r}")
@@ -720,21 +740,71 @@ class TestDeepPoints:
         assert undetermined["disk6"] > 0
 
     def test_walk_rejects_fabricated_torus_state(self):
-        # all-ones labels violate the vanishing certificate immediately
+        # all-ones labels violate the vanishing certificate immediately; the
+        # class skips its own checks, so the walk's rebuild must catch it
         from deeplocus.surface import SurfaceDeepPoint
 
         t = named_surface("annulus22")
         d = Dissection(t, frozenset([0]))
         p = ones_deep_point(t, d, {0: QQ.from_int(5)})
+        z2 = p.z2.__class__.__new__(p.z2.__class__)
+        object.__setattr__(z2, "carrier", t)
+        object.__setattr__(z2, "labels", tuple([1] * len(t.arcs)))
         fake = SurfaceDeepPoint(
-            values={a: QQ.one() for a in range(len(t.arcs))},
-            z2=p.z2.__class__.__new__(p.z2.__class__),
-            ctx=QQ,
+            values={a: QQ.one() for a in range(len(t.arcs))}, z2=z2, ctx=QQ
         )
-        object.__setattr__(fake.z2, "carrier", t)
-        object.__setattr__(fake.z2, "labels", tuple([1] * len(t.arcs)))
-        report = verify_deep_random_walk(fake, 1, seed=1)
-        assert not report.passed
+        for steps in (0, 1):
+            report = verify_deep_random_walk(fake, steps, seed=1)
+            assert not report.passed
+            assert report.failures[0].startswith("start: ")
+            assert report.flips_taken == []
+
+    def test_deep_point_rejects_a_value_against_its_label(self):
+        from deeplocus.surface import SurfaceDeepPoint
+
+        t = named_surface("annulus22")
+        p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+        zero = min(p.z2.zero_arcs())
+        one = min(set(p.values) - p.z2.zero_arcs())
+        for aid, v in [(zero, QQ.one()), (one, QQ.zero())]:
+            with pytest.raises(SurfaceError, match=f"value/label mismatch on arc {aid}$"):
+                SurfaceDeepPoint({**p.values, aid: v}, p.z2, p.ctx)
+        # an underdetermined value agrees with either label
+        SurfaceDeepPoint({**p.values, zero: None, one: None}, p.z2, p.ctx)
+
+    def test_walk_works_out_each_quadrilateral_once(self, monkeypatch):
+        # a flip works out one quad per re-tested arc (the flipped arc and
+        # the arcs of its quad, at most five), one in flip_evaluation, whose
+        # rules read it from there, and one in SurfaceTriangulation.flip
+        from deeplocus.surface import solve_closing_value
+
+        rng = random.Random("quad-count")
+        F101 = prime_field(101)
+        starts = []
+        for name in ["annulus22", "genus1", "genus2", "pants"]:
+            t = named_surface(name)
+            for _ in range(4):
+                t = t.flip(rng.choice(t.interior_arcs()))
+            d = dissection_spanning_tree(t)
+            bvals = {a: random_value(F101, rng, nonzero=True) for a in t.boundary_arcs()}
+            dvals = {a: random_value(F101, rng, nonzero=True) for a in d.arcs}
+            target = t.boundary_arcs()[0]
+            bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
+            starts.append((name, deep_point_from_dissection(d, bvals, dvals)))
+
+        calls = []
+        flip_quad = SurfaceTriangulation.flip_quad
+
+        def counted(self, aid):
+            calls.append(aid)
+            return flip_quad(self, aid)
+
+        monkeypatch.setattr(SurfaceTriangulation, "flip_quad", counted)
+        for name, p in starts:
+            calls.clear()
+            report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
+            assert report.passed and len(report.flips_taken) == 300, name
+            assert len(calls) <= 7 * 300, (name, len(calls) / 300)
 
     def test_disk_walk_agrees_with_polygon_oracle(self):
         t = named_surface("disk4")
@@ -837,7 +907,7 @@ class TestDoubleCovers:
         cover = alternating_double_cover(dissection_spanning_tree(t))
         # two disjoint copies of the disk
         assert not cover.complex.connected()
-        assert len(cover.triangles) == 2 * len(t.triangles)
+        assert len(cover.complex.triangles) == 2 * len(t.triangles)
 
     def test_annulus11_covers_are_connected(self):
         t = named_surface("annulus11")
