@@ -185,13 +185,19 @@ def cmd_rank2(args) -> int:
     return 0 if all(e["verified"] for e in entries) else 1
 
 
+def _markov_point(text: str, ctx: FieldContext) -> markov.MarkovUpperPoint:
+    values = [ctx.parse(v) for v in text.split(",")]
+    if len(values) != 4:
+        raise ParseError(f"--point needs the four values x,y,z,M, got {text!r}")
+    return markov.MarkovUpperPoint(*values)
+
+
 def cmd_markov(args) -> int:
     ctx = parse_field(args.field)
     if args.markov_cmd == "classify":
-        x, y, z, M = (ctx.parse(v) for v in args.point.split(","))
-        p = markov.MarkovUpperPoint(x, y, z, M)
+        p = _markov_point(args.point, ctx)
         t = markov.classify_deep_upper(p)
-        doc = {"schema": 1, "point": [str(v) for v in (x, y, z, M)], "deep": t is not None}
+        doc = {"schema": 1, "point": [str(v) for v in (p.x, p.y, p.z, p.M)], "deep": t is not None}
         if t is not None:
             doc["type"] = t.tag
             doc["parameters"] = {
@@ -219,12 +225,11 @@ def cmd_markov(args) -> int:
         return 0
     if args.markov_cmd == "verify":
         _at_least("--depth", args.depth, 0)
-        x, y, z, M = (ctx.parse(v) for v in args.point.split(","))
-        p = markov.MarkovUpperPoint(x, y, z, M)
+        p = _markov_point(args.point, ctx)
         report = markov.explore_and_verify(p, depth=args.depth)
         doc = {
             "schema": 1,
-            "point": [str(v) for v in (x, y, z, M)],
+            "point": [str(v) for v in (p.x, p.y, p.z, p.M)],
             "depth": args.depth,
             "nodes_visited": report.nodes_visited,
             "passed": report.passed,

@@ -339,18 +339,13 @@ class Rank2Evaluation:
     lo: int
     hi: int
     values: Dict[int, FieldValue]
-    # the e-vector window on [lo - 1, hi + 1] that filled values, with its memo
-    _window: Optional[EVectorWindow] = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, i: int) -> FieldValue:
         return self.values[i]
 
     def is_deep(self) -> bool:
-        """Every relation inside the window holds exactly and the zero set
-        is exactly the evens or exactly the odds."""
-        for i in range(self.lo + 1, self.hi):
-            if not relation_holds(self.point.spec, self._window, self.point.ys, self.values, i):
-                return False
+        """The zero set is exactly the evens or exactly the odds; the
+        relations in [lo+1, hi-1] hold by `extend_evaluation`."""
         zero, nonzero = set(), set()
         for i in range(self.lo, self.hi + 1):
             (zero if self.values[i].is_zero else nonzero).add(i % 2)
@@ -358,9 +353,10 @@ class Rank2Evaluation:
 
 
 def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
-    """Fill the window [-N, N+3], N >= 0.  Where the division rule is
-    blocked by a vanishing neighbor, the relation there must hold already
-    and the closed form takes over; otherwise the candidate is invalid."""
+    """Fill the window [-N, N+3], N >= 0, so that every relation in
+    [-N+1, N+2] holds: those at 1 and 2 are the input check, and each step
+    makes the one at its middle index hold, by division or, where the
+    divisor is 0, by the closed form once that relation's rhs is 0."""
     if N < 0:
         raise Rank2Error(f"window depth N must be at least 0, got {N}")
     if not is_valid_point(p):
@@ -387,7 +383,7 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
         advance(j, -1)
     for j in range(-1, lo - 1, -1):
         advance(j, +1)
-    return Rank2Evaluation(p, lo, hi, w, evw)
+    return Rank2Evaluation(p, lo, hi, w)
 
 
 def relation_holds(
@@ -397,14 +393,15 @@ def relation_holds(
     window: Dict[int, FieldValue],
     i: int,
 ) -> bool:
-    """Exact identity check of the mutation relation at index i."""
+    """Exact check of the mutation relation at index i (a test oracle)."""
     return window[i - 1] * window[i + 1] == _relation_rhs(
         spec, evw[i], ys, window[i], i, evw._memo
     )
 
 
 def verify_deep(p: Rank2Point, N: int = 10) -> bool:
-    """Certify deepness on [-N, N+3]; see Rank2Evaluation.is_deep."""
+    """Certify deepness on [-N, N+3]: extend_evaluation makes the relations
+    hold (or raises) and Rank2Evaluation.is_deep reads the zero pattern."""
     return extend_evaluation(p, N).is_deep()
 
 

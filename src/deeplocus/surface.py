@@ -151,7 +151,8 @@ class _Complex:
         return [a for a in range(len(self.arcs)) if not self.arc_is_boundary(a)]
 
     def boundary_arcs(self) -> List[int]:
-        return [a for a in range(len(self.arcs)) if self.arc_is_boundary(a)]
+        # arc ids follow sorted side ids, so this is in id order
+        return [self._arc_of_side[s] for s in self.boundary_sides]
 
     # -- triangle navigation ------------------------------------------------
 
@@ -588,6 +589,9 @@ class Dissection:
 
     def __post_init__(self):
         t = self.carrier
+        unknown = sorted(a for a in self.arcs if not 0 <= a < len(t.arcs))
+        if unknown:
+            raise NotADissection(f"no arc {unknown[0]}: arc ids run 0..{len(t.arcs) - 1}")
         for a in self.arcs:
             if t.arc_is_boundary(a):
                 raise NotADissection(f"arc {a} is a boundary arc")
@@ -894,35 +898,26 @@ def _flip_determined(p: SurfaceDeepPoint, quad: Quad, new_label: int) -> bool:
 
 
 def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
-    """Carry the deep point across one flip.
-
-    The class always transports; the new arc's value is 0 when its label
-    is 0, is derived from the quadrilateral exchange relation when the old
-    value is known and nonzero, and is otherwise underdetermined (None)."""
+    """Carry the deep point across one flip; the class always transports.
+    At new label 0 the new value is 0, so the exchange identity old * new =
+    v(p)v(r) + v(q)v(s) reads v(p)v(r) + v(q)v(s) = 0, tested whenever the
+    four sides are known, the old value or not.  At label 1 the new value
+    is made from the identity when `_flip_determined`, else left None."""
     t = p.triangulation
     _, pp, qq, _, rr, ss = quad = t.flip_quad(aid)
     arc = t.arc_of_side
     vp, vq, vr, vs = quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
-    exchange = (
-        vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
-    )
-    old = p.values.get(aid)
+    exchange = vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
     # transport_class, with the quad worked out above
     z2 = Z2Class(t.flip(aid), _transport_labels(t, p.z2.labels, quad))
 
-    new_value: Optional[FieldValue]
-    if not _flip_determined(p, quad, z2.labels[aid]):
-        new_value = None
-    elif z2.labels[aid] == 0:
-        new_value = p.ctx.zero()
-    else:
-        new_value = exchange / old
-
-    # exchange identity old * new = v(p)v(r) + v(q)v(s), where computable
-    if old is not None and new_value is not None and exchange is not None:
-        if old * new_value != exchange:
+    new_value: Optional[FieldValue] = None
+    if z2.labels[aid] == 0:
+        if exchange is not None and not exchange.is_zero:
             raise SurfaceError(f"exchange identity fails at arc {aid}")
-
+        new_value = p.ctx.zero()
+    elif _flip_determined(p, quad, 1):
+        new_value = exchange / p.values[aid]
     return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
 
@@ -944,7 +939,9 @@ def verify_deep_random_walk(
     """Seeded random flip walk certifying deepness along the way: the start
     state is rebuilt, and each later one made by `flip_evaluation`, through
     `Z2Class` and `SurfaceDeepPoint`, whose checks each state must pass; and
-    every computable exchange identity holds."""
+    every exchange identity holds: `flip_evaluation` tests it at each flip
+    to label 0 whose four sides are known, and makes it hold at each flip
+    to label 1 whose value it derives."""
     import random as _random
 
     if steps < 0:

@@ -255,6 +255,9 @@ BAD_INPUTS = {
         None,
     ),
     "markov-letter": (["markov", "verify", "--point", "a,1,1,3"], None),
+    "markov-classify-two-values": (["markov", "classify", "--point", "1,2"], None),
+    "markov-verify-three-values": (["markov", "verify", "--point", "1,2,3"], None),
+    "markov-verify-five-values": (["markov", "verify", "--point", "1,1,1,3,4"], None),
     "rank2-e1-letter": (["rank2", "--b", "2", "--c", "2", "--e1", "x"], None),
     "surface-sides-not-a-number": (
         ["surface", "invariants", "--surface", "{file}"],
@@ -305,6 +308,17 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("aid", [999, 8, -1])
+def test_fixture_with_an_unknown_arc_exits_1_naming_it(aid, tmp_path, capsys):
+    # annulus22 has arcs 0..7; -1 is not read as the last one
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({**DEEP_FIXTURE, "dissection": [aid]}))
+    code, out = run_cli(DEEP_ON_ANNULUS22 + ["--fixture", str(path), "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == f"error: NotADissection: no arc {aid}: arc ids run 0..7\n"
 
 
 # each subcommand's argv, and the flags it does not read

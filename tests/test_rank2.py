@@ -393,6 +393,11 @@ class TestWindowOracle:
                     continue
                 ev = extend_evaluation(p, 4)
                 assert ev.values == stepwise_window(p, 4)
+                # the fill makes every relation inside the window hold,
+                # which is why is_deep reads only the zero pattern
+                evw = e_vectors(spec, ev.lo - 1, ev.hi + 1)
+                for i in range(ev.lo + 1, ev.hi):
+                    assert relation_holds(spec, evw, p.ys, ev.values, i), (ctx, p, i)
                 checked += 1
         assert checked >= 6
 
@@ -418,7 +423,7 @@ class TestWindowOracle:
 
 @pytest.mark.parametrize("ctx", [QI, F5], ids=["Qi", "F5"])
 def test_verify_deep_builds_one_window(ctx, monkeypatch):
-    # verify_deep checks the relations on the window extend_evaluation filled
+    # verify_deep reads the zero pattern of the window extend_evaluation filled
     calls = []
 
     def counted(spec, lo, hi):

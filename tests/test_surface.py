@@ -359,6 +359,15 @@ class TestDissections:
         with pytest.raises(NotADissection):
             Dissection(t, frozenset([t.boundary_arcs()[0]]))
 
+    def test_unknown_arc_id_is_rejected_first(self):
+        t = named_surface("annulus22")
+        boundary = t.boundary_arcs()[0]
+        for aid in (999, len(t.arcs), -1):
+            # a boundary arc beside it would fail the next check
+            for arcs in ([aid], [aid, boundary]):
+                with pytest.raises(NotADissection, match=f"no arc {aid}:"):
+                    Dissection(t, frozenset(arcs))
+
     def test_class_of_dissection_unique(self):
         t = named_surface("annulus22")
         d = dissection_spanning_tree(t)
@@ -627,6 +636,44 @@ class TestDeepPoints:
             except SurfaceError:
                 pass
         assert seen_zero_to_zero and seen_underdetermined
+
+    @pytest.mark.parametrize("old_known", [True, False], ids=["old", "no-old"])
+    def test_label0_flip_tests_the_exchange_sum(self, old_known):
+        # a label-0 flip whose four sides are labeled 1: the exchange
+        # identity reads v(p)v(r) + v(q)v(s) = 0, with or without the old
+        # value, and a perturbed side breaks it
+        from deeplocus.surface import SurfaceDeepPoint, _new_label
+
+        t = named_surface("annulus22")
+        state = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+        rng = random.Random(3)
+        for _ in range(100):
+            tcur = state.triangulation
+            arc, labels = tcur.arc_of_side, state.z2.labels
+            found = [
+                (aid, quad)
+                for aid in tcur.interior_arcs()
+                for quad in [tcur.flip_quad(aid)]
+                if _new_label(tcur, labels, quad) == 0
+                and all(
+                    labels[arc(x)] == 1 and state.values[arc(x)] is not None
+                    for x in (quad[1], quad[2], quad[4], quad[5])
+                )
+            ]
+            if found:
+                break
+            state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
+        assert found
+        aid, quad = found[0]
+        values = dict(state.values)
+        if not old_known:
+            values[aid] = None
+        point = SurfaceDeepPoint(values, state.z2, QQ)
+        assert flip_evaluation(point, aid).values[aid] == QQ.zero()
+        side = arc(quad[1])
+        bent = SurfaceDeepPoint({**values, side: values[side] * QQ.from_int(2)}, state.z2, QQ)
+        with pytest.raises(SurfaceError, match=f"exchange identity fails at arc {aid}$"):
+            flip_evaluation(bent, aid)
 
     @pytest.mark.parametrize("name", ["annulus22", "genus2"])
     def test_flip_determined_matches_flip_evaluation(self, name):
