@@ -41,6 +41,14 @@ def parse_field(selector: str) -> FieldContext:
     raise ParseError(f"unknown field selector {selector!r} (use q, qi, fp:<p>)")
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer read as an id or a count; a float, a bool (which
+    Python counts as an int) or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def ingest_surface(path: str) -> surface.SurfaceTriangulation:
     """Read {"polygon_sides": n, "gluings": [[a, b], ...]} and build."""
     try:
@@ -50,13 +58,14 @@ def ingest_surface(path: str) -> surface.SurfaceTriangulation:
         raise ParseError(f"cannot read surface file {path}: {exc}")
     if not isinstance(data, dict) or "polygon_sides" not in data:
         raise ParseError(f"{path}: expected keys polygon_sides, gluings")
+    sides = _integer(data["polygon_sides"], f"{path}: polygon_sides")
     try:
-        sides = int(data["polygon_sides"])
-        gluings = [tuple(pair) for pair in data.get("gluings", [])]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed polygon_sides or gluings: {exc}") from None
-    if not all(isinstance(v, int) for pair in gluings for v in pair):
-        raise ParseError(f"{path}: gluings must be pairs of integer side ids")
+        gluings = [
+            tuple(_integer(v, f"{path}: a gluing side id") for v in pair)
+            for pair in data.get("gluings", [])
+        ]
+    except TypeError as exc:
+        raise ParseError(f"{path}: malformed gluings: {exc}") from None
     return surface.build_from_gluing(sides, gluings)
 
 
@@ -77,7 +86,9 @@ def ingest_deep_fixture(
         raise ParseError(f"{path}: expected a list dissection and an object values")
     ctx = parse_field(str(data.get("field", "q")))
     try:
-        arcs = frozenset(int(a) for a in data["dissection"])
+        arcs = frozenset(
+            _integer(a, f"{path}: a dissection arc id") for a in data["dissection"]
+        )
         values = {int(a): ctx.parse(str(s)) for a, s in data["values"].items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -92,14 +92,20 @@ class AvoidanceFailed(SurfaceError):
 
 Triangle = Tuple[int, int, int]
 Quad = Tuple[int, int, int, int, int, int]
+# a flip path: (last arc flipped, the path before it), None when empty
+PathLink = Optional[Tuple[int, "PathLink"]]
 # the longest flip sequence the Dehn twist search tries
 MAX_TWIST_FLIPS = 4
+# the attributes `_build_vertices` sets
+_VERTEX_ATTRS = frozenset({"vertex_of_side", "vertex_fans", "interior_vertices"})
 
 
 class _Complex:
     """Raw half-edge combinatorics shared by surfaces and their cuttings.
     `glue` is a read-only view of the gluing dict `_glue`, which this code
-    reads directly: a lookup through the view costs about twice as much."""
+    reads directly: a lookup through the view costs about twice as much.
+    A complex built here has its vertices at once; a flipped triangulation
+    builds them the first time one of `_VERTEX_ATTRS` is read."""
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         self.triangles: Tuple[Triangle, ...] = tuple(tuple(t) for t in triangles)
@@ -174,6 +180,13 @@ class _Complex:
 
     # -- vertices -----------------------------------------------------------
 
+    def __getattr__(self, name: str):
+        # reached only for attributes this instance does not have yet
+        if name not in _VERTEX_ATTRS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_vertices()
+        return object.__getattribute__(self, name)
+
     def _build_vertices(self) -> None:
         # sides sharing a tail vertex form an orbit of s -> next(glue(s));
         # each orbit of a boundary vertex is a path ending at a boundary side
@@ -183,9 +196,11 @@ class _Complex:
 
         limit = len(self.sides)
         starts = [s for s in self.sides if self.prev_in_tri(s) not in self._glue]
-        self.vertex_of_side: Dict[int, int] = {}
-        self.vertex_fans: List[List[int]] = []
-        self.interior_vertices = 0
+        # built in locals and set together, so that a walk that does not
+        # close leaves no half-built vertices to read
+        vertex_of_side: Dict[int, int] = {}
+        vertex_fans: List[List[int]] = []
+        interior = 0
         for s0 in starts:
             fan = []
             s: Optional[int] = s0
@@ -193,23 +208,26 @@ class _Complex:
                 if len(fan) == limit:
                     raise self._unclosed(s0)
                 fan.append(s)
-                self.vertex_of_side[s] = len(self.vertex_fans)
+                vertex_of_side[s] = len(vertex_fans)
                 s = rot(s)
-            self.vertex_fans.append(fan)
+            vertex_fans.append(fan)
         for s0 in self.sides:
-            if s0 in self.vertex_of_side:
+            if s0 in vertex_of_side:
                 continue
             cycle = [s0]
-            self.vertex_of_side[s0] = len(self.vertex_fans)
+            vertex_of_side[s0] = len(vertex_fans)
             s = rot(s0)
             while s != s0:
                 if s is None or len(cycle) == limit:
                     raise self._unclosed(s0)
                 cycle.append(s)
-                self.vertex_of_side[s] = len(self.vertex_fans)
+                vertex_of_side[s] = len(vertex_fans)
                 s = rot(s)
-            self.vertex_fans.append(cycle)
-            self.interior_vertices += 1
+            vertex_fans.append(cycle)
+            interior += 1
+        self.vertex_of_side = vertex_of_side
+        self.vertex_fans = vertex_fans
+        self.interior_vertices = interior
 
     def tail_vertex(self, s: int) -> int:
         return self.vertex_of_side[s]
@@ -270,15 +288,19 @@ class SurfaceTriangulation(_Complex):
 
     Immutable; flips return a new triangulation sharing the reference and
     extending the flip path.  Arc ids are glue-orbits of side ids, hence
-    identical across all flips of the same surface.  A flip shares the
-    gluing and the arcs with its parent and rebuilds only the two changed
-    triangles and the vertices, but still runs every surface check.
+    identical across all flips of the same surface.  A build from triangles
+    and gluing runs every surface check.  A flip changes only the two
+    triangles of its quadrilateral: it shares the gluing and the arcs with
+    its parent, carries the genus, boundary count and marked points, which
+    no flip changes, checks only its two new triangles, and builds its
+    vertices the first time they are read.  The flip path is kept as links
+    `(aid, prev)`, so a flip costs the same however long the path.
     """
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         super().__init__(triangles, glue)
         self.reference: Optional["SurfaceTriangulation"] = None
-        self.flip_path: Tuple[int, ...] = ()
+        self._path: PathLink = None
         self._check_surface()
 
     def _check_surface(self) -> None:
@@ -341,9 +363,15 @@ class SurfaceTriangulation(_Complex):
         return a1, p, q, a2, r, s
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
-        """Re-diagonalize the quadrilateral around an interior arc.  The
-        gluing, sides and arcs are shared; every surface check runs again."""
-        a1, p, q, a2, r, s = self.flip_quad(aid)
+        """Re-diagonalize the quadrilateral around an interior arc."""
+        return self._flip(self.flip_quad(aid))
+
+    def _flip(self, quad: Quad) -> "SurfaceTriangulation":
+        """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
+        sides and arcs are shared and the invariants carried; the one check
+        that can fail is a repeated side in a new triangle, which is also
+        how an arc with both sides in one triangle shows."""
+        a1, p, q, a2, r, s = quad
         replaced = {self.tri_of_side(a1): (a1, q, r), self.tri_of_side(a2): (a2, s, p)}
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
         triangles = list(self.triangles)
@@ -354,17 +382,27 @@ class SurfaceTriangulation(_Complex):
             triangles[t] = tri
             for k, x in enumerate(tri):
                 side_pos[x] = (t, k)
-        # set in the order __init__ sets them, so that every triangulation
-        # shares one instance attribute layout
+        # set in the order __init__ sets them, less the vertices, so that
+        # every triangulation shares one instance attribute layout
         out.triangles = tuple(triangles)
         out._glue, out.glue, out.side_pos = self._glue, self.glue, side_pos
         out.sides, out.boundary_sides = self.sides, self.boundary_sides
         out.arcs, out._arc_of_side = self.arcs, self._arc_of_side
-        out._build_vertices()
         out.reference = self.ref()
-        out.flip_path = self.flip_path + (aid,)
-        out._check_surface()
+        out._path = (self._arc_of_side[a1], self._path)
+        out.genus, out.num_boundary = self.genus, self.num_boundary
+        out.num_marked = self.num_marked
         return out
+
+    @property
+    def flip_path(self) -> Tuple[int, ...]:
+        """The arcs flipped from the reference to here, in order."""
+        path = []
+        link = self._path
+        while link is not None:
+            aid, link = link
+            path.append(aid)
+        return tuple(reversed(path))
 
     def replay(self) -> List["SurfaceTriangulation"]:
         """The chain reference -> ... -> self along the recorded flip path."""
@@ -450,12 +488,13 @@ class Z2Class:
     def __post_init__(self):
         if len(self.labels) != len(self.carrier.arcs):
             raise InconsistentCocycle("one label per arc required")
+        labels, arc = self.labels, self.carrier._arc_of_side
         for aid in self.carrier.boundary_arcs():
-            if self.labels[aid] != 1:
+            if labels[aid] != 1:
                 raise InconsistentCocycle(f"boundary arc {aid} must be labeled 1")
         for tri in self.carrier.triangles:
-            total = sum(self.labels[self.carrier.arc_of_side(s)] for s in tri)
-            if total % 2 != 0:
+            a, b, c = tri
+            if (labels[arc[a]] + labels[arc[b]] + labels[arc[c]]) % 2 != 0:
                 raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
 
     def zero_arcs(self) -> FrozenSet[int]:
@@ -562,7 +601,8 @@ def _transport_labels(
 def transport_class(cls: Z2Class, aid: int) -> Z2Class:
     """The class carried across one flip (labels on the flipped carrier)."""
     t = cls.carrier
-    return Z2Class(t.flip(aid), _transport_labels(t, cls.labels, t.flip_quad(aid)))
+    quad = t.flip_quad(aid)
+    return Z2Class(t._flip(quad), _transport_labels(t, cls.labels, quad))
 
 
 def transport_to_reference(cls: Z2Class) -> Z2Class:
@@ -570,7 +610,7 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
     chain = cls.carrier.replay()
     labels = cls.labels
     for step in range(len(chain) - 1, 0, -1):
-        aid = chain[step].flip_path[-1]
+        aid = chain[step]._path[0]
         labels = _transport_labels(chain[step], labels, chain[step].flip_quad(aid))
     return Z2Class(chain[0], labels)
 
@@ -695,8 +735,9 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
             ]
             if not incident:
                 break
-            labels = _transport_labels(tri, labels, tri.flip_quad(incident[0]))
-            tri = tri.flip(incident[0])
+            quad = tri.flip_quad(incident[0])
+            labels = _transport_labels(tri, labels, quad)
+            tri = tri._flip(quad)
 
         ear = cx.tri_of_side(s_before)
         if cx.tri_of_side(s_after) != ear:
@@ -909,7 +950,7 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     vp, vq, vr, vs = quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
     exchange = vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
     # transport_class, with the quad worked out above
-    z2 = Z2Class(t.flip(aid), _transport_labels(t, p.z2.labels, quad))
+    z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
 
     new_value: Optional[FieldValue] = None
     if z2.labels[aid] == 0:
@@ -941,7 +982,11 @@ def verify_deep_random_walk(
     `Z2Class` and `SurfaceDeepPoint`, whose checks each state must pass; and
     every exchange identity holds: `flip_evaluation` tests it at each flip
     to label 0 whose four sides are known, and makes it hold at each flip
-    to label 1 whose value it derives."""
+    to label 1 whose value it derives.  A flip checks only its two new
+    triangles and carries the surface invariants, so the end state is
+    rebuilt from its triangles and gluing, which runs every surface check
+    once; a failure there, or invariants other than the carried ones, is
+    recorded as `end: ...`."""
     import random as _random
 
     if steps < 0:
@@ -978,6 +1023,14 @@ def verify_deep_random_walk(
         report.flips_taken.append(aid)
         if state.values.get(aid) is None:
             report.undetermined_values += 1
+    try:
+        end = SurfaceTriangulation(t.triangles, t.glue)
+        if end.invariants() != t.invariants():
+            raise SurfaceError(
+                f"invariants {end.invariants()} differ from the carried {t.invariants()}"
+            )
+    except SurfaceError as exc:
+        report.failures.append(f"end: {exc}")
     return report
 
 

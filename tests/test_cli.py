@@ -267,6 +267,28 @@ BAD_INPUTS = {
         ["surface", "invariants", "--surface", "{file}"],
         {"polygon_sides": 6, "gluings": [["a", "b"]]},
     ),
+    # ids and counts are JSON integers: a float is not truncated, nor a
+    # bool read as 0 or 1
+    "surface-sides-float": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": 6.7, "gluings": []},
+    ),
+    "surface-sides-string": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": "6", "gluings": []},
+    ),
+    "gluing-side-bool": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": 6, "gluings": [[True, 3]]},
+    ),
+    "fixture-dissection-float": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "dissection": [0.9]},
+    ),
+    "fixture-dissection-bool": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "dissection": [True]},
+    ),
     "fixture-value-z": (
         DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
         {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "0": "z"}},

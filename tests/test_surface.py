@@ -189,6 +189,7 @@ class TestFlips:
             assert {s: t.arc_of_side(s) for s in t.sides} == {
                 s: fresh.arc_of_side(s) for s in fresh.sides
             }
+            assert t.vertex_of_side == fresh.vertex_of_side
             assert t.vertex_fans == fresh.vertex_fans
             assert t.interior_vertices == fresh.interior_vertices == 0
             assert t.invariants() == fresh.invariants() == invariants
@@ -205,9 +206,10 @@ class TestFlips:
         assert flipped.glue == t.glue
 
     @pytest.mark.parametrize("check", ["connected", "punctures", "genus"])
-    def test_flip_runs_every_surface_check(self, monkeypatch, check):
-        # no check is carried over from the parent: each one a flip result
-        # fails must make the flip raise
+    def test_a_build_and_a_walk_end_run_every_surface_check(self, monkeypatch, check):
+        # a flip carries the surface checks over from its parent; each one a
+        # flip result fails must make a build of its triangles raise, and a
+        # walk, which builds its end state so, report it as its one failure
         from deeplocus.surface import _Complex
 
         build_vertices, counts = _Complex._build_vertices, _Complex.counts
@@ -226,9 +228,45 @@ class TestFlips:
             "genus": ("counts", one_more_vertex, SurfaceError),
         }[check]
         t = named_surface("genus1")
+        p = ones_deep_point(t)
+        flipped = t.flip(t.interior_arcs()[0])
         monkeypatch.setattr(_Complex, method, patched)
-        with pytest.raises(error):
-            t.flip(t.interior_arcs()[0])
+        with pytest.raises(error) as raised:
+            SurfaceTriangulation(flipped.triangles, dict(flipped.glue))
+        report = verify_deep_random_walk(p, 20, seed=5)
+        assert len(report.flips_taken) == 20
+        assert report.failures == [f"end: {raised.value}"]
+
+    def test_flip_runs_no_global_surface_check(self, monkeypatch):
+        # a flip and a flip evaluation touch only their quadrilateral: they
+        # build no vertices and walk neither the triangles nor the boundary
+        from deeplocus.surface import _Complex
+
+        t = named_surface("genus2")
+        p = ones_deep_point(t)
+        invariants = t.invariants()
+
+        def refuse(cx):
+            raise AssertionError("a flip ran a global surface check")
+
+        for method in ("_build_vertices", "connected", "boundary_components"):
+            monkeypatch.setattr(_Complex, method, refuse)
+        rng = random.Random("local-flips")
+        for _ in range(50):
+            t = t.flip(rng.choice(t.interior_arcs()))
+            p = flip_evaluation(p, rng.choice(p.triangulation.interior_arcs()))
+        assert t.invariants() == p.triangulation.invariants() == invariants
+
+    def test_flip_path_lists_the_arcs_flipped_in_order(self):
+        rng = random.Random("flip-path")
+        t = named_surface("pants")
+        assert t.flip_path == ()
+        flipped = []
+        for _ in range(40):
+            aid = rng.choice(t.interior_arcs())
+            t = t.flip(aid)
+            flipped.append(aid)
+            assert t.flip_path == tuple(flipped)
 
 
 class TestClasses:
@@ -821,8 +859,8 @@ class TestDeepPoints:
 
     def test_walk_works_out_each_quadrilateral_once(self, monkeypatch):
         # a flip works out one quad per re-tested arc (the flipped arc and
-        # the arcs of its quad, at most five), one in flip_evaluation, whose
-        # rules read it from there, and one in SurfaceTriangulation.flip
+        # the arcs of its quad, at most five) and one in flip_evaluation,
+        # whose rules and flip read it from there
         from deeplocus.surface import solve_closing_value
 
         rng = random.Random("quad-count")
@@ -851,7 +889,7 @@ class TestDeepPoints:
             calls.clear()
             report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
             assert report.passed and len(report.flips_taken) == 300, name
-            assert len(calls) <= 7 * 300, (name, len(calls) / 300)
+            assert len(calls) <= 6 * 300, (name, len(calls) / 300)
 
     def test_disk_walk_agrees_with_polygon_oracle(self):
         t = named_surface("disk4")
