@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue
@@ -96,8 +97,21 @@ Quad = Tuple[int, int, int, int, int, int]
 PathLink = Optional[Tuple[int, "PathLink"]]
 # the longest flip sequence the Dehn twist search tries
 MAX_TWIST_FLIPS = 4
+# the longest random walk `verify_deep_random_walk` takes
+MAX_WALK_STEPS = 10**6
 # the attributes `_build_vertices` sets
 _VERTEX_ATTRS = frozenset({"vertex_of_side", "vertex_fans", "interior_vertices"})
+# `_POSITIONS[t][k]` is the side position (t, k): every `side_pos` map
+# holds these shared tuples, not a copy per side; `_positions` only
+# appends to it, so what one caller reads never changes under another
+_POSITIONS: List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]] = []
+
+
+def _positions(count: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]]:
+    """The position table, covering at least `count` triangles."""
+    for t in range(len(_POSITIONS), count):
+        _POSITIONS.append(((t, 0), (t, 1), (t, 2)))
+    return _POSITIONS
 
 
 class _Complex:
@@ -112,13 +126,14 @@ class _Complex:
         self._glue: Dict[int, int] = dict(glue)
         self.glue: Mapping[int, int] = MappingProxyType(self._glue)
         self.side_pos: Dict[int, Tuple[int, int]] = {}
+        positions = _positions(len(self.triangles))
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
                 raise InvalidPairing(f"triangle {t} repeats a side id")
             for k, s in enumerate(tri):
                 if s in self.side_pos:
                     raise InvalidPairing(f"side {s} used twice")
-                self.side_pos[s] = (t, k)
+                self.side_pos[s] = positions[t][k]
         for a, b in self._glue.items():
             if a == b:
                 raise NonOrientableGluing(f"side {a} glued to itself")
@@ -351,16 +366,7 @@ class SurfaceTriangulation(_Complex):
     def flip_quad(self, aid: int) -> Quad:
         """(a1, p, q, a2, r, s): the flipped arc's sides and the cyclic
         quadrilateral sides around it."""
-        arc = self.arcs[aid]
-        if len(arc) == 1:
-            raise BoundaryArc(f"arc {aid} is a boundary arc")
-        a1, a2 = arc
-        t1 = self.triangles[self.tri_of_side(a1)]
-        t2 = self.triangles[self.tri_of_side(a2)]
-        i1, i2 = t1.index(a1), t2.index(a2)
-        p, q = t1[(i1 + 1) % 3], t1[(i1 + 2) % 3]
-        r, s = t2[(i2 + 1) % 3], t2[(i2 + 2) % 3]
-        return a1, p, q, a2, r, s
+        return _quad(self.arcs, self.triangles, self.side_pos, aid)
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
         """Re-diagonalize the quadrilateral around an interior arc."""
@@ -369,19 +375,12 @@ class SurfaceTriangulation(_Complex):
     def _flip(self, quad: Quad) -> "SurfaceTriangulation":
         """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
         sides and arcs are shared and the invariants carried; the one check
-        that can fail is a repeated side in a new triangle, which is also
-        how an arc with both sides in one triangle shows."""
-        a1, p, q, a2, r, s = quad
-        replaced = {self.tri_of_side(a1): (a1, q, r), self.tri_of_side(a2): (a2, s, p)}
+        that can fail is a repeated side in a new triangle (`_new_triangles`)."""
+        replaced = _new_triangles(self.side_pos, quad)
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
         triangles = list(self.triangles)
         side_pos = dict(self.side_pos)
-        for t, tri in replaced.items():
-            if len(set(tri)) != 3:
-                raise InvalidPairing(f"triangle {t} repeats a side id")
-            triangles[t] = tri
-            for k, x in enumerate(tri):
-                side_pos[x] = (t, k)
+        _place(triangles, side_pos, replaced)
         # set in the order __init__ sets them, less the vertices, so that
         # every triangulation shares one instance attribute layout
         out.triangles = tuple(triangles)
@@ -389,7 +388,7 @@ class SurfaceTriangulation(_Complex):
         out.sides, out.boundary_sides = self.sides, self.boundary_sides
         out.arcs, out._arc_of_side = self.arcs, self._arc_of_side
         out.reference = self.ref()
-        out._path = (self._arc_of_side[a1], self._path)
+        out._path = (self._arc_of_side[quad[0]], self._path)
         out.genus, out.num_boundary = self.genus, self.num_boundary
         out.num_marked = self.num_marked
         return out
@@ -412,6 +411,51 @@ class SurfaceTriangulation(_Complex):
         if chain[-1] != self:
             raise SurfaceError("flip path does not reproduce this triangulation")
         return chain
+
+
+# ---------------------------------------------------------------------------
+# the flip rule, on a triangle list and side positions: a triangulation's
+# flip and the random walk's in-place state both read it here
+
+
+def _quad(
+    arcs: Sequence[Tuple[int, ...]],
+    triangles: Sequence[Triangle],
+    side_pos: Mapping[int, Tuple[int, int]],
+    aid: int,
+) -> Quad:
+    """(a1, p, q, a2, r, s) for the arc `aid`: see `flip_quad`."""
+    arc = arcs[aid]
+    if len(arc) == 1:
+        raise BoundaryArc(f"arc {aid} is a boundary arc")
+    a1, a2 = arc
+    t1, i1 = side_pos[a1]
+    t2, i2 = side_pos[a2]
+    tri1, tri2 = triangles[t1], triangles[t2]
+    return a1, tri1[(i1 + 1) % 3], tri1[(i1 + 2) % 3], a2, tri2[(i2 + 1) % 3], tri2[(i2 + 2) % 3]
+
+
+def _new_triangles(side_pos: Mapping[int, Tuple[int, int]], quad: Quad) -> Dict[int, Triangle]:
+    """The two triangles that replace those of `quad` in its flip, by
+    index.  A repeated side in one of them, which is also how an arc with
+    both sides in one triangle shows, raises."""
+    a1, p, q, a2, r, s = quad
+    replaced = {side_pos[a1][0]: (a1, q, r), side_pos[a2][0]: (a2, s, p)}
+    for t, tri in replaced.items():
+        if len(set(tri)) != 3:
+            raise InvalidPairing(f"triangle {t} repeats a side id")
+    return replaced
+
+
+def _place(
+    triangles: List[Triangle],
+    side_pos: Dict[int, Tuple[int, int]],
+    replaced: Mapping[int, Triangle],
+) -> None:
+    """Write the new triangles and their sides' positions in place."""
+    for t, tri in replaced.items():
+        triangles[t] = tri
+        side_pos[tri[0]], side_pos[tri[1]], side_pos[tri[2]] = _POSITIONS[t]
 
 
 def build_from_gluing(
@@ -488,17 +532,23 @@ class Z2Class:
     def __post_init__(self):
         if len(self.labels) != len(self.carrier.arcs):
             raise InconsistentCocycle("one label per arc required")
-        labels, arc = self.labels, self.carrier._arc_of_side
         for aid in self.carrier.boundary_arcs():
-            if labels[aid] != 1:
+            if self.labels[aid] != 1:
                 raise InconsistentCocycle(f"boundary arc {aid} must be labeled 1")
-        for tri in self.carrier.triangles:
-            a, b, c = tri
-            if (labels[arc[a]] + labels[arc[b]] + labels[arc[c]]) % 2 != 0:
-                raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
+        _check_cocycle(self.carrier._arc_of_side, self.labels, self.carrier.triangles)
 
     def zero_arcs(self) -> FrozenSet[int]:
         return frozenset(a for a, v in enumerate(self.labels) if v == 0)
+
+
+def _check_cocycle(
+    arc: Mapping[int, int], labels: Sequence[int], triangles: Iterable[Triangle]
+) -> None:
+    """The cocycle rule on `triangles`: each one's labels sum to even."""
+    for tri in triangles:
+        a, b, c = tri
+        if (labels[arc[a]] + labels[arc[b]] + labels[arc[c]]) % 2 != 0:
+            raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
 
 
 def _eliminate(
@@ -577,13 +627,13 @@ def solve_classes(
     return classes
 
 
-def _new_label(t: SurfaceTriangulation, labels: Tuple[int, ...], quad: Quad) -> int:
+def _new_label(t: SurfaceTriangulation, labels: Sequence[int], quad: Quad) -> int:
     """The label of the arc inside `quad` (its `flip_quad`) after its flip:
     the cocycle completion in either new triangle; the two must agree."""
     _, p, q, _, r, s = quad
-    arc = t.arc_of_side
-    from_t1 = (labels[arc(q)] + labels[arc(r)]) % 2
-    from_t2 = (labels[arc(s)] + labels[arc(p)]) % 2
+    arc = t._arc_of_side
+    from_t1 = (labels[arc[q]] + labels[arc[r]]) % 2
+    from_t2 = (labels[arc[s]] + labels[arc[p]]) % 2
     if from_t1 != from_t2:
         raise InconsistentCocycle("input labels violate the cocycle rule")
     return from_t1
@@ -860,12 +910,17 @@ class SurfaceDeepPoint:
 
     def __post_init__(self):
         for aid, v in self.values.items():
-            if v is not None and v.is_zero != (self.z2.labels[aid] == 0):
-                raise SurfaceError(f"value/label mismatch on arc {aid}")
+            _check_value(aid, v, self.z2.labels[aid])
 
     @property
     def triangulation(self) -> SurfaceTriangulation:
         return self.z2.carrier
+
+
+def _check_value(aid: int, value: Optional[FieldValue], label: int) -> None:
+    """A known value is zero exactly on a label-0 arc."""
+    if value is not None and value.is_zero != (label == 0):
+        raise SurfaceError(f"value/label mismatch on arc {aid}")
 
 
 def deep_point_from_dissection(
@@ -924,41 +979,64 @@ def solve_closing_value(
     return sign / alt if sources.index(target_arc) % 2 == 0 else alt / sign
 
 
-def _flip_determined(p: SurfaceDeepPoint, quad: Quad, new_label: int) -> bool:
+def _flip_determined(
+    t: SurfaceTriangulation, values: Mapping[int, Optional[FieldValue]], quad: Quad, new_label: int
+) -> bool:
     """Whether flipping the arc inside `quad` (its `flip_quad`) determines
     the new arc's value: its label new_label is 0, or the old value is known
     and nonzero and so are the values on the four sides of the quadrilateral."""
     if new_label == 0:
         return True
-    arc = p.triangulation.arc_of_side
-    a1, pp, qq, _, rr, ss = quad
-    old = p.values.get(arc(a1))
+    arc, get = t._arc_of_side, values.get
+    a1, p, q, _, r, s = quad
+    old = get(arc[a1])
     if old is None or old.is_zero:
         return False
-    return all(p.values.get(arc(x)) is not None for x in (pp, qq, rr, ss))
+    return (
+        get(arc[p]) is not None
+        and get(arc[q]) is not None
+        and get(arc[r]) is not None
+        and get(arc[s]) is not None
+    )
+
+
+def _flip_value(
+    t: SurfaceTriangulation,
+    values: Mapping[int, Optional[FieldValue]],
+    quad: Quad,
+    new_label: int,
+    determined: bool,
+    ctx: FieldContext,
+) -> Optional[FieldValue]:
+    """The value of the arc inside `quad` after its flip, given its new
+    label and `_flip_determined`.  At label 0 it is 0, so the exchange
+    identity old * new = v(p)v(r) + v(q)v(s) reads v(p)v(r) + v(q)v(s) = 0,
+    tested whenever the four sides are known, the old value or not.  At
+    label 1 it is made from the identity when determined, else None."""
+    if not determined:
+        return None
+    arc, get = t._arc_of_side, values.get
+    a1, p, q, _, r, s = quad
+    vp, vq, vr, vs = get(arc[p]), get(arc[q]), get(arc[r]), get(arc[s])
+    if new_label == 1:
+        return (vp * vr + vq * vs) / values[arc[a1]]
+    if vp is not None and vq is not None and vr is not None and vs is not None:
+        if not (vp * vr + vq * vs).is_zero:
+            raise SurfaceError(f"exchange identity fails at arc {arc[a1]}")
+    return ctx.zero()
 
 
 def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
-    """Carry the deep point across one flip; the class always transports.
-    At new label 0 the new value is 0, so the exchange identity old * new =
-    v(p)v(r) + v(q)v(s) reads v(p)v(r) + v(q)v(s) = 0, tested whenever the
-    four sides are known, the old value or not.  At label 1 the new value
-    is made from the identity when `_flip_determined`, else left None."""
+    """Carry the deep point across one flip: the class always transports,
+    the new value is `_flip_value`'s, and the result is built through
+    `Z2Class` and `SurfaceDeepPoint`, so it passes every check of both."""
     t = p.triangulation
-    _, pp, qq, _, rr, ss = quad = t.flip_quad(aid)
-    arc = t.arc_of_side
-    vp, vq, vr, vs = quad_vals = [p.values.get(arc(x)) for x in (pp, qq, rr, ss)]
-    exchange = vp * vr + vq * vs if all(v is not None for v in quad_vals) else None
+    quad = t.flip_quad(aid)
     # transport_class, with the quad worked out above
     z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
-
-    new_value: Optional[FieldValue] = None
-    if z2.labels[aid] == 0:
-        if exchange is not None and not exchange.is_zero:
-            raise SurfaceError(f"exchange identity fails at arc {aid}")
-        new_value = p.ctx.zero()
-    elif _flip_determined(p, quad, 1):
-        new_value = exchange / p.values[aid]
+    new_label = z2.labels[aid]
+    determined = _flip_determined(t, p.values, quad, new_label)
+    new_value = _flip_value(t, p.values, quad, new_label, determined, p.ctx)
     return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
 
@@ -977,58 +1055,88 @@ class WalkReport:
 def verify_deep_random_walk(
     p: SurfaceDeepPoint, steps: int, seed: int
 ) -> WalkReport:
-    """Seeded random flip walk certifying deepness along the way: the start
-    state is rebuilt, and each later one made by `flip_evaluation`, through
-    `Z2Class` and `SurfaceDeepPoint`, whose checks each state must pass; and
-    every exchange identity holds: `flip_evaluation` tests it at each flip
-    to label 0 whose four sides are known, and makes it hold at each flip
-    to label 1 whose value it derives.  A flip checks only its two new
-    triangles and carries the surface invariants, so the end state is
-    rebuilt from its triangles and gluing, which runs every surface check
-    once; a failure there, or invariants other than the carried ones, is
-    recorded as `end: ...`."""
+    """Seeded random flip walk certifying deepness along the way.
+
+    The start state is rebuilt through `Z2Class` and `SurfaceDeepPoint`,
+    whose checks it must pass.  The walk then owns one mutable state (the
+    triangles, side positions, labels and values) and flips it in place,
+    by the rule `flip_evaluation` uses, checking only what a flip touches:
+    no repeated side and the cocycle rule in the two new triangles, the
+    new label the same from either, the exchange identity at each flip to
+    label 0 whose four sides are known, and the new value against the new
+    label.  A step changes the state only once all of these pass (the
+    cocycle check reads the new label, which a failed step takes back); a
+    failure is recorded as `step N: ...` and ends the walk.  A flip carries
+    the surface invariants, so the end state is rebuilt from its triangles
+    and gluing, which runs every surface check once, and through `Z2Class`
+    and `SurfaceDeepPoint`; a failure there, or invariants other than the
+    carried ones, is recorded as `end: ...`.  No flip path is kept."""
     import random as _random
 
     if steps < 0:
         raise SurfaceError(f"a walk takes a nonnegative number of steps, got {steps}")
+    if steps > MAX_WALK_STEPS:
+        raise SurfaceError(f"a walk takes at most {MAX_WALK_STEPS} steps, got {steps}")
 
     rng = _random.Random(seed)
     report = WalkReport(steps)
     try:
-        state = SurfaceDeepPoint(p.values, Z2Class(p.z2.carrier, p.z2.labels), p.ctx)
+        start = SurfaceDeepPoint(p.values, Z2Class(p.z2.carrier, p.z2.labels), p.ctx)
     except SurfaceError as exc:
         report.failures.append(f"start: {exc}")
         return report
-    t = state.triangulation
+    t, ctx = start.triangulation, start.ctx
+    arcs, arc = t.arcs, t._arc_of_side
+    triangles, side_pos = list(t.triangles), dict(t.side_pos)
+    labels, values = list(start.z2.labels), dict(start.values)
     candidates = sorted(t.interior_arcs())
-    # each interior arc's quad and whether its flip determines its value; a
-    # flip of aid changes the label, value and quad of no arc outside its
-    # quad, whose six sides include aid's own, so only those are re-tested
-    tested: Dict[int, Tuple[Quad, bool]] = {}
-    retest = set(candidates)
+    interior = set(candidates)
+    # each interior arc's quad, new label and whether its flip determines
+    # its value, and the sorted pool of determined arcs; a flip of aid
+    # changes the label, value and quad of no arc outside its quad, whose
+    # six sides include aid's own, so only those are re-tested
+    tested: Dict[int, Tuple[Quad, int, bool]] = {}
+    pool: List[int] = []
+    retest: Iterable[int] = candidates
     for step in range(steps):
         for a in retest:
-            quad = t.flip_quad(a)
-            new_label = _new_label(t, state.z2.labels, quad)
-            tested[a] = (quad, _flip_determined(state, quad, new_label))
-        pool = [a for a in candidates if tested[a][1]] or candidates
-        aid = rng.choice(pool)
+            quad = _quad(arcs, triangles, side_pos, a)
+            new_label = _new_label(t, labels, quad)
+            determined = _flip_determined(t, values, quad, new_label)
+            was = tested.get(a)
+            tested[a] = (quad, new_label, determined)
+            if determined != (was is not None and was[2]):
+                if determined:
+                    insort(pool, a)
+                else:
+                    del pool[bisect_left(pool, a)]
+        aid = rng.choice(pool or candidates)
+        quad, new_label, determined = tested[aid]
+        old_label = labels[aid]
+        labels[aid] = new_label
         try:
-            state = flip_evaluation(state, aid)
+            replaced = _new_triangles(side_pos, quad)
+            # in index order, so the first violation is the one Z2Class names
+            _check_cocycle(arc, labels, [replaced[i] for i in sorted(replaced)])
+            value = _flip_value(t, values, quad, new_label, determined, ctx)
+            _check_value(aid, value, new_label)
         except SurfaceError as exc:
+            labels[aid] = old_label
             report.failures.append(f"step {step}: {exc}")
             break
-        t = state.triangulation
-        retest = {a for a in map(t.arc_of_side, tested[aid][0]) if not t.arc_is_boundary(a)}
+        _place(triangles, side_pos, replaced)
+        values[aid] = value
+        retest = {arc[x] for x in quad} & interior
         report.flips_taken.append(aid)
-        if state.values.get(aid) is None:
+        if value is None:
             report.undetermined_values += 1
     try:
-        end = SurfaceTriangulation(t.triangles, t.glue)
+        end = SurfaceTriangulation(triangles, t.glue)
         if end.invariants() != t.invariants():
             raise SurfaceError(
                 f"invariants {end.invariants()} differ from the carried {t.invariants()}"
             )
+        SurfaceDeepPoint(values, Z2Class(end, tuple(labels)), ctx)
     except SurfaceError as exc:
         report.failures.append(f"end: {exc}")
     return report

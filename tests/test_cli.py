@@ -343,6 +343,15 @@ def test_fixture_with_an_unknown_arc_exits_1_naming_it(aid, tmp_path, capsys):
     assert err == f"error: NotADissection: no arc {aid}: arc ids run 0..7\n"
 
 
+def test_walk_longer_than_the_cap_exits_1(tmp_path, capsys):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(DEEP_FIXTURE))
+    code, out = run_cli(DEEP_ON_ANNULUS22 + ["--fixture", str(path), "--steps", "2000000"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: SurfaceError: a walk takes at most 1000000 steps, got 2000000\n"
+
+
 # each subcommand's argv, and the flags it does not read
 UNREAD_FLAGS = [
     (["polygon", "deep-typea", "--rank", "3"], ["--seed", "--depth"]),

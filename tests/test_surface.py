@@ -35,6 +35,7 @@ from deeplocus.surface import (
     flip_evaluation,
     named_surface,
     solve_classes,
+    solve_closing_value,
     subset_bijection,
     transport_class,
     transport_to_reference,
@@ -55,6 +56,17 @@ def ones_deep_point(t, dissection=None, special=None):
     dvals = {a: QQ.one() for a in d.arcs}
     if special:
         dvals.update(special)
+    return deep_point_from_dissection(d, bvals, dvals)
+
+
+def random_deep_point(t, ctx, rng):
+    """Deep point with random nonzero values on the boundary and the
+    spanning-tree dissection, closed on the first boundary arc."""
+    d = dissection_spanning_tree(t)
+    bvals = {a: random_value(ctx, rng, nonzero=True) for a in t.boundary_arcs()}
+    dvals = {a: random_value(ctx, rng, nonzero=True) for a in d.arcs}
+    target = t.boundary_arcs()[0]
+    bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
     return deep_point_from_dissection(d, bvals, dvals)
 
 
@@ -736,7 +748,7 @@ class TestDeepPoints:
             for aid in tcur.interior_arcs():
                 quad = tcur.flip_quad(aid)
                 label = _transport_labels(tcur, state.z2.labels, quad)[aid]
-                determined = _flip_determined(state, quad, label)
+                determined = _flip_determined(tcur, state.values, quad, label)
                 derived = flip_evaluation(state, aid).values[aid] is not None
                 assert determined == derived, (name, aid)
                 seen.add(determined)
@@ -762,16 +774,32 @@ class TestDeepPoints:
         with pytest.raises(SurfaceError, match="-1"):
             verify_deep_random_walk(p, -1, seed=0)
 
+    def test_walk_refuses_more_than_the_cap_before_any_check(self, monkeypatch):
+        import deeplocus.surface as surface_module
+        from deeplocus.surface import MAX_WALK_STEPS
+
+        t = named_surface("annulus22")
+        p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+
+        def no_check(*args):
+            raise AssertionError("walk started checking")
+
+        monkeypatch.setattr(surface_module, "Z2Class", no_check)
+        with pytest.raises(SurfaceError, match=f"at most {MAX_WALK_STEPS} steps, got {MAX_WALK_STEPS + 1}"):
+            verify_deep_random_walk(p, MAX_WALK_STEPS + 1, seed=0)
+
     @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
     def test_walk_matches_a_full_retest_walk(self, ctx):
-        # the walk re-tests only the arcs a flip touches; the reference
-        # re-tests every interior arc before every step
+        # the walk flips one state in place and re-tests only the arcs a
+        # flip touches; the reference carries the point by flip_evaluation
+        # and re-tests every interior arc before every step.  Besides each
+        # deep start, a start with one arc value perturbed and one with a
+        # broken closing value pin the failures and their step numbers.
         from deeplocus.surface import (
             SurfaceDeepPoint,
             WalkReport,
             _flip_determined,
             _transport_labels,
-            solve_closing_value,
         )
 
         def reference_walk(p, steps, seed):
@@ -789,7 +817,7 @@ class TestDeepPoints:
                 for aid in candidates:
                     quad = t.flip_quad(aid)
                     label = _transport_labels(t, state.z2.labels, quad)[aid]
-                    if _flip_determined(state, quad, label):
+                    if _flip_determined(t, state.values, quad, label):
                         defined.append(aid)
                 aid = rng.choice(defined if defined else candidates)
                 try:
@@ -803,26 +831,32 @@ class TestDeepPoints:
             return report
 
         rng = random.Random(f"walk-oracle/{ctx!r}")
-        undetermined = {}
+        undetermined, failed = {}, {}
         for name in ["disk6", "annulus22", "genus1", "genus2", "pants"]:
             for _ in range(2):
                 t = named_surface(name)
                 for _ in range(4):
                     t = t.flip(rng.choice(t.interior_arcs()))
-                d = dissection_spanning_tree(t)
-                bvals = {a: random_value(ctx, rng, nonzero=True) for a in t.boundary_arcs()}
-                dvals = {a: random_value(ctx, rng, nonzero=True) for a in d.arcs}
+                p = random_deep_point(t, ctx, rng)
                 target = t.boundary_arcs()[0]
-                bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
-                p = deep_point_from_dissection(d, bvals, dvals)
-                seed = rng.randrange(2**31)
-                got = verify_deep_random_walk(p, 150, seed)
-                want = reference_walk(p, 150, seed)
-                assert got.flips_taken == want.flips_taken, (name, seed)
-                assert got.failures == want.failures, (name, seed)
-                assert got.undetermined_values == want.undetermined_values, (name, seed)
-                undetermined[name] = undetermined.get(name, 0) + got.undetermined_values
+                two = ctx.from_int(2)
+                bent = rng.choice(sorted(a for a, v in p.values.items() if not v.is_zero))
+                starts = {
+                    "deep": p,
+                    "perturbed": SurfaceDeepPoint({**p.values, bent: p.values[bent] * two}, p.z2, ctx),
+                    "closing": SurfaceDeepPoint({**p.values, target: p.values[target] * two}, p.z2, ctx),
+                }
+                for kind, start in starts.items():
+                    seed = rng.randrange(2**31)
+                    got = verify_deep_random_walk(start, 150, seed)
+                    want = reference_walk(start, 150, seed)
+                    assert got.flips_taken == want.flips_taken, (name, kind, seed)
+                    assert got.failures == want.failures, (name, kind, seed)
+                    assert got.undetermined_values == want.undetermined_values, (name, kind, seed)
+                    undetermined[name] = undetermined.get(name, 0) + got.undetermined_values
+                    failed[kind] = failed.get(kind, 0) + (not got.passed)
         assert undetermined["disk6"] > 0
+        assert failed["deep"] == 0 and failed["perturbed"] > 0 and failed["closing"] > 0
 
     def test_walk_rejects_fabricated_torus_state(self):
         # all-ones labels violate the vanishing certificate immediately; the
@@ -859,9 +893,9 @@ class TestDeepPoints:
 
     def test_walk_works_out_each_quadrilateral_once(self, monkeypatch):
         # a flip works out one quad per re-tested arc (the flipped arc and
-        # the arcs of its quad, at most five) and one in flip_evaluation,
-        # whose rules and flip read it from there
-        from deeplocus.surface import solve_closing_value
+        # the arcs of its quad, at most five), and the flip reuses the
+        # flipped arc's; the walk works quads out with `_quad` itself
+        import deeplocus.surface as surface_module
 
         rng = random.Random("quad-count")
         F101 = prime_field(101)
@@ -870,26 +904,36 @@ class TestDeepPoints:
             t = named_surface(name)
             for _ in range(4):
                 t = t.flip(rng.choice(t.interior_arcs()))
-            d = dissection_spanning_tree(t)
-            bvals = {a: random_value(F101, rng, nonzero=True) for a in t.boundary_arcs()}
-            dvals = {a: random_value(F101, rng, nonzero=True) for a in d.arcs}
-            target = t.boundary_arcs()[0]
-            bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
-            starts.append((name, deep_point_from_dissection(d, bvals, dvals)))
+            starts.append((name, random_deep_point(t, F101, rng)))
 
         calls = []
-        flip_quad = SurfaceTriangulation.flip_quad
+        quad = surface_module._quad
 
-        def counted(self, aid):
+        def counted(arcs, triangles, side_pos, aid):
             calls.append(aid)
-            return flip_quad(self, aid)
+            return quad(arcs, triangles, side_pos, aid)
 
-        monkeypatch.setattr(SurfaceTriangulation, "flip_quad", counted)
+        monkeypatch.setattr(surface_module, "_quad", counted)
         for name, p in starts:
             calls.clear()
             report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
             assert report.passed and len(report.flips_taken) == 300, name
-            assert len(calls) <= 6 * 300, (name, len(calls) / 300)
+            assert len(calls) <= 5 * 300, (name, len(calls) / 300)
+
+    def test_walk_memory_does_not_keep_its_path(self):
+        # the walk flips one state in place and keeps no flip path: a
+        # 32k-step walk holds little beyond its list of flipped arcs
+        import tracemalloc
+
+        p = random_deep_point(named_surface("annulus22"), prime_field(101), random.Random("walk-memory"))
+        tracemalloc.start()
+        try:
+            report = verify_deep_random_walk(p, 32_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and len(report.flips_taken) == 32_000
+        assert peak < 0.6 * 2**20, peak
 
     def test_disk_walk_agrees_with_polygon_oracle(self):
         t = named_surface("disk4")
