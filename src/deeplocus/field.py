@@ -127,6 +127,8 @@ class FieldContext:
             if den % self.p == 0:
                 raise DivisionByZero(f"denominator {den} vanishes mod {self.p}")
             return self.from_int(num) / self.from_int(den)
+        if den == 0:
+            raise DivisionByZero("denominator 0")
         if self.kind == RATIONALS:
             return FieldValue(self, Fraction(num, den))
         return FieldValue(self, (Fraction(num, den), Fraction(0)))

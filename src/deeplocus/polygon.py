@@ -567,6 +567,8 @@ def bruteforce_variety_scan(
     failing prefix skips every assignment that extends it.  The cap is
     still checked against the nominal assignment count.
     """
+    if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
+        raise PolygonError(f"unknown mode {mode!r}")
     if not ctx.p:
         raise SearchTooLarge("exhaustive scans need a finite field")
     diagonals = polygon_diagonals(n)
@@ -577,8 +579,6 @@ def bruteforce_variety_scan(
     cap = max_search_cap(max_search)
     if size > cap:
         raise SearchTooLarge(f"{size} assignments exceed the cap {cap}")
-    if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
-        raise PolygonError(f"unknown mode {mode!r}")
 
     all_elems = list(ctx.elements())
     slots, relations = _scan_table(n)

@@ -56,6 +56,9 @@ class BetaSearchTooLarge(Rank2Error):
 # element tries of deep_points' own beta search: (p-1)^f betas, each
 # scanning all p elements for its alphas
 MAX_BETA_SEARCH = 10**7
+# the deepest window [-N, N+3] `extend_evaluation` fills: its time and the
+# CLI's output grow linearly in N
+MAX_WINDOW_DEPTH = 10**5
 
 
 def positive_part(v: Vector) -> Vector:
@@ -353,12 +356,14 @@ class Rank2Evaluation:
 
 
 def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
-    """Fill the window [-N, N+3], N >= 0, so that every relation in
-    [-N+1, N+2] holds: those at 1 and 2 are the input check, and each step
-    makes the one at its middle index hold, by division or, where the
-    divisor is 0, by the closed form once that relation's rhs is 0."""
+    """Fill the window [-N, N+3], 0 <= N <= MAX_WINDOW_DEPTH, so that every
+    relation in [-N+1, N+2] holds: those at 1 and 2 are the input check, and
+    each step makes the one at its middle index hold, by division or, where
+    the divisor is 0, by the closed form once that relation's rhs is 0."""
     if N < 0:
         raise Rank2Error(f"window depth N must be at least 0, got {N}")
+    if N > MAX_WINDOW_DEPTH:
+        raise Rank2Error(f"window depth N must be at most {MAX_WINDOW_DEPTH}, got {N}")
     if not is_valid_point(p):
         raise InvalidPoint(f"presentation residuals are {presentation_residuals(p)}")
     lo, hi = -N, N + 3
@@ -486,21 +491,22 @@ def deep_points(
     zero = ctx.zero()
     results: List[Tuple[Rank2Point, str]] = []
     candidates = _beta_candidates(spec, ctx, betas)
-
-    if spec.c > 1 or (char > 0 and spec.b % char == 0):
+    # the even family, then its b <-> c, e1 <-> e2 mirror one index on:
+    # (tag, b, e1, c, e2, the index of alpha; its partner is two on)
+    families = [
+        ("even", spec.b, spec.e1, spec.c, spec.e2, 1),
+        ("odd", spec.c, spec.e2, spec.b, spec.e1, 2),
+    ]
+    for tag, b, e1, c, e2, at in families:
+        if not (c > 1 or (char > 0 and b % char == 0)):
+            continue
         for beta in candidates:
-            for alpha in _family_alphas(ctx, beta, tuple(spec.e1), spec.b):
-                x3 = alpha.inverse() * y_monomial(beta, negative_part(tuple(spec.e2)), ctx)
-                point = Rank2Point(spec, (zero, alpha, zero, x3), beta)
+            for alpha in _family_alphas(ctx, beta, tuple(e1), b):
+                xs = [zero] * 4
+                xs[at] = alpha
+                xs[(at + 2) % 4] = alpha.inverse() * y_monomial(beta, negative_part(tuple(e2)), ctx)
+                point = Rank2Point(spec, tuple(xs), beta)
                 assert is_valid_point(point)
-                results.append((point, "even"))
-
-    if spec.b > 1 or (char > 0 and spec.c % char == 0):
-        for beta in candidates:
-            for alpha in _family_alphas(ctx, beta, tuple(spec.e2), spec.c):
-                x0 = alpha.inverse() * y_monomial(beta, negative_part(tuple(spec.e1)), ctx)
-                point = Rank2Point(spec, (x0, zero, alpha, zero), beta)
-                assert is_valid_point(point)
-                results.append((point, "odd"))
+                results.append((point, tag))
 
     return results

@@ -672,10 +672,12 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
 @dataclass(frozen=True)
 class Dissection:
     """Interior arcs whose complement is a spanning tree of the triangle
-    adjacency graph; cutting along them opens the surface to a polygon."""
+    adjacency graph; cutting along them opens the surface to a polygon.
+    The cut is made once, here: `cut_complex`, which `_cut` reads."""
 
     carrier: SurfaceTriangulation
     arcs: FrozenSet[int]
+    cut_complex: _Complex = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = self.carrier
@@ -688,8 +690,11 @@ class Dissection:
         tree_arcs = [a for a in t.interior_arcs() if a not in self.arcs]
         if len(tree_arcs) != len(t.triangles) - 1:
             raise NotADissection("complement has the wrong size for a spanning tree")
-        if not _cut_complex_of(t, self.arcs).connected():
+        arc = t._arc_of_side
+        cx = _Complex(t.triangles, {a: b for a, b in t._glue.items() if arc[a] not in self.arcs})
+        if not cx.connected():
             raise NotADissection("complement does not span the triangles")
+        object.__setattr__(self, "cut_complex", cx)
 
     def sorted_arcs(self) -> List[int]:
         return sorted(self.arcs)
@@ -729,68 +734,48 @@ def _all_dissections(t: SurfaceTriangulation) -> List[Dissection]:
     return out
 
 
-def _cut_complex_of(tri: SurfaceTriangulation, d_arcs) -> _Complex:
-    return _Complex(
-        tri.triangles,
-        {a: b for a, b in tri.glue.items() if tri.arc_of_side(a) not in d_arcs},
-    )
-
-
 def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissection:
     """A dissection all of whose arcs are labeled 1 by the class.
 
-    Exchange procedure: while some dissection arc has label 0, pick a
-    junction on the cut polygon's boundary where a copy of such an arc
-    meets a label-1 edge, flip away every interior arc at the shared
-    corner, and swap the bad arc for the exposed ear arc (whose label is
+    Exchange procedure: each round is a `Dissection`.  While some arc of it
+    has label 0, find on its cut polygon's boundary a junction where a copy
+    of such an arc meets a label-1 edge, flip every interior arc at the
+    shared corner in one pass (a flip removes only its own arc from the
+    corner), and swap the bad arc for the exposed ear arc (whose label is
     1 by the odd-per-triangle rule).  The label-0 count drops each round.
     """
     labels = zero_class.labels
-    tri = t
-    d_arcs = set(dissection_spanning_tree(t).arcs)
-    for _ in range(len(d_arcs) + 1):
-        bad = [a for a in sorted(d_arcs) if labels[a] == 0]
-        if not bad:
-            return Dissection(tri, frozenset(d_arcs))
-        cx = _cut_complex_of(tri, d_arcs)
+    d = dissection_spanning_tree(t)
+    for _ in range(len(d.arcs) + 1):
+        if all(labels[a] == 1 for a in d.arcs):
+            return d
+        tri, cx = d.carrier, d.cut_complex
         walk = cx.boundary_components()[0]
         k = len(walk)
         junction = None
         for i, s in enumerate(walk):
             s2 = walk[(i + 1) % k]
             a1, a2 = tri.arc_of_side(s), tri.arc_of_side(s2)
-            if a1 in d_arcs and labels[a1] == 0 and labels[a2] == 1:
+            if a1 in d.arcs and labels[a1] == 0 and labels[a2] == 1:
                 junction = (s, s2, a1)
                 break
-            if a2 in d_arcs and labels[a2] == 0 and labels[a1] == 1:
+            if a2 in d.arcs and labels[a2] == 0 and labels[a1] == 1:
                 junction = (s, s2, a2)
                 break
         if junction is None:
             raise AvoidanceFailed("no label-0/label-1 junction on the cut boundary")
         s_before, s_after, alpha = junction
 
-        # flip the corner free: each flip of an arc through the shared
-        # vertex strictly reduces its interior degree in the cut polygon
-        while True:
-            cx = _cut_complex_of(tri, d_arcs)
-            v = cx.head_vertex(s_before)
-            incident = [
-                aid
-                for aid in tri.interior_arcs()
-                if aid not in d_arcs
-                and any(
-                    cx.tail_vertex(x) == v or cx.head_vertex(x) == v
-                    for x in tri.arcs[aid]
-                )
-            ]
-            if not incident:
-                break
-            quad = tri.flip_quad(incident[0])
+        # the arcs at the corner: the cut polygon's diagonals from it
+        fan = cx.vertex_fans[cx.head_vertex(s_before)]
+        corner = {tri.arc_of_side(s) for s in fan if s in cx.glue}
+        for aid in sorted(corner):
+            quad = tri.flip_quad(aid)
             labels = _transport_labels(tri, labels, quad)
             tri = tri._flip(quad)
 
-        ear = cx.tri_of_side(s_before)
-        if cx.tri_of_side(s_after) != ear:
+        ear = tri.tri_of_side(s_before)
+        if tri.tri_of_side(s_after) != ear:
             raise AvoidanceFailed("corner reduction did not expose an ear")
         gamma_side = next(
             x for x in tri.triangles[ear] if x not in (s_before, s_after)
@@ -798,8 +783,7 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
         gamma = tri.arc_of_side(gamma_side)
         if labels[gamma] != 1:
             raise AvoidanceFailed("ear arc unexpectedly lies in the zero set")
-        d_arcs.discard(alpha)
-        d_arcs.add(gamma)
+        d = Dissection(tri, (d.arcs - {alpha}) | {gamma})
     raise AvoidanceFailed("exchange procedure failed to terminate")
 
 
@@ -859,9 +843,9 @@ class CutPolygon:
 
 
 def _cut(d: Dissection) -> Tuple[_Complex, List[int], Dict[int, int]]:
-    """The complex cut open along the dissection, its boundary walk, and
-    the 1-based polygon vertex number of each of its vertices."""
-    cx = _cut_complex_of(d.carrier, d.arcs)
+    """The dissection's cut complex, checked to be a polygon, its boundary
+    walk, and the 1-based polygon vertex number of each of its vertices."""
+    cx = d.cut_complex
     if cx.interior_vertices:
         raise NotADissection("cutting left interior vertices")
     comps = cx.boundary_components()

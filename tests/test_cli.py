@@ -428,6 +428,20 @@ def test_markov_verify_too_deep_exits_1_without_exploring(monkeypatch, capsys):
     assert f"depth {depth}" in err
 
 
+def test_rank2_deeper_than_the_window_cap_exits_1_without_a_window(monkeypatch, capsys):
+    from deeplocus import rank2
+
+    def no_window(spec, lo, hi):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(rank2, "e_vectors", no_window)
+    depth = rank2.MAX_WINDOW_DEPTH + 1
+    code, out = run_cli(["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", str(depth)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == f"error: Rank2Error: window depth N must be at most 100000, got {depth}\n"
+
+
 def test_rank2_builds_one_window_per_point(monkeypatch):
     # the verified flag is read off the window the output prints
     from deeplocus import rank2

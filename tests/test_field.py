@@ -47,6 +47,15 @@ def test_division_by_zero():
         F5.zero().inverse()
 
 
+@pytest.mark.parametrize("ctx", [QQ, QI, F5], ids=["Q", "Q(i)", "F5"])
+def test_rational_with_a_zero_denominator_raises_division_by_zero(ctx):
+    # over F5 a denominator vanishes mod 5 as well
+    for den in (0, 5) if ctx is F5 else (0,):
+        with pytest.raises(DivisionByZero):
+            ctx.rational(1, den)
+    assert issubclass(DivisionByZero, ZeroDivisionError)
+
+
 def test_contexts_are_interned():
     assert prime_field(5) is prime_field(5)
     assert rationals() is QQ and gaussian_rationals() is QI

@@ -343,6 +343,14 @@ class TestVarietyScan:
         with pytest.raises(SearchTooLarge):
             bruteforce_variety_scan(4, QQ, MODE_TYPE_A)
 
+    def test_unknown_mode_is_named_before_the_search_is_sized(self):
+        # boundary mode over F5 on the octagon is far above the cap; a
+        # bogus mode must not be sized as boundary mode
+        with pytest.raises(PolygonError, match="unknown mode 'bogus'"):
+            bruteforce_variety_scan(8, prime_field(5), "bogus")
+        with pytest.raises(PolygonError, match="unknown mode 'bogus'"):
+            bruteforce_variety_scan(4, QQ, "bogus")
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "3")
         with pytest.raises(SearchTooLarge):

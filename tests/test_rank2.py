@@ -472,3 +472,19 @@ def test_negative_window_depth_is_rejected_before_any_work(monkeypatch):
                 extend_evaluation(p, N)
             with pytest.raises(Rank2Error, match=f"at least 0, got {N}"):
                 verify_deep(p, N)
+
+
+def test_window_deeper_than_the_cap_is_rejected_before_any_work(monkeypatch):
+    points = deep_points(Rank2Spec(2, 2), F5)
+    assert points
+
+    def no_window(spec, lo, hi):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(rank2, "e_vectors", no_window)
+    N = rank2.MAX_WINDOW_DEPTH + 1
+    for p, _ in points:
+        with pytest.raises(Rank2Error, match=f"at most {rank2.MAX_WINDOW_DEPTH}, got {N}"):
+            extend_evaluation(p, N)
+        with pytest.raises(Rank2Error, match=f"at most {rank2.MAX_WINDOW_DEPTH}, got {N}"):
+            verify_deep(p, N)

@@ -471,6 +471,130 @@ class TestDissections:
                 original = transport_to_reference(cls)
                 assert carried.labels == original.labels
 
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_avoiding_matches_a_per_flip_rebuild(self, name):
+        # the procedure reads the corner's arcs once per round and flips
+        # them in id order; the reference rebuilds the cut after every
+        # flip and flips the corner's lowest arc until none is left
+        rng = random.Random(f"avoid/{name}")
+        rounds = 0
+        for pre_flips in (0, 1, 2, 4, 8):
+            t = named_surface(name)
+            for _ in range(pre_flips):
+                t = t.flip(rng.choice(t.interior_arcs()))
+            for cls in solve_classes(t):
+                d = dissection_avoiding(t, cls)
+                carrier, arcs, ref_rounds = avoiding_reference(cls)
+                assert (d.carrier.triangles, d.carrier.flip_path, d.arcs) == (
+                    carrier.triangles,
+                    carrier.flip_path,
+                    arcs,
+                )
+                rounds += ref_rounds
+        if name not in ("annulus21", "disk4", "disk6"):
+            assert rounds > 0
+
+
+def _cut_complex(t, arcs):
+    from deeplocus.surface import _Complex
+
+    return _Complex(t.triangles, {a: b for a, b in t.glue.items() if t.arc_of_side(a) not in arcs})
+
+
+def avoiding_reference(cls):
+    """`dissection_avoiding` rebuilding the cut complex for each round and
+    after every corner flip: (carrier, arcs, rounds that exchanged an arc)."""
+    arcs = set(dissection_spanning_tree(cls.carrier).arcs)
+    for rounds in range(len(arcs) + 1):
+        labels, tri = cls.labels, cls.carrier
+        if all(labels[a] == 1 for a in arcs):
+            return tri, frozenset(arcs), rounds
+        walk = _cut_complex(tri, arcs).boundary_components()[0]
+        s_before, s_after, alpha = next(
+            (s, s2, a)
+            for s, s2 in zip(walk, walk[1:] + walk[:1])
+            for a, b in [
+                (tri.arc_of_side(s), tri.arc_of_side(s2)),
+                (tri.arc_of_side(s2), tri.arc_of_side(s)),
+            ]
+            if a in arcs and labels[a] == 0 and labels[b] == 1
+        )
+        while True:
+            tri = cls.carrier
+            cx = _cut_complex(tri, arcs)
+            v = cx.head_vertex(s_before)
+            incident = [
+                aid
+                for aid in tri.interior_arcs()
+                if aid not in arcs
+                and any(cx.tail_vertex(x) == v or cx.head_vertex(x) == v for x in tri.arcs[aid])
+            ]
+            if not incident:
+                break
+            cls = transport_class(cls, incident[0])
+        ear = tri.tri_of_side(s_before)
+        assert tri.tri_of_side(s_after) == ear
+        [gamma_side] = [x for x in tri.triangles[ear] if x not in (s_before, s_after)]
+        arcs.discard(alpha)
+        arcs.add(tri.arc_of_side(gamma_side))
+    raise AssertionError("the reference procedure did not terminate")
+
+
+def count_plain_complex_builds(monkeypatch):
+    """A list that gains an entry for each `_Complex` built that is not a
+    `SurfaceTriangulation`: a cut or a cover."""
+    from deeplocus.surface import _Complex
+
+    builds = []
+    init = _Complex.__init__
+
+    def counted(self, triangles, glue):
+        if type(self) is _Complex:
+            builds.append(len(triangles))
+        init(self, triangles, glue)
+
+    monkeypatch.setattr(_Complex, "__init__", counted)
+    return builds
+
+
+class TestCutOnce:
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_a_deep_point_cuts_its_dissection_once(self, monkeypatch, name):
+        # the dissection's construction cuts the surface; closing a value,
+        # cutting the polygon and building the deep point read that cut
+        t = named_surface(name)
+        builds = count_plain_complex_builds(monkeypatch)
+        d = dissection_spanning_tree(t)
+        assert len(builds) == 1
+        bvals = {a: QQ.from_int(2) for a in t.boundary_arcs()}
+        dvals = {a: QQ.from_int(3) for a in d.arcs}
+        target = t.boundary_arcs()[0]
+        bvals[target] = solve_closing_value(d, {**bvals, **dvals}, target)
+        cut_polygon(d)
+        if t.num_marked % 2 == 0:
+            deep_point_from_dissection(d, bvals, dvals)
+        assert len(builds) == 1
+
+    def test_avoiding_cuts_each_round_once(self, monkeypatch):
+        builds = count_plain_complex_builds(monkeypatch)
+        post_init = Dissection.__post_init__
+        rounds = []
+
+        def counted(d):
+            rounds.append(d.arcs)
+            post_init(d)
+
+        monkeypatch.setattr(Dissection, "__post_init__", counted)
+        exchanged = 0
+        for name in NAMED_SURFACES:
+            t = named_surface(name)
+            for cls in solve_classes(t):
+                del builds[:], rounds[:]
+                dissection_avoiding(t, cls)
+                assert len(builds) == len(rounds)
+                exchanged += len(rounds) - 1
+        assert exchanged > 0
+
 
 def flipped_carriers(name, count=3, flips=4):
     """The named surface and `count` seeded carriers `flips` flips away."""
