@@ -172,6 +172,7 @@ def cmd_rank2(args) -> int:
     e2 = _int_list(args.e2, "--e2")
     depth = args.depth
     _at_least("--depth", depth, 0)
+    rank2.check_window_depth(depth)
     spec = rank2.Rank2Spec(args.b, args.c, len(e1), e1, e2)
     points = rank2.deep_points(spec, ctx)
     entries = []

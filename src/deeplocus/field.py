@@ -2,11 +2,16 @@
 
 All downstream modules are field-generic; they only ever manipulate
 ``FieldValue`` objects tied to a ``FieldContext``.  Values are immutable,
-stored in canonical form (rationals in lowest terms with positive
-denominator, residues in ``[0, p)``), and compare structurally.  The
-factories return one shared context per field, so contexts compare by
-identity.  ``FieldContext.first_nonzero_relation`` tests a table of
-polynomial identities at a point's values without building values.
+stored in canonical form, and compare structurally: a residue of F_p is
+an int in ``[0, p)``; a rational is an int pair ``(num, den)`` with
+``den > 0`` and ``gcd(num, den) == 1``; an element of Q(i) is a Gaussian
+numerator over one denominator, ``(re, im, den)`` for ``(re + im*i)/den``,
+with ``den > 0`` and ``gcd(re, im, den) == 1``.  Arithmetic works on those
+ints directly; ``Fraction`` appears only where text and other numbers come
+in and go out (parsing, ``rational``, ``gaussian``, roots, strings and sort
+keys).  The factories return one shared context per field, so contexts
+compare by identity.  ``FieldContext.first_nonzero_relation`` tests a table
+of polynomial identities at a point's values without building values.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DeepLocusError
@@ -119,8 +125,8 @@ class FieldContext:
         if self.kind == PRIME_FIELD:
             return FieldValue(self, n % self.p)
         if self.kind == RATIONALS:
-            return FieldValue(self, Fraction(n))
-        return FieldValue(self, (Fraction(n), Fraction(0)))
+            return FieldValue(self, (n, 1))
+        return FieldValue(self, (n, 0, 1))
 
     def rational(self, num: int, den: int = 1) -> "FieldValue":
         if self.kind == PRIME_FIELD:
@@ -129,14 +135,12 @@ class FieldContext:
             return self.from_int(num) / self.from_int(den)
         if den == 0:
             raise DivisionByZero("denominator 0")
-        if self.kind == RATIONALS:
-            return FieldValue(self, Fraction(num, den))
-        return FieldValue(self, (Fraction(num, den), Fraction(0)))
+        return self._from_fraction(Fraction(num, den))
 
     def gaussian(self, re, im) -> "FieldValue":
         if self.kind != GAUSSIAN_RATIONALS:
             raise ContextMismatch(f"{self!r} has no imaginary unit")
-        return FieldValue(self, (Fraction(re), Fraction(im)))
+        return FieldValue(self, _qi_from_fractions(Fraction(re), Fraction(im)))
 
     def i(self) -> "FieldValue":
         return self.gaussian(0, 1)
@@ -153,10 +157,16 @@ class FieldContext:
                     s = r
                 return self.from_int(int(s))
             if self.kind == RATIONALS:
-                return FieldValue(self, Fraction(s))
-            return FieldValue(self, _parse_gaussian(s))
+                return self._from_fraction(Fraction(s))
+            return FieldValue(self, _qi_from_fractions(*_parse_gaussian(s)))
         except (ValueError, ZeroDivisionError):
             raise UnparsableValue(f"cannot read {text!r} as an element of {self!r}") from None
+
+    def _from_fraction(self, q: Fraction) -> "FieldValue":
+        """The rational q as a value of Q or Q(i)."""
+        if self.kind == RATIONALS:
+            return FieldValue(self, (q.numerator, q.denominator))
+        return FieldValue(self, (q.numerator, 0, q.denominator))
 
     # -- whole-field operations -------------------------------------------
 
@@ -191,20 +201,20 @@ class FieldContext:
                 )
             return [a for a in self.elements() if a**k == target]
         if self.kind == RATIONALS:
-            q = target._v
+            q = target._fractions()
             if k % 2:
                 r = _fraction_root(abs(q), k)
-                return [] if r is None else [FieldValue(self, r if q >= 0 else -r)]
+                return [] if r is None else [self._from_fraction(r if q >= 0 else -r)]
             r = _fraction_root(q, k)
             if r is None:
                 return []
-            return [FieldValue(self, -r), FieldValue(self, r)] if r else [FieldValue(self, r)]
+            return [self._from_fraction(-r), self._from_fraction(r)] if r else [self.zero()]
         if k & (k - 1):
             raise UnsupportedExponent(f"exponent {k} unsupported over Q(i): not a power of two")
-        found = [target._v]
+        found = [target._fractions()]
         for _ in range(k.bit_length() - 1):
             found = sorted({r for v in found for r in _gaussian_sqrt(*v)})
-        out = [FieldValue(self, v) for v in found]
+        out = [FieldValue(self, _qi_from_fractions(*v)) for v in found]
         assert all(v**k == target for v in out)
         return out
 
@@ -223,26 +233,17 @@ class FieldContext:
         Each relation is a sum of monomials (c, idx) over indices into
         values; see Relation.  The test is exact, reads each value once and
         builds no FieldValue: F_p sums a relation over the residues and
-        reduces once; Q cross-multiplies integer numerators and
-        denominators; Q(i) does the same over Gaussian integers, with one
-        denominator per value."""
+        reduces once; Q cross-multiplies the payloads' integer numerators
+        and denominators; Q(i) does the same over their Gaussian
+        numerators."""
         for v in values:
             if v.ctx is not self:
                 raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
         if self.kind == PRIME_FIELD:
             return _first_nonzero_mod([v._v for v in values], self.p, relations)
         if self.kind == RATIONALS:
-            return _first_nonzero_q(
-                [v._v.numerator for v in values], [v._v.denominator for v in values], relations
-            )
-        re, im, dens = [], [], []
-        for v in values:
-            a, b = v._v
-            den = math.lcm(a.denominator, b.denominator)
-            re.append(a.numerator * (den // a.denominator))
-            im.append(b.numerator * (den // b.denominator))
-            dens.append(den)
-        return _first_nonzero_qi(re, im, dens, relations)
+            return _first_nonzero_q([v._v for v in values], relations)
+        return _first_nonzero_qi([v._v for v in values], relations)
 
 
 def _first_nonzero_mod(res: List[int], p: int, relations: Sequence[Relation]) -> Optional[int]:
@@ -258,8 +259,9 @@ def _first_nonzero_mod(res: List[int], p: int, relations: Sequence[Relation]) ->
 
 
 def _first_nonzero_q(
-    nums: List[int], dens: List[int], relations: Sequence[Relation]
+    values: List[Tuple[int, int]], relations: Sequence[Relation]
 ) -> Optional[int]:
+    # value t is num / d for (num, d) = values[t]
     for r, relation in enumerate(relations):
         # the sum so far is top / bottom, never reduced:
         # a/b + c/d = (a*d + c*b) / (b*d), and bottom is never zero
@@ -267,8 +269,9 @@ def _first_nonzero_q(
         for c, idx in relation:
             den = 1
             for i in idx:
-                c *= nums[i]
-                den *= dens[i]
+                num, d = values[i]
+                c *= num
+                den *= d
             top = top * den + c * bottom
             bottom *= den
         if top:
@@ -277,16 +280,18 @@ def _first_nonzero_q(
 
 
 def _first_nonzero_qi(
-    re: List[int], im: List[int], dens: List[int], relations: Sequence[Relation]
+    values: List[Tuple[int, int, int]], relations: Sequence[Relation]
 ) -> Optional[int]:
-    # value t is (re[t] + im[t]*i) / dens[t]; as over Q, with Gaussian tops
+    # value t is (re + im*i) / d for (re, im, d) = values[t]; as over Q,
+    # with Gaussian tops
     for r, relation in enumerate(relations):
         top_re, top_im, bottom = 0, 0, 1
         for c, idx in relation:
             a, b, den = c, 0, 1
             for i in idx:
-                a, b = a * re[i] - b * im[i], a * im[i] + b * re[i]
-                den *= dens[i]
+                re, im, d = values[i]
+                a, b = a * re - b * im, a * im + b * re
+                den *= d
             top_re = top_re * den + a * bottom
             top_im = top_im * den + b * bottom
             bottom *= den
@@ -384,7 +389,68 @@ def _parse_gaussian(s: str):
     return (re, im)
 
 
-Payload = Union[int, Fraction, tuple]
+def _qi_from_fractions(re: Fraction, im: Fraction) -> Tuple[int, int, int]:
+    """re + im*i as a Q(i) payload.  Over the lcm of the two denominators
+    it is canonical: for each prime of the lcm, one part's denominator holds
+    the prime's full power, so that part's scaled numerator is prime to it."""
+    den = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator), den)
+
+
+def _q_sum(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """a/b + c/d in lowest terms, both in lowest terms: only a prime of
+    g = gcd(b, d) can divide both the cross sum and the denominator
+    (Knuth, TAOCP vol. 2, 4.5.1), as in fractions.Fraction."""
+    g = gcd(b, d)
+    if g == 1:
+        return (a * d + c * b, b * d)
+    s = b // g
+    t = a * (d // g) + c * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return (t, s * d)
+    return (t // g2, s * (d // g2))
+
+
+def _q_product(a: int, b: int, c: int, d: int) -> Tuple[int, int]:
+    """a/b * c/d in lowest terms, both in lowest terms: each numerator is
+    cancelled against the other denominator first."""
+    g1 = gcd(a, d)
+    if g1 != 1:
+        a //= g1
+        d //= g1
+    g2 = gcd(c, b)
+    if g2 != 1:
+        c //= g2
+        b //= g2
+    return (a * c, b * d)
+
+
+def _qi_sum(x1: int, y1: int, d1: int, x2: int, y2: int, d2: int) -> Tuple[int, int, int]:
+    """(x1 + y1*i)/d1 + (x2 + y2*i)/d2, reduced as _q_sum reduces, with the
+    gcd taken over both parts of the Gaussian numerator."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return (x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+    s = d1 // g
+    e = d2 // g
+    x = x1 * e + x2 * s
+    y = y1 * e + y2 * s
+    g2 = gcd(x, y, g)
+    if g2 == 1:
+        return (x, y, s * d2)
+    return (x // g2, y // g2, s * (d2 // g2))
+
+
+def _qi_reduced(x: int, y: int, d: int) -> Tuple[int, int, int]:
+    """(x + y*i)/d, for d > 0, in canonical form."""
+    g = gcd(x, y, d)
+    if g == 1:
+        return (x, y, d)
+    return (x // g, y // g, d // g)
+
+
+Payload = Union[int, Tuple[int, ...]]
 
 
 class FieldValue:
@@ -403,9 +469,12 @@ class FieldValue:
 
     @property
     def is_zero(self) -> bool:
-        if self.ctx.kind == GAUSSIAN_RATIONALS:
-            return self._v[0] == 0 and self._v[1] == 0
-        return self._v == 0
+        k = self.ctx.kind
+        if k == PRIME_FIELD:
+            return self._v == 0
+        if k == RATIONALS:
+            return self._v[0] == 0
+        return self._v[0] == 0 and self._v[1] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -424,9 +493,8 @@ class FieldValue:
         if k == PRIME_FIELD:
             return FieldValue(self.ctx, (self._v + other._v) % self.ctx.p)
         if k == RATIONALS:
-            return FieldValue(self.ctx, self._v + other._v)
-        (a, b), (c, d) = self._v, other._v
-        return FieldValue(self.ctx, (a + c, b + d))
+            return FieldValue(self.ctx, _q_sum(*self._v, *other._v))
+        return FieldValue(self.ctx, _qi_sum(*self._v, *other._v))
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
@@ -434,18 +502,22 @@ class FieldValue:
         if k == PRIME_FIELD:
             return FieldValue(self.ctx, (self._v - other._v) % self.ctx.p)
         if k == RATIONALS:
-            return FieldValue(self.ctx, self._v - other._v)
-        (a, b), (c, d) = self._v, other._v
-        return FieldValue(self.ctx, (a - c, b - d))
+            a, b = self._v
+            c, d = other._v
+            return FieldValue(self.ctx, _q_sum(a, b, -c, d))
+        x1, y1, d1 = self._v
+        x2, y2, d2 = other._v
+        return FieldValue(self.ctx, _qi_sum(x1, y1, d1, -x2, -y2, d2))
 
     def __neg__(self) -> "FieldValue":
         k = self.ctx.kind
         if k == PRIME_FIELD:
             return FieldValue(self.ctx, (-self._v) % self.ctx.p)
         if k == RATIONALS:
-            return FieldValue(self.ctx, -self._v)
-        a, b = self._v
-        return FieldValue(self.ctx, (-a, -b))
+            a, b = self._v
+            return FieldValue(self.ctx, (-a, b))
+        x, y, d = self._v
+        return FieldValue(self.ctx, (-x, -y, d))
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
@@ -453,9 +525,9 @@ class FieldValue:
         if k == PRIME_FIELD:
             return FieldValue(self.ctx, (self._v * other._v) % self.ctx.p)
         if k == RATIONALS:
-            return FieldValue(self.ctx, self._v * other._v)
-        (a, b), (c, d) = self._v, other._v
-        return FieldValue(self.ctx, (a * c - b * d, a * d + b * c))
+            return FieldValue(self.ctx, _q_product(*self._v, *other._v))
+        (x1, y1, d1), (x2, y2, d2) = self._v, other._v
+        return FieldValue(self.ctx, _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
 
     def inverse(self) -> "FieldValue":
         if self.is_zero:
@@ -464,14 +536,38 @@ class FieldValue:
         if k == PRIME_FIELD:
             return FieldValue(self.ctx, pow(self._v, -1, self.ctx.p))
         if k == RATIONALS:
-            return FieldValue(self.ctx, 1 / self._v)
-        a, b = self._v
-        norm = a * a + b * b
-        return FieldValue(self.ctx, (a / norm, -b / norm))
+            a, b = self._v
+            return FieldValue(self.ctx, (b, a) if a > 0 else (-b, -a))
+        # d / (x + y*i) = d*(x - y*i) / (x^2 + y^2)
+        x, y, d = self._v
+        return FieldValue(self.ctx, _qi_reduced(d * x, -d * y, x * x + y * y))
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
-        return self * other.inverse()
+        k = self.ctx.kind
+        if k == PRIME_FIELD:
+            if other._v == 0:
+                raise DivisionByZero("cannot invert zero")
+            p = self.ctx.p
+            return FieldValue(self.ctx, self._v * pow(other._v, -1, p) % p)
+        if k == RATIONALS:
+            # a/b / (c/d) = a/b * d/c, with the sign of c moved up
+            a, b = self._v
+            c, d = other._v
+            if c == 0:
+                raise DivisionByZero("cannot invert zero")
+            if c < 0:
+                c, d = -c, -d
+            return FieldValue(self.ctx, _q_product(a, b, d, c))
+        # (x1 + y1*i)/d1 / ((x2 + y2*i)/d2)
+        #   = (x1 + y1*i)(x2 - y2*i) d2 / (d1 (x2^2 + y2^2))
+        (x1, y1, d1), (x2, y2, d2) = self._v, other._v
+        norm = x2 * x2 + y2 * y2
+        if norm == 0:
+            raise DivisionByZero("cannot invert zero")
+        return FieldValue(
+            self.ctx, _qi_reduced((x1 * x2 + y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2, d1 * norm)
+        )
 
     def __pow__(self, n: int) -> "FieldValue":
         if not isinstance(n, int):
@@ -507,8 +603,18 @@ class FieldValue:
     def __hash__(self) -> int:
         return hash((self.ctx, self._v))
 
+    def _fractions(self):
+        """A rational as a Fraction; an element of Q(i) as the Fractions
+        (re, im)."""
+        if self.ctx.kind == RATIONALS:
+            return Fraction(*self._v)
+        x, y, d = self._v
+        return (Fraction(x, d), Fraction(y, d))
+
     def sort_key(self):
-        return self._v
+        if self.ctx.kind == PRIME_FIELD:
+            return self._v
+        return self._fractions()
 
     # -- formatting -------------------------------------------------------------
 
@@ -517,8 +623,8 @@ class FieldValue:
         if k == PRIME_FIELD:
             return f"{self._v} mod {self.ctx.p}"
         if k == RATIONALS:
-            return str(self._v)
-        re, im = self._v
+            return str(self._fractions())
+        re, im = self._fractions()
         if im == 0:
             return str(re)
         if im == 1:

@@ -355,15 +355,20 @@ class Rank2Evaluation:
         return len(zero) == 1 and not zero & nonzero
 
 
+def check_window_depth(N: int) -> None:
+    """Refuse a window depth N outside 0 <= N <= MAX_WINDOW_DEPTH."""
+    if N < 0:
+        raise Rank2Error(f"window depth N must be at least 0, got {N}")
+    if N > MAX_WINDOW_DEPTH:
+        raise Rank2Error(f"window depth N must be at most {MAX_WINDOW_DEPTH}, got {N}")
+
+
 def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
     """Fill the window [-N, N+3], 0 <= N <= MAX_WINDOW_DEPTH, so that every
     relation in [-N+1, N+2] holds: those at 1 and 2 are the input check, and
     each step makes the one at its middle index hold, by division or, where
     the divisor is 0, by the closed form once that relation's rhs is 0."""
-    if N < 0:
-        raise Rank2Error(f"window depth N must be at least 0, got {N}")
-    if N > MAX_WINDOW_DEPTH:
-        raise Rank2Error(f"window depth N must be at most {MAX_WINDOW_DEPTH}, got {N}")
+    check_window_depth(N)
     if not is_valid_point(p):
         raise InvalidPoint(f"presentation residuals are {presentation_residuals(p)}")
     lo, hi = -N, N + 3

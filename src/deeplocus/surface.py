@@ -673,11 +673,14 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
 class Dissection:
     """Interior arcs whose complement is a spanning tree of the triangle
     adjacency graph; cutting along them opens the surface to a polygon.
-    The cut is made once, here: `cut_complex`, which `_cut` reads."""
+    The cut is made once, here: `cut_complex`, which `_cut` reads.  The
+    polygon it opens into is built on the first `cut_polygon` call and
+    kept as `polygon`."""
 
     carrier: SurfaceTriangulation
     arcs: FrozenSet[int]
     cut_complex: _Complex = field(init=False, compare=False, repr=False)
+    polygon: Optional[CutPolygon] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = self.carrier
@@ -860,6 +863,9 @@ def _cut(d: Dissection) -> Tuple[_Complex, List[int], Dict[int, int]]:
 
 
 def cut_polygon(d: Dissection) -> CutPolygon:
+    """The polygon d opens into, built once per dissection and kept on it."""
+    if d.polygon is not None:
+        return d.polygon
     t = d.carrier
     cx, walk, vertex_number = _cut(d)
     diagonal_of_arc: Dict[int, Tuple[int, int]] = {}
@@ -870,11 +876,13 @@ def cut_polygon(d: Dissection) -> CutPolygon:
         i = vertex_number[cx.tail_vertex(s)]
         j = vertex_number[cx.head_vertex(s)]
         diagonal_of_arc[aid] = seg(i, j)
-    return CutPolygon(
+    cp = CutPolygon(
         size=len(walk),
         arc_of_edge_source=tuple(t.arc_of_side(s) for s in walk),
         diagonal_of_arc=diagonal_of_arc,
     )
+    object.__setattr__(d, "polygon", cp)
+    return cp
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,23 @@ def test_rank2_deeper_than_the_window_cap_exits_1_without_a_window(monkeypatch, 
     assert err == f"error: Rank2Error: window depth N must be at most 100000, got {depth}\n"
 
 
+@pytest.mark.parametrize(
+    "spec", [["--b", "1", "--c", "1", "--field", "q"], ["--b", "2", "--c", "2", "--field", "fp:5"]]
+)
+def test_rank2_depth_cap_does_not_depend_on_the_spec(monkeypatch, capsys, spec):
+    # (1, 1) over Q has no deep points, so no window would check the depth
+    from deeplocus import rank2
+
+    def no_points(*args):
+        raise AssertionError("deep points searched")
+
+    monkeypatch.setattr(rank2, "deep_points", no_points)
+    code, out = run_cli(["rank2", *spec, "--depth", "1000000000", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: Rank2Error: window depth N must be at most 100000, got 1000000000\n"
+
+
 def test_rank2_builds_one_window_per_point(monkeypatch):
     # the verified flag is read off the window the output prints
     from deeplocus import rank2

@@ -378,3 +378,145 @@ class TestIdentityOracle:
     def test_values_from_another_field_are_refused(self):
         with pytest.raises(ContextMismatch):
             QQ.first_nonzero_relation([QQ.one(), F5.one()], [((1, (0, 1)),)])
+
+
+# ---------------------------------------------------------------------------
+# Q and Q(i) against a fractions.Fraction oracle: a rational is a Fraction,
+# an element of Q(i) the pair of Fractions (re, im)
+
+
+def gaussian_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gaussian_inverse(a):
+    norm = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / norm, -a[1] / norm)
+
+
+ORACLES = {
+    "Q": {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "neg": lambda a: -a,
+        "inverse": lambda a: 1 / a,
+        "zero": Fraction(0),
+        "one": Fraction(1),
+    },
+    "Qi": {
+        "add": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        "sub": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+        "mul": gaussian_mul,
+        "div": lambda a, b: gaussian_mul(a, gaussian_inverse(b)),
+        "neg": lambda a: (-a[0], -a[1]),
+        "inverse": gaussian_inverse,
+        "zero": (Fraction(0), Fraction(0)),
+        "one": (Fraction(1), Fraction(0)),
+    },
+}
+
+
+def oracle_power(oracle, a, n):
+    out = oracle["one"]
+    for _ in range(abs(n)):
+        out = oracle["mul"](out, a)
+    return oracle["inverse"](out) if n < 0 else out
+
+
+def oracle_part(rng):
+    """Zero, a small signed fraction, or one with 30-digit parts."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+
+def oracle_draw(ctx, rng):
+    """A value of ctx, built from its oracle at the boundary, and the oracle."""
+    if ctx is QQ:
+        q = oracle_part(rng)
+        return QQ.rational(q.numerator, q.denominator), q
+    re, im = oracle_part(rng), oracle_part(rng)
+    return QI.gaussian(re, im), (re, im)
+
+
+def canonical_oracle(v):
+    """v's payload as an oracle value, after checking that it is canonical:
+    ints over a positive denominator, with gcd 1."""
+    if v.ctx is QQ:
+        num, den = v._v
+        assert type(num) is int and type(den) is int
+        assert den > 0 and math.gcd(num, den) == 1
+        return Fraction(num, den)
+    re, im, den = v._v
+    assert type(re) is int and type(im) is int and type(den) is int
+    assert den > 0 and math.gcd(re, im, den) == 1
+    return (Fraction(re, den), Fraction(im, den))
+
+
+@pytest.mark.parametrize("ctx, name", [(QQ, "Q"), (QI, "Qi")], ids=["Q", "Qi"])
+def test_exact_arithmetic_matches_the_fraction_oracle(ctx, name):
+    oracle = ORACLES[name]
+    rng = random.Random(f"field-oracle/{name}")
+    drawn = [oracle_draw(ctx, rng) for _ in range(120)]
+    drawn += [(ctx.zero(), oracle["zero"]), (ctx.one(), oracle["one"])]
+    for v, x in drawn:
+        assert canonical_oracle(v) == x
+        assert v.is_zero == (x == oracle["zero"])
+        assert v.sort_key() == x
+        assert ctx.parse(str(v)) == v and hash(ctx.parse(str(v))) == hash(v)
+        if ctx is QQ:
+            assert str(v) == str(x)
+        assert canonical_oracle(-v) == oracle["neg"](x)
+        for n in range(-3, 4):
+            if v.is_zero and n < 0:
+                with pytest.raises(DivisionByZero):
+                    v**n
+            else:
+                assert canonical_oracle(v**n) == oracle_power(oracle, x, n)
+        if v.is_zero:
+            with pytest.raises(DivisionByZero):
+                v.inverse()
+        else:
+            assert canonical_oracle(v.inverse()) == oracle["inverse"](x)
+    for _ in range(600):
+        (a, x), (b, y) = rng.choice(drawn), rng.choice(drawn)
+        for op in ("add", "sub", "mul"):
+            assert canonical_oracle(arithmetic(a, b, op)) == oracle[op](x, y)
+        if b.is_zero:
+            with pytest.raises(DivisionByZero):
+                a / b
+        else:
+            quotient = a / b
+            assert canonical_oracle(quotient) == oracle["div"](x, y)
+            # an equal value reached another way is equal and hashes equally
+            assert quotient * b == a and hash(quotient * b) == hash(a)
+        assert (a == b) == (x == y)
+        assert hash(a - b + b) == hash(a) and a + b - b == a
+    values = [v for v, _ in drawn]
+    assert [canonical_oracle(v) for v in sorted(values, key=lambda v: v.sort_key())] == sorted(
+        x for _, x in drawn
+    )
+
+
+def test_exact_arithmetic_builds_no_fraction(monkeypatch):
+    # Fraction is only for text and numbers coming in and going out
+    values = {ctx: [ctx.rational(-3, 4), ctx.rational(5, 6), ctx.from_int(2)] for ctx in (QQ, QI)}
+    values[QI].append(QI.gaussian("1/2", "-2/3"))
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    relations = [((1, (0, 1)), (-1, (2, 2))), ((2, ()), (-1, (2,)))]
+    for ctx, vals in values.items():
+        for a in vals:
+            assert not a.is_zero and (-a).inverse() ** -2 == a * a
+            for b in vals:
+                for op in ("add", "sub", "mul", "div"):
+                    arithmetic(a, b, op)
+        assert ctx.first_nonzero_relation(vals, relations) == 0

@@ -52,9 +52,9 @@ class TestMutation:
         three = QQ.from_int(3)
         node = TreeNode((), (QQ.one(), QQ.one(), QQ.one()))
         node = mutate_upper(node, three, "x")
-        assert [v._v for v in node.values] == [2, 1, 1]
+        assert list(node.values) == [QQ.from_int(2), QQ.from_int(1), QQ.from_int(1)]
         node = mutate_upper(node, three, "y")
-        assert [v._v for v in node.values] == [2, 5, 1]
+        assert list(node.values) == [QQ.from_int(2), QQ.from_int(5), QQ.from_int(1)]
 
     def test_type_x_absorbs(self):
         node = TreeNode((), (F5.zero(), F5.one(), F5.from_int(2)))

@@ -561,9 +561,20 @@ class TestCutOnce:
     @pytest.mark.parametrize("name", NAMED_SURFACES)
     def test_a_deep_point_cuts_its_dissection_once(self, monkeypatch, name):
         # the dissection's construction cuts the surface; closing a value,
-        # cutting the polygon and building the deep point read that cut
+        # cutting the polygon and building the deep point read that cut,
+        # and the first of them opens it into the polygon the others read
+        from deeplocus import surface
+
         t = named_surface(name)
         builds = count_plain_complex_builds(monkeypatch)
+        polygons = []
+        make_polygon = surface.CutPolygon
+
+        def counted_polygon(**fields):
+            polygons.append(fields["size"])
+            return make_polygon(**fields)
+
+        monkeypatch.setattr(surface, "CutPolygon", counted_polygon)
         d = dissection_spanning_tree(t)
         assert len(builds) == 1
         bvals = {a: QQ.from_int(2) for a in t.boundary_arcs()}
@@ -574,6 +585,7 @@ class TestCutOnce:
         if t.num_marked % 2 == 0:
             deep_point_from_dissection(d, bvals, dvals)
         assert len(builds) == 1
+        assert len(polygons) == 1
 
     def test_avoiding_cuts_each_round_once(self, monkeypatch):
         builds = count_plain_complex_builds(monkeypatch)
