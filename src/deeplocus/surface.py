@@ -93,8 +93,6 @@ class AvoidanceFailed(SurfaceError):
 
 Triangle = Tuple[int, int, int]
 Quad = Tuple[int, int, int, int, int, int]
-# a flip path: (last arc flipped, the path before it), None when empty
-PathLink = Optional[Tuple[int, "PathLink"]]
 # the longest flip sequence the Dehn twist search tries
 MAX_TWIST_FLIPS = 4
 # the longest random walk `verify_deep_random_walk` takes
@@ -302,20 +300,20 @@ class SurfaceTriangulation(_Complex):
     complex that passes the surface checks.
 
     Immutable; flips return a new triangulation sharing the reference and
-    extending the flip path.  Arc ids are glue-orbits of side ids, hence
-    identical across all flips of the same surface.  A build from triangles
-    and gluing runs every surface check.  A flip changes only the two
-    triangles of its quadrilateral: it shares the gluing and the arcs with
-    its parent, carries the genus, boundary count and marked points, which
-    no flip changes, checks only its two new triangles, and builds its
-    vertices the first time they are read.  The flip path is kept as links
-    `(aid, prev)`, so a flip costs the same however long the path.
+    extending the flip path, the tuple of arcs flipped from the reference
+    to here.  Arc ids are glue-orbits of side ids, hence identical across
+    all flips of the same surface.  A build from triangles and gluing runs
+    every surface check.  A flip changes only the two triangles of its
+    quadrilateral: it shares the gluing and the arcs with its parent,
+    carries the genus, boundary count and marked points, which no flip
+    changes, checks only its two new triangles, and builds its vertices the
+    first time they are read.
     """
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         super().__init__(triangles, glue)
         self.reference: Optional["SurfaceTriangulation"] = None
-        self._path: PathLink = None
+        self.flip_path: Tuple[int, ...] = ()
         self._check_surface()
 
     def _check_surface(self) -> None:
@@ -374,8 +372,9 @@ class SurfaceTriangulation(_Complex):
 
     def _flip(self, quad: Quad) -> "SurfaceTriangulation":
         """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
-        sides and arcs are shared and the invariants carried; the one check
-        that can fail is a repeated side in a new triangle (`_new_triangles`)."""
+        sides and arcs are shared, the invariants carried and the flip path
+        extended by the flipped arc; the one check that can fail is a
+        repeated side in a new triangle (`_new_triangles`)."""
         replaced = _new_triangles(self.side_pos, quad)
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
         triangles = list(self.triangles)
@@ -388,20 +387,10 @@ class SurfaceTriangulation(_Complex):
         out.sides, out.boundary_sides = self.sides, self.boundary_sides
         out.arcs, out._arc_of_side = self.arcs, self._arc_of_side
         out.reference = self.ref()
-        out._path = (self._arc_of_side[quad[0]], self._path)
+        out.flip_path = self.flip_path + (self._arc_of_side[quad[0]],)
         out.genus, out.num_boundary = self.genus, self.num_boundary
         out.num_marked = self.num_marked
         return out
-
-    @property
-    def flip_path(self) -> Tuple[int, ...]:
-        """The arcs flipped from the reference to here, in order."""
-        path = []
-        link = self._path
-        while link is not None:
-            aid, link = link
-            path.append(aid)
-        return tuple(reversed(path))
 
     def replay(self) -> List["SurfaceTriangulation"]:
         """The chain reference -> ... -> self along the recorded flip path."""
@@ -530,25 +519,22 @@ class Z2Class:
     labels: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.labels) != len(self.carrier.arcs):
+        labels, arc = self.labels, self.carrier._arc_of_side
+        if len(labels) != len(self.carrier.arcs):
             raise InconsistentCocycle("one label per arc required")
+        for aid, v in enumerate(labels):
+            if v != 0 and v != 1:
+                raise InconsistentCocycle(f"arc {aid} is labeled {v!r}, not 0 or 1")
         for aid in self.carrier.boundary_arcs():
-            if self.labels[aid] != 1:
+            if labels[aid] != 1:
                 raise InconsistentCocycle(f"boundary arc {aid} must be labeled 1")
-        _check_cocycle(self.carrier._arc_of_side, self.labels, self.carrier.triangles)
+        for tri in self.carrier.triangles:
+            a, b, c = tri
+            if (labels[arc[a]] + labels[arc[b]] + labels[arc[c]]) % 2 != 0:
+                raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
 
     def zero_arcs(self) -> FrozenSet[int]:
         return frozenset(a for a, v in enumerate(self.labels) if v == 0)
-
-
-def _check_cocycle(
-    arc: Mapping[int, int], labels: Sequence[int], triangles: Iterable[Triangle]
-) -> None:
-    """The cocycle rule on `triangles`: each one's labels sum to even."""
-    for tri in triangles:
-        a, b, c = tri
-        if (labels[arc[a]] + labels[arc[b]] + labels[arc[c]]) % 2 != 0:
-            raise InconsistentCocycle(f"triangle {tri} violates the cocycle rule")
 
 
 def _eliminate(
@@ -660,7 +646,7 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
     chain = cls.carrier.replay()
     labels = cls.labels
     for step in range(len(chain) - 1, 0, -1):
-        aid = chain[step]._path[0]
+        aid = chain[step].flip_path[-1]
         labels = _transport_labels(chain[step], labels, chain[step].flip_quad(aid))
     return Z2Class(chain[0], labels)
 
@@ -901,18 +887,17 @@ class SurfaceDeepPoint:
     ctx: FieldContext
 
     def __post_init__(self):
+        labels = self.z2.labels
+        arc_ids = range(len(labels))
         for aid, v in self.values.items():
-            _check_value(aid, v, self.z2.labels[aid])
+            if aid not in arc_ids:
+                raise SurfaceError(f"no arc {aid}: arc ids run 0..{len(labels) - 1}")
+            if v is not None and v.is_zero != (labels[aid] == 0):
+                raise SurfaceError(f"value/label mismatch on arc {aid}")
 
     @property
     def triangulation(self) -> SurfaceTriangulation:
         return self.z2.carrier
-
-
-def _check_value(aid: int, value: Optional[FieldValue], label: int) -> None:
-    """A known value is zero exactly on a label-0 arc."""
-    if value is not None and value.is_zero != (label == 0):
-        raise SurfaceError(f"value/label mismatch on arc {aid}")
 
 
 def deep_point_from_dissection(
@@ -1052,16 +1037,20 @@ def verify_deep_random_walk(
     The start state is rebuilt through `Z2Class` and `SurfaceDeepPoint`,
     whose checks it must pass.  The walk then owns one mutable state (the
     triangles, side positions, labels and values) and flips it in place,
-    by the rule `flip_evaluation` uses, checking only what a flip touches:
-    no repeated side and the cocycle rule in the two new triangles, the
-    new label the same from either, the exchange identity at each flip to
-    label 0 whose four sides are known, and the new value against the new
-    label.  A step changes the state only once all of these pass (the
-    cocycle check reads the new label, which a failed step takes back); a
-    failure is recorded as `step N: ...` and ends the walk.  A flip carries
-    the surface invariants, so the end state is rebuilt from its triangles
-    and gluing, which runs every surface check once, and through `Z2Class`
-    and `SurfaceDeepPoint`; a failure there, or invariants other than the
+    by the rule `flip_evaluation` uses.  From a certified state a flip can
+    fail only two checks, so a step makes only those: no repeated side in
+    the two new triangles (`_new_triangles`) and the exchange identity at
+    each flip to label 0 whose four sides are known (`_flip_value`).  The
+    rest holds by the flip itself.  `_new_label` finds the new label the
+    same from either new triangle, so both are even.  A determined label-1
+    value is a nonzero product over a nonzero old value: the old arc and
+    the new one are labeled 1, so exactly one of v(p)v(r), v(q)v(s) has
+    label-0 sides and is 0, and the other is not.  A step changes the
+    state only once both checks pass; a failure is recorded as
+    `step N: ...` and ends the walk.  A flip carries the surface
+    invariants, so the end state is rebuilt from its triangles and gluing,
+    which runs every surface check once, and through `Z2Class` and
+    `SurfaceDeepPoint`; a failure there, or invariants other than the
     carried ones, is recorded as `end: ...`.  No flip path is kept."""
     import random as _random
 
@@ -1104,19 +1093,14 @@ def verify_deep_random_walk(
                     del pool[bisect_left(pool, a)]
         aid = rng.choice(pool or candidates)
         quad, new_label, determined = tested[aid]
-        old_label = labels[aid]
-        labels[aid] = new_label
         try:
             replaced = _new_triangles(side_pos, quad)
-            # in index order, so the first violation is the one Z2Class names
-            _check_cocycle(arc, labels, [replaced[i] for i in sorted(replaced)])
             value = _flip_value(t, values, quad, new_label, determined, ctx)
-            _check_value(aid, value, new_label)
         except SurfaceError as exc:
-            labels[aid] = old_label
             report.failures.append(f"step {step}: {exc}")
             break
         _place(triangles, side_pos, replaced)
+        labels[aid] = new_label
         values[aid] = value
         retest = {arc[x] for x in quad} & interior
         report.flips_taken.append(aid)

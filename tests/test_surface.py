@@ -388,6 +388,20 @@ class TestClasses:
         with pytest.raises(InconsistentCocycle):
             Z2Class(t, tuple(bad))
 
+    def test_a_label_other_than_0_or_1_is_refused_first(self):
+        # 2 on an interior arc keeps every triangle's sum even, and 3 on a
+        # boundary arc is odd like 1: each is refused as a label before the
+        # boundary and cocycle checks read it
+        t = named_surface("annulus22")
+        cls = solve_classes(t)[0]
+        inner, edge = t.interior_arcs()[0], t.boundary_arcs()[0]
+        for aid, label in [(inner, 2), (inner, -1), (edge, 3)]:
+            bad = list(cls.labels)
+            bad[aid] = label
+            message = f"^arc {aid} is labeled {label}, not 0 or 1$"
+            with pytest.raises(InconsistentCocycle, match=message):
+                Z2Class(t, tuple(bad))
+
 
 class TestDissections:
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -891,6 +905,80 @@ class TestDeepPoints:
             state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
+    def test_flip_lemma_behind_the_walk_checks(self, ctx):
+        # from a state that passes Z2Class and SurfaceDeepPoint, a flip can
+        # break only what the walk checks per step: a new triangle that
+        # repeats a side (no arc here has both sides in one triangle), and
+        # the exchange identity at a flip to label 0.  Both new triangles
+        # satisfy the cocycle rule under _new_label's label; a determined
+        # label-1 value is nonzero and meets the exchange identity
+        # old * new = v(p)v(r) + v(q)v(s); a label-0 value is zero, or
+        # raises exactly when the four sides are known and
+        # v(p)v(r) + v(q)v(s) is not.  Starts are deep points and deep
+        # points with one value perturbed; annulus21 has an odd number of
+        # marked points, hence no deep points.
+        from deeplocus.surface import (
+            SurfaceDeepPoint,
+            _flip_determined,
+            _flip_value,
+            _new_label,
+            _new_triangles,
+        )
+
+        rng = random.Random(f"flip-lemma/{ctx!r}")
+        two = ctx.from_int(2)
+        seen = set()
+        for name in NAMED_SURFACES:
+            if name == "annulus21":
+                continue
+            for _ in range(2):
+                t = named_surface(name)
+                for _ in range(4):
+                    t = t.flip(rng.choice(t.interior_arcs()))
+                p = random_deep_point(t, ctx, rng)
+                bent = rng.choice(sorted(a for a, v in p.values.items() if not v.is_zero))
+                perturbed = SurfaceDeepPoint({**p.values, bent: p.values[bent] * two}, p.z2, ctx)
+                for state in (p, perturbed):
+                    for _ in range(12):
+                        tcur, labels, values = state.triangulation, state.z2.labels, state.values
+                        arc = tcur.arc_of_side
+                        for aid in tcur.interior_arcs():
+                            quad = tcur.flip_quad(aid)
+                            label = _new_label(tcur, labels, quad)
+                            replaced = _new_triangles(tcur.side_pos, quad)
+                            new_labels = {**dict(enumerate(labels)), aid: label}
+                            for tri in replaced.values():
+                                assert sum(new_labels[arc(x)] for x in tri) % 2 == 0, (name, aid)
+                            determined = _flip_determined(tcur, values, quad, label)
+                            _, sp, sq, _, sr, ss = quad
+                            vp, vq, vr, vs = (values.get(arc(x)) for x in (sp, sq, sr, ss))
+                            known = None not in (vp, vq, vr, vs)
+                            breaks = label == 0 and known and not (vp * vr + vq * vs).is_zero
+                            try:
+                                value = _flip_value(tcur, values, quad, label, determined, ctx)
+                            except SurfaceError as exc:
+                                assert breaks, (name, aid)
+                                assert str(exc) == f"exchange identity fails at arc {aid}"
+                                seen.add("exchange fails")
+                                continue
+                            assert not breaks, (name, aid)
+                            if label == 0:
+                                assert value is not None and value.is_zero, (name, aid)
+                                seen.add("label 0")
+                            elif determined:
+                                assert value is not None and not value.is_zero, (name, aid)
+                                assert values[aid] * value == vp * vr + vq * vs, (name, aid)
+                                seen.add("label 1")
+                            else:
+                                assert value is None
+                                seen.add("undetermined")
+                        try:
+                            state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
+                        except SurfaceError:
+                            pass
+        assert seen == {"exchange fails", "label 0", "label 1", "undetermined"}
+
     def test_walks(self):
         t = named_surface("annulus22")
         p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
@@ -1026,6 +1114,22 @@ class TestDeepPoints:
                 SurfaceDeepPoint({**p.values, aid: v}, p.z2, p.ctx)
         # an underdetermined value agrees with either label
         SurfaceDeepPoint({**p.values, zero: None, one: None}, p.z2, p.ctx)
+
+    @pytest.mark.parametrize("aid", [-1, 8, 99])
+    def test_deep_point_refuses_a_value_on_an_unknown_arc(self, aid):
+        # annulus22 has arcs 0..7; -1 is not read as the last one
+        from deeplocus.surface import SurfaceDeepPoint
+
+        t = named_surface("annulus22")
+        p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+        message = f"no arc {aid}: arc ids run 0..7"
+        for v in (QQ.zero(), QQ.one(), None):
+            with pytest.raises(SurfaceError, match=f"^{message}$"):
+                SurfaceDeepPoint({**p.values, aid: v}, p.z2, p.ctx)
+        # a value set after the point was built is refused at the walk's start
+        p.values[aid] = QQ.zero()
+        report = verify_deep_random_walk(p, 50, seed=1)
+        assert (report.failures, report.flips_taken) == ([f"start: {message}"], [])
 
     def test_walk_works_out_each_quadrilateral_once(self, monkeypatch):
         # a flip works out one quad per re-tested arc (the flipped arc and
