@@ -49,13 +49,17 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def ingest_surface(path: str) -> surface.SurfaceTriangulation:
-    """Read {"polygon_sides": n, "gluings": [[a, b], ...]} and build."""
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read surface file {path}: {exc}")
+        raise ParseError(f"cannot read {what} {path}: {exc}")
+
+
+def ingest_surface(path: str) -> surface.SurfaceTriangulation:
+    """Read {"polygon_sides": n, "gluings": [[a, b], ...]} and build."""
+    data = _read_json(path, "surface file")
     if not isinstance(data, dict) or "polygon_sides" not in data:
         raise ParseError(f"{path}: expected keys polygon_sides, gluings")
     sides = _integer(data["polygon_sides"], f"{path}: polygon_sides")
@@ -72,12 +76,10 @@ def ingest_surface(path: str) -> surface.SurfaceTriangulation:
 def ingest_deep_fixture(
     path: str, t: surface.SurfaceTriangulation
 ) -> surface.SurfaceDeepPoint:
-    """Read {"dissection": [...], "values": {"arc": "str"}, "field": "..."}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read fixture {path}: {exc}")
+    """Read {"dissection": [...], "values": {"arc": "str"}, "field": "..."}.
+    A key of values is an arc id in its canonical spelling: "03" or "0_4"
+    is refused, not read as arc 3 or 4."""
+    data = _read_json(path, "fixture")
     if not (
         isinstance(data, dict)
         and isinstance(data.get("dissection"), list)
@@ -92,6 +94,9 @@ def ingest_deep_fixture(
         values = {int(a): ctx.parse(str(s)) for a, s in data["values"].items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    for a in data["values"]:
+        if a != str(int(a)):
+            raise ParseError(f"{path}: values key {a!r} is not a canonical arc id")
     d = surface.Dissection(t, arcs)
     missing = sorted({*t.boundary_arcs(), *d.arcs} - set(values))
     if missing:
@@ -112,51 +117,51 @@ def _at_least(flag: str, value: Optional[int], least: int) -> None:
 
 
 def _load_surface(args) -> surface.SurfaceTriangulation:
-    if getattr(args, "surface", None):
+    if args.surface:
         return ingest_surface(args.surface)
-    return surface.named_surface(getattr(args, "name", None) or "annulus22")
+    return surface.named_surface(args.name or "annulus22")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its stdout text and exit code, which main prints
 
 
-def cmd_polygon(args) -> int:
+def _document(doc: dict, exit_code: int = 0) -> Tuple[str, int]:
+    return json.dumps(doc, sort_keys=True), exit_code
+
+
+def cmd_polygon_deep_typea(args) -> Tuple[str, int]:
+    try:
+        point = polygon.unique_deep_point_typeA(args.rank, parse_field(args.field))
+    except polygon.NoDeepPoint as exc:
+        return _document({"schema": 1, "deep_point": None, "reason": str(exc)})
+    doc = {"schema": 1, "deep_point": point.to_json(), "certified_deep": None}
+    if args.rank + 3 <= polygon.MAX_ENUMERATION_N:
+        doc["certified_deep"] = polygon.is_deep_bruteforce(point)
+    return _document(doc)
+
+
+def cmd_polygon_from_edges(args) -> Tuple[str, int]:
     ctx = parse_field(args.field)
-    if args.polygon_cmd == "deep-typea":
-        try:
-            point = polygon.unique_deep_point_typeA(args.rank, ctx)
-        except polygon.NoDeepPoint as exc:
-            print(json.dumps({"schema": 1, "deep_point": None, "reason": str(exc)}, sort_keys=True))
-            return 0
-        doc = {"schema": 1, "deep_point": point.to_json(), "certified_deep": None}
-        if args.rank + 3 <= polygon.MAX_ENUMERATION_N:
-            doc["certified_deep"] = polygon.is_deep_bruteforce(point)
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    if args.polygon_cmd == "from-edges":
-        vals = [ctx.parse(v) for v in args.edges.split(",")]
-        n = len(vals)
-        edges = dict(zip(polygon.polygon_edges(n), vals))
-        point = polygon.deep_point_from_edges(n, edges)
-        doc = {"schema": 1, "deep_point": point.to_json()}
-        if n <= polygon.MAX_ENUMERATION_N:
-            doc["certified_deep"] = polygon.is_deep_bruteforce(point)
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    if args.polygon_cmd == "scan":
-        results = polygon.bruteforce_variety_scan(args.n, ctx, args.mode)
-        deep = [p for p, is_deep in results if is_deep]
-        doc = {
-            "schema": 1,
-            "n": args.n,
-            "mode": args.mode,
-            "variety_points": len(results),
-            "deep_points": [p.to_json() for p in deep],
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    raise ParseError(f"unknown polygon subcommand {args.polygon_cmd!r}")
+    vals = [ctx.parse(v) for v in args.edges.split(",")]
+    n = len(vals)
+    point = polygon.deep_point_from_edges(n, dict(zip(polygon.polygon_edges(n), vals)))
+    doc = {"schema": 1, "deep_point": point.to_json()}
+    if n <= polygon.MAX_ENUMERATION_N:
+        doc["certified_deep"] = polygon.is_deep_bruteforce(point)
+    return _document(doc)
+
+
+def cmd_polygon_scan(args) -> Tuple[str, int]:
+    results = polygon.bruteforce_variety_scan(args.n, parse_field(args.field), args.mode)
+    doc = {
+        "schema": 1,
+        "n": args.n,
+        "mode": args.mode,
+        "variety_points": len(results),
+        "deep_points": [p.to_json() for p, is_deep in results if is_deep],
+    }
+    return _document(doc)
 
 
 def _int_list(text: str, flag: str) -> Tuple[int, ...]:
@@ -166,25 +171,23 @@ def _int_list(text: str, flag: str) -> Tuple[int, ...]:
         raise ParseError(f"{flag} needs a comma list of integers, got {text!r}") from None
 
 
-def cmd_rank2(args) -> int:
+def cmd_rank2(args) -> Tuple[str, int]:
     ctx = parse_field(args.field)
     e1 = _int_list(args.e1, "--e1")
     e2 = _int_list(args.e2, "--e2")
-    depth = args.depth
-    _at_least("--depth", depth, 0)
-    rank2.check_window_depth(depth)
+    _at_least("--depth", args.depth, 0)
+    rank2.check_window_depth(args.depth)
     spec = rank2.Rank2Spec(args.b, args.c, len(e1), e1, e2)
-    points = rank2.deep_points(spec, ctx)
     entries = []
-    for point, parity in points:
-        ev = rank2.extend_evaluation(point, depth)
+    for point, parity in rank2.deep_points(spec, ctx):
+        ev = rank2.extend_evaluation(point, args.depth)
         entries.append(
             {
                 "x": [str(v) for v in point.xs],
                 "y": [str(v) for v in point.ys],
                 "kills": parity,
                 "verified": ev.is_deep(),
-                "window": {str(i): str(ev.values[i]) for i in range(-depth, depth + 4)},
+                "window": {str(i): str(ev.values[i]) for i in range(-args.depth, args.depth + 4)},
             }
         )
     doc = {
@@ -193,8 +196,7 @@ def cmd_rank2(args) -> int:
         "field": args.field,
         "deep_points": entries,
     }
-    print(json.dumps(doc, sort_keys=True))
-    return 0 if all(e["verified"] for e in entries) else 1
+    return _document(doc, 0 if all(e["verified"] for e in entries) else 1)
 
 
 def _markov_point(text: str, ctx: FieldContext) -> markov.MarkovUpperPoint:
@@ -204,106 +206,101 @@ def _markov_point(text: str, ctx: FieldContext) -> markov.MarkovUpperPoint:
     return markov.MarkovUpperPoint(*values)
 
 
-def cmd_markov(args) -> int:
+def _markov_values(p: markov.MarkovUpperPoint) -> List[str]:
+    return [str(v) for v in (p.x, p.y, p.z, p.M)]
+
+
+def cmd_markov_classify(args) -> Tuple[str, int]:
+    p = _markov_point(args.point, parse_field(args.field))
+    t = markov.classify_deep_upper(p)
+    doc = {"schema": 1, "point": _markov_values(p), "deep": t is not None}
+    if t is not None:
+        doc["type"] = t.tag
+        doc["parameters"] = {
+            k: str(v)
+            for k, v in (("alpha", t.alpha), ("beta", t.beta), ("gamma", t.gamma))
+            if v is not None
+        }
+    return _document(doc)
+
+
+def cmd_markov_enumerate(args) -> Tuple[str, int]:
+    deep = markov.enumerate_deep_upper(parse_field(args.field))
+    doc = {
+        "schema": 1,
+        "field": args.field,
+        "count": len(deep),
+        "deep_points": [
+            {"point": _markov_values(p), "type": markov.classify_deep_upper(p).tag}
+            for p in deep
+        ],
+    }
+    return _document(doc)
+
+
+def cmd_markov_verify(args) -> Tuple[str, int]:
     ctx = parse_field(args.field)
-    if args.markov_cmd == "classify":
-        p = _markov_point(args.point, ctx)
-        t = markov.classify_deep_upper(p)
-        doc = {"schema": 1, "point": [str(v) for v in (p.x, p.y, p.z, p.M)], "deep": t is not None}
-        if t is not None:
-            doc["type"] = t.tag
-            doc["parameters"] = {
-                k: str(v)
-                for k, v in (("alpha", t.alpha), ("beta", t.beta), ("gamma", t.gamma))
-                if v is not None
-            }
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    if args.markov_cmd == "enumerate":
-        deep = markov.enumerate_deep_upper(ctx)
-        doc = {
-            "schema": 1,
-            "field": args.field,
-            "count": len(deep),
-            "deep_points": [
-                {
-                    "point": [str(v) for v in (p.x, p.y, p.z, p.M)],
-                    "type": markov.classify_deep_upper(p).tag,
-                }
-                for p in deep
-            ],
+    _at_least("--depth", args.depth, 0)
+    p = _markov_point(args.point, ctx)
+    report = markov.explore_and_verify(p, depth=args.depth)
+    doc = {
+        "schema": 1,
+        "point": _markov_values(p),
+        "depth": args.depth,
+        "nodes_visited": report.nodes_visited,
+        "passed": report.passed,
+        "failures": report.failures,
+    }
+    if args.trace:
+        doc["markov_element"] = {
+            "".join(path): str(v)
+            for path, v in sorted(report.markov_element_values.items())
         }
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    if args.markov_cmd == "verify":
-        _at_least("--depth", args.depth, 0)
-        p = _markov_point(args.point, ctx)
-        report = markov.explore_and_verify(p, depth=args.depth)
-        doc = {
-            "schema": 1,
-            "point": [str(v) for v in (p.x, p.y, p.z, p.M)],
-            "depth": args.depth,
-            "nodes_visited": report.nodes_visited,
-            "passed": report.passed,
-            "failures": report.failures,
-        }
-        if args.trace:
-            doc["markov_element"] = {
-                "".join(path): str(v)
-                for path, v in sorted(report.markov_element_values.items())
-            }
-        print(json.dumps(doc, sort_keys=True))
-        return 0 if report.passed else 1
-    raise ParseError(f"unknown markov subcommand {args.markov_cmd!r}")
+    return _document(doc, 0 if report.passed else 1)
 
 
-def cmd_surface(args) -> int:
-    if args.surface_cmd == "invariants":
-        t = _load_surface(args)
-        g, b, m, arcs = t.invariants()
-        doc = {
-            "schema": 1,
-            "genus": g,
-            "boundary_components": b,
-            "marked_points": m,
-            "arcs": arcs,
-            "interior_arcs": t.interior_arcs(),
-            "boundary_arcs": t.boundary_arcs(),
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    if args.surface_cmd == "components":
-        rep = run_scenario("surface-components", surface=_surface_file(args))
-        print(rep.render(args.json))
-        return rep.exit_code
-    if args.surface_cmd == "deep":
-        _at_least("--steps", args.steps, 1)
-        t = _load_surface(args)
-        point = ingest_deep_fixture(args.fixture, t)
-        walk = surface.verify_deep_random_walk(point, args.steps, args.seed)
-        doc = {
-            "schema": 1,
-            "steps": args.steps,
-            "seed": args.seed,
-            "passed": walk.passed,
-            "failures": walk.failures,
-            "undetermined_values": walk.undetermined_values,
-            "values": {str(a): (str(v) if v is not None else None) for a, v in sorted(point.values.items())},
-        }
-        print(json.dumps(doc, sort_keys=True))
-        return 0 if walk.passed else 1
-    raise ParseError(f"unknown surface subcommand {args.surface_cmd!r}")
+def cmd_surface_invariants(args) -> Tuple[str, int]:
+    t = _load_surface(args)
+    g, b, m, arcs = t.invariants()
+    doc = {
+        "schema": 1,
+        "genus": g,
+        "boundary_components": b,
+        "marked_points": m,
+        "arcs": arcs,
+        "interior_arcs": t.interior_arcs(),
+        "boundary_arcs": t.boundary_arcs(),
+    }
+    return _document(doc)
 
 
-def cmd_scenario(args) -> int:
+def cmd_surface_components(args) -> Tuple[str, int]:
+    rep = run_scenario("surface-components", surface=_surface_file(args))
+    return rep.render(args.json), rep.exit_code
+
+
+def cmd_surface_deep(args) -> Tuple[str, int]:
+    _at_least("--steps", args.steps, 1)
+    point = ingest_deep_fixture(args.fixture, _load_surface(args))
+    walk = surface.verify_deep_random_walk(point, args.steps, args.seed)
+    doc = {
+        "schema": 1,
+        "steps": args.steps,
+        "seed": args.seed,
+        "passed": walk.passed,
+        "failures": walk.failures,
+        "undetermined_values": walk.undetermined_values,
+        "values": {str(a): (str(v) if v is not None else None) for a, v in sorted(point.values.items())},
+    }
+    return _document(doc, 0 if walk.passed else 1)
+
+
+def cmd_scenario(args) -> Tuple[str, int]:
     if args.name == "list":
-        for name in sorted(SCENARIOS):
-            print(name)
-        return 0
+        return "\n".join(sorted(SCENARIOS)), 0
     _at_least("--steps", args.steps, 1)
     rep = run_scenario(args.name, args.seed, args.steps, _surface_file(args))
-    print(rep.render(args.json))
-    return rep.exit_code
+    return rep.render(args.json), rep.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,20 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
         if depth:
             p.add_argument("--depth", type=int, default=6, help="tree/window depth")
 
+    def leaf(subparsers, name, run, **kwargs):
+        """The parser of a subcommand that `run` carries out."""
+        p = subparsers.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        return p
+
     p_poly = sub.add_parser("polygon", help="type-A and boundary-coefficient polygons")
     poly_sub = p_poly.add_subparsers(dest="polygon_cmd", required=True)
-    p = poly_sub.add_parser("deep-typea")
+    p = leaf(poly_sub, "deep-typea", cmd_polygon_deep_typea)
     p.add_argument("--rank", type=int, required=True)
-    p = poly_sub.add_parser("from-edges")
+    p = leaf(poly_sub, "from-edges", cmd_polygon_from_edges)
     p.add_argument("--edges", required=True, help="comma list for (1,2),(2,3),...,(1,n)")
-    p = poly_sub.add_parser("scan")
+    p = leaf(poly_sub, "scan", cmd_polygon_scan)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default=polygon.MODE_TYPE_A,
                    choices=[polygon.MODE_TYPE_A, polygon.MODE_BOUNDARY])
     for sp in poly_sub.choices.values():
         flags(sp, field=True)
 
-    p_rank2 = sub.add_parser("rank2", help="rank-2 deep points and windows")
+    p_rank2 = leaf(sub, "rank2", cmd_rank2, help="rank-2 deep points and windows")
     flags(p_rank2, field=True, depth=True)
     p_rank2.add_argument("--b", type=int, required=True)
     p_rank2.add_argument("--c", type=int, required=True)
@@ -345,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_markov = sub.add_parser("markov", help="Markov upper cluster variety")
     markov_sub = p_markov.add_subparsers(dest="markov_cmd", required=True)
-    p = markov_sub.add_parser("classify")
+    p = leaf(markov_sub, "classify", cmd_markov_classify)
     p.add_argument("--point", required=True, help="x,y,z,M")
-    p = markov_sub.add_parser("enumerate")
-    p = markov_sub.add_parser("verify")
+    leaf(markov_sub, "enumerate", cmd_markov_enumerate)
+    p = leaf(markov_sub, "verify", cmd_markov_verify)
     p.add_argument("--point", required=True, help="x,y,z,M")
     p.add_argument("--trace", action="store_true")
     for name, sp in markov_sub.choices.items():
@@ -356,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_surface = sub.add_parser("surface", help="marked surface triangulations")
     surface_sub = p_surface.add_subparsers(dest="surface_cmd", required=True)
-    for cmd in ("invariants", "components", "deep"):
-        p = surface_sub.add_parser(cmd)
+    for cmd, run in (("invariants", cmd_surface_invariants),
+                     ("components", cmd_surface_components), ("deep", cmd_surface_deep)):
+        p = leaf(surface_sub, cmd, run)
         p.add_argument("--surface", help="surface description JSON file")
         p.add_argument("--name", help="built-in surface name")
         if cmd == "deep":
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, default=200, help="flips, at least 1")
         flags(p, seed=cmd == "deep")
 
-    p_scn = sub.add_parser("scenario", help="reproduce a classification end to end")
+    p_scn = leaf(sub, "scenario", cmd_scenario, help="reproduce a classification end to end")
     flags(p_scn, seed=True)
     p_scn.add_argument("name", help="scenario name, or `list`")
     p_scn.add_argument("--steps", type=int, default=None, help="flips, at least 1")
@@ -375,26 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    handlers = {
-        "polygon": cmd_polygon,
-        "rank2": cmd_rank2,
-        "markov": cmd_markov,
-        "surface": cmd_surface,
-        "scenario": cmd_scenario,
-    }
     try:
-        return handlers[args.command](args)
+        text, exit_code = args.run(args)
     except (UnknownScenario, ParseError, UnparsableValue, polygon.InvalidSearchCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DeepLocusError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    print(text)
+    return exit_code
 
 
 if __name__ == "__main__":

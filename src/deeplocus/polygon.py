@@ -343,6 +343,8 @@ def deep_point_from_edges(
     difference get 0 and the others are fixed sign-alternating ratios of
     edge runs.
     """
+    if n < 3:
+        raise SizeOutOfRange("polygon needs at least 3 vertices")
     if n % 2 == 1:
         raise OddPolygon(f"the {n}-gon has no deep points")
     edges = polygon_edges(n)

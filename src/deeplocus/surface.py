@@ -363,7 +363,10 @@ class SurfaceTriangulation(_Complex):
 
     def flip_quad(self, aid: int) -> Quad:
         """(a1, p, q, a2, r, s): the flipped arc's sides and the cyclic
-        quadrilateral sides around it."""
+        quadrilateral sides around it.  An id outside 0..len(arcs)-1 is
+        refused, not read from the end of the arc list."""
+        if not 0 <= aid < len(self.arcs):
+            raise SurfaceError(f"no arc {aid}: arc ids run 0..{len(self.arcs) - 1}")
         return _quad(self.arcs, self.triangles, self.side_pos, aid)
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
@@ -945,11 +948,13 @@ def solve_closing_value(
     t = d.carrier
     if not t.arc_is_boundary(target_arc):
         raise SurfaceError("the closing arc must be a boundary arc")
-    cp = cut_polygon(d)
-    ctx = next(iter(values.values())).ctx
-    sources = cp.arc_of_edge_source
+    sources = cut_polygon(d).arc_of_edge_source
     if target_arc not in sources:
         raise SurfaceError("closing arc does not appear on the cut polygon")
+    missing = [a for a in sources if a != target_arc and a not in values]
+    if missing:
+        raise SurfaceError(f"missing value for arc {missing[0]} of the cut polygon")
+    ctx = next(iter(values.values())).ctx
     # with one on the target, the condition reads target**(+-1) * alt == sign
     cycle = [ctx.one() if a == target_arc else values[a] for a in sources]
     alt, sign = alternating_condition(cycle)

@@ -302,6 +302,16 @@ BAD_INPUTS = {
         {"field": "q", "values": DEEP_FIXTURE["values"]},
     ),
     "fixture-not-an-object": (DEEP_ON_ANNULUS22 + ["--fixture", "{file}"], [0, 1]),
+    # a values key is an arc id as str(int) writes it: "03" does not
+    # override "3", nor is "0_4" read as arc 4
+    "fixture-key-leading-zero": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "03": "7"}},
+    ),
+    "fixture-key-underscore": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {"0": "5", "1": "1", "2": "1", "3": "1", "0_4": "1"}},
+    ),
     "scenario-steps-zero": (["scenario", "surface-deep-walk", "--steps", "0"], None),
     "scenario-steps-negative": (["scenario", "surface-deep-walk", "--steps", "-5"], None),
     "surface-deep-steps-negative": (

@@ -186,6 +186,13 @@ class TestDeepPointFromEdges:
             assert p.value(3, 6) == -a[2] * a[4] / a[3]
             assert p.value(3, 6) == -a[1] * a6 / a[0]
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_vertices_is_a_size_error(self, n):
+        # refused before the parity and edge-value checks
+        for edges in ({}, {e: QQ.one() for e in polygon_edges(n)}):
+            with pytest.raises(SizeOutOfRange, match="^polygon needs at least 3 vertices$"):
+                deep_point_from_edges(n, edges)
+
     def test_odd_polygon(self):
         with pytest.raises(OddPolygon):
             deep_point_from_edges(5, {e: QQ.one() for e in polygon_edges(5)})

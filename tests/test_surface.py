@@ -169,6 +169,22 @@ class TestFlips:
         with pytest.raises(BoundaryArc):
             t.flip(t.boundary_arcs()[0])
 
+    @pytest.mark.parametrize("aid", [-1, 8, 99])
+    def test_flip_refuses_an_unknown_arc(self, aid):
+        # annulus22 has arcs 0..7; -1 is not read as the last one, and the
+        # flip, its quad, class transport and flip_evaluation all refuse it
+        t = named_surface("annulus22")
+        p = ones_deep_point(t)
+        flips = [
+            t.flip,
+            t.flip_quad,
+            lambda a: transport_class(p.z2, a),
+            lambda a: flip_evaluation(p, a),
+        ]
+        for flip in flips:
+            with pytest.raises(SurfaceError, match=f"^no arc {aid}: arc ids run 0..7$"):
+                flip(aid)
+
     def test_replay(self):
         t = named_surface("genus1")
         arcs = t.interior_arcs()
@@ -776,6 +792,16 @@ class TestDeepPoints:
                 {a: QQ.one() for a in t.boundary_arcs()},
                 {a: QQ.one() for a in d.arcs},
             )
+
+    def test_closing_value_names_a_missing_value(self):
+        # the cut polygon of {0} on annulus22 runs over arcs 0, 1, 2, 0, 3, 4
+        t = named_surface("annulus22")
+        d = Dissection(t, frozenset([0]))
+        for values, missing in [({1: QQ.one()}, 0), ({}, 0), ({a: QQ.one() for a in (0, 1, 2, 4)}, 3)]:
+            with pytest.raises(
+                SurfaceError, match=f"^missing value for arc {missing} of the cut polygon$"
+            ):
+                solve_closing_value(d, values, 1)
 
     def test_zero_value_rejected(self):
         t = named_surface("annulus22")
