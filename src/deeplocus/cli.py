@@ -2,13 +2,16 @@
 `scenario`, which runs the runners of deeplocus.scenarios.
 
 Field selectors: "q" (rationals), "qi" (Gaussian rationals), "fp:P"
-(prime field).  All reports are deterministic given --seed, and --json
-emits a stable, sorted document with a schema marker.
+(prime field).  All reports are deterministic given --seed.  Every
+subcommand prints a stable, sorted JSON document with a schema marker,
+except that `scenario` and `surface components` print PASS/FAIL lines
+unless given --json.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -117,6 +120,8 @@ def _at_least(flag: str, value: Optional[int], least: int) -> None:
 
 
 def _load_surface(args) -> surface.SurfaceTriangulation:
+    if args.surface and args.name:
+        raise ParseError("--surface and --name each name a surface; give one")
     if args.surface:
         return ingest_surface(args.surface)
     return surface.named_surface(args.name or "annulus22")
@@ -303,7 +308,9 @@ def cmd_scenario(args) -> Tuple[str, int]:
     return rep.render(args.json), rep.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="deeplocus",
         description="construct and certify deep points of cluster varieties",

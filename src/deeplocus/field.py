@@ -91,7 +91,7 @@ class FieldContext:
         if kind not in (RATIONALS, GAUSSIAN_RATIONALS, PRIME_FIELD):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == PRIME_FIELD:
-            if not (2 <= p <= _MAX_PRIME) or not _is_prime(p):
+            if not (p <= _MAX_PRIME and _is_prime(p)):
                 raise ValueError(f"modulus {p} is not a prime in [2, 2^31]")
         else:
             p = 0

@@ -208,10 +208,6 @@ class Rank2Point:
             if y.is_zero:
                 raise Rank2Error("frozen coefficients must be nonzero")
 
-    @property
-    def ctx(self) -> FieldContext:
-        return self.xs[0].ctx
-
 
 def _relation_rhs(
     spec: Rank2Spec,
@@ -264,10 +260,9 @@ class GPolynomial:
         return out
 
     def constant_term(self) -> Tuple[int, Vector]:
-        for coef, yexp, xdeg in self.terms:
-            if xdeg == 0:
-                return coef, yexp
-        return 0, vscale(0, self.e)
+        """The x-degree 0 term, which `_binomial_g` puts first."""
+        coef, yexp, _ = self.terms[0]
+        return coef, yexp
 
 
 def _binomial_g(outer: int, inner: int, e: Vector) -> GPolynomial:

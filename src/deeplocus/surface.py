@@ -376,8 +376,7 @@ class SurfaceTriangulation(_Complex):
     def _flip(self, quad: Quad) -> "SurfaceTriangulation":
         """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
         sides and arcs are shared, the invariants carried and the flip path
-        extended by the flipped arc; the one check that can fail is a
-        repeated side in a new triangle (`_new_triangles`)."""
+        extended by the flipped arc; it checks nothing (`_new_triangles`)."""
         replaced = _new_triangles(self.side_pos, quad)
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
         triangles = list(self.triangles)
@@ -396,12 +395,12 @@ class SurfaceTriangulation(_Complex):
         return out
 
     def replay(self) -> List["SurfaceTriangulation"]:
-        """The chain reference -> ... -> self along the recorded flip path."""
+        """The chain reference -> ... -> self along the recorded flip path.
+        Only `_flip` extends a flip path, and a flip is a function of its
+        triangulation and arc, so the chain ends at self."""
         chain = [self.ref()]
         for aid in self.flip_path:
             chain.append(chain[-1].flip(aid))
-        if chain[-1] != self:
-            raise SurfaceError("flip path does not reproduce this triangulation")
         return chain
 
 
@@ -429,14 +428,11 @@ def _quad(
 
 def _new_triangles(side_pos: Mapping[int, Tuple[int, int]], quad: Quad) -> Dict[int, Triangle]:
     """The two triangles that replace those of `quad` in its flip, by
-    index.  A repeated side in one of them, which is also how an arc with
-    both sides in one triangle shows, raises."""
+    index.  Neither repeats a side: an arc with both sides in one triangle
+    has them adjacent there, and their shared corner would be a puncture,
+    which `_check_surface` refuses, so the old triangles share no side."""
     a1, p, q, a2, r, s = quad
-    replaced = {side_pos[a1][0]: (a1, q, r), side_pos[a2][0]: (a2, s, p)}
-    for t, tri in replaced.items():
-        if len(set(tri)) != 3:
-            raise InvalidPairing(f"triangle {t} repeats a side id")
-    return replaced
+    return {side_pos[a1][0]: (a1, q, r), side_pos[a2][0]: (a2, s, p)}
 
 
 def _place(
@@ -618,14 +614,12 @@ def solve_classes(
 
 def _new_label(t: SurfaceTriangulation, labels: Sequence[int], quad: Quad) -> int:
     """The label of the arc inside `quad` (its `flip_quad`) after its flip:
-    the cocycle completion in either new triangle; the two must agree."""
-    _, p, q, _, r, s = quad
+    the cocycle completion in the new triangle (a1, q, r).  The other new
+    triangle (a2, s, p) gives the same label, since the old triangles are
+    even: l(p) + l(q) = l(a1) = l(r) + l(s) mod 2, so l(q) + l(r) = l(s) + l(p)."""
+    _, p, q, _, r, _ = quad
     arc = t._arc_of_side
-    from_t1 = (labels[arc[q]] + labels[arc[r]]) % 2
-    from_t2 = (labels[arc[s]] + labels[arc[p]]) % 2
-    if from_t1 != from_t2:
-        raise InconsistentCocycle("input labels violate the cocycle rule")
-    return from_t1
+    return (labels[arc[q]] + labels[arc[r]]) % 2
 
 
 def _transport_labels(
@@ -735,6 +729,12 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
     shared corner in one pass (a flip removes only its own arc from the
     corner), and swap the bad arc for the exposed ear arc (whose label is
     1 by the odd-per-triangle rule).  The label-0 count drops each round.
+
+    Each step is sure to work.  The cut boundary has label-1 edges (the
+    boundary arcs) and label-0 ones, each a copy of a dissection arc, so
+    a junction exists.  Flipping every diagonal at the corner leaves the
+    corner's two polygon edges in one triangle, an ear.  The flips change
+    no label of a polygon edge, so the ear's third arc is labeled 1.
     """
     labels = zero_class.labels
     d = dissection_spanning_tree(t)
@@ -743,20 +743,12 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
             return d
         tri, cx = d.carrier, d.cut_complex
         walk = cx.boundary_components()[0]
-        k = len(walk)
-        junction = None
-        for i, s in enumerate(walk):
-            s2 = walk[(i + 1) % k]
-            a1, a2 = tri.arc_of_side(s), tri.arc_of_side(s2)
-            if a1 in d.arcs and labels[a1] == 0 and labels[a2] == 1:
-                junction = (s, s2, a1)
-                break
-            if a2 in d.arcs and labels[a2] == 0 and labels[a1] == 1:
-                junction = (s, s2, a2)
-                break
-        if junction is None:
-            raise AvoidanceFailed("no label-0/label-1 junction on the cut boundary")
-        s_before, s_after, alpha = junction
+        s_before, s_after = next(
+            (s, s2)
+            for s, s2 in zip(walk, walk[1:] + walk[:1])
+            if labels[tri.arc_of_side(s)] != labels[tri.arc_of_side(s2)]
+        )
+        alpha = next(a for a in map(tri.arc_of_side, (s_before, s_after)) if labels[a] == 0)
 
         # the arcs at the corner: the cut polygon's diagonals from it
         fan = cx.vertex_fans[cx.head_vertex(s_before)]
@@ -766,15 +758,8 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
             labels = _transport_labels(tri, labels, quad)
             tri = tri._flip(quad)
 
-        ear = tri.tri_of_side(s_before)
-        if tri.tri_of_side(s_after) != ear:
-            raise AvoidanceFailed("corner reduction did not expose an ear")
-        gamma_side = next(
-            x for x in tri.triangles[ear] if x not in (s_before, s_after)
-        )
-        gamma = tri.arc_of_side(gamma_side)
-        if labels[gamma] != 1:
-            raise AvoidanceFailed("ear arc unexpectedly lies in the zero set")
+        ear = tri.triangles[tri.tri_of_side(s_before)]
+        gamma = tri.arc_of_side(next(x for x in ear if x not in (s_before, s_after)))
         d = Dissection(tri, (d.arcs - {alpha}) | {gamma})
     raise AvoidanceFailed("exchange procedure failed to terminate")
 
@@ -835,18 +820,12 @@ class CutPolygon:
 
 
 def _cut(d: Dissection) -> Tuple[_Complex, List[int], Dict[int, int]]:
-    """The dissection's cut complex, checked to be a polygon, its boundary
-    walk, and the 1-based polygon vertex number of each of its vertices."""
+    """The dissection's cut complex, its boundary walk, and the 1-based
+    polygon vertex number of each of its vertices.  The cut complex is a
+    polygon: `Dissection` checked that it glues the triangles along a
+    spanning tree, and triangles glued along a tree form a disk."""
     cx = d.cut_complex
-    if cx.interior_vertices:
-        raise NotADissection("cutting left interior vertices")
-    comps = cx.boundary_components()
-    if len(comps) != 1:
-        raise NotADissection("cutting did not open into a single polygon")
-    walk = comps[0]
-    v, e, f = cx.counts()
-    if v - e + f != 1:
-        raise NotADissection("cut complex is not a disk")
+    walk = cx.boundary_components()[0]
     vertex_number = {cx.tail_vertex(s): idx + 1 for idx, s in enumerate(walk)}
     return cx, walk, vertex_number
 
@@ -946,11 +925,12 @@ def solve_closing_value(
     alternating product around the cut polygon equal (-1)**(b + m/2),
     given values on every other boundary and dissection arc."""
     t = d.carrier
+    if not 0 <= target_arc < len(t.arcs):
+        raise SurfaceError(f"no arc {target_arc}: arc ids run 0..{len(t.arcs) - 1}")
     if not t.arc_is_boundary(target_arc):
         raise SurfaceError("the closing arc must be a boundary arc")
+    # every boundary arc is an edge of the cut polygon
     sources = cut_polygon(d).arc_of_edge_source
-    if target_arc not in sources:
-        raise SurfaceError("closing arc does not appear on the cut polygon")
     missing = [a for a in sources if a != target_arc and a not in values]
     if missing:
         raise SurfaceError(f"missing value for arc {missing[0]} of the cut polygon")
@@ -1043,15 +1023,15 @@ def verify_deep_random_walk(
     whose checks it must pass.  The walk then owns one mutable state (the
     triangles, side positions, labels and values) and flips it in place,
     by the rule `flip_evaluation` uses.  From a certified state a flip can
-    fail only two checks, so a step makes only those: no repeated side in
-    the two new triangles (`_new_triangles`) and the exchange identity at
-    each flip to label 0 whose four sides are known (`_flip_value`).  The
-    rest holds by the flip itself.  `_new_label` finds the new label the
+    fail only one check, so a step makes only that: the exchange identity
+    at each flip to label 0 whose four sides are known (`_flip_value`).
+    The rest holds by the flip itself.  Neither new triangle repeats a
+    side (`_new_triangles`), and `_new_label` finds the new label the
     same from either new triangle, so both are even.  A determined label-1
     value is a nonzero product over a nonzero old value: the old arc and
     the new one are labeled 1, so exactly one of v(p)v(r), v(q)v(s) has
     label-0 sides and is 0, and the other is not.  A step changes the
-    state only once both checks pass; a failure is recorded as
+    state only once its check passes; a failure is recorded as
     `step N: ...` and ends the walk.  A flip carries the surface
     invariants, so the end state is rebuilt from its triangles and gluing,
     which runs every surface check once, and through `Z2Class` and
@@ -1099,12 +1079,11 @@ def verify_deep_random_walk(
         aid = rng.choice(pool or candidates)
         quad, new_label, determined = tested[aid]
         try:
-            replaced = _new_triangles(side_pos, quad)
             value = _flip_value(t, values, quad, new_label, determined, ctx)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
-        _place(triangles, side_pos, replaced)
+        _place(triangles, side_pos, _new_triangles(side_pos, quad))
         labels[aid] = new_label
         values[aid] = value
         retest = {arc[x] for x in quad} & interior

@@ -93,6 +93,34 @@ class TestScenarios:
         assert doc["schema"] == 1
         assert doc["summary"]["failed"] == 0
 
+    def test_polygon_hexagon_fails_when_a_perturbation_is_accepted(self, monkeypatch):
+        from deeplocus import polygon
+
+        construct = polygon.deep_point_from_edges
+
+        def lenient(n, edges):
+            try:
+                return construct(n, edges)
+            except polygon.ConditionViolated:
+                return None
+
+        monkeypatch.setattr(polygon, "deep_point_from_edges", lenient)
+        rep = run_scenario("polygon-hexagon", 3)
+        assert [d for d, ok, _ in rep.assertions if not ok] == [
+            "perturbing one edge always violates the product condition"
+        ]
+        assert rep.exit_code == 1
+
+    def test_rank2_closed_form_fails_without_torus_points(self, monkeypatch):
+        from deeplocus import rank2
+
+        monkeypatch.setattr(rank2, "random_torus_point", lambda spec, ctx, rng: None)
+        rep = run_scenario("rank2-closed-form", 3)
+        assert [(d, w) for d, ok, w in rep.assertions if not ok] == [
+            ("division form and closed form agree wherever both are defined", "0 comparisons"),
+            ("comparison count is meaningful", "0"),
+        ]
+
 
 class TestSubcommands:
     def test_polygon_deep_typea(self):
@@ -162,6 +190,14 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert (doc["genus"], doc["boundary_components"], doc["marked_points"]) == (1, 1, 2)
+
+    def test_surface_invariants_of_a_named_surface(self):
+        code, out = run_cli(["surface", "invariants", "--name", "genus1", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["genus"], doc["boundary_components"], doc["marked_points"], doc["arcs"]) == (
+            1, 1, 2, 7,
+        )
 
     def test_surface_components_from_file(self):
         path = os.path.join(DATA, "annulus21.json")
@@ -263,6 +299,24 @@ BAD_INPUTS = {
         ["surface", "invariants", "--surface", "{file}"],
         {"polygon_sides": "x", "gluings": []},
     ),
+    "surface-file-without-sides": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"gluings": [[0, 3]]},
+    ),
+    "gluing-not-a-list": (
+        ["surface", "invariants", "--surface", "{file}"],
+        {"polygon_sides": 6, "gluings": [5]},
+    ),
+    # a file and a name each name a surface: neither is dropped silently
+    "surface-file-and-name": (
+        ["surface", "invariants", "--surface", os.path.join(DATA, "annulus22.json"),
+         "--name", "genus1"],
+        None,
+    ),
+    "surface-deep-file-and-name": (
+        DEEP_ON_ANNULUS22 + ["--name", "annulus22", "--fixture", "{file}"],
+        DEEP_FIXTURE,
+    ),
     "gluing-side-not-a-number": (
         ["surface", "invariants", "--surface", "{file}"],
         {"polygon_sides": 6, "gluings": [["a", "b"]]},
@@ -340,6 +394,50 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, error",
+    [
+        (["surface", "invariants", "--surface", "{file}"],
+         {"polygon_sides": 2, "gluings": []},
+         "SurfaceError: polygon needs at least 3 sides"),
+        (["surface", "invariants", "--surface", "{file}"],
+         {"polygon_sides": 6, "gluings": [[0, 2, 4]]},
+         "InvalidPairing: gluing (0, 2, 4) is not a pair"),
+        (["surface", "invariants", "--surface", "{file}"],
+         {"polygon_sides": 6, "gluings": [[0, 6]]},
+         "InvalidPairing: gluing (0, 6) outside polygon sides 0..5"),
+        (["surface", "invariants", "--name", "genus9"], None,
+         "SurfaceError: unknown surface 'genus9'; try "
+         "['annulus11', 'annulus21', 'annulus22', 'disk4', 'disk6', 'genus1', 'genus2', 'pants']"),
+    ],
+    ids=["two-sides", "gluing-triple", "gluing-outside", "unknown-name"],
+)
+def test_surface_refusal_exits_1_naming_it(argv, doc, error, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out = run_cli([a.replace("{file}", str(path)) for a in argv])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    import argparse
+
+    assert run_cli(["scenario", "list"])[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["scenario", "list"], ["markov", "classify", "--point", "1,1,1,3"]):
+        assert run_cli(argv)[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("aid", [999, 8, -1])

@@ -206,10 +206,9 @@ def test_roots_exponent_errors():
 
 
 def test_prime_validation():
-    with pytest.raises(ValueError):
-        prime_field(4)
-    with pytest.raises(ValueError):
-        prime_field(1)
+    for p in (4, 9, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+            prime_field(p)
     with pytest.raises(ValueError):
         prime_field(2**31 + 11)
 
@@ -230,6 +229,40 @@ def test_canonical_strings():
     assert str(F5.from_int(9)) == "4 mod 5"
     assert QI.parse("1 + 2i") == QI.gaussian(1, 2)
     assert F5.parse("9") == F5.from_int(4)
+
+
+def test_bad_constructions_and_operands_are_refused():
+    with pytest.raises(ValueError, match="unknown field kind 'reals'"):
+        FieldContext("reals")
+    with pytest.raises(ContextMismatch, match="has no imaginary unit"):
+        QQ.gaussian(1, 2)
+    with pytest.raises(ContextMismatch, match="'3 mod 7' is not in F_5"):
+        F5.parse("3 mod 7")
+    with pytest.raises(TypeError, match="expected FieldValue, got int"):
+        F5.one() + 1
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        QQ.one() ** Fraction(1, 2)
+    with pytest.raises(DivisionByZero, match="cannot invert zero"):
+        F5.one() / F5.zero()
+    with pytest.raises(ValueError, match="unknown operation 'pow'"):
+        arithmetic(F5.one(), F5.one(), "pow")
+
+
+def test_contexts_and_values_are_immutable():
+    with pytest.raises(AttributeError, match="FieldContext is immutable"):
+        QQ.p = 3
+    v = F5.one()
+    with pytest.raises(AttributeError, match="FieldValue is immutable"):
+        v.ctx = QQ
+    assert v.ctx is F5
+
+
+def test_prime_field_rationals_truth_and_sort_keys():
+    assert F5.rational(1, 2) == F5.from_int(3)
+    assert F5.rational(-3, 4) * F5.from_int(4) == F5.from_int(-3)
+    for ctx in ALL_CONTEXTS:
+        assert not ctx.zero() and ctx.one() and ctx.minus_one()
+    assert [F5.from_int(k).sort_key() for k in (7, -1, 0)] == [2, 4, 0]
 
 
 def test_context_identity():

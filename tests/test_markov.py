@@ -7,7 +7,9 @@ from deeplocus import markov
 from deeplocus.field import QI, QQ, prime_field
 from deeplocus.markov import (
     ClusterRestriction,
+    DeepType,
     InvalidPoint,
+    MarkovError,
     MarkovUpperPoint,
     SearchTooLarge,
     TreeNode,
@@ -81,6 +83,14 @@ class TestMutation:
         assert c.path == ("x",) and c.values == a.values
 
 
+    def test_bad_nodes_and_directions_are_refused(self):
+        values = (QQ.one(), QQ.one(), QQ.one())
+        with pytest.raises(MarkovError, match=r"path \('x', 'x'\) is not reduced"):
+            TreeNode(("x", "x"), values)
+        with pytest.raises(MarkovError, match="unknown direction 'w'"):
+            mutate_upper(TreeNode((), values), QQ.from_int(3), "w")
+
+
 class TestClassification:
     def test_type_a(self):
         t = classify_deep_upper(pt(QQ, 0, 0, 0, 7))
@@ -107,6 +117,12 @@ class TestClassification:
     def test_invalid_point_rejected(self):
         with pytest.raises(InvalidPoint):
             classify_deep_upper(pt(QQ, 1, 1, 1, 1))
+
+    def test_bad_deep_types_are_refused(self):
+        with pytest.raises(MarkovError, match="unknown deep type 'B'"):
+            DeepType("B")
+        with pytest.raises(MarkovError, match="beta\\^2 \\+ gamma\\^2 = 0"):
+            DeepType("X", beta=QQ.one(), gamma=QQ.one())
 
     def test_types_over_qi(self):
         p = MarkovUpperPoint(QI.zero(), QI.one(), QI.i(), QI.zero())
@@ -211,6 +227,10 @@ class TestRestriction:
             if classify_deep_upper(p).tag != "A"
         }
         assert len(reps) == 24
+
+    def test_torus_point_has_no_representative(self):
+        with pytest.raises(InvalidPoint, match="defined for deep points"):
+            restrict_to_cluster_algebra(pt(QQ, 1, 1, 1, 3))
 
     def test_x_vs_y_distinct(self):
         rx = restrict_to_cluster_algebra(pt(F5, 0, 1, 2, 0))
@@ -385,3 +405,28 @@ class TestExplorationOracle:
         monkeypatch.setattr(markov, "mutate_upper", mutant)
         report = explore_and_verify(pt(ctx, 1, 1, 1, 3), depth=4)
         assert report.failures == expected
+
+
+@pytest.mark.parametrize(
+    "point, values, failure",
+    [
+        ((0, 0, 0, 4), (0, 1, 0), "type A values not all zero at ('x', 'y')"),
+        ((0, 1, 2, 0), (1, 4, 2), "X-type value nonzero at ('x', 'y')"),
+        ((0, 1, 2, 0), (0, 0, 2), "unexpected zero of y-type at ('x', 'y')"),
+    ],
+    ids=["A-nonzero", "X-nonzero", "X-extra-zero"],
+)
+def test_a_cluster_with_the_wrong_zero_pattern_is_named(point, values, failure, monkeypatch):
+    # a deep point's tree with one cluster's values replaced: the zero
+    # pattern check of its type names that cluster
+    target = ("x", "y")
+
+    def mutant(node, M, direction):
+        child = mutate_upper(node, M, direction)
+        if child.path != target:
+            return child
+        return TreeNode(target, tuple(F5.from_int(v) for v in values))
+
+    monkeypatch.setattr(markov, "mutate_upper", mutant)
+    report = explore_and_verify(pt(F5, *point), depth=3)
+    assert failure in report.failures

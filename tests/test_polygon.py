@@ -19,6 +19,7 @@ from deeplocus.polygon import (
     SearchTooLarge,
     SizeOutOfRange,
     ZeroCutValue,
+    ZeroEdge,
     bruteforce_variety_scan,
     catalan,
     cut_along_diagonal,
@@ -83,6 +84,10 @@ class TestTriangulations:
         with pytest.raises(Exception):
             PolygonTriangulation(6, frozenset({(1, 3), (2, 4), (1, 4)}))
 
+    def test_diagonal_count_validation(self):
+        with pytest.raises(SizeOutOfRange, match="a triangulation of an 6-gon has 3 diagonals"):
+            PolygonTriangulation(6, frozenset({(1, 3), (1, 4)}))
+
     @pytest.mark.parametrize("n", [5, 8, 10])
     def test_lexicographic_order_and_fresh_lists(self, n):
         tris = enumerate_triangulations(n)
@@ -90,6 +95,27 @@ class TestTriangulations:
         assert keys == sorted(keys)
         tris.clear()
         assert len(enumerate_triangulations(n)) == catalan(n - 2)
+
+
+class TestPointConstruction:
+    def test_bad_points_are_refused(self):
+        values = dict(unique_deep_point_typeA(3, QQ).values)
+        with pytest.raises(SizeOutOfRange, match="at least 3 vertices"):
+            PolygonPoint(2, MODE_BOUNDARY, {(1, 2): QQ.one()})
+        with pytest.raises(PolygonError, match="unknown mode 'torus'"):
+            PolygonPoint(6, "torus", values)
+        with pytest.raises(PolygonError, match=r"missing values for segments \[\(1, 3\)\]"):
+            PolygonPoint(6, MODE_TYPE_A, {s: v for s, v in values.items() if s != (1, 3)})
+        with pytest.raises(PolygonError, match="different field contexts"):
+            PolygonPoint(6, MODE_TYPE_A, {**values, (1, 3): F5.zero()})
+
+    def test_type_a_mode_needs_unit_edges(self):
+        values = dict(unique_deep_point_typeA(3, QQ).values)
+        values[(2, 3)] = QQ.from_int(2)
+        p = PolygonPoint(6, MODE_TYPE_A, values)
+        assert p.mode_violations() == ["edge (2, 3) is 2, expected 1"]
+        assert not p.is_valid()
+        assert repr(p) == "PolygonPoint(n=6, mode='type-A')"
 
 
 class TestPtolemyResiduals:
@@ -193,6 +219,13 @@ class TestDeepPointFromEdges:
             with pytest.raises(SizeOutOfRange, match="^polygon needs at least 3 vertices$"):
                 deep_point_from_edges(n, edges)
 
+    def test_missing_and_zero_edges_are_refused(self):
+        edges = {e: QQ.one() for e in polygon_edges(6)}
+        with pytest.raises(PolygonError, match=r"missing edge values \[\(3, 4\)\]"):
+            deep_point_from_edges(6, {e: v for e, v in edges.items() if e != (3, 4)})
+        with pytest.raises(ZeroEdge, match=r"edge \(3, 4\) must be nonzero"):
+            deep_point_from_edges(6, {**edges, (3, 4): QQ.zero()})
+
     def test_odd_polygon(self):
         with pytest.raises(OddPolygon):
             deep_point_from_edges(5, {e: QQ.one() for e in polygon_edges(5)})
@@ -221,6 +254,11 @@ class TestUniqueTypeAPoint:
                 assert p.value(i, j).is_zero
             else:
                 assert p.value(i, j) == QQ.minus_one()
+
+    @pytest.mark.parametrize("rank", [0, -4])
+    def test_rank_must_be_positive(self, rank):
+        with pytest.raises(SizeOutOfRange, match="rank must be positive"):
+            unique_deep_point_typeA(rank, QQ)
 
     def test_rank2_has_none(self):
         with pytest.raises(NoDeepPoint):
@@ -315,6 +353,36 @@ class TestCutAndGlue:
             d = rng.choice(sorted(tri.diagonals))
             left, right = cut_along_diagonal(point, d)
             assert glue_cut_halves(left, right, 6, d) == point
+
+    def test_cut_refuses_a_point_off_the_variety(self):
+        p = square_point(QQ, QQ.one(), QQ.one(), [QQ.one()] * 4)
+        with pytest.raises(InvalidPoint, match="cut requires a valid variety point"):
+            cut_along_diagonal(p, (1, 3))
+
+    def test_glue_refuses_halves_that_do_not_fit(self):
+        p = unique_deep_point_typeA(3, QQ)
+        left, right = cut_along_diagonal(p, (1, 4))
+        with pytest.raises(PolygonError, match="halves of sizes 4,4 do not glue to an 7-gon"):
+            glue_cut_halves(left, right, 7, (1, 4))
+        with pytest.raises(NotADiagonal, match=r"first half does not span the hull of \(1, 5\)"):
+            glue_cut_halves(left, right, 6, (1, 5))
+        scaled = PolygonPoint(4, MODE_BOUNDARY, {**right.values, (1, 4): QQ.from_int(2)})
+        with pytest.raises(PolygonError, match="cut edge values differ"):
+            glue_cut_halves(left, scaled, 6, (1, 4))
+        # halves of a square point whose diagonal (1, 3) is zero
+        zero, one = QQ.zero(), QQ.one()
+        half = square_point(QQ, one, one, [one, one, one, zero])
+        with pytest.raises(ZeroCutValue, match="cut edge value is zero"):
+            glue_cut_halves(half, half, 6, (1, 4))
+
+    def test_glue_refuses_a_half_off_the_variety(self):
+        # the glue divides through a crossing relation of each half; a half
+        # that breaks its own relation leaves the glued point off the variety
+        left, right = cut_along_diagonal(unique_deep_point_typeA(3, QQ), (1, 4))
+        bent = PolygonPoint(4, MODE_BOUNDARY, {**left.values, (2, 3): QQ.from_int(2)})
+        assert not bent.is_valid()
+        with pytest.raises(InvalidPoint, match="glued values are inconsistent"):
+            glue_cut_halves(bent, right, 6, (1, 4))
 
     @pytest.mark.parametrize("d", [(5, 8), (-1, 2)], ids=["5-8", "m1-2"])
     def test_glue_rejects_a_non_diagonal(self, d):
@@ -506,6 +574,14 @@ class TestGluing:
         with pytest.raises(SizeOutOfRange) as raised:
             extend_from_triangulation(n, tri, values, values)
         assert f"{m}-gon" in str(raised.value) and f"{n}-gon" in str(raised.value)
+
+    def test_extend_refuses_zero_seeds(self):
+        tri = PolygonTriangulation(6, frozenset({(1, 3), (1, 4), (1, 5)}))
+        ones = {s: QQ.one() for s in polygon_segments(6)}
+        with pytest.raises(ZeroEdge, match=r"edge \(2, 3\) must be nonzero"):
+            extend_from_triangulation(6, tri, ones, {**ones, (2, 3): QQ.zero()})
+        with pytest.raises(ZeroCutValue, match=r"seed diagonal \(1, 4\) must be nonzero"):
+            extend_from_triangulation(6, tri, {**ones, (1, 4): QQ.zero()}, ones)
 
     def test_extend_names_missing_seed_values(self):
         tri = PolygonTriangulation(6, frozenset({(1, 3), (1, 4), (1, 5)}))

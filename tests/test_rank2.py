@@ -36,6 +36,27 @@ def mk_point(spec, ctx, xs, ys=()):
     return Rank2Point(spec, tuple(ctx.from_int(x) for x in xs), tuple(ys))
 
 
+class TestConstruction:
+    def test_bad_specs_and_points_are_refused(self):
+        with pytest.raises(Rank2Error, match="b and c must be positive"):
+            Rank2Spec(0, 2)
+        with pytest.raises(Rank2Error, match="e1 and e2 must have length f"):
+            Rank2Spec(2, 2, 1, (1,), ())
+        spec = Rank2Spec(2, 2, 1, (1,), (0,))
+        ones = (QQ.one(),) * 4
+        with pytest.raises(Rank2Error, match="exactly the four values"):
+            Rank2Point(spec, ones[:3], (QQ.one(),))
+        with pytest.raises(Rank2Error, match="y-vector length must equal f"):
+            Rank2Point(spec, ones, ())
+        with pytest.raises(Rank2Error, match="frozen coefficients must be nonzero"):
+            Rank2Point(spec, ones, (QQ.zero(),))
+
+    @pytest.mark.parametrize("lo, hi", [(3, 6), (-2, 1)])
+    def test_e_vector_window_must_hold_the_seed(self, lo, hi):
+        with pytest.raises(Rank2Error, match="window must contain indices 1 and 2"):
+            e_vectors(Rank2Spec(2, 2), lo, hi)
+
+
 class TestEVectors:
     def test_coefficient_free_is_empty(self):
         spec = Rank2Spec(2, 2)
@@ -265,6 +286,11 @@ class TestRandomTorusPoint:
             assert p == rank2.random_torus_point(spec, ctx, random.Random(seed))
 
 
+    def test_none_when_every_draw_has_a_zero(self):
+        # over F2 every draw is x0 = x1 = 1, and x2 = (1 + 1) / 1 = 0
+        assert rank2.random_torus_point(Rank2Spec(1, 1), F2, random.Random(0)) is None
+
+
 class TestEvaluationWindows:
     def test_kronecker_window_pattern(self):
         spec = Rank2Spec(2, 2)
@@ -301,6 +327,15 @@ class TestEvaluationWindows:
         p = mk_point(spec, QQ, [0, 0, 1, 1])
         with pytest.raises(InvalidPoint):
             extend_evaluation(p, 4)
+
+    def test_a_step_that_cannot_divide_needs_a_zero_right_side(self, monkeypatch):
+        # a division step that gives up at a torus point, where the relation
+        # it would divide through has a nonzero right side: no value of the
+        # window can make that relation hold
+        p = mk_point(Rank2Spec(1, 1), QQ, [1, 1, 2, 3])
+        monkeypatch.setattr(rank2, "division_step", lambda *args: None)
+        with pytest.raises(StuckPropagation, match="^x_2 = 0 but the relation at 3 has value 4$"):
+            extend_evaluation(p, 2)
 
     def test_adjacent_values_never_both_vanish(self, rng):
         specs = [Rank2Spec(2, 2), Rank2Spec(3, 1), Rank2Spec(2, 3, 1, (1,), (-1,))]

@@ -15,6 +15,7 @@ from deeplocus.surface import (
     InvalidPairing,
     NoClass,
     NonOrientableGluing,
+    NonUnique,
     NotADissection,
     OddMarkedPoints,
     SurfaceError,
@@ -104,6 +105,31 @@ class TestBuilding:
     def test_double_gluing_rejected(self):
         with pytest.raises(InvalidPairing):
             build_from_gluing(6, [(0, 3), (0, 4)])
+
+    @pytest.mark.parametrize(
+        "triangles, glue, error, message",
+        [
+            ([(0, 0, 1)], {}, InvalidPairing, "triangle 0 repeats a side id"),
+            ([(0, 1, 2), (2, 3, 4)], {}, InvalidPairing, "side 2 used twice"),
+            ([(0, 1, 2)], {0: 0}, NonOrientableGluing, "side 0 glued to itself"),
+            ([(0, 1, 2), (3, 4, 5)], {0: 3}, InvalidPairing, "gluing of 0 and 3 is not involutive"),
+            ([(0, 1, 2)], {0: 9, 9: 0}, InvalidPairing, "gluing touches unknown side 0 or 9"),
+            ([], {}, DisconnectedResult, "triangle adjacency graph is disconnected"),
+        ],
+        ids=["repeated-side", "shared-side", "self-glued", "one-way", "unknown-side", "empty"],
+    )
+    def test_bad_triangles_and_gluings_are_refused(self, triangles, glue, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SurfaceTriangulation(triangles, glue)
+
+    def test_equal_builds_hash_equal_and_print_their_invariants(self):
+        t = named_surface("genus1")
+        assert len({t, named_surface("genus1"), t.flip(t.interior_arcs()[0])}) == 2
+        d = dissection_spanning_tree(t)
+        assert len({d, dissection_spanning_tree(named_surface("genus1"))}) == 1
+        assert repr(t) == "SurfaceTriangulation(g=1, b=1, m=2, arcs=7)"
+        with pytest.raises(AttributeError, match="object has no attribute 'genus3'"):
+            t.genus3
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_arc_count_identity(self, name):
@@ -417,6 +443,32 @@ class TestClasses:
             message = f"^arc {aid} is labeled {label}, not 0 or 1$"
             with pytest.raises(InconsistentCocycle, match=message):
                 Z2Class(t, tuple(bad))
+
+
+    def test_label_count_and_boundary_labels_are_checked(self):
+        t = named_surface("annulus22")
+        cls = solve_classes(t)[0]
+        with pytest.raises(InconsistentCocycle, match="^one label per arc required$"):
+            Z2Class(t, cls.labels[:-1])
+        edge = t.boundary_arcs()[0]
+        bad = list(cls.labels)
+        bad[edge] = 0
+        with pytest.raises(InconsistentCocycle, match=f"^boundary arc {edge} must be labeled 1$"):
+            Z2Class(t, tuple(bad))
+
+    def test_a_second_class_on_a_dissection_is_refused(self, monkeypatch):
+        # the class of a dissection is unique, and its subsets index the
+        # classes one to one; a solver that lists a class twice breaks both
+        from deeplocus import surface
+
+        t = named_surface("annulus22")
+        d = dissection_spanning_tree(t)
+        solve = surface.solve_classes
+        monkeypatch.setattr(surface, "solve_classes", lambda *args: 2 * solve(*args))
+        with pytest.raises(NonUnique, match="multiple classes fix the dissection"):
+            class_of_dissection(d)
+        with pytest.raises(NonUnique, match="^4 classes vanish on 2 distinct subsets of the 1 dissection arcs$"):
+            subset_bijection(d)
 
 
 class TestDissections:
@@ -803,6 +855,32 @@ class TestDeepPoints:
             ):
                 solve_closing_value(d, values, 1)
 
+    @pytest.mark.parametrize("target", [-1, 8, 0])
+    def test_closing_value_needs_a_boundary_arc(self, target):
+        # annulus22 has arcs 0..7, and arc 0 is interior
+        d = Dissection(named_surface("annulus22"), frozenset([0]))
+        values = {a: QQ.one() for a in range(8)}
+        message = "the closing arc must be a boundary arc" if target == 0 else (
+            f"no arc {target}: arc ids run 0..7"
+        )
+        with pytest.raises(SurfaceError, match=f"^{message}$"):
+            solve_closing_value(d, values, target)
+
+    def test_missing_and_zero_values_are_named(self):
+        t = named_surface("annulus22")
+        d = Dissection(t, frozenset([0]))
+        bvals = {a: QQ.one() for a in t.boundary_arcs()}
+        edge = t.boundary_arcs()[0]
+        for b, dv, error, message in [
+            ({a: v for a, v in bvals.items() if a != edge}, {0: QQ.one()}, SurfaceError,
+             f"missing value for boundary arc {edge}"),
+            ({**bvals, edge: QQ.zero()}, {0: QQ.one()}, ZeroValue,
+             f"boundary arc {edge} must be nonzero"),
+            (bvals, {}, SurfaceError, "missing value for dissection arc 0"),
+        ]:
+            with pytest.raises(error, match=f"^{message}$"):
+                deep_point_from_dissection(d, b, dv)
+
     def test_zero_value_rejected(self):
         t = named_surface("annulus22")
         d = Dissection(t, frozenset([0]))
@@ -934,10 +1012,9 @@ class TestDeepPoints:
     @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
     def test_flip_lemma_behind_the_walk_checks(self, ctx):
         # from a state that passes Z2Class and SurfaceDeepPoint, a flip can
-        # break only what the walk checks per step: a new triangle that
-        # repeats a side (no arc here has both sides in one triangle), and
-        # the exchange identity at a flip to label 0.  Both new triangles
-        # satisfy the cocycle rule under _new_label's label; a determined
+        # break only what the walk checks per step: the exchange identity
+        # at a flip to label 0.  Neither new triangle repeats a side, and
+        # both satisfy the cocycle rule under _new_label's label; a determined
         # label-1 value is nonzero and meets the exchange identity
         # old * new = v(p)v(r) + v(q)v(s); a label-0 value is zero, or
         # raises exactly when the four sides are known and
@@ -975,6 +1052,7 @@ class TestDeepPoints:
                             replaced = _new_triangles(tcur.side_pos, quad)
                             new_labels = {**dict(enumerate(labels)), aid: label}
                             for tri in replaced.values():
+                                assert len(set(tri)) == 3, (name, aid)
                                 assert sum(new_labels[arc(x)] for x in tri) % 2 == 0, (name, aid)
                             determined = _flip_determined(tcur, values, quad, label)
                             _, sp, sq, _, sr, ss = quad
@@ -1010,6 +1088,18 @@ class TestDeepPoints:
         p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
         report = verify_deep_random_walk(p, 200, seed=11)
         assert report.passed, report.failures[:3]
+
+    def test_walk_end_names_invariants_other_than_the_carried_ones(self):
+        # a carrier whose carried genus was corrupted: every flip carries it,
+        # and the end state, rebuilt from its triangles, has the true genus
+        t = named_surface("genus1")
+        p = ones_deep_point(t)
+        t.genus = 0
+        report = verify_deep_random_walk(p, 10, seed=3)
+        assert len(report.flips_taken) == 10
+        assert report.failures == [
+            "end: invariants (1, 1, 2, 7) differ from the carried (0, 1, 2, 7)"
+        ]
 
     def test_walk_refuses_negative_steps_before_any_check(self, monkeypatch):
         import deeplocus.surface as surface_module
@@ -1324,6 +1414,49 @@ class TestDoubleCovers:
             assert cover.indicator_labels() == class_of_dissection(d).labels
 
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [((5,), "cover coloring is inconsistent around a vertex"),
+         ((0,), "adjacent cover marked points share a color")],
+        ids=["vertex-colors-disagree", "neighbours-share-a-color"],
+    )
+    def test_an_odd_cut_polygon_has_no_alternating_cover(self, arcs, message):
+        # annulus21 has 3 marked points; with its count corrupted to 4 the
+        # odd-count refusal is passed, and its 5-gon cut cannot alternate
+        t = named_surface("annulus21")
+        d = Dissection(t, frozenset(arcs))
+        t.num_marked = 4
+        with pytest.raises(SurfaceError, match=f"^{message}$"):
+            alternating_double_cover(d)
+
+    def test_a_one_sheeted_cover_is_refused(self):
+        # annulus22 colored alternately around each boundary component, as
+        # its own cover: every marked point has one preimage, not two
+        from deeplocus.surface import AlternatingDoubleCover, _validate_cover
+
+        t = named_surface("annulus22")
+        colors = {}
+        for comp in t.boundary_components():
+            for k, s in enumerate(comp):
+                colors[t.tail_vertex(s)] = k % 2
+        cover = AlternatingDoubleCover(t, {s: s for s in t.sides}, colors, t)
+        with pytest.raises(SurfaceError, match="^marked point 3 has 1 preimages$"):
+            _validate_cover(cover)
+
+    def test_a_cover_with_equal_colors_over_a_point_is_refused(self):
+        # the disk's cover is two disjoint disks; recoloring the second like
+        # the first keeps the boundary alternating, but each marked point's
+        # two preimages now share a color
+        from deeplocus.surface import _validate_cover
+
+        cover = alternating_double_cover(dissection_spanning_tree(named_surface("disk6")))
+        cx = cover.complex
+        second = {cx.tail_vertex(s) for s in cx.sides if cover.projection[s] != s}
+        cover.vertex_colors = {v: c ^ (v in second) for v, c in cover.vertex_colors.items()}
+        with pytest.raises(SurfaceError, match="^preimages of marked point 4 share a color$"):
+            _validate_cover(cover)
+
+
 class TestDehnTwist:
     def test_swap(self):
         report = dehn_twist_scenario_11_annulus()
@@ -1336,3 +1469,46 @@ class TestDehnTwist:
         [aid] = t.interior_arcs()
         back = transport_class(transport_class(cls, aid), aid)
         assert back.labels == cls.labels
+
+    def test_twist_search_is_capped(self, monkeypatch):
+        from deeplocus import surface
+
+        monkeypatch.setattr(surface, "_boundary_pinned_isomorphism", lambda t_from, t_to: None)
+        with pytest.raises(SurfaceError, match="^no combinatorial return found within the length cap$"):
+            surface._twist_action(named_surface("annulus11"))
+
+    def test_pinned_isomorphism_needs_the_same_triangulation(self):
+        from deeplocus.surface import _boundary_pinned_isomorphism
+
+        t = named_surface("disk6")
+        assert _boundary_pinned_isomorphism(t, named_surface("disk6")) is not None
+        assert _boundary_pinned_isomorphism(t.flip(t.interior_arcs()[0]), t) is None
+        assert _boundary_pinned_isomorphism(named_surface("annulus11"), named_surface("annulus22")) is None
+
+    @pytest.mark.parametrize(
+        "action, failures",
+        [
+            ("identity", ["twist acts trivially on the deep components"]),
+            ("collapse", [
+                "twist image is not a permutation of the classes",
+                "twist acts trivially on the deep components",
+                "twist squared is not the identity on the components",
+            ]),
+        ],
+    )
+    def test_twist_failures_are_named(self, monkeypatch, action, failures):
+        from deeplocus import surface
+
+        a, b = (c.labels for c in solve_classes(named_surface("annulus11")))
+        actions = {"identity": {a: a, b: b}, "collapse": {a: b, b: b}}
+        monkeypatch.setattr(surface, "_twist_action", lambda t0: ((0,), actions[action]))
+        report = dehn_twist_scenario_11_annulus()
+        assert report.failures == failures
+
+    def test_twist_names_a_wrong_class_count(self, monkeypatch):
+        from deeplocus import surface
+
+        solve = surface.solve_classes
+        monkeypatch.setattr(surface, "solve_classes", lambda t: solve(t)[:1])
+        report = dehn_twist_scenario_11_annulus()
+        assert report.failures[0] == "expected 2 classes on the (1,1)-annulus, got 1"
