@@ -488,21 +488,39 @@ def build_from_gluing(
     return SurfaceTriangulation(triangles, glue)
 
 
+# the surfaces used throughout the examples and tests: each name's polygon
+# and side gluings for `build_from_gluing`
+_NAMED_GLUINGS: Dict[str, Tuple[int, Tuple[Tuple[int, int], ...]]] = {
+    "disk4": (4, ()),
+    "disk6": (6, ()),
+    "annulus11": (4, ((0, 2),)),
+    "annulus21": (5, ((0, 3),)),
+    "annulus22": (6, ((0, 3),)),
+    "genus1": (6, ((0, 2), (1, 3))),
+    "genus2": (10, ((0, 2), (1, 3), (4, 6), (5, 7))),
+    "pants": (10, ((0, 3), (5, 8))),
+}
+# each named surface's build, made on its first use
+_NAMED_TEMPLATES: Dict[str, SurfaceTriangulation] = {}
+
+
 def named_surface(name: str) -> SurfaceTriangulation:
-    """Builders for the surfaces used throughout the examples and tests."""
-    builders = {
-        "disk4": lambda: build_from_gluing(4, []),
-        "disk6": lambda: build_from_gluing(6, []),
-        "annulus11": lambda: build_from_gluing(4, [(0, 2)]),
-        "annulus21": lambda: build_from_gluing(5, [(0, 3)]),
-        "annulus22": lambda: build_from_gluing(6, [(0, 3)]),
-        "genus1": lambda: build_from_gluing(6, [(0, 2), (1, 3)]),
-        "genus2": lambda: build_from_gluing(10, [(0, 2), (1, 3), (4, 6), (5, 7)]),
-        "pants": lambda: build_from_gluing(10, [(0, 3), (5, 8)]),
-    }
-    if name not in builders:
-        raise SurfaceError(f"unknown surface {name!r}; try {sorted(builders)}")
-    return builders[name]()
+    """The reference triangulation of a named surface.  Each name is built
+    from its gluing, and so checked, once per process.  Each call returns a
+    new triangulation that shares that build's triangles, gluing, sides,
+    arcs and vertex tables, as a flip shares its parent's, and has its own
+    attributes and its own side positions, which a caller may change."""
+    if name not in _NAMED_GLUINGS:
+        raise SurfaceError(f"unknown surface {name!r}; try {sorted(_NAMED_GLUINGS)}")
+    template = _NAMED_TEMPLATES.get(name)
+    if template is None:
+        template = _NAMED_TEMPLATES[name] = build_from_gluing(*_NAMED_GLUINGS[name])
+    out = SurfaceTriangulation.__new__(SurfaceTriangulation)
+    # set in the order __init__ sets them, as `_flip` does
+    for attr, value in vars(template).items():
+        setattr(out, attr, value)
+    out.side_pos = dict(template.side_pos)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -964,28 +982,45 @@ def _flip_determined(
 
 def _flip_value(
     t: SurfaceTriangulation,
+    labels: Sequence[int],
     values: Mapping[int, Optional[FieldValue]],
     quad: Quad,
     new_label: int,
     determined: bool,
-    ctx: FieldContext,
+    zero: FieldValue,
 ) -> Optional[FieldValue]:
-    """The value of the arc inside `quad` after its flip, given its new
-    label and `_flip_determined`.  At label 0 it is 0, so the exchange
-    identity old * new = v(p)v(r) + v(q)v(s) reads v(p)v(r) + v(q)v(s) = 0,
-    tested whenever the four sides are known, the old value or not.  At
-    label 1 it is made from the identity when determined, else None."""
+    """The value of the arc inside `quad` after its flip, given the labels
+    before it, its new label, `_flip_determined` and the field's 0, which
+    every label-0 value shares.  The rule reads the labels.  A known value
+    is 0 exactly where its label is 0, and the old triangles are even, so
+    l(p) + l(q) = l(a1) = l(r) + l(s), and the new label is l(q) + l(r).
+
+    At label 1 the value is None unless determined, and then the old value
+    is nonzero, so l(a1) = 1 and l(p) = l(r) != l(q) = l(s).  In the
+    exchange identity old * new = v(p)v(r) + v(q)v(s) the pair with label-0
+    sides has product 0, so the value is the other pair's product over the
+    old value: one multiply and one divide, and nonzero.
+
+    At label 0 the value is 0, and the identity reads
+    v(p)v(r) + v(q)v(s) = 0.  Here l(q) = l(r) and l(p) = l(s), so a
+    label-0 side puts a 0 in both products and the identity holds.  It can
+    fail only when all four sides are labeled 1, and only then is it
+    tested, whenever the four values are known, the old value or not."""
     if not determined:
         return None
-    arc, get = t._arc_of_side, values.get
+    arc = t._arc_of_side
     a1, p, q, _, r, s = quad
-    vp, vq, vr, vs = get(arc[p]), get(arc[q]), get(arc[r]), get(arc[s])
     if new_label == 1:
-        return (vp * vr + vq * vs) / values[arc[a1]]
-    if vp is not None and vq is not None and vr is not None and vs is not None:
-        if not (vp * vr + vq * vs).is_zero:
-            raise SurfaceError(f"exchange identity fails at arc {arc[a1]}")
-    return ctx.zero()
+        if labels[arc[p]] == 1:
+            return values[arc[p]] * values[arc[r]] / values[arc[a1]]
+        return values[arc[q]] * values[arc[s]] / values[arc[a1]]
+    if labels[arc[p]] == 1 and labels[arc[q]] == 1 and labels[arc[r]] == 1 and labels[arc[s]] == 1:
+        get = values.get
+        vp, vq, vr, vs = get(arc[p]), get(arc[q]), get(arc[r]), get(arc[s])
+        if vp is not None and vq is not None and vr is not None and vs is not None:
+            if not (vp * vr + vq * vs).is_zero:
+                raise SurfaceError(f"exchange identity fails at arc {arc[a1]}")
+    return zero
 
 
 def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
@@ -998,7 +1033,7 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
     new_label = z2.labels[aid]
     determined = _flip_determined(t, p.values, quad, new_label)
-    new_value = _flip_value(t, p.values, quad, new_label, determined, p.ctx)
+    new_value = _flip_value(t, p.z2.labels, p.values, quad, new_label, determined, p.ctx.zero())
     return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
 
@@ -1024,17 +1059,24 @@ def verify_deep_random_walk(
     triangles, side positions, labels and values) and flips it in place,
     by the rule `flip_evaluation` uses.  From a certified state a flip can
     fail only one check, so a step makes only that: the exchange identity
-    at each flip to label 0 whose four sides are known (`_flip_value`).
-    The rest holds by the flip itself.  Neither new triangle repeats a
-    side (`_new_triangles`), and `_new_label` finds the new label the
-    same from either new triangle, so both are even.  A determined label-1
-    value is a nonzero product over a nonzero old value: the old arc and
-    the new one are labeled 1, so exactly one of v(p)v(r), v(q)v(s) has
-    label-0 sides and is 0, and the other is not.  A step changes the
-    state only once its check passes; a failure is recorded as
-    `step N: ...` and ends the walk.  A flip carries the surface
-    invariants, so the end state is rebuilt from its triangles and gluing,
-    which runs every surface check once, and through `Z2Class` and
+    at a flip to label 0.  The rest holds by the flip itself.  Neither new
+    triangle repeats a side (`_new_triangles`), and `_new_label` finds the
+    new label the same from either new triangle, so both are even.
+
+    The value rule, `_flip_value`, reads the labels.  At a flip to label 0
+    it tests the identity v(p)v(r) + v(q)v(s) = 0 only when all four
+    sides are labeled 1 and known.  A skipped test cannot fail: the old
+    triangles are even, so l(q) = l(r) and l(p) = l(s), and a label-0 side
+    puts a 0 value in both products.  A determined label-1 value is the
+    product of the label-1 pair, v(p)v(r) or v(q)v(s), over the nonzero
+    old value: the old arc and the new one are labeled 1, so
+    l(p) = l(r) != l(q) = l(s), and the other pair's product is 0.  So it
+    meets the identity and is nonzero.
+
+    A step changes the state only once its check passes; a failure is
+    recorded as `step N: ...` and ends the walk.  A flip carries the
+    surface invariants, so the end state is rebuilt from its triangles and
+    gluing, which runs every surface check once, and through `Z2Class` and
     `SurfaceDeepPoint`; a failure there, or invariants other than the
     carried ones, is recorded as `end: ...`.  No flip path is kept."""
     import random as _random
@@ -1052,42 +1094,49 @@ def verify_deep_random_walk(
         report.failures.append(f"start: {exc}")
         return report
     t, ctx = start.triangulation, start.ctx
-    arcs, arc = t.arcs, t._arc_of_side
+    arcs, arc, zero = t.arcs, t._arc_of_side, ctx.zero()
     triangles, side_pos = list(t.triangles), dict(t.side_pos)
     labels, values = list(start.z2.labels), dict(start.values)
     candidates = sorted(t.interior_arcs())
     interior = set(candidates)
-    # each interior arc's quad, new label and whether its flip determines
-    # its value, and the sorted pool of determined arcs; a flip of aid
-    # changes the label, value and quad of no arc outside its quad, whose
-    # six sides include aid's own, so only those are re-tested
-    tested: Dict[int, Tuple[Quad, int, bool]] = {}
+    # flat tables by arc id: each interior arc's quad, its new label and
+    # whether its flip determines its value, with the sorted pool of the
+    # determined arcs; a flip of aid changes the label, value and quad of
+    # no arc outside its quad, whose six sides include aid's own, so only
+    # those are re-tested
+    quads: List[Optional[Quad]] = [None] * len(arcs)
+    new_labels = [0] * len(arcs)
+    in_pool = [False] * len(arcs)
     pool: List[int] = []
     retest: Iterable[int] = candidates
+    # the one flip rule, bound to locals
+    quad_of, label_of, determined_of, value_of = _quad, _new_label, _flip_determined, _flip_value
+    new_triangles, place, choice = _new_triangles, _place, rng.choice
+    flips_taken = report.flips_taken
     for step in range(steps):
         for a in retest:
-            quad = _quad(arcs, triangles, side_pos, a)
-            new_label = _new_label(t, labels, quad)
-            determined = _flip_determined(t, values, quad, new_label)
-            was = tested.get(a)
-            tested[a] = (quad, new_label, determined)
-            if determined != (was is not None and was[2]):
+            quads[a] = quad = quad_of(arcs, triangles, side_pos, a)
+            new_labels[a] = new_label = label_of(t, labels, quad)
+            determined = determined_of(t, values, quad, new_label)
+            if determined != in_pool[a]:
+                in_pool[a] = determined
                 if determined:
                     insort(pool, a)
                 else:
                     del pool[bisect_left(pool, a)]
-        aid = rng.choice(pool or candidates)
-        quad, new_label, determined = tested[aid]
+        aid = choice(pool or candidates)
+        quad, new_label = quads[aid], new_labels[aid]
         try:
-            value = _flip_value(t, values, quad, new_label, determined, ctx)
+            value = value_of(t, labels, values, quad, new_label, in_pool[aid], zero)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
-        _place(triangles, side_pos, _new_triangles(side_pos, quad))
+        place(triangles, side_pos, new_triangles(side_pos, quad))
         labels[aid] = new_label
         values[aid] = value
-        retest = {arc[x] for x in quad} & interior
-        report.flips_taken.append(aid)
+        _, sp, sq, _, sr, ss = quad
+        retest = {aid, arc[sp], arc[sq], arc[sr], arc[ss]} & interior
+        flips_taken.append(aid)
         if value is None:
             report.undetermined_values += 1
     try:

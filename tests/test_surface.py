@@ -160,6 +160,52 @@ class TestBuilding:
         with pytest.raises(SurfaceError, match=f"side {first} does not close"):
             t.boundary_components()
 
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_named_surface_is_built_once_and_each_call_is_its_own(self, monkeypatch, name):
+        # each name is built and checked once per process; every call equals
+        # a fresh build, shares the build's tables, and keeps to itself what
+        # callers change: its attributes, its side positions and its methods
+        from deeplocus import surface
+
+        checked = []
+        check = SurfaceTriangulation._check_surface
+
+        def counted(t):
+            checked.append(t)
+            check(t)
+
+        monkeypatch.setattr(SurfaceTriangulation, "_check_surface", counted)
+        monkeypatch.setattr(surface, "_NAMED_TEMPLATES", {})
+        fresh = build_from_gluing(*surface._NAMED_GLUINGS[name])
+        del checked[:]
+
+        def assert_fresh(t):
+            assert t == fresh and hash(t) == hash(fresh)
+            assert t.triangles == fresh.triangles and t.side_pos == fresh.side_pos
+            assert t.sides == fresh.sides and t.boundary_sides == fresh.boundary_sides
+            assert t.arcs == fresh.arcs and t._arc_of_side == fresh._arc_of_side
+            assert t.vertex_of_side == fresh.vertex_of_side
+            assert t.vertex_fans == fresh.vertex_fans
+            assert t.interior_vertices == fresh.interior_vertices == 0
+            assert [t.head_vertex(s) for s in t.sides] == [fresh.head_vertex(s) for s in fresh.sides]
+            assert t.invariants() == fresh.invariants()
+            assert (t.reference, t.flip_path) == (None, ())
+
+        first, second = named_surface(name), named_surface(name)
+        assert len(checked) == 1
+        for t in (first, second):
+            assert_fresh(t)
+        assert first is not second and first.side_pos is not second.side_pos
+        assert first._glue is second._glue and first.arcs is second.arcs
+        assert first.vertex_fans is second.vertex_fans
+        first.genus, first.num_marked = 99, 99
+        s = first.sides[0]
+        first.side_pos[s] = first.side_pos[first.sides[-1]]
+        first.head_vertex = lambda side: -1
+        assert_fresh(named_surface(name))
+        assert_fresh(second)
+        assert len(checked) == 1
+
 
 class TestFlips:
     def test_square_disk_flip(self):
@@ -1018,9 +1064,14 @@ class TestDeepPoints:
         # label-1 value is nonzero and meets the exchange identity
         # old * new = v(p)v(r) + v(q)v(s); a label-0 value is zero, or
         # raises exactly when the four sides are known and
-        # v(p)v(r) + v(q)v(s) is not.  Starts are deep points and deep
-        # points with one value perturbed; annulus21 has an odd number of
-        # marked points, hence no deep points.
+        # v(p)v(r) + v(q)v(s) is not.  _flip_value reads the labels: at a
+        # determined label-1 flip l(p) = l(r) != l(q) = l(s), so the pair
+        # with label-0 sides has product 0 and the value is the other
+        # pair's product over the old value; at a label-0 flip with a
+        # label-0 side both products are 0, so only four label-1 sides can
+        # break the identity.  Starts are deep points and deep points with
+        # one value perturbed; annulus21 has an odd number of marked
+        # points, hence no deep points.
         from deeplocus.surface import (
             SurfaceDeepPoint,
             _flip_determined,
@@ -1057,12 +1108,17 @@ class TestDeepPoints:
                             determined = _flip_determined(tcur, values, quad, label)
                             _, sp, sq, _, sr, ss = quad
                             vp, vq, vr, vs = (values.get(arc(x)) for x in (sp, sq, sr, ss))
+                            lp, lq, lr, ls = (labels[arc(x)] for x in (sp, sq, sr, ss))
                             known = None not in (vp, vq, vr, vs)
                             breaks = label == 0 and known and not (vp * vr + vq * vs).is_zero
+                            if label == 0 and 0 in (lp, lq, lr, ls) and known:
+                                assert (vp * vr).is_zero and (vq * vs).is_zero, (name, aid)
+                                seen.add("label 0, a label-0 side")
                             try:
-                                value = _flip_value(tcur, values, quad, label, determined, ctx)
+                                value = _flip_value(tcur, labels, values, quad, label, determined, ctx.zero())
                             except SurfaceError as exc:
                                 assert breaks, (name, aid)
+                                assert (lp, lq, lr, ls) == (1, 1, 1, 1), (name, aid)
                                 assert str(exc) == f"exchange identity fails at arc {aid}"
                                 seen.add("exchange fails")
                                 continue
@@ -1073,7 +1129,11 @@ class TestDeepPoints:
                             elif determined:
                                 assert value is not None and not value.is_zero, (name, aid)
                                 assert values[aid] * value == vp * vr + vq * vs, (name, aid)
-                                seen.add("label 1")
+                                assert lp == lr != lq == ls, (name, aid)
+                                zero_pair = (vq, vs) if lp == 1 else (vp, vr)
+                                assert (zero_pair[0] * zero_pair[1]).is_zero, (name, aid)
+                                assert value == (vp * vr + vq * vs) / values[aid], (name, aid)
+                                seen.add("label 1, p/r pair" if lp == 1 else "label 1, q/s pair")
                             else:
                                 assert value is None
                                 seen.add("undetermined")
@@ -1081,7 +1141,14 @@ class TestDeepPoints:
                             state = flip_evaluation(state, rng.choice(tcur.interior_arcs()))
                         except SurfaceError:
                             pass
-        assert seen == {"exchange fails", "label 0", "label 1", "undetermined"}
+        assert seen == {
+            "exchange fails",
+            "label 0",
+            "label 0, a label-0 side",
+            "label 1, p/r pair",
+            "label 1, q/s pair",
+            "undetermined",
+        }
 
     def test_walks(self):
         t = named_surface("annulus22")
@@ -1131,16 +1198,36 @@ class TestDeepPoints:
     @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
     def test_walk_matches_a_full_retest_walk(self, ctx):
         # the walk flips one state in place and re-tests only the arcs a
-        # flip touches; the reference carries the point by flip_evaluation
-        # and re-tests every interior arc before every step.  Besides each
-        # deep start, a start with one arc value perturbed and one with a
-        # broken closing value pin the failures and their step numbers.
+        # flip touches; the reference carries the point by transport_class
+        # and re-tests every interior arc before every step.  Its value is
+        # the full exchange formula, (v(p)v(r) + v(q)v(s)) / old at label 1,
+        # and at label 0 it tests v(p)v(r) + v(q)v(s) = 0 whenever the four
+        # sides are known, whatever their labels, so it does not share the
+        # walk's label-aware value rule.  Besides each deep start, a start
+        # with one arc value perturbed and one with a broken closing value
+        # pin the failures and their step numbers.
         from deeplocus.surface import (
             SurfaceDeepPoint,
             WalkReport,
             _flip_determined,
             _transport_labels,
         )
+
+        def reference_flip(state, aid):
+            t, values = state.triangulation, state.values
+            quad = t.flip_quad(aid)
+            z2 = transport_class(state.z2, aid)
+            label = z2.labels[aid]
+            vp, vq, vr, vs = (values.get(t.arc_of_side(x)) for x in (quad[1], quad[2], quad[4], quad[5]))
+            if label == 0:
+                if None not in (vp, vq, vr, vs) and not (vp * vr + vq * vs).is_zero:
+                    raise SurfaceError(f"exchange identity fails at arc {aid}")
+                value = state.ctx.zero()
+            elif _flip_determined(t, values, quad, label):
+                value = (vp * vr + vq * vs) / values[aid]
+            else:
+                value = None
+            return SurfaceDeepPoint({**values, aid: value}, z2, state.ctx)
 
         def reference_walk(p, steps, seed):
             rng = random.Random(seed)
@@ -1161,7 +1248,7 @@ class TestDeepPoints:
                         defined.append(aid)
                 aid = rng.choice(defined if defined else candidates)
                 try:
-                    state = flip_evaluation(state, aid)
+                    state = reference_flip(state, aid)
                 except SurfaceError as exc:
                     report.failures.append(f"step {step}: {exc}")
                     break
