@@ -642,19 +642,6 @@ class FieldValue:
         return f"<{self} : {self.ctx!r}>"
 
 
-def arithmetic(a: FieldValue, b: FieldValue, op: str) -> FieldValue:
-    """Dispatch helper for the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def product(ctx: FieldContext, values) -> FieldValue:
     out = ctx.one()
     for v in values:

@@ -17,15 +17,22 @@ cluster variables.  Window propagation across a killed neighbor uses a
 polynomial identity: writing (y^[e]+ x^c + y^[e]-)^b = x^c g(x) + y^(b[e]-)
 defines g, and x_{2i+2} has a closed form in x_{2i-2}, x_{2i}, x_{2i+1}
 and g(x_{2i}) that needs no division by cluster values.
+
+`e_vectors` returns a window's e-vectors as a dict by index.  The steps
+read y-monomials from `_y`, an lru_cache of `y_monomial` keyed by
+(ys, v, ctx), and g's coefficient values from `_g_coefs`, keyed by
+(outer, inner, e, ys, ctx); each keeps at most 256 entries, and the
+windows of one spec over one field share them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue
@@ -90,6 +97,11 @@ def y_monomial(ys: Sequence[FieldValue], v: Vector, ctx: FieldContext) -> FieldV
     return ctx.one() if out is None else out
 
 
+# y_monomial keyed by (ys, v, ctx), ys a tuple: a key holds all its result
+# depends on (values compare by field and payload), so no entry goes stale
+_y = functools.lru_cache(maxsize=256)(y_monomial)
+
+
 @dataclass(frozen=True)
 class Rank2Spec:
     b: int
@@ -109,73 +121,9 @@ class Rank2Spec:
         return self.b if i % 2 == 1 else self.c
 
 
-class _WindowMemo:
-    """What the steps on one e-vector window would rebuild at every index,
-    for the frozen values ys of one point in one field: the y-monomials,
-    by exponent vector, and the coefficient values of each g polynomial,
-    by (outer, inner, e).  Other ys, or another field, start it afresh."""
-
-    __slots__ = ("ctx", "ys", "monomials", "g_coefs")
-
-    def __init__(self) -> None:
-        self.ctx: Optional[FieldContext] = None
-        self.ys: Tuple[FieldValue, ...] = ()
-        self.monomials: Dict[Vector, FieldValue] = {}
-        self.g_coefs: Dict[Tuple[int, int, Vector], List[FieldValue]] = {}
-
-    def _use(self, ys: Sequence[FieldValue], ctx: FieldContext) -> None:
-        if ctx is not self.ctx or (ys is not self.ys and tuple(ys) != self.ys):
-            self.ctx, self.ys = ctx, tuple(ys)
-            self.monomials, self.g_coefs = {}, {}
-
-    def y(self, ys: Sequence[FieldValue], v: Vector, ctx: FieldContext) -> FieldValue:
-        """y_monomial(ys, v, ctx), built once per window."""
-        self._use(ys, ctx)
-        out = self.monomials.get(v)
-        if out is None:
-            out = self.monomials[v] = y_monomial(ys, v, ctx)
-        return out
-
-    def g_value(
-        self, outer: int, inner: int, e: Vector, x: FieldValue, ys: Sequence[FieldValue]
-    ) -> FieldValue:
-        """_binomial_g(outer, inner, e).evaluate(x, ys), by Horner's rule in
-        x^inner over coefficients built once per window."""
-        ctx = x.ctx
-        self._use(ys, ctx)
-        key = (outer, inner, e)
-        coefs = self.g_coefs.get(key)
-        if coefs is None:
-            # g's terms have x-degrees 0, inner, 2*inner, ... in order
-            coefs = self.g_coefs[key] = [
-                ctx.from_int(coef) * self.y(ys, yexp, ctx)
-                for coef, yexp, _ in _binomial_g(outer, inner, e).terms
-            ]
-        out = coefs[-1]
-        if len(coefs) > 1:
-            t = x**inner
-            for c in reversed(coefs[:-1]):
-                out = out * t + c
-        return out
-
-
-@dataclass(frozen=True)
-class EVectorWindow:
-    spec: Rank2Spec
-    lo: int
-    hi: int
-    vectors: Dict[int, Vector]
-    _memo: _WindowMemo = field(
-        default_factory=_WindowMemo, init=False, compare=False, repr=False
-    )
-
-    def __getitem__(self, i: int) -> Vector:
-        return self.vectors[i]
-
-
-def e_vectors(spec: Rank2Spec, lo: int, hi: int) -> EVectorWindow:
-    """Exchange-direction vectors on [lo, hi], by forward and backward
-    recursion from e_1, e_2.
+def e_vectors(spec: Rank2Spec, lo: int, hi: int) -> Dict[int, Vector]:
+    """Exchange-direction vectors on [lo, hi], as a dict by index, from
+    forward and backward recursion from e_1, e_2.
 
     Seed mutation of the extended exchange matrix gives
     e_{i+1} + e_{i-1} = -b [e_i]- at even i and -c [e_i]- at odd i: the
@@ -190,7 +138,7 @@ def e_vectors(spec: Rank2Spec, lo: int, hi: int) -> EVectorWindow:
     for i in range(1, lo, -1):
         coef = spec.degree(i + 1)
         vecs[i - 1] = vsub(vscale(-coef, negative_part(vecs[i])), vecs[i + 1])
-    return EVectorWindow(spec, lo, hi, vecs)
+    return vecs
 
 
 @dataclass(frozen=True)
@@ -210,19 +158,13 @@ class Rank2Point:
 
 
 def _relation_rhs(
-    spec: Rank2Spec,
-    e: Vector,
-    ys: Sequence[FieldValue],
-    x: FieldValue,
-    i: int,
-    _memo: Optional[_WindowMemo] = None,
+    spec: Rank2Spec, e: Vector, ys: Sequence[FieldValue], x: FieldValue, i: int
 ) -> FieldValue:
     """y^[e]+ x^(b|c) + y^[e]-: the right side of the mutation relation at
-    index i, with exchange-direction vector e and middle value x = x_i.
-    Given a window's memo, the y-monomials come from it."""
+    index i, with exchange-direction vector e and middle value x = x_i."""
     ctx = x.ctx
-    y = y_monomial if _memo is None else _memo.y
-    return y(ys, positive_part(e), ctx) * x ** spec.degree(i) + y(ys, negative_part(e), ctx)
+    ys = tuple(ys)
+    return _y(ys, positive_part(e), ctx) * x ** spec.degree(i) + _y(ys, negative_part(e), ctx)
 
 
 def presentation_residuals(p: Rank2Point) -> Tuple[FieldValue, FieldValue]:
@@ -259,11 +201,6 @@ class GPolynomial:
             out = out + ctx.from_int(coef) * y_monomial(ys, yexp, ctx) * x**xdeg
         return out
 
-    def constant_term(self) -> Tuple[int, Vector]:
-        """The x-degree 0 term, which `_binomial_g` puts first."""
-        coef, yexp, _ = self.terms[0]
-        return coef, yexp
-
 
 def _binomial_g(outer: int, inner: int, e: Vector) -> GPolynomial:
     """g defined by (y^[e]+ x^inner + y^[e]-)^outer = x^inner * g(x) + y^(outer*[e]-)."""
@@ -280,13 +217,25 @@ def g_polynomial(spec: Rank2Spec, e_even: Vector) -> GPolynomial:
     return _binomial_g(spec.b, spec.c, tuple(e_even))
 
 
+@functools.lru_cache(maxsize=256)
+def _g_coefs(
+    outer: int, inner: int, e: Vector, ys: Tuple[FieldValue, ...], ctx: FieldContext
+) -> Tuple[FieldValue, ...]:
+    """The coefficient values of _binomial_g(outer, inner, e) at ys, for the
+    x-degrees 0, inner, 2*inner, ... of its terms, keyed like _y."""
+    return tuple(
+        ctx.from_int(coef) * _y(ys, yexp, ctx)
+        for coef, yexp, _ in _binomial_g(outer, inner, e).terms
+    )
+
+
 # ---------------------------------------------------------------------------
 # window propagation
 
 
 def division_step(
     spec: Rank2Spec,
-    evw: EVectorWindow,
+    evw: Mapping[int, Vector],
     ys: Sequence[FieldValue],
     window: Dict[int, FieldValue],
     j: int,
@@ -298,12 +247,12 @@ def division_step(
     if divisor.is_zero:
         return None
     mid = j + s
-    return _relation_rhs(spec, evw[mid], ys, window[mid], mid, evw._memo) / divisor
+    return _relation_rhs(spec, evw[mid], ys, window[mid], mid) / divisor
 
 
 def closed_form_step(
     spec: Rank2Spec,
-    evw: EVectorWindow,
+    evw: Mapping[int, Vector],
     ys: Sequence[FieldValue],
     window: Dict[int, FieldValue],
     j: int,
@@ -314,21 +263,27 @@ def closed_form_step(
     Uses x_{j+s}, x_{j+2s}, x_{j+4s}; valid at every variety point.
     """
     ctx = window[j + s].ctx
-    y = evw._memo.y
+    ys = tuple(ys)
     outer = spec.degree(j + s)
     inner = spec.degree(j)
     e_mid = evw[j + 2 * s]
     e_adj = evw[j + s]
     e_far = evw[j + 3 * s]
     x_mid = window[j + 2 * s]
-    gval = evw._memo.g_value(outer, inner, e_mid, x_mid, ys)
-    term1 = -y(ys, negative_part(e_adj), ctx) * x_mid ** (inner - 1) * gval
+    # g(x_mid), by Horner's rule in x_mid^inner
+    coefs = _g_coefs(outer, inner, e_mid, ys, ctx)
+    gval = coefs[-1]
+    if len(coefs) > 1:
+        t = x_mid**inner
+        for c in reversed(coefs[:-1]):
+            gval = gval * t + c
+    term1 = -_y(ys, negative_part(e_adj), ctx) * x_mid ** (inner - 1) * gval
     term2 = (
-        y(ys, vsub(negative_part(e_adj), positive_part(e_far)), ctx)
+        _y(ys, vsub(negative_part(e_adj), positive_part(e_far)), ctx)
         * window[j + 4 * s]
         * window[j + s] ** outer
     )
-    return y(ys, vscale(-outer, negative_part(e_mid)), ctx) * (term1 + term2)
+    return _y(ys, vscale(-outer, negative_part(e_mid)), ctx) * (term1 + term2)
 
 
 @dataclass(frozen=True)
@@ -376,7 +331,7 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
             # divisor x_{j+2s} vanished: the relation at j+s forces its
             # right side to vanish too, or no valid extension exists
             mid = j + s
-            rhs = _relation_rhs(p.spec, evw[mid], p.ys, w[mid], mid, evw._memo)
+            rhs = _relation_rhs(p.spec, evw[mid], p.ys, w[mid], mid)
             if not rhs.is_zero:
                 raise StuckPropagation(
                     f"x_{j + 2 * s} = 0 but the relation at {mid} has value {rhs}"
@@ -393,15 +348,13 @@ def extend_evaluation(p: Rank2Point, N: int) -> Rank2Evaluation:
 
 def relation_holds(
     spec: Rank2Spec,
-    evw: EVectorWindow,
+    evw: Mapping[int, Vector],
     ys: Sequence[FieldValue],
     window: Dict[int, FieldValue],
     i: int,
 ) -> bool:
     """Exact check of the mutation relation at index i (a test oracle)."""
-    return window[i - 1] * window[i + 1] == _relation_rhs(
-        spec, evw[i], ys, window[i], i, evw._memo
-    )
+    return window[i - 1] * window[i + 1] == _relation_rhs(spec, evw[i], ys, window[i], i)
 
 
 def verify_deep(p: Rank2Point, N: int = 10) -> bool:

@@ -61,7 +61,7 @@ class TestEVectors:
     def test_coefficient_free_is_empty(self):
         spec = Rank2Spec(2, 2)
         w = e_vectors(spec, -4, 6)
-        assert all(v == () for v in w.vectors.values())
+        assert all(v == () for v in w.values())
 
     def test_forward_hand_example(self):
         spec = Rank2Spec(1, 1, 1, (1,), (0,))
@@ -235,8 +235,7 @@ class TestGPolynomial:
     def test_2_1_expansion_constant_term(self):
         g = g_polynomial(Rank2Spec(2, 1), ())
         assert sorted(g.terms) == [(1, (), 1), (2, (), 0)]
-        coef, yexp = g.constant_term()
-        assert coef == 2 and yexp == ()
+        assert g.terms[0] == (2, (), 0)
 
     def test_defining_identity_numerically(self, rng):
         # (y^[e]+ x^c + y^[e]-)^b == x^c g(x) + y^(b [e]-) at random inputs
@@ -454,6 +453,96 @@ class TestWindowOracle:
                         assert step(spec, shared, p.ys, ev.values, j, s) == fresh
                         compared += 1
         assert compared == 8 * 3 * 4 * 2
+
+    def test_windows_past_the_cache_bound_match_an_uncached_fill(self):
+        # 300 torus points and 300 deep points over Q, each with fresh frozen
+        # values, overflow both caches; every window, and the closed form at
+        # every step of a torus window, computed again after its entries
+        # were evicted, still match a fill that builds each y-monomial and
+        # g value from scratch
+        torus = Rank2Spec(2, 3, 1, *ORACLE_E[1])
+        kronecker = Rank2Spec(2, 2, 1, (-1,), (-1,))
+        evw = e_vectors(torus, -5, 8)
+        steps = [(j, -1) for j in range(4, 8)] + [(j, +1) for j in range(-1, -5, -1)]
+
+        def fill(p):
+            window = extend_evaluation(p, 4).values
+            closed = [closed_form_step(p.spec, evw, p.ys, window, j, s) for j, s in steps]
+            return window, closed if p.spec is torus else []
+
+        points = []
+        for k in range(1, 301):
+            ys = (QQ.rational(k + 1, 5),)
+            x0, x1 = QQ.from_int(k), QQ.rational(3, k + 2)
+            x2 = uncached_rhs(torus, torus.e1, ys, x1, 1) / x0
+            x3 = uncached_rhs(torus, torus.e2, ys, x2, 2) / x1
+            points.append(Rank2Point(torus, (x0, x1, x2, x3), ys))
+            # -beta = (k/2)^2, so alpha = +-k/2 is rational
+            points += [q for q, _ in deep_points(kronecker, QQ, [(QQ.rational(-k * k, 4),)])][:1]
+        assert len(points) == 600
+        rank2._y.cache_clear()
+        rank2._g_coefs.cache_clear()
+        filled = [fill(p) for p in points]
+        for cache in (rank2._y, rank2._g_coefs):
+            info = cache.cache_info()
+            assert info.misses > 256 and info.currsize <= 256 == info.maxsize
+        for p, (window, closed) in zip(points, filled):
+            expected = uncached_window(p, 4)
+            assert window == expected
+            if p.spec is torus:
+                assert closed == [expected[j] for j, _ in steps]
+            assert fill(p) == (window, closed)
+
+    def test_frozen_values_in_a_list_fill_the_window_of_a_tuple(self):
+        # Rank2Point keeps ys as given; the caches take it as a tuple
+        cases = [
+            (Rank2Spec(2, 3, 1, *ORACLE_E[1]), None),
+            (Rank2Spec(3, 1, 2, *ORACLE_E[2]), None),
+            (Rank2Spec(2, 2, 1, (-1,), (-1,)), [(QQ.from_int(-4),)]),
+        ]
+        rng = random.Random(23)
+        for spec, betas in cases:
+            points = [random_torus_point(spec, QQ, rng) for _ in range(3)]
+            points += [q for q, _ in deep_points(spec, QQ, betas)] if betas else []
+            for p in points:
+                listed = Rank2Point(spec, p.xs, list(p.ys))
+                assert isinstance(listed.ys, list)
+                assert presentation_residuals(listed) == presentation_residuals(p)
+                assert extend_evaluation(listed, 5).values == extend_evaluation(p, 5).values
+                assert verify_deep(listed, 5) == verify_deep(p, 5)
+
+
+def uncached_rhs(spec, e, ys, x, i):
+    """The relation's right side from y_monomial, bypassing the caches."""
+    ctx = x.ctx
+    return y_monomial(ys, positive_part(e), ctx) * x ** spec.degree(i) + y_monomial(
+        ys, negative_part(e), ctx
+    )
+
+
+def uncached_window(p, N):
+    """[-N, N+3] filled one step at a time from y_monomial and
+    GPolynomial.evaluate: division where the divisor is nonzero, else the
+    closed form of `closed_form_step`, written out."""
+    spec, ys, ctx = p.spec, p.ys, p.xs[0].ctx
+    lo, hi = -N, N + 3
+    e = e_vectors(spec, lo - 1, hi + 1)
+    w = dict(enumerate(p.xs))
+    steps = [(j, -1) for j in range(4, hi + 1)] + [(j, +1) for j in range(-1, lo - 1, -1)]
+    for j, s in steps:
+        mid, x_mid = j + s, w[j + 2 * s]
+        if not x_mid.is_zero:
+            w[j] = uncached_rhs(spec, e[mid], ys, w[mid], mid) / x_mid
+            continue
+        outer, inner = spec.degree(mid), spec.degree(j)
+        g = rank2._binomial_g(outer, inner, e[j + 2 * s]).evaluate(x_mid, ys)
+        neg_adj = negative_part(e[mid])
+        term1 = -y_monomial(ys, neg_adj, ctx) * x_mid ** (inner - 1) * g
+        far = rank2.vsub(neg_adj, positive_part(e[j + 3 * s]))
+        term2 = y_monomial(ys, far, ctx) * w[j + 4 * s] * w[mid] ** outer
+        scale = rank2.vscale(-outer, negative_part(e[j + 2 * s]))
+        w[j] = y_monomial(ys, scale, ctx) * (term1 + term2)
+    return w
 
 
 @pytest.mark.parametrize("ctx", [QI, F5], ids=["Qi", "F5"])
