@@ -101,18 +101,42 @@ def mutate_upper(node: TreeNode, M: FieldValue, direction: str) -> TreeNode:
     """Replace the direction-type value v by (other pair product)*M - v.
 
     Mutating twice in a direction returns to the parent; the path shrinks
-    on a backtrack and grows otherwise."""
+    on a backtrack and grows otherwise.  The new values are those of the
+    root's child in that direction (`_children`)."""
     if direction not in DIRECTIONS:
         raise MarkovError(f"unknown direction {direction!r}")
-    k = DIRECTIONS.index(direction)
-    vals = list(node.values)
-    others = [v for t, v in enumerate(vals) if t != k]
-    vals[k] = others[0] * others[1] * M - vals[k]
+    _, vals = _children((), node.values, M)[DIRECTIONS.index(direction)]
     if node.path and node.path[-1] == direction:
         path = node.path[:-1]
     else:
         path = node.path + (direction,)
-    return TreeNode(path, tuple(vals))
+    return TreeNode(path, vals)
+
+
+def _children(
+    path: Tuple[str, ...], values: Tuple[FieldValue, FieldValue, FieldValue], M: FieldValue
+) -> List[Tuple[Tuple[str, ...], Tuple[FieldValue, FieldValue, FieldValue]]]:
+    """The (path, values) of each child of the cluster at the reduced word
+    path, one per direction other than the word's last, in DIRECTIONS
+    order: the exchange v_k -> (product of the other two values)*M - v_k.
+
+    Reached by direction j, a cluster mutates only in the other two, and
+    each of their products contains v_j, so both children share the factor
+    M*v_j: three multiplies for the two.  The root has three children and
+    forms each product in full."""
+    if path:
+        j = DIRECTIONS.index(path[-1])
+        shared = M * values[j]
+        products = [(k, shared * values[3 - j - k]) for k in range(3) if k != j]
+    else:
+        x, y, z = values
+        products = [(0, y * z * M), (1, x * z * M), (2, x * y * M)]
+    out = []
+    for k, product in products:
+        vals = list(values)
+        vals[k] = product - values[k]
+        out.append((path + (DIRECTIONS[k],), tuple(vals)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -211,10 +235,13 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     - on torus clusters (all three values nonzero) the Markov element is
       constant, equal to M.
 
-    The identities of each node and its children are checked together by
-    one exact identity test; field values rebuild the message of each one
-    that fails.  Refused for depth above MAX_EXPLORE_DEPTH, before any node
-    is built, as is a negative depth.
+    The tree is walked one level at a time over plain (path, values)
+    clusters.  Each cluster above the last level gets its children from
+    `_children`, whose two children of an inner cluster share their M*v
+    factor.  The identities of each cluster and its children are checked
+    together by one exact identity test; field values rebuild the message
+    of each one that fails.  Refused for depth above MAX_EXPLORE_DEPTH,
+    before any cluster is built, as is a negative depth.
     """
     if depth < 0:
         raise MarkovError(f"depth must be at least 0, got {depth}")
@@ -225,34 +252,35 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
         )
     deep_type = classify_deep_upper(p)
     report = ExploreReport(p, depth)
-    root = TreeNode((), p.values())
-    frontier = [root]
-    seen = 0
-    while frontier:
+    M, test = p.M, p.ctx.first_nonzero_relation
+    element_values = report.markov_element_values
+    frontier = [((), p.values())]
+    for level in range(depth + 1):
         next_frontier = []
-        for node in frontier:
-            seen += 1
+        for path, values in frontier:
             if deep_type is None:
-                torus = not any(v.is_zero for v in node.values)
+                x, y, z = values
+                torus = not (x.is_zero or y.is_zero or z.is_zero)
             else:
                 torus = False
-                _check_zero_pattern(node, deep_type, report)
-            dirs: Tuple[str, ...] = ()
-            if len(node.path) < depth:
-                dirs = tuple(d for d in DIRECTIONS if not node.path or node.path[-1] != d)
-            children = [mutate_upper(node, p.M, d) for d in dirs]
-            values = node.values + (p.M,) + tuple(
-                child.values[DIRECTIONS.index(d)] for d, child in zip(dirs, children)
-            )
-            relations = _node_relations(torus, dirs)
-            if p.ctx.first_nonzero_relation(values, relations) is None:
-                if torus:
-                    report.markov_element_values[node.path] = p.M
+                _check_zero_pattern(path, values, deep_type, report)
+            if level < depth:
+                children = _children(path, values, M)
+                dirs = tuple(child[-1] for child, _ in children)
+                ident = values + (M,) + tuple(
+                    vals[DIRECTIONS.index(d)] for d, (_, vals) in zip(dirs, children)
+                )
             else:
-                _record_failures(node, values, relations, torus, dirs, p, report)
+                children, dirs, ident = [], (), values + (M,)
+            relations = _node_relations(torus, dirs)
+            if test(ident, relations) is None:
+                if torus:
+                    element_values[path] = M
+            else:
+                _record_failures(path, ident, relations, torus, dirs, p, report)
             next_frontier += children
+        report.nodes_visited += len(frontier)
         frontier = next_frontier
-    report.nodes_visited = seen
     return report
 
 
@@ -272,7 +300,7 @@ def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> Tuple[Relation, ...]:
 
 
 def _record_failures(
-    node: TreeNode,
+    path: Tuple[str, ...],
     values: Tuple[FieldValue, ...],
     relations: Tuple[Relation, ...],
     torus: bool,
@@ -280,32 +308,34 @@ def _record_failures(
     p: MarkovUpperPoint,
     report: ExploreReport,
 ) -> None:
-    """Report each of a node's identities that fails, in order."""
+    """Report each of a cluster's identities that fails, in order; values
+    are the cluster's x, y, z, M and then its children's new values."""
     for t, relation in enumerate(relations):
         holds = p.ctx.first_nonzero_relation(values, (relation,)) is None
         if torus and t == 0:
-            m = p.M if holds else markov_element(*node.values)
-            report.markov_element_values[node.path] = m
+            m = p.M if holds else markov_element(*values[:3])
+            report.markov_element_values[path] = m
             if not holds:
-                report.failures.append(f"Markov element {m} differs from M={p.M} at {node.path}")
+                report.failures.append(f"Markov element {m} differs from M={p.M} at {path}")
         elif not holds:
             report.failures.append(
-                f"exchange identity fails mutating {dirs[t - 1 if torus else t]} at {node.path}"
+                f"exchange identity fails mutating {dirs[t - 1 if torus else t]} at {path}"
             )
 
 
-def _check_zero_pattern(node: TreeNode, deep_type: DeepType, report: ExploreReport) -> None:
+def _check_zero_pattern(
+    path: Tuple[str, ...],
+    values: Tuple[FieldValue, FieldValue, FieldValue],
+    deep_type: DeepType,
+    report: ExploreReport,
+) -> None:
     if deep_type.tag == "A":
-        if not all(v.is_zero for v in node.values):
-            report.failures.append(f"type A values not all zero at {node.path}")
+        if not all(v.is_zero for v in values):
+            report.failures.append(f"type A values not all zero at {path}")
         return
     expected_zero = DIRECTIONS.index(deep_type.tag.lower())
-    for k, v in enumerate(node.values):
+    for k, v in enumerate(values):
         if k == expected_zero and not v.is_zero:
-            report.failures.append(
-                f"{deep_type.tag}-type value nonzero at {node.path}"
-            )
+            report.failures.append(f"{deep_type.tag}-type value nonzero at {path}")
         if k != expected_zero and v.is_zero:
-            report.failures.append(
-                f"unexpected zero of {DIRECTIONS[k]}-type at {node.path}"
-            )
+            report.failures.append(f"unexpected zero of {DIRECTIONS[k]}-type at {path}")

@@ -960,20 +960,27 @@ def solve_closing_value(
 
 
 def _flip_determined(
-    t: SurfaceTriangulation, values: Mapping[int, Optional[FieldValue]], quad: Quad, new_label: int
+    t: SurfaceTriangulation,
+    labels: Sequence[int],
+    values: Mapping[int, Optional[FieldValue]],
+    quad: Quad,
+    new_label: int,
 ) -> bool:
     """Whether flipping the arc inside `quad` (its `flip_quad`) determines
-    the new arc's value: its label new_label is 0, or the old value is known
-    and nonzero and so are the values on the four sides of the quadrilateral."""
+    the new arc's value, given the labels before the flip: its label
+    new_label is 0, or the old value is known and nonzero and so are the
+    values on the four sides of the quadrilateral.  A known value is 0
+    exactly where its label is 0, so the old arc's label answers for the
+    value's zero test."""
     if new_label == 0:
         return True
     arc, get = t._arc_of_side, values.get
     a1, p, q, _, r, s = quad
-    old = get(arc[a1])
-    if old is None or old.is_zero:
+    if labels[arc[a1]] == 0:
         return False
     return (
-        get(arc[p]) is not None
+        get(arc[a1]) is not None
+        and get(arc[p]) is not None
         and get(arc[q]) is not None
         and get(arc[r]) is not None
         and get(arc[s]) is not None
@@ -1032,7 +1039,7 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     # transport_class, with the quad worked out above
     z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
     new_label = z2.labels[aid]
-    determined = _flip_determined(t, p.values, quad, new_label)
+    determined = _flip_determined(t, p.z2.labels, p.values, quad, new_label)
     new_value = _flip_value(t, p.z2.labels, p.values, quad, new_label, determined, p.ctx.zero())
     return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
@@ -1117,7 +1124,7 @@ def verify_deep_random_walk(
         for a in retest:
             quads[a] = quad = quad_of(arcs, triangles, side_pos, a)
             new_labels[a] = new_label = label_of(t, labels, quad)
-            determined = determined_of(t, values, quad, new_label)
+            determined = determined_of(t, labels, values, quad, new_label)
             if determined != in_pool[a]:
                 in_pool[a] = determined
                 if determined:

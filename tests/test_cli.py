@@ -527,7 +527,7 @@ def test_markov_verify_too_deep_exits_1_without_exploring(monkeypatch, capsys):
     def no_mutation(*args):
         raise AssertionError("exploration started")
 
-    monkeypatch.setattr(markov, "mutate_upper", no_mutation)
+    monkeypatch.setattr(markov, "_children", no_mutation)
     depth = markov.MAX_EXPLORE_DEPTH + 1
     code, out = run_cli(["markov", "verify", "--point", "1,1,1,3", "--depth", str(depth)])
     err = capsys.readouterr().err

@@ -296,7 +296,7 @@ def test_negative_depth_is_rejected_before_any_node(monkeypatch):
         raise AssertionError("exploration started")
 
     monkeypatch.setattr(markov, "classify_deep_upper", no_work)
-    monkeypatch.setattr(markov, "mutate_upper", no_work)
+    monkeypatch.setattr(markov, "_children", no_work)
     for depth in (-1, -3):
         with pytest.raises(markov.MarkovError, match=f"at least 0, got {depth}"):
             explore_and_verify(p, depth=depth)
@@ -315,6 +315,26 @@ def replay(p, path):
         node = mutate_upper(node, p.M, d)
     assert node.path == path
     return node.values
+
+
+def replace_child(monkeypatch, target, replace):
+    """Make explore's exchange step give the cluster at target the values
+    replace(values, k) in place of its own, k the index of the direction
+    that reached it."""
+    children = markov._children
+
+    def mutant(path, values, M):
+        return [
+            (child, replace(vals, markov.DIRECTIONS.index(child[-1])) if child == target else vals)
+            for child, vals in children(path, values, M)
+        ]
+
+    monkeypatch.setattr(markov, "_children", mutant)
+
+
+def bump(one):
+    """The values with the k-th one raised by one."""
+    return lambda vals, k: vals[:k] + (vals[k] + one,) + vals[k + 1 :]
 
 
 class TestExplorationOracle:
@@ -338,23 +358,81 @@ class TestExplorationOracle:
             assert report.failures == []
             assert report.markov_element_values == expected
 
+    @pytest.mark.parametrize(
+        "ctx, root_of_minus_1",
+        [
+            (QQ, None),
+            (QI, QI.gaussian(0, 1)),
+            (F7, None),
+            (prime_field(13), prime_field(13).from_int(5)),
+        ],
+        ids=["Q", "Qi", "F7", "F13"],
+    )
+    def test_report_matches_a_replay_of_every_word(self, ctx, root_of_minus_1):
+        # the whole report at depths 0-6 against a replay: every reduced
+        # word's values come from mutate_upper one step at a time from the
+        # root, and each identity is tested by field arithmetic, on torus
+        # points and on A/X/Y/Z deep points (X/Y/Z need a root of -1)
+        rng = random.Random(f"markov-replay/{ctx!r}")
+        points = []
+        for _ in range(3):
+            x, y, z = (random_value(ctx, rng, nonzero=True) for _ in range(3))
+            points.append(MarkovUpperPoint(x, y, z, markov_element(x, y, z)))
+        zero = ctx.zero()
+        points.append(MarkovUpperPoint(zero, zero, zero, random_value(ctx, rng)))
+        if root_of_minus_1 is not None:
+            for k in range(3):
+                beta = random_value(ctx, rng, nonzero=True)
+                vals = [beta, beta * root_of_minus_1]
+                vals.insert(k, zero)
+                points.append(MarkovUpperPoint(*vals, zero))
+        tags = set()
+        for p in points:
+            deep = classify_deep_upper(p)
+            tags.add(deep.tag if deep else None)
+            tree = {(): p.values()}
+            for word in reduced_words(6):
+                if word:
+                    node = mutate_upper(TreeNode(word[:-1], tree[word[:-1]]), p.M, word[-1])
+                    assert node.path == word
+                    tree[word] = node.values
+            for depth in range(7):
+                failures, elements = [], []
+                words = list(reduced_words(depth))
+                for word in words:
+                    vals = tree[word]
+                    if deep is None and not any(v.is_zero for v in vals):
+                        x, y, z = vals
+                        m = p.M if x * x + y * y + z * z == p.M * x * y * z else markov_element(*vals)
+                        elements.append((word, m))
+                        if m != p.M:
+                            failures.append(f"Markov element {m} differs from M={p.M} at {word}")
+                    elif deep is not None:
+                        zeros = [v.is_zero for v in vals]
+                        if deep.tag == "A":
+                            assert all(zeros)
+                        else:
+                            assert zeros == [d == deep.tag.lower() for d in markov.DIRECTIONS]
+                    for k, d in enumerate(markov.DIRECTIONS):
+                        if len(word) < depth and word[-1:] != (d,):
+                            new = tree[word + (d,)][k]
+                            a, b = (v for t, v in enumerate(vals) if t != k)
+                            if vals[k] * new != a * a + b * b:
+                                failures.append(f"exchange identity fails mutating {d} at {word}")
+                report = explore_and_verify(p, depth=depth)
+                assert report.passed and failures == [], (p, depth)
+                assert report.nodes_visited == len(words)
+                assert report.failures == failures
+                assert list(report.markov_element_values.items()) == elements
+        assert tags == ({None, "A", "X", "Y", "Z"} if root_of_minus_1 else {None, "A"})
+
     @pytest.mark.parametrize("ctx", [QQ, F7], ids=["Q", "F7"])
     def test_perturbed_mutation_is_named_with_its_quotient(self, ctx, monkeypatch):
         target = ("x", "y", "z")
-
-        def mutant(node, M, direction):
-            child = mutate_upper(node, M, direction)
-            if child.path != target:
-                return child
-            vals = list(child.values)
-            k = markov.DIRECTIONS.index(direction)
-            vals[k] = vals[k] + ctx.one()
-            return TreeNode(child.path, tuple(vals))
-
         p = pt(ctx, 1, 1, 1, 3)
         x, y, z = replay(p, target)
         quotient = markov_element(x, y, z + ctx.one())
-        monkeypatch.setattr(markov, "mutate_upper", mutant)
+        replace_child(monkeypatch, target, bump(ctx.one()))
         report = explore_and_verify(p, depth=4)
         assert not report.passed
         assert quotient != p.M
@@ -391,18 +469,7 @@ class TestExplorationOracle:
         # one perturbed cluster breaks its own exchange, its Markov element
         # and its children's exchanges, and the Markov element of each torus
         # cluster below it
-        target = ("x", "y", "z")
-
-        def mutant(node, M, direction):
-            child = mutate_upper(node, M, direction)
-            if child.path != target:
-                return child
-            vals = list(child.values)
-            k = markov.DIRECTIONS.index(direction)
-            vals[k] = vals[k] + ctx.one()
-            return TreeNode(child.path, tuple(vals))
-
-        monkeypatch.setattr(markov, "mutate_upper", mutant)
+        replace_child(monkeypatch, ("x", "y", "z"), bump(ctx.one()))
         report = explore_and_verify(pt(ctx, 1, 1, 1, 3), depth=4)
         assert report.failures == expected
 
@@ -419,14 +486,7 @@ class TestExplorationOracle:
 def test_a_cluster_with_the_wrong_zero_pattern_is_named(point, values, failure, monkeypatch):
     # a deep point's tree with one cluster's values replaced: the zero
     # pattern check of its type names that cluster
-    target = ("x", "y")
-
-    def mutant(node, M, direction):
-        child = mutate_upper(node, M, direction)
-        if child.path != target:
-            return child
-        return TreeNode(target, tuple(F5.from_int(v) for v in values))
-
-    monkeypatch.setattr(markov, "mutate_upper", mutant)
+    replaced = tuple(F5.from_int(v) for v in values)
+    replace_child(monkeypatch, ("x", "y"), lambda vals, k: replaced)
     report = explore_and_verify(pt(F5, *point), depth=3)
     assert failure in report.failures

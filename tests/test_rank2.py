@@ -51,6 +51,19 @@ class TestConstruction:
         with pytest.raises(Rank2Error, match="frozen coefficients must be nonzero"):
             Rank2Point(spec, ones, (QQ.zero(),))
 
+    @pytest.mark.parametrize("ctx", [QQ, F5], ids=["Q", "F5"])
+    def test_a_point_built_with_a_list_of_ys_is_the_point_built_with_a_tuple(self, ctx):
+        # frozen dataclasses compare and hash by field; a list of ys would
+        # make the point unequal to its tuple twin and unhashable
+        spec = Rank2Spec(2, 2, 1, (-1,), (-1,))
+        for p, _ in deep_points(spec, ctx, [(ctx.from_int(-4),)] if ctx is QQ else None):
+            listed = Rank2Point(spec, p.xs, list(p.ys))
+            tupled = Rank2Point(spec, p.xs, tuple(p.ys))
+            assert listed == tupled and hash(listed) == hash(tupled)
+            assert listed.ys == tupled.ys and isinstance(listed.ys, tuple)
+            assert len({listed, tupled}) == 1
+            assert extend_evaluation(listed, 6).values == extend_evaluation(tupled, 6).values
+
     @pytest.mark.parametrize("lo, hi", [(3, 6), (-2, 1)])
     def test_e_vector_window_must_hold_the_seed(self, lo, hi):
         with pytest.raises(Rank2Error, match="window must contain indices 1 and 2"):
@@ -494,7 +507,7 @@ class TestWindowOracle:
             assert fill(p) == (window, closed)
 
     def test_frozen_values_in_a_list_fill_the_window_of_a_tuple(self):
-        # Rank2Point keeps ys as given; the caches take it as a tuple
+        # Rank2Point keeps ys as a tuple, whatever sequence it was given
         cases = [
             (Rank2Spec(2, 3, 1, *ORACLE_E[1]), None),
             (Rank2Spec(3, 1, 2, *ORACLE_E[2]), None),
@@ -506,7 +519,7 @@ class TestWindowOracle:
             points += [q for q, _ in deep_points(spec, QQ, betas)] if betas else []
             for p in points:
                 listed = Rank2Point(spec, p.xs, list(p.ys))
-                assert isinstance(listed.ys, list)
+                assert isinstance(listed.ys, tuple) and listed == p
                 assert presentation_residuals(listed) == presentation_residuals(p)
                 assert extend_evaluation(listed, 5).values == extend_evaluation(p, 5).values
                 assert verify_deep(listed, 5) == verify_deep(p, 5)

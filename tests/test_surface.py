@@ -1048,7 +1048,7 @@ class TestDeepPoints:
             for aid in tcur.interior_arcs():
                 quad = tcur.flip_quad(aid)
                 label = _transport_labels(tcur, state.z2.labels, quad)[aid]
-                determined = _flip_determined(tcur, state.values, quad, label)
+                determined = _flip_determined(tcur, state.z2.labels, state.values, quad, label)
                 derived = flip_evaluation(state, aid).values[aid] is not None
                 assert determined == derived, (name, aid)
                 seen.add(determined)
@@ -1105,7 +1105,7 @@ class TestDeepPoints:
                             for tri in replaced.values():
                                 assert len(set(tri)) == 3, (name, aid)
                                 assert sum(new_labels[arc(x)] for x in tri) % 2 == 0, (name, aid)
-                            determined = _flip_determined(tcur, values, quad, label)
+                            determined = _flip_determined(tcur, labels, values, quad, label)
                             _, sp, sq, _, sr, ss = quad
                             vp, vq, vr, vs = (values.get(arc(x)) for x in (sp, sq, sr, ss))
                             lp, lq, lr, ls = (labels[arc(x)] for x in (sp, sq, sr, ss))
@@ -1203,15 +1203,22 @@ class TestDeepPoints:
         # the full exchange formula, (v(p)v(r) + v(q)v(s)) / old at label 1,
         # and at label 0 it tests v(p)v(r) + v(q)v(s) = 0 whenever the four
         # sides are known, whatever their labels, so it does not share the
-        # walk's label-aware value rule.  Besides each deep start, a start
-        # with one arc value perturbed and one with a broken closing value
-        # pin the failures and their step numbers.
+        # walk's label-aware value rule.  Nor does it share the walk's pool
+        # rule, which reads the old arc's label: here a label-1 flip is
+        # determined when the old value is known and nonzero and the four
+        # sides are known.  Besides each deep start, a start with one arc
+        # value perturbed and one with a broken closing value pin the
+        # failures and their step numbers.
         from deeplocus.surface import (
             SurfaceDeepPoint,
             WalkReport,
-            _flip_determined,
             _transport_labels,
         )
+
+        def determined(t, values, quad, label):
+            old = values.get(t.arc_of_side(quad[0]))
+            sides = [values.get(t.arc_of_side(x)) for x in (quad[1], quad[2], quad[4], quad[5])]
+            return label == 0 or (old is not None and not old.is_zero and None not in sides)
 
         def reference_flip(state, aid):
             t, values = state.triangulation, state.values
@@ -1223,7 +1230,7 @@ class TestDeepPoints:
                 if None not in (vp, vq, vr, vs) and not (vp * vr + vq * vs).is_zero:
                     raise SurfaceError(f"exchange identity fails at arc {aid}")
                 value = state.ctx.zero()
-            elif _flip_determined(t, values, quad, label):
+            elif determined(t, values, quad, label):
                 value = (vp * vr + vq * vs) / values[aid]
             else:
                 value = None
@@ -1244,7 +1251,7 @@ class TestDeepPoints:
                 for aid in candidates:
                     quad = t.flip_quad(aid)
                     label = _transport_labels(t, state.z2.labels, quad)[aid]
-                    if _flip_determined(t, state.values, quad, label):
+                    if determined(t, state.values, quad, label):
                         defined.append(aid)
                 aid = rng.choice(defined if defined else candidates)
                 try:
