@@ -10,10 +10,15 @@ with edges nonzero ("boundary-coefficients" mode) or equal to one
 polygon contains a diagonal sent to zero; deepness is certified here by
 checking every triangulation, never by trusting a formula.  The
 triangulations of each n-gon are enumerated once and cached as bitmasks
-over its diagonals, so a certificate is one AND per triangulation.  The
-Ptolemy relations of each n-gon are cached as one table of signed
-monomials, which the field's exact identity test checks without building
-field values; ptolemy_residuals stays as the field-value oracle.
+over its diagonals, so a certificate is one AND per triangulation.
+Certificates test the Ptolemy relations in a chart: the C(n-2, 2)
+relations through the first segment with a nonzero value hold exactly
+when all C(n, 4) do, and the first of them to fail is the first failure
+in full order (see first_ptolemy_failure).  Each chart is cached as
+signed monomials, which the field's exact identity test checks without
+building field values.  The full per-n table serves the variety scan and
+the tests as an oracle, and ptolemy_residuals stays as the field-value
+oracle.
 
 The exhaustive variety scan over F_p prunes: it assigns edges, then
 diagonals, as raw residues and rejects a partial assignment as soon as a
@@ -40,6 +45,8 @@ MODE_BOUNDARY = "boundary-coefficients"
 MODE_TYPE_A = "type-A"
 
 MAX_ENUMERATION_N = 14
+# deep points are built for n <= MAX_POLYGON_N: one holds O(n^2) values
+MAX_POLYGON_N = 256
 DEFAULT_MAX_SEARCH = 10**7
 
 
@@ -113,6 +120,13 @@ def _segments(n: int) -> Tuple[Segment, ...]:
 
 def polygon_diagonals(n: int) -> List[Segment]:
     return [s for s in polygon_segments(n) if not is_edge(s, n)]
+
+
+@functools.lru_cache(maxsize=32)
+def _diagonals(n: int) -> Tuple[Segment, ...]:
+    """polygon_diagonals(n), built once: the bit order of every mask over
+    the diagonals."""
+    return tuple(polygon_diagonals(n))
 
 
 def segments_cross(a: Segment, b: Segment) -> bool:
@@ -276,29 +290,85 @@ def ptolemy_residuals(p: PolygonPoint) -> List[Tuple[Quad, FieldValue]]:
     ]
 
 
+def _relation(index: Mapping[Segment, int], quad: Quad) -> Relation:
+    """The Ptolemy relation x_ik*x_jl - x_ij*x_kl - x_il*x_jk of the 4-subset
+    quad = (i, j, k, l), as signed monomials over the segment indices."""
+    i, j, k, l = quad
+    return (
+        (1, (index[i, k], index[j, l])),
+        (-1, (index[i, j], index[k, l])),
+        (-1, (index[i, l], index[j, k])),
+    )
+
+
+def _segment_index(n: int) -> Dict[Segment, int]:
+    return {s: t for t, s in enumerate(_segments(n))}
+
+
 @functools.lru_cache(maxsize=32)
 def _ptolemy_table(n: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
     """The 4-subsets of vertices of the n-gon in combinations order, and
-    each one's Ptolemy relation x_ik*x_jl - x_ij*x_kl - x_il*x_jk as signed
-    monomials over the indices of polygon_segments(n)."""
-    index = {s: t for t, s in enumerate(_segments(n))}
+    each one's Ptolemy relation as signed monomials over the indices of
+    polygon_segments(n).  The scan's source and the certificates' oracle."""
+    index = _segment_index(n)
     quads = tuple(itertools.combinations(range(1, n + 1), 4))
-    relations = tuple(
-        (
-            (1, (index[i, k], index[j, l])),
-            (-1, (index[i, j], index[k, l])),
-            (-1, (index[i, l], index[j, k])),
-        )
-        for i, j, k, l in quads
+    return quads, tuple(_relation(index, q) for q in quads)
+
+
+@functools.lru_cache(maxsize=32)
+def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
+    """_ptolemy_table(n) cut down to the C(n-2, 2) 4-subsets that hold both
+    a and b, in the same order, built without the full table."""
+    index = _segment_index(n)
+    others = [v for v in range(1, n + 1) if v != a and v != b]
+    # adding {a, b} to each pair keeps combinations order: for two sets of
+    # one size, the one holding the least element of their difference is
+    # first, and {a, b} changes no difference
+    quads = tuple(
+        tuple(sorted((a, b, i, j))) for i, j in itertools.combinations(others, 2)
     )
-    return quads, relations
+    return quads, tuple(_relation(index, q) for q in quads)
 
 
 def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
     """The first 4-subset, in ptolemy_residuals order, whose residual does
-    not vanish, or None.  Exact, and builds no field values."""
-    quads, relations = _ptolemy_table(p.n)
-    r = p.ctx.first_nonzero_relation([p.values[s] for s in _segments(p.n)], relations)
+    not vanish, or None.  Exact, and builds no field values.
+
+    Only the chart is tested: the C(n-2, 2) relations on the 4-subsets that
+    hold both ends of the first segment (a, b) with x_ab != 0.  With no
+    such segment the all-zero point is valid.
+
+    The chart decides.  Write p_ij for x_ij when i < j and -x_ji when
+    i > j.  Put v_a = (1, 0) and v_b = (0, x_ab) in F^2, so
+    det(v_a, v_b) = x_ab; as x_ab != 0, each other vertex k has a unique
+    v_k with det(v_a, v_k) = p_ak and det(v_b, v_k) = p_bk.  Each monomial
+    of a relation pairs up its four vertices, so in the relation on
+    {a, b, i, j} x_ab multiplies x_ij and nothing else holds x_ij: the
+    relation fixes x_ij, and det(v_i, v_j) satisfies it.  So when the chart
+    holds, every x_ij is a 2x2 minor of one 2 x n matrix, and minors
+    satisfy every Plucker relation, that is every Ptolemy relation, in
+    every characteristic.
+
+    The chart names the witness.  Vertices before a are dead: their
+    segments precede (a, b), so are zero, and every relation on them
+    vanishes.  Let q = (a', j, k, l) be the first failure in full order,
+    so a' >= a.  If a' > a, or a' = a and j > b, every chart relation with
+    least vertex a precedes q and holds, so the chart holds and q cannot
+    fail.  Otherwise a' = a, and if b is not in q, a < j < b, so x_aj = 0.
+    If l < b, x_ak and x_al are zero too and q vanishes.  If k < b < l,
+    the chart relation on (a, j, k, b) precedes q and reads x_ab x_jk = 0,
+    which kills q's one remaining term x_al x_jk.  If b < k, the chart
+    relations on (a, j, b, k) and (a, j, b, l) precede q and give
+    x_ab x_jk = x_ak x_jb and x_ab x_jl = x_al x_jb, so x_ab times q's
+    residual x_ak x_jl - x_al x_jk is zero.  So q holds a and b, and the
+    chart's first failure is q."""
+    n, segments = p.n, _segments(p.n)
+    values = [p.values[s] for s in segments]
+    chart = next((s for s, v in zip(segments, values) if not v.is_zero), None)
+    if chart is None:
+        return None
+    quads, relations = _chart(n, *chart)
+    r = p.ctx.first_nonzero_relation(values, relations)
     return None if r is None else quads[r]
 
 
@@ -311,7 +381,7 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
     if quad is not None:
         raise InvalidPoint(f"Ptolemy residual at {quad} is {_ptolemy_residual(p, quad)}")
     zeros = 0
-    for t, d in enumerate(polygon_diagonals(p.n)):
+    for t, d in enumerate(_diagonals(p.n)):
         if p.values[d].is_zero:
             zeros |= 1 << t
     return _is_deep(p.n, zeros)
@@ -321,6 +391,11 @@ def _is_deep(n: int, zeros: int) -> bool:
     """Whether every triangulation of the n-gon uses a diagonal in zeros,
     a bitmask over polygon_diagonals(n)."""
     return all(mask & zeros for mask in _triangulation_masks(n))
+
+
+def _check_polygon_size(n: int) -> None:
+    if n > MAX_POLYGON_N:
+        raise SizeOutOfRange(f"the {n}-gon exceeds the cap MAX_POLYGON_N = {MAX_POLYGON_N}")
 
 
 def alternating_condition(cycle: Sequence[FieldValue]) -> Tuple[FieldValue, FieldValue]:
@@ -341,10 +416,12 @@ def deep_point_from_edges(
     Requires n even and the alternating product of the edge values around
     the polygon to equal (-1)**((n+2)/2); then diagonals with even index
     difference get 0 and the others are fixed sign-alternating ratios of
-    edge runs.
+    edge runs.  n is capped at MAX_POLYGON_N, checked before any value is
+    built.
     """
     if n < 3:
         raise SizeOutOfRange("polygon needs at least 3 vertices")
+    _check_polygon_size(n)
     if n % 2 == 1:
         raise OddPolygon(f"the {n}-gon has no deep points")
     edges = polygon_edges(n)
@@ -391,6 +468,7 @@ def unique_deep_point_typeA(n_rank: int, ctx: FieldContext) -> PolygonPoint:
     n = n_rank + 3
     if n % 2 == 1:
         raise NoDeepPoint(f"rank {n_rank}: polygon size {n} is odd")
+    _check_polygon_size(n)
     edge_values = {e: ctx.one() for e in polygon_edges(n)}
     alt, sign = alternating_condition(list(edge_values.values()))
     if alt != sign:

@@ -148,8 +148,9 @@ class Rank2Point:
     ys: Tuple[FieldValue, ...] = ()
 
     def __post_init__(self):
-        # ys given as any sequence is kept as a tuple, so points compare
-        # and hash by their values
+        # xs and ys given as any sequence are kept as tuples, so points
+        # compare and hash by their values
+        object.__setattr__(self, "xs", tuple(self.xs))
         object.__setattr__(self, "ys", tuple(self.ys))
         if len(self.xs) != 4:
             raise Rank2Error("need exactly the four values x0..x3")

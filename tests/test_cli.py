@@ -28,6 +28,37 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def genus_deep_argv(tmp_path, genus):
+    """`surface deep --steps 20` argv on a one-boundary surface of the given
+    genus, with a deep-point fixture solved on its spanning-tree dissection."""
+    # the fixture's class comes from one pinned GF(2) solve; listing
+    # all 2^16 label classes first took seconds
+    from deeplocus.surface import dissection_spanning_tree, solve_closing_value
+
+    gluings = [[4 * k + i, 4 * k + i + 2] for k in range(genus) for i in (0, 1)]
+    surface_file = tmp_path / f"genus{genus}.json"
+    surface_file.write_text(json.dumps({"polygon_sides": 4 * genus + 2, "gluings": gluings}))
+    t = ingest_surface(str(surface_file))
+    assert t.invariants()[:2] == (genus, 1)
+    d = dissection_spanning_tree(t)
+    arcs = [*t.boundary_arcs(), *sorted(d.arcs)]
+    values = {a: QQ.from_int(k + 2) for k, a in enumerate(arcs)}
+    target = t.boundary_arcs()[0]
+    values[target] = solve_closing_value(d, values, target)
+    fixture = tmp_path / f"genus{genus}_deep.json"
+    fixture.write_text(
+        json.dumps(
+            {
+                "field": "q",
+                "dissection": sorted(d.arcs),
+                "values": {str(a): str(v) for a, v in values.items()},
+            }
+        )
+    )
+    argv = ["surface", "deep", "--surface", str(surface_file)]
+    return argv + ["--fixture", str(fixture), "--steps", "20", "--json"]
+
+
 class TestFieldSelector:
     def test_selectors(self):
         assert parse_field("q") is not None and parse_field("q") == QQ
@@ -233,33 +264,7 @@ class TestSubcommands:
         assert doc["passed"] and doc["undetermined_values"] == 0
 
     def test_surface_deep_on_a_genus8_file(self, tmp_path):
-        # the fixture's class comes from one pinned GF(2) solve; listing
-        # all 2^16 label classes first took seconds
-        from deeplocus.surface import dissection_spanning_tree, solve_closing_value
-
-        gluings = [[4 * k + i, 4 * k + i + 2] for k in range(8) for i in (0, 1)]
-        surface_file = tmp_path / "genus8.json"
-        surface_file.write_text(json.dumps({"polygon_sides": 34, "gluings": gluings}))
-        t = ingest_surface(str(surface_file))
-        assert t.invariants()[:2] == (8, 1)
-        d = dissection_spanning_tree(t)
-        arcs = [*t.boundary_arcs(), *sorted(d.arcs)]
-        values = {a: QQ.from_int(k + 2) for k, a in enumerate(arcs)}
-        target = t.boundary_arcs()[0]
-        values[target] = solve_closing_value(d, values, target)
-        fixture = tmp_path / "genus8_deep.json"
-        fixture.write_text(
-            json.dumps(
-                {
-                    "field": "q",
-                    "dissection": sorted(d.arcs),
-                    "values": {str(a): str(v) for a, v in values.items()},
-                }
-            )
-        )
-        argv = ["surface", "deep", "--surface", str(surface_file)]
-        argv += ["--fixture", str(fixture), "--steps", "20", "--json"]
-        code, out = run_cli(argv)
+        code, out = run_cli(genus_deep_argv(tmp_path, 8))
         assert code == 0
         assert json.loads(out)["passed"] is True
 
@@ -584,6 +589,56 @@ def test_rank2_builds_one_window_per_point(monkeypatch):
     entries = json.loads(out)["deep_points"]
     assert code == 0 and len(entries) == 4 and all(e["verified"] for e in entries)
     assert calls == [(-4, 7)] * 4
+
+
+def no_full_table(n):
+    raise AssertionError(f"the full Ptolemy table of the {n}-gon was built")
+
+
+def test_deep_typea_at_rank_55_builds_no_full_ptolemy_table(monkeypatch):
+    # certificates test the chart through one nonzero segment: C(56, 2)
+    # relations of the 58-gon, not C(58, 4); the digest is the output of
+    # the full-table certificate
+    from deeplocus import polygon
+
+    monkeypatch.setattr(polygon, "_ptolemy_table", no_full_table)
+    code, out = run_cli(["polygon", "deep-typea", "--rank", "55", "--field", "q", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b6bab0a483d8864c6141dce9b496b8fae475830328c78e6a1b456ae50a9d4e58"
+
+
+def test_genus16_surface_deep_builds_no_full_ptolemy_table(monkeypatch, tmp_path):
+    # the deep point is certified through its 66-gon cut polygon
+    from deeplocus import polygon
+
+    argv = genus_deep_argv(tmp_path, 16)
+    monkeypatch.setattr(polygon, "_ptolemy_table", no_full_table)
+    code, out = run_cli(argv)
+    assert code == 0 and json.loads(out)["passed"] is True
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0c4d51f3a63d2b8c485005b2d75303b8ae7161c74532d99595aaf804c6a20035"
+
+
+@pytest.mark.parametrize(
+    "argv, unbuilt, n",
+    [
+        (["polygon", "from-edges", "--edges", ",".join(["1"] * 258)], "alternating_condition", 258),
+        (["polygon", "deep-typea", "--rank", "255"], "polygon_edges", 258),
+        (["polygon", "deep-typea", "--rank", str(10**9 + 1)], "polygon_edges", 10**9 + 4),
+    ],
+)
+def test_polygon_over_the_size_cap_exits_1_without_a_point(monkeypatch, capsys, argv, unbuilt, n):
+    from deeplocus import polygon
+
+    def unreached(*args):
+        raise AssertionError(f"{unbuilt} reached")
+
+    monkeypatch.setattr(polygon, unbuilt, unreached)
+    code, out = run_cli([*argv, "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == f"error: SizeOutOfRange: the {n}-gon exceeds the cap MAX_POLYGON_N = 256\n"
 
 
 def test_cli_output_matches_goldens():

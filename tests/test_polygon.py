@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from deeplocus.field import QQ, prime_field
+from deeplocus import polygon
+from deeplocus.field import QI, QQ, prime_field
 from deeplocus.polygon import (
     MODE_BOUNDARY,
     MODE_TYPE_A,
@@ -26,6 +27,7 @@ from deeplocus.polygon import (
     deep_point_from_edges,
     enumerate_triangulations,
     extend_from_triangulation,
+    first_ptolemy_failure,
     glue_cut_halves,
     is_deep_bruteforce,
     max_search_cap,
@@ -627,6 +629,99 @@ class TestOracles:
         )
         with pytest.raises(SizeOutOfRange):
             is_deep_bruteforce(point)
+
+
+def full_table_failure(point):
+    """The oracle: the first failing 4-subset of the full C(n, 4) table."""
+    quads, relations = polygon._ptolemy_table(point.n)
+    values = [point.values[s] for s in polygon_segments(point.n)]
+    r = point.ctx.first_nonzero_relation(values, relations)
+    return None if r is None else quads[r]
+
+
+def chart_of(point):
+    """The first segment with a nonzero value, or None."""
+    return next((s for s in polygon_segments(point.n) if not point.values[s].is_zero), None)
+
+
+def minor_point(ctx, n, rng):
+    """x_ij = det(v_i, v_j) for random columns v_1..v_n of a 2 x n matrix, a
+    point of the variety; some columns are zero or repeat the one before,
+    so zeros appear, (1, 2) among them."""
+    columns = []
+    for _ in range(n):
+        kind = rng.randrange(5)
+        if kind == 0:
+            columns.append((ctx.zero(), ctx.zero()))
+        elif kind == 1 and columns:
+            c = random_value(ctx, rng)
+            columns.append((c * columns[-1][0], c * columns[-1][1]))
+        else:
+            columns.append((random_value(ctx, rng), random_value(ctx, rng)))
+    values = {}
+    for i, j in polygon_segments(n):
+        (a, b), (c, d) = columns[i - 1], columns[j - 1]
+        values[i, j] = a * d - b * c
+    return PolygonPoint(n, MODE_BOUNDARY, values)
+
+
+def with_value(point, s, v):
+    return PolygonPoint(point.n, MODE_BOUNDARY, {**point.values, s: v})
+
+
+class TestChartCertificate:
+    """first_ptolemy_failure tests only the C(n-2, 2) relations through the
+    first nonzero segment; it must give the full table's answer, witness
+    included, also when the chart is not at (1, 2)."""
+
+    @pytest.mark.parametrize("ctx, n", [(F2, 5), (F2, 6), (F3, 4), (F3, 5)], ids=str)
+    def test_exhaustive_agreement_with_the_full_table(self, ctx, n):
+        segments = polygon_segments(n)
+        seen = set()
+        for vals in itertools.product(list(ctx.elements()), repeat=len(segments)):
+            point = PolygonPoint(n, MODE_BOUNDARY, dict(zip(segments, vals)))
+            want = full_table_failure(point)
+            assert first_ptolemy_failure(point) == want
+            seen.add((chart_of(point), want is None))
+        # valid and invalid points charted away from (1, 2), and the zero point
+        assert {((1, 3), True), ((1, 3), False), ((2, 3), True), (None, True)} <= seen
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    @pytest.mark.parametrize("ctx", [QQ, QI, F5, prime_field(101)], ids=str)
+    def test_seeded_agreement_with_the_full_table(self, ctx, n):
+        rng = random.Random(2500 + 13 * n + ctx.characteristic)
+        points = [minor_point(ctx, n, rng) for _ in range(12)]
+        points += [seeded_torus_point(ctx, n, rng) for _ in range(3)]
+        if n % 2 == 0:
+            points += [seeded_deep_point(ctx, n, rng) for _ in range(3)]
+        segments = polygon_segments(n)
+        drawn = []
+        for point in points:
+            s = rng.choice(segments)
+            drawn.append(point)
+            drawn.append(with_value(point, s, point.values[s] + ctx.one()))
+            drawn.append(with_value(point, s, ctx.zero()))
+        outcomes = set()
+        for point in drawn:
+            want = full_table_failure(point)
+            assert first_ptolemy_failure(point) == want
+            outcomes.add((chart_of(point) == (1, 2), want is None))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    @pytest.mark.parametrize("ctx", [QQ, QI, F2, F5], ids=str)
+    def test_the_zero_point_is_valid_but_has_zero_edges(self, ctx, n):
+        point = PolygonPoint(n, MODE_BOUNDARY, {s: ctx.zero() for s in polygon_segments(n)})
+        assert first_ptolemy_failure(point) is None and full_table_failure(point) is None
+        assert not point.is_valid()
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_a_chart_is_the_full_table_through_a_and_b_in_its_order(self, n):
+        quads, relations = polygon._ptolemy_table(n)
+        for a, b in polygon_segments(n):
+            rows = [(q, r) for q, r in zip(quads, relations) if a in q and b in q]
+            assert polygon._chart(n, a, b) == tuple(map(tuple, zip(*rows)))
+            assert len(rows) == (n - 2) * (n - 3) // 2
 
 
 class TestLargePolygons:

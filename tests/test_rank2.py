@@ -507,7 +507,7 @@ class TestWindowOracle:
             assert fill(p) == (window, closed)
 
     def test_frozen_values_in_a_list_fill_the_window_of_a_tuple(self):
-        # Rank2Point keeps ys as a tuple, whatever sequence it was given
+        # Rank2Point keeps xs and ys as tuples, whatever sequences it was given
         cases = [
             (Rank2Spec(2, 3, 1, *ORACLE_E[1]), None),
             (Rank2Spec(3, 1, 2, *ORACLE_E[2]), None),
@@ -518,8 +518,9 @@ class TestWindowOracle:
             points = [random_torus_point(spec, QQ, rng) for _ in range(3)]
             points += [q for q, _ in deep_points(spec, QQ, betas)] if betas else []
             for p in points:
-                listed = Rank2Point(spec, p.xs, list(p.ys))
-                assert isinstance(listed.ys, tuple) and listed == p
+                listed = Rank2Point(spec, list(p.xs), list(p.ys))
+                assert isinstance(listed.xs, tuple) and isinstance(listed.ys, tuple)
+                assert listed == p and hash(listed) == hash(p)
                 assert presentation_residuals(listed) == presentation_residuals(p)
                 assert extend_evaluation(listed, 5).values == extend_evaluation(p, 5).values
                 assert verify_deep(listed, 5) == verify_deep(p, 5)
