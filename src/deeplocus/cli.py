@@ -135,15 +135,22 @@ def _document(doc: dict, exit_code: int = 0) -> Tuple[str, int]:
     return json.dumps(doc, sort_keys=True), exit_code
 
 
+def _certified_point(point: polygon.PolygonPoint) -> Tuple[str, int]:
+    return _document(
+        {
+            "schema": 1,
+            "deep_point": point.to_json(),
+            "certified_deep": polygon.is_deep_bruteforce(point),
+        }
+    )
+
+
 def cmd_polygon_deep_typea(args) -> Tuple[str, int]:
     try:
         point = polygon.unique_deep_point_typeA(args.rank, parse_field(args.field))
     except polygon.NoDeepPoint as exc:
         return _document({"schema": 1, "deep_point": None, "reason": str(exc)})
-    doc = {"schema": 1, "deep_point": point.to_json(), "certified_deep": None}
-    if args.rank + 3 <= polygon.MAX_ENUMERATION_N:
-        doc["certified_deep"] = polygon.is_deep_bruteforce(point)
-    return _document(doc)
+    return _certified_point(point)
 
 
 def cmd_polygon_from_edges(args) -> Tuple[str, int]:
@@ -151,10 +158,7 @@ def cmd_polygon_from_edges(args) -> Tuple[str, int]:
     vals = [ctx.parse(v) for v in args.edges.split(",")]
     n = len(vals)
     point = polygon.deep_point_from_edges(n, dict(zip(polygon.polygon_edges(n), vals)))
-    doc = {"schema": 1, "deep_point": point.to_json()}
-    if n <= polygon.MAX_ENUMERATION_N:
-        doc["certified_deep"] = polygon.is_deep_bruteforce(point)
-    return _document(doc)
+    return _certified_point(point)
 
 
 def cmd_polygon_scan(args) -> Tuple[str, int]:

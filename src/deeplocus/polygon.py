@@ -7,10 +7,13 @@ A point assigns a field value to every segment x_{i,j} of a convex n-gon
 
 with edges nonzero ("boundary-coefficients" mode) or equal to one
 ("type-A" mode).  A point is deep when every triangulation of the
-polygon contains a diagonal sent to zero; deepness is certified here by
-checking every triangulation, never by trusting a formula.  The
-triangulations of each n-gon are enumerated once and cached as bitmasks
-over its diagonals, so a certificate is one AND per triangulation.
+polygon contains a diagonal sent to zero.  On a valid point this is a
+parity condition, proved in is_deep_bruteforce: the point is deep
+exactly when n is even and x_{i,j} = 0 for every segment with j - i
+even.  So a certificate is one pass over those O(n^2) segments.  The
+triangulations of each n-gon, enumerated and cached as bitmasks over
+its diagonals for n <= MAX_ENUMERATION_N, stay only as the oracle the
+tests hold the parity test to.
 Certificates test the Ptolemy relations in a chart: the C(n-2, 2)
 relations through the first segment with a nonzero value hold exactly
 when all C(n, 4) do, and the first of them to fail is the first failure
@@ -107,6 +110,12 @@ def polygon_edges(n: int) -> List[Segment]:
     return [(i, i + 1) for i in range(1, n)] + [(1, n)]
 
 
+@functools.lru_cache(maxsize=32)
+def _edges(n: int) -> Tuple[Segment, ...]:
+    """polygon_edges(n), built once."""
+    return tuple(polygon_edges(n))
+
+
 def polygon_segments(n: int) -> List[Segment]:
     return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
 
@@ -123,10 +132,10 @@ def polygon_diagonals(n: int) -> List[Segment]:
 
 
 @functools.lru_cache(maxsize=32)
-def _diagonals(n: int) -> Tuple[Segment, ...]:
-    """polygon_diagonals(n), built once: the bit order of every mask over
-    the diagonals."""
-    return tuple(polygon_diagonals(n))
+def _even_segments(n: int) -> Tuple[Segment, ...]:
+    """The segments (i, j) of the n-gon with j - i even, built once: a
+    valid point of an even n-gon is deep iff it is zero on all of them."""
+    return tuple((i, j) for i, j in _segments(n) if (j - i) % 2 == 0)
 
 
 def segments_cross(a: Segment, b: Segment) -> bool:
@@ -239,15 +248,13 @@ class PolygonPoint:
         return f"PolygonPoint(n={self.n}, mode={self.mode!r})"
 
     def mode_violations(self) -> List[str]:
-        out = []
-        one = self.ctx.one()
-        for e in polygon_edges(self.n):
-            v = self.values[e]
-            if self.mode == MODE_TYPE_A and v != one:
-                out.append(f"edge {e} is {v}, expected 1")
-            elif v.is_zero:
-                out.append(f"edge {e} is zero")
-        return out
+        edges = _edges(self.n)
+        if self.mode == MODE_TYPE_A:
+            one = self.ctx.one()
+            return [
+                f"edge {e} is {self.values[e]}, expected 1" for e in edges if self.values[e] != one
+            ]
+        return [f"edge {e} is zero" for e in edges if self.values[e].is_zero]
 
     def is_valid(self) -> bool:
         if self.mode_violations():
@@ -373,24 +380,50 @@ def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
 
 
 def is_deep_bruteforce(p: PolygonPoint) -> bool:
-    """True iff every triangulation contains a zero diagonal (exhaustive)."""
+    """True iff every triangulation contains a zero diagonal.
+
+    p must be valid: InvalidPoint names its first mode violation or its
+    first Ptolemy failure.  Then, for every n, deepness is read off the
+    zeros in O(n^2), by this lemma: a valid point p, whose edges are all
+    nonzero in both modes, is deep iff n is even and x_ij = 0 for every
+    segment (i, j) with j - i even.  The lemma holds in every
+    characteristic, and _is_deep, which ANDs the zeros against every
+    triangulation, is its oracle in the tests.
+
+    If: for even n, parity 2-colours the cycle 1, 2, ..., n, 1 with
+    adjacent vertices apart.  A triangle has three vertices, so two of
+    one parity; they are not adjacent, so the side between them is a
+    diagonal of the triangulation, and p sends it to 0.
+
+    Only if: first_ptolemy_failure's chart gives v_1, ..., v_n in F^2 with
+    x_ij = det(v_i, v_j).  The edges are nonzero, so every v_k is nonzero;
+    colour vertex k by its line [v_k] in P^1(F).  Then x_ij = 0 exactly
+    when i and j have one colour, and adjacent vertices have different
+    colours.  With at least 3 colours some triangulation has no zero
+    diagonal, by induction on n.  If a colour is used once, the fan from
+    its vertex is one.  If not, some vertex k has neighbours of different
+    colours, or else the colours at k - 1 and k + 1 agree for every k and
+    at most two are used.  Its ear's diagonal (k - 1, k + 1) is then
+    nonzero; cutting the ear off leaves a polygon with the same colours,
+    still at least 3 and adjacent ones apart, whose triangulation with no
+    zero diagonal, plus (k - 1, k + 1), is one of the n-gon.  So a deep
+    point uses exactly two colours, which alternate around the cycle:
+    n is even, colour is parity, and same-parity segments are 0."""
     bad = p.mode_violations()
     if bad:
         raise InvalidPoint("; ".join(bad))
     quad = first_ptolemy_failure(p)
     if quad is not None:
         raise InvalidPoint(f"Ptolemy residual at {quad} is {_ptolemy_residual(p, quad)}")
-    zeros = 0
-    for t, d in enumerate(_diagonals(p.n)):
-        if p.values[d].is_zero:
-            zeros |= 1 << t
-    return _is_deep(p.n, zeros)
+    return p.n % 2 == 0 and all(p.values[s].is_zero for s in _even_segments(p.n))
 
 
-def _is_deep(n: int, zeros: int) -> bool:
-    """Whether every triangulation of the n-gon uses a diagonal in zeros,
-    a bitmask over polygon_diagonals(n)."""
-    return all(mask & zeros for mask in _triangulation_masks(n))
+def _is_deep(p: PolygonPoint) -> bool:
+    """The oracle of is_deep_bruteforce: whether every triangulation of the
+    n-gon uses a diagonal that p sends to zero, one AND of the zeros
+    against each cached triangulation mask.  Capped at n <= MAX_ENUMERATION_N."""
+    zeros = sum(1 << t for t, d in enumerate(polygon_diagonals(p.n)) if p.values[d].is_zero)
+    return all(mask & zeros for mask in _triangulation_masks(p.n))
 
 
 def _check_polygon_size(n: int) -> None:
@@ -416,7 +449,13 @@ def deep_point_from_edges(
     Requires n even and the alternating product of the edge values around
     the polygon to equal (-1)**((n+2)/2); then diagonals with even index
     difference get 0 and the others are fixed sign-alternating ratios of
-    edge runs.  n is capped at MAX_POLYGON_N, checked before any value is
+    edge runs,
+
+        x_ij = (-1)**((j-i-1)/2) e_i e_{i+2} ... e_{j-1} / (e_{i+1} ... e_{j-2})
+
+    with e_t = x_{t,t+1}.  Along row i, x_{i,j+2} = x_{i,j} r_j with
+    r_j = -e_{j+1}/e_j, so after n - 2 divisions each value costs one
+    multiply.  n is capped at MAX_POLYGON_N, checked before any value is
     built.
     """
     if n < 3:
@@ -438,17 +477,19 @@ def deep_point_from_edges(
             f"alternating edge product is {alt}, needed {sign}"
         )
 
-    values: Dict[Segment, FieldValue] = {e: edge_values[e] for e in edges}
-    for s in polygon_segments(n):
-        if s in values:
-            continue
-        i, j = s
-        if (j - i) % 2 == 0:
-            values[s] = ctx.zero()
-        else:
-            num = product(ctx, (edge_values[(t, t + 1)] for t in range(i, j, 2)))
-            den = product(ctx, (edge_values[(t, t + 1)] for t in range(i + 1, j - 1, 2)))
-            values[s] = ctx.minus_one() ** ((j - i - 1) // 2) * num / den
+    e = [None] + [edge_values[t, t + 1] for t in range(1, n)]
+    r = [None] + [-(e[j + 1] / e[j]) for j in range(1, n - 1)]
+    zero = ctx.zero()
+    values: Dict[Segment, FieldValue] = {}
+    for i in range(1, n):
+        x = values[i, i + 1] = e[i]
+        # row 1 ends at the closing edge (1, n): the alternating condition
+        # says the recurrence gives it its given value
+        for j in range(i + 2, n + 1):
+            if (j - i) % 2 == 0:
+                values[i, j] = zero
+            else:
+                x = values[i, j] = x * r[j - 2]
 
     point = PolygonPoint(n, _mode_of(values, n), values)
     assert first_ptolemy_failure(point) is None, (
@@ -492,7 +533,7 @@ def _glue(
 def _mode_of(values: Mapping[Segment, FieldValue], n: int) -> str:
     """Type-A when every edge value is one, boundary-coefficients otherwise."""
     one = values[(1, n)].ctx.one()
-    return MODE_TYPE_A if all(values[e] == one for e in polygon_edges(n)) else MODE_BOUNDARY
+    return MODE_TYPE_A if all(values[e] == one for e in _edges(n)) else MODE_BOUNDARY
 
 
 def _complete(n: int, values: Dict[Segment, FieldValue], message: str) -> PolygonPoint:
@@ -662,6 +703,7 @@ def bruteforce_variety_scan(
 
     all_elems = list(ctx.elements())
     slots, relations = _scan_table(n)
+    even = [slots.index(s) for s in _even_segments(n)]
     edge_choices = range(1, 2) if mode == MODE_TYPE_A else range(1, p)
     choices = [edge_choices] * len(edges) + [range(p)] * len(diagonals)
     results: List[Tuple[PolygonPoint, bool]] = []
@@ -683,9 +725,9 @@ def bruteforce_variety_scan(
         if len(stack) < len(slots):
             stack.append(iter(choices[len(stack)]))
             continue
-        # every relation has been checked mod p, so only the zero diagonals
-        # (slots past the edges, in polygon_diagonals order) decide deepness
-        zeros = sum(1 << t for t, v in enumerate(vals[len(edges):]) if v == 0)
+        # every relation has been checked mod p and the edges are nonzero,
+        # so is_deep_bruteforce's parity lemma decides deepness
+        deep = n % 2 == 0 and not any(vals[t] for t in even)
         point = PolygonPoint(n, mode, {s: all_elems[v] for s, v in zip(slots, vals)})
-        results.append((point, _is_deep(n, zeros)))
+        results.append((point, deep))
     return results

@@ -598,13 +598,14 @@ def no_full_table(n):
 def test_deep_typea_at_rank_55_builds_no_full_ptolemy_table(monkeypatch):
     # certificates test the chart through one nonzero segment: C(56, 2)
     # relations of the 58-gon, not C(58, 4); the digest is the output of
-    # the full-table certificate
+    # the full-table certificate, which left the 58-gon's deepness null
     from deeplocus import polygon
 
     monkeypatch.setattr(polygon, "_ptolemy_table", no_full_table)
     code, out = run_cli(["polygon", "deep-typea", "--rank", "55", "--field", "q", "--json"])
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert code == 0 and json.loads(out)["certified_deep"] is True
+    before = out.replace('"certified_deep": true', '"certified_deep": null')
+    digest = hashlib.sha256(before.encode()).hexdigest()
     assert digest == "b6bab0a483d8864c6141dce9b496b8fae475830328c78e6a1b456ae50a9d4e58"
 
 

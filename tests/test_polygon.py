@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from deeplocus import polygon
-from deeplocus.field import QI, QQ, prime_field
+from deeplocus.field import QI, QQ, prime_field, product
 from deeplocus.polygon import (
     MODE_BOUNDARY,
     MODE_TYPE_A,
@@ -39,7 +40,7 @@ from deeplocus.polygon import (
     unique_deep_point_typeA,
 )
 
-from conftest import F2, F3, F5, random_value
+from conftest import F2, F3, F5, F7, random_value
 
 
 def square_point(ctx, d13, d24, edges):
@@ -460,10 +461,16 @@ class TestVarietyScan:
             assert p.value(1, 3).is_zero and p.value(2, 4).is_zero
 
 
+@functools.lru_cache(maxsize=None)
+def triangulations(n):
+    """enumerate_triangulations(n), built once per test process."""
+    return tuple(enumerate_triangulations(n))
+
+
 def naive_is_deep(point):
     return all(
         any(point.values[d].is_zero for d in tri.diagonals)
-        for tri in enumerate_triangulations(point.n)
+        for tri in triangulations(point.n)
     )
 
 
@@ -520,7 +527,7 @@ def seeded_torus_point(ctx, n, rng):
     """extend_from_triangulation from a random triangulation with random
     nonzero seed values.  Nonzero seeds always extend to a valid point, so
     the draw is not retried: a PolygonError fails the test."""
-    tri = rng.choice(enumerate_triangulations(n))
+    tri = rng.choice(triangulations(n))
     return extend_from_triangulation(
         n,
         tri,
@@ -619,7 +626,8 @@ class TestOracles:
         assert not all(is_deep_bruteforce(p) for p in points)
 
     def test_size_cap_still_applies(self, rng):
-        # a valid 15-gon point: residuals check out, the certificate is capped
+        # a valid 15-gon point: residuals check out, the parity certificate
+        # answers, and the triangulation oracles are capped
         fan = PolygonTriangulation(15, frozenset((1, k) for k in range(3, 15)))
         point = extend_from_triangulation(
             15,
@@ -627,8 +635,72 @@ class TestOracles:
             {d: QQ.from_int(rng.randint(1, 5)) for d in fan.diagonals},
             {e: QQ.one() for e in polygon_edges(15)},
         )
+        assert is_deep_bruteforce(point) is False
         with pytest.raises(SizeOutOfRange):
-            is_deep_bruteforce(point)
+            enumerate_triangulations(15)
+        with pytest.raises(SizeOutOfRange):
+            polygon._is_deep(point)
+
+
+def line_point(ctx, n, rng, lines):
+    """x_ij = det(v_i, v_j) for columns v_1..v_n of a 2 x n matrix, each a
+    nonzero multiple of one of `lines` pairwise independent vectors, with
+    adjacent columns (n and 1 included) on different lines: a valid point
+    with nonzero edges, zero exactly on the pairs of parallel columns.
+    Returns the point and the number of lines its columns use."""
+    palette = []
+    while len(palette) < lines:
+        v = (random_value(ctx, rng), random_value(ctx, rng))
+        if (v[0] or v[1]) and all(v[0] * w[1] - v[1] * w[0] for w in palette):
+            palette.append(v)
+    colours = [0]
+    while len(colours) < n or colours[-1] == colours[0]:
+        if len(colours) == n:
+            colours.pop()
+        colours.append(rng.choice([c for c in range(lines) if c != colours[-1]]))
+    columns = []
+    for c in colours:
+        k = random_value(ctx, rng, nonzero=True)
+        columns.append((k * palette[c][0], k * palette[c][1]))
+    values = {}
+    for i, j in polygon_segments(n):
+        (a, b), (c, d) = columns[i - 1], columns[j - 1]
+        values[i, j] = a * d - b * c
+    return PolygonPoint(n, MODE_BOUNDARY, values), len(set(colours))
+
+
+PARITY_SCANS = [(4, F2), (5, F2), (6, F2), (4, F3), (5, F3), (6, F3), (4, F5), (4, F7), (5, F5)]
+
+
+class TestParity:
+    """is_deep_bruteforce's parity certificate against the mask oracle
+    polygon._is_deep and the per-triangulation any of naive_is_deep."""
+
+    @pytest.mark.parametrize("mode", [MODE_TYPE_A, MODE_BOUNDARY])
+    @pytest.mark.parametrize("n, ctx", PARITY_SCANS, ids=str)
+    def test_every_scanned_point(self, n, ctx, mode):
+        # the scan's own flag comes from the parity rule on its residues
+        for point, flag in bruteforce_variety_scan(n, ctx, mode):
+            deep = is_deep_bruteforce(point)
+            assert deep == flag == polygon._is_deep(point) == naive_is_deep(point)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    @pytest.mark.parametrize("ctx", [F5, prime_field(101), QQ, QI], ids=str)
+    def test_seeded_points(self, ctx, n):
+        rng = random.Random(2600 + 13 * n + ctx.characteristic)
+        torus = [seeded_torus_point(ctx, n, rng) for _ in range(2)]
+        deep = [seeded_deep_point(ctx, n, rng) for _ in range(2)] if n % 2 == 0 else []
+        lined = [line_point(ctx, n, rng, 3) for _ in range(3)]
+        if n % 2 == 0:
+            lined += [line_point(ctx, n, rng, 2) for _ in range(2)]
+        for point in torus + deep + [p for p, _ in lined]:
+            assert is_deep_bruteforce(point) == polygon._is_deep(point) == naive_is_deep(point)
+        # a torus point keeps its seed triangulation nonzero
+        assert not any(is_deep_bruteforce(p) for p in torus)
+        assert all(is_deep_bruteforce(p) for p in deep)
+        # the lemma: deep exactly when the columns lie on two lines
+        assert [is_deep_bruteforce(p) for p, _ in lined] == [used == 2 for _, used in lined]
+        assert any(used >= 3 for _, used in lined)
 
 
 def full_table_failure(point):
@@ -724,6 +796,47 @@ class TestChartCertificate:
             assert len(rows) == (n - 2) * (n - 3) // 2
 
 
+def product_formula_values(n, edges):
+    """deep_point_from_edges's closed form, each odd-difference value from
+    two products over edge runs, O(n^3) multiplies in all: the oracle of
+    its row recurrence."""
+    ctx = edges[1, 2].ctx
+    values = dict(edges)
+    for i, j in polygon_segments(n):
+        if (i, j) in values:
+            continue
+        if (j - i) % 2 == 0:
+            values[i, j] = ctx.zero()
+        else:
+            num = product(ctx, (edges[t, t + 1] for t in range(i, j, 2)))
+            den = product(ctx, (edges[t, t + 1] for t in range(i + 1, j - 1, 2)))
+            values[i, j] = ctx.minus_one() ** ((j - i - 1) // 2) * num / den
+    return values
+
+
+class TestRowRecurrence:
+    @pytest.mark.parametrize("ctx", [QQ, QI, F5, prime_field(101)], ids=str)
+    def test_seeded_edges_match_the_product_formula(self, ctx):
+        rng = random.Random(2601 + ctx.characteristic)
+        for n in range(4, 42, 2):
+            point = seeded_deep_point(ctx, n, rng)
+            edges = {e: point.values[e] for e in polygon_edges(n)}
+            assert point.values == product_formula_values(n, edges)
+
+    @pytest.mark.parametrize("ctx", [QQ, QI, F2], ids=str)
+    def test_type_a_points_match_the_product_formula(self, ctx):
+        built = 0
+        for rank in range(1, 48):
+            try:
+                point = unique_deep_point_typeA(rank, ctx)
+            except NoDeepPoint:
+                continue
+            built += 1
+            edges = {e: point.values[e] for e in polygon_edges(point.n)}
+            assert point.values == product_formula_values(point.n, edges)
+        assert built == (24 if ctx.characteristic == 2 else 12)
+
+
 class TestLargePolygons:
     def test_formula_construction_beyond_enumeration_cap(self, rng):
         # n = 16 supports construction and residual checking, not the
@@ -744,8 +857,9 @@ class TestLargePolygons:
         assert all(r.is_zero for _, r in ptolemy_residuals(point))
         for i, j in polygon_segments(n):
             assert point.value(i, j).is_zero == ((j - i) % 2 == 0)
+        assert is_deep_bruteforce(point) is True
         with pytest.raises(SizeOutOfRange):
-            is_deep_bruteforce(point)
+            polygon._triangulation_masks(15)
 
     def test_type_a_construction_rank_15(self):
         # rank 15 = 3 (mod 4): the 18-gon point exists, past the
