@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(poly_sub, "deep-typea", cmd_polygon_deep_typea)
     p.add_argument("--rank", type=int, required=True)
     p = leaf(poly_sub, "from-edges", cmd_polygon_from_edges)
-    p.add_argument("--edges", required=True, help="comma list for (1,2),(2,3),...,(1,n)")
+    p.add_argument("--edges", required=True,
+                   help="comma list for (1,2),(2,3),...,(1,n); write a list that "
+                        "starts with a minus sign as --edges=-1,1,1,1")
     p = leaf(poly_sub, "scan", cmd_polygon_scan)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", default=polygon.MODE_TYPE_A,

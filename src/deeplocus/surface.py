@@ -27,7 +27,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue
@@ -377,11 +377,12 @@ class SurfaceTriangulation(_Complex):
         """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
         sides and arcs are shared, the invariants carried and the flip path
         extended by the flipped arc; it checks nothing (`_new_triangles`)."""
-        replaced = _new_triangles(self.side_pos, quad)
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
         triangles = list(self.triangles)
         side_pos = dict(self.side_pos)
-        _place(triangles, side_pos, replaced)
+        for t, tri in _new_triangles(self.side_pos, quad).items():
+            triangles[t] = tri
+            side_pos[tri[0]], side_pos[tri[1]], side_pos[tri[2]] = _POSITIONS[t]
         # set in the order __init__ sets them, less the vertices, so that
         # every triangulation shares one instance attribute layout
         out.triangles = tuple(triangles)
@@ -405,8 +406,8 @@ class SurfaceTriangulation(_Complex):
 
 
 # ---------------------------------------------------------------------------
-# the flip rule, on a triangle list and side positions: a triangulation's
-# flip and the random walk's in-place state both read it here
+# the flip rule, on a triangle list and side positions; the random walk
+# applies the same rule inline to its flat state
 
 
 def _quad(
@@ -433,17 +434,6 @@ def _new_triangles(side_pos: Mapping[int, Tuple[int, int]], quad: Quad) -> Dict[
     which `_check_surface` refuses, so the old triangles share no side."""
     a1, p, q, a2, r, s = quad
     return {side_pos[a1][0]: (a1, q, r), side_pos[a2][0]: (a2, s, p)}
-
-
-def _place(
-    triangles: List[Triangle],
-    side_pos: Dict[int, Tuple[int, int]],
-    replaced: Mapping[int, Triangle],
-) -> None:
-    """Write the new triangles and their sides' positions in place."""
-    for t, tri in replaced.items():
-        triangles[t] = tri
-        side_pos[tri[0]], side_pos[tri[1]], side_pos[tri[2]] = _POSITIONS[t]
 
 
 def build_from_gluing(
@@ -988,7 +978,7 @@ def _flip_determined(
 
 
 def _flip_value(
-    t: SurfaceTriangulation,
+    arc: Union[Mapping[int, int], Sequence[int]],
     labels: Sequence[int],
     values: Mapping[int, Optional[FieldValue]],
     quad: Quad,
@@ -996,11 +986,12 @@ def _flip_value(
     determined: bool,
     zero: FieldValue,
 ) -> Optional[FieldValue]:
-    """The value of the arc inside `quad` after its flip, given the labels
-    before it, its new label, `_flip_determined` and the field's 0, which
-    every label-0 value shares.  The rule reads the labels.  A known value
-    is 0 exactly where its label is 0, and the old triangles are even, so
-    l(p) + l(q) = l(a1) = l(r) + l(s), and the new label is l(q) + l(r).
+    """The value of the arc inside `quad` after its flip, given each
+    side's arc, the labels before it, its new label, `_flip_determined`
+    and the field's 0, which every label-0 value shares.  The rule reads
+    the labels.  A known value is 0 exactly where its label is 0, and the
+    old triangles are even, so l(p) + l(q) = l(a1) = l(r) + l(s), and the
+    new label is l(q) + l(r).
 
     At label 1 the value is None unless determined, and then the old value
     is nonzero, so l(a1) = 1 and l(p) = l(r) != l(q) = l(s).  In the
@@ -1015,7 +1006,6 @@ def _flip_value(
     tested, whenever the four values are known, the old value or not."""
     if not determined:
         return None
-    arc = t._arc_of_side
     a1, p, q, _, r, s = quad
     if new_label == 1:
         if labels[arc[p]] == 1:
@@ -1040,7 +1030,9 @@ def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
     new_label = z2.labels[aid]
     determined = _flip_determined(t, p.z2.labels, p.values, quad, new_label)
-    new_value = _flip_value(t, p.z2.labels, p.values, quad, new_label, determined, p.ctx.zero())
+    new_value = _flip_value(
+        t._arc_of_side, p.z2.labels, p.values, quad, new_label, determined, p.ctx.zero()
+    )
     return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
 
 
@@ -1062,13 +1054,13 @@ def verify_deep_random_walk(
     """Seeded random flip walk certifying deepness along the way.
 
     The start state is rebuilt through `Z2Class` and `SurfaceDeepPoint`,
-    whose checks it must pass.  The walk then owns one mutable state (the
-    triangles, side positions, labels and values) and flips it in place,
-    by the rule `flip_evaluation` uses.  From a certified state a flip can
-    fail only one check, so a step makes only that: the exchange identity
-    at a flip to label 0.  The rest holds by the flip itself.  Neither new
-    triangle repeats a side (`_new_triangles`), and `_new_label` finds the
-    new label the same from either new triangle, so both are even.
+    whose checks it must pass.  The walk then owns one mutable state and
+    flips it in place, by the rule `flip_evaluation` uses.  From a
+    certified state a flip can fail only one check, so a step makes only
+    that: the exchange identity at a flip to label 0.  The rest holds by
+    the flip itself.  Neither new triangle repeats a side (`_new_triangles`),
+    and `_new_label` finds the new label the same from either new triangle,
+    so both are even.
 
     The value rule, `_flip_value`, reads the labels.  At a flip to label 0
     it tests the identity v(p)v(r) + v(q)v(s) = 0 only when all four
@@ -1079,6 +1071,18 @@ def verify_deep_random_walk(
     old value: the old arc and the new one are labeled 1, so
     l(p) = l(r) != l(q) = l(s), and the other pair's product is 0.  So it
     meets the identity and is nonzero.
+
+    The state is flat: the sides are numbered by their place in the sorted
+    side list, so any side ids serve, and lists by that number hold each
+    side's arc, triangle and slot.  A flip of an arc changes the label, value and quadrilateral of
+    no arc outside that quadrilateral, so only its arc and the arcs of its
+    four sides are re-tested.  One inline pass re-tests an arc: its quad,
+    its new label (the cocycle completion l(q) + l(r), as `_new_label`
+    takes it) and whether its flip determines its value, as
+    `_flip_determined` decides it.  While no value is unknown that last
+    test reads only the new label and the arc's own.  The determined arcs
+    form a sorted pool, and a step flips a seeded choice from it, or from
+    every interior arc when it is empty.
 
     A step changes the state only once its check passes; a failure is
     recorded as `step N: ...` and ends the walk.  A flip carries the
@@ -1101,53 +1105,87 @@ def verify_deep_random_walk(
         report.failures.append(f"start: {exc}")
         return report
     t, ctx = start.triangulation, start.ctx
-    arcs, arc, zero = t.arcs, t._arc_of_side, ctx.zero()
-    triangles, side_pos = list(t.triangles), dict(t.side_pos)
+    sides, arcs, zero = t.sides, t.arcs, ctx.zero()
+    number = {s: i for i, s in enumerate(sides)}
+    arc_of = [t._arc_of_side[s] for s in sides]
+    tri_of = [t.side_pos[s][0] for s in sides]
+    slot_of = [t.side_pos[s][1] for s in sides]
+    triangles = [(number[a], number[b], number[c]) for a, b, c in t.triangles]
+    # each interior arc's two sides, in id order as `_quad` takes them
+    ends = [(number[a[0]], number[a[-1]]) for a in arcs]
+    interior = [len(a) == 2 for a in arcs]
+    candidates = [a for a in range(len(arcs)) if interior[a]]
     labels, values = list(start.z2.labels), dict(start.values)
-    candidates = sorted(t.interior_arcs())
-    interior = set(candidates)
-    # flat tables by arc id: each interior arc's quad, its new label and
-    # whether its flip determines its value, with the sorted pool of the
-    # determined arcs; a flip of aid changes the label, value and quad of
-    # no arc outside its quad, whose six sides include aid's own, so only
-    # those are re-tested
+    unknown = sum(values.get(a) is None for a in range(len(arcs)))
+    get = values.get
     quads: List[Optional[Quad]] = [None] * len(arcs)
     new_labels = [0] * len(arcs)
     in_pool = [False] * len(arcs)
     pool: List[int] = []
     retest: Iterable[int] = candidates
-    # the one flip rule, bound to locals
-    quad_of, label_of, determined_of, value_of = _quad, _new_label, _flip_determined, _flip_value
-    new_triangles, place, choice = _new_triangles, _place, rng.choice
+    value_of, choice = _flip_value, rng.choice
     flips_taken = report.flips_taken
     for step in range(steps):
-        for a in retest:
-            quads[a] = quad = quad_of(arcs, triangles, side_pos, a)
-            new_labels[a] = new_label = label_of(t, labels, quad)
-            determined = determined_of(t, labels, values, quad, new_label)
-            if determined != in_pool[a]:
-                in_pool[a] = determined
+        for x in retest:
+            if not interior[x]:
+                continue
+            a1, a2 = ends[x]
+            k, tri = slot_of[a1], triangles[tri_of[a1]]
+            # slot k - 2 is slot k + 1 and k - 1 is k + 2, mod 3
+            sp, sq = tri[k - 2], tri[k - 1]
+            k, tri = slot_of[a2], triangles[tri_of[a2]]
+            sr, ss = tri[k - 2], tri[k - 1]
+            quads[x] = (a1, sp, sq, a2, sr, ss)
+            new_labels[x] = new_label = labels[arc_of[sq]] ^ labels[arc_of[sr]]
+            if new_label == 0:
+                determined = True
+            elif unknown == 0:
+                determined = labels[x] == 1
+            else:
+                determined = (
+                    labels[x] == 1
+                    and get(x) is not None
+                    and get(arc_of[sp]) is not None
+                    and get(arc_of[sq]) is not None
+                    and get(arc_of[sr]) is not None
+                    and get(arc_of[ss]) is not None
+                )
+            if determined != in_pool[x]:
+                in_pool[x] = determined
                 if determined:
-                    insort(pool, a)
+                    insort(pool, x)
                 else:
-                    del pool[bisect_left(pool, a)]
-        aid = choice(pool or candidates)
+                    del pool[bisect_left(pool, x)]
+        if pool:
+            aid, determined = choice(pool), True
+        else:
+            aid, determined = choice(candidates), False
         quad, new_label = quads[aid], new_labels[aid]
         try:
-            value = value_of(t, labels, values, quad, new_label, in_pool[aid], zero)
+            value = value_of(arc_of, labels, values, quad, new_label, determined, zero)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
-        place(triangles, side_pos, new_triangles(side_pos, quad))
+        # the two new triangles, as `_new_triangles` writes them
+        a1, sp, sq, a2, sr, ss = quad
+        t1, t2 = tri_of[a1], tri_of[a2]
+        triangles[t1], triangles[t2] = (a1, sq, sr), (a2, ss, sp)
+        slot_of[a1] = slot_of[a2] = 0
+        slot_of[sq] = slot_of[ss] = 1
+        slot_of[sr] = slot_of[sp] = 2
+        tri_of[sr], tri_of[sp] = t1, t2
         labels[aid] = new_label
-        values[aid] = value
-        _, sp, sq, _, sr, ss = quad
-        retest = {aid, arc[sp], arc[sq], arc[sr], arc[ss]} & interior
-        flips_taken.append(aid)
         if value is None:
             report.undetermined_values += 1
+            if get(aid) is not None:
+                unknown += 1
+        elif get(aid) is None:
+            unknown -= 1
+        values[aid] = value
+        retest = (aid, arc_of[sp], arc_of[sq], arc_of[sr], arc_of[ss])
+        flips_taken.append(aid)
     try:
-        end = SurfaceTriangulation(triangles, t.glue)
+        end = SurfaceTriangulation([(sides[a], sides[b], sides[c]) for a, b, c in triangles], t.glue)
         if end.invariants() != t.invariants():
             raise SurfaceError(
                 f"invariants {end.invariants()} differ from the carried {t.invariants()}"

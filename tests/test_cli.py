@@ -272,6 +272,19 @@ class TestSubcommands:
         code, _ = run_cli(["polygon", "from-edges", "--edges", "1,1,1,1"])
         assert code == 1  # all-ones square violates the product condition
 
+    def test_edges_starting_with_a_minus_sign_take_the_equals_form(self, capsys):
+        # argparse reads a separate value that starts with "-" as a flag
+        code, out = run_cli(["polygon", "from-edges", "--edges=-1,1,1,1", "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certified_deep"] is True
+        values = {(v["i"], v["j"]): v["value"] for v in doc["deep_point"]["values"]}
+        assert values == {(1, 2): "-1", (1, 3): "0", (1, 4): "1", (2, 3): "1", (2, 4): "0", (3, 4): "1"}
+        capsys.readouterr()
+        code, out = run_cli(["polygon", "from-edges", "--edges", "-1,1,1,1", "--json"])
+        assert (code, out) == (2, "")
+        assert "argument --edges: expected one argument" in capsys.readouterr().err
+
     def test_bad_search_cap_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "abc")
         code, out = run_cli(["polygon", "scan", "--n", "4", "--field", "fp:2"])

@@ -1,0 +1,100 @@
+"""Cross-family oracles: where two of the paper's families are one cluster
+algebra, their deep points must agree.  The families run on independent
+code paths that share only `field.py`.
+
+- Kronecker = annulus11.  Rank 2 of type (2, 2) is the annulus with one
+  marked point on each boundary.  Its two bridging arcs are the cluster
+  variables and its two boundary arcs, with values o and i, are frozen,
+  so every flip reads x_j x_{j+2} = x_{j+1}^2 + o*i: `rank2` with
+  b = c = 2, e1 = e2 = (-1) and y = o*i.
+- (1, 1) = A_2, the pentagon.  Neither side has a deep point.
+"""
+
+import json
+
+import pytest
+
+from deeplocus.field import QI, QQ, prime_field
+from deeplocus.rank2 import Rank2Spec, deep_points, extend_evaluation
+from deeplocus.surface import (
+    Dissection,
+    deep_point_from_dissection,
+    flip_evaluation,
+    named_surface,
+    solve_closing_value,
+)
+
+from conftest import F2, F5
+from test_cli import run_cli
+
+KRONECKER = Rank2Spec(2, 2, 1, (-1,), (-1,))
+FLIPS = 6
+
+
+def annulus11_sequences(ctx):
+    """x_0..x_7 of every annulus11 deep point over ctx: one per dissection
+    arc, outer boundary value and dissection value, closed on the inner
+    boundary arc.  x_0 and x_1 are the values of the two interior arcs, and
+    flipping them alternately gives x_2..x_7.  Each sequence is checked
+    against the Kronecker relation with y = o*i on the way."""
+    t = named_surface("annulus11")
+    first, second = t.interior_arcs()
+    outer, inner = t.boundary_arcs()
+    sequences = set()
+    for arc in (first, second):
+        d = Dissection(t, frozenset([arc]))
+        for o in ctx.nonzero_elements():
+            for v in ctx.nonzero_elements():
+                i = solve_closing_value(d, {outer: o, arc: v}, inner)
+                state = deep_point_from_dissection(d, {outer: o, inner: i}, {arc: v})
+                xs = [state.values[first], state.values[second]]
+                for k in range(FLIPS):
+                    aid = (first, second)[k % 2]
+                    state = flip_evaluation(state, aid)
+                    xs.append(state.values[aid])
+                assert None not in xs
+                for j in range(len(xs) - 2):
+                    assert xs[j] * xs[j + 2] == xs[j + 1] * xs[j + 1] + o * i, (xs, j)
+                sequences.add(tuple(xs))
+    return sequences
+
+
+def kronecker_windows(ctx):
+    """x_0..x_7 of every deep point of rank 2 type (2, 2), e1 = e2 = (-1)."""
+    points = deep_points(KRONECKER, ctx)
+    windows = set()
+    for point, _ in points:
+        evaluation = extend_evaluation(point, FLIPS // 2 + 1)
+        windows.add(tuple(evaluation[j] for j in range(FLIPS + 2)))
+    return len(points), windows
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_kronecker_deep_points_are_the_annulus11_deep_points(p):
+    ctx = prime_field(p)
+    count, windows = kronecker_windows(ctx)
+    sequences = annulus11_sequences(ctx)
+    assert count == len(windows) == len(sequences) == 2 * (p - 1)
+    assert sequences == windows
+
+
+# (f, e1, e2): the pentagon without coefficients and with one or two
+COEFFICIENTS = [(0, (), ()), (1, (1,), (-1,)), (1, (-1,), (-1,)), (2, (1, -1), (0, 1))]
+
+
+@pytest.mark.parametrize("ctx", [QQ, QI, F2, F5], ids=["Q", "QI", "F2", "F5"])
+@pytest.mark.parametrize("f, e1, e2", COEFFICIENTS, ids=["f0", "f1+", "f1-", "f2"])
+def test_rank2_of_type_1_1_has_no_deep_point(ctx, f, e1, e2):
+    spec = Rank2Spec(1, 1, f, e1, e2)
+    # over Q and Q(i) the frozen values are the caller's; over F_p every
+    # nonzero tuple is tried
+    betas = None if ctx.p else [tuple(ctx.from_int(k + j) for j in range(f)) for k in (1, 2, -3)]
+    assert deep_points(spec, ctx, betas) == []
+
+
+def test_the_pentagon_has_no_deep_point():
+    code, out = run_cli(["polygon", "deep-typea", "--rank", "2", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["deep_point"] is None
+    assert doc["reason"] == "rank 2: polygon size 5 is odd"

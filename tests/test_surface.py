@@ -1115,7 +1115,7 @@ class TestDeepPoints:
                                 assert (vp * vr).is_zero and (vq * vs).is_zero, (name, aid)
                                 seen.add("label 0, a label-0 side")
                             try:
-                                value = _flip_value(tcur, labels, values, quad, label, determined, ctx.zero())
+                                value = _flip_value(tcur._arc_of_side, labels, values, quad, label, determined, ctx.zero())
                             except SurfaceError as exc:
                                 assert breaks, (name, aid)
                                 assert (lp, lq, lr, ls) == (1, 1, 1, 1), (name, aid)
@@ -1208,7 +1208,11 @@ class TestDeepPoints:
         # determined when the old value is known and nonzero and the four
         # sides are known.  Besides each deep start, a start with one arc
         # value perturbed and one with a broken closing value pin the
-        # failures and their step numbers.
+        # failures and their step numbers.  A start with one interior value
+        # unknown has the walk's unknown count above 0 from step 0, so its
+        # full determinacy test runs from the first step; and 500-step
+        # annulus22 walks from the kind of start the bench draws are as long
+        # as its longest walks.
         from deeplocus.surface import (
             SurfaceDeepPoint,
             WalkReport,
@@ -1292,6 +1296,57 @@ class TestDeepPoints:
         assert undetermined["disk6"] > 0
         assert failed["deep"] == 0 and failed["perturbed"] > 0 and failed["closing"] > 0
 
+        # drawn from a stream of their own, so the starts above stay as they were
+        rng = random.Random(f"walk-oracle-more/{ctx!r}")
+        unknown_starts = []
+        for name in ["disk6", "annulus22", "genus1", "genus2", "pants"]:
+            t = named_surface(name)
+            for _ in range(4):
+                t = t.flip(rng.choice(t.interior_arcs()))
+            p = random_deep_point(t, ctx, rng)
+            hidden = rng.choice(t.interior_arcs())
+            unknown_starts.append(
+                (name, 150, SurfaceDeepPoint({**p.values, hidden: None}, p.z2, ctx))
+            )
+        long_starts = []
+        for _ in range(3):
+            t = named_surface("annulus22")
+            for _ in range(4):
+                t = t.flip(rng.choice(t.interior_arcs()))
+            long_starts.append(("annulus22", 500, random_deep_point(t, ctx, rng)))
+        undetermined = 0
+        for name, steps, start in unknown_starts + long_starts:
+            seed = rng.randrange(2**31)
+            got = verify_deep_random_walk(start, steps, seed)
+            want = reference_walk(start, steps, seed)
+            assert got.flips_taken == want.flips_taken, (name, steps, seed)
+            assert got.failures == want.failures, (name, steps, seed)
+            assert got.undetermined_values == want.undetermined_values, (name, steps, seed)
+            assert got.passed and len(got.flips_taken) == steps, (name, steps, seed)
+            undetermined += got.undetermined_values
+        assert undetermined > 0
+
+    def test_walk_reads_any_side_ids(self):
+        # the walk numbers the sides by their sorted place: sparse and
+        # negative side ids, in the same order, give the same arcs and walk
+        from deeplocus.surface import SurfaceDeepPoint
+
+        rng = random.Random("side-ids")
+        for name in ["annulus22", "genus1", "pants"]:
+            t = named_surface(name)
+            p = random_deep_point(t, prime_field(101), rng)
+            renamed = {s: 7 * s - 40 for s in t.sides}
+            t2 = SurfaceTriangulation(
+                [tuple(renamed[s] for s in tri) for tri in t.triangles],
+                {renamed[a]: renamed[b] for a, b in t.glue.items()},
+            )
+            assert min(t2.sides) < 0 and t2.invariants() == t.invariants()
+            p2 = SurfaceDeepPoint(p.values, Z2Class(t2, p.z2.labels), p.ctx)
+            seed = rng.randrange(2**31)
+            got, want = verify_deep_random_walk(p2, 300, seed), verify_deep_random_walk(p, 300, seed)
+            assert got.passed and len(got.flips_taken) == 300, name
+            assert got.flips_taken == want.flips_taken, name
+
     def test_walk_rejects_fabricated_torus_state(self):
         # all-ones labels violate the vanishing certificate immediately; the
         # class skips its own checks, so the walk's rebuild must catch it
@@ -1341,10 +1396,10 @@ class TestDeepPoints:
         report = verify_deep_random_walk(p, 50, seed=1)
         assert (report.failures, report.flips_taken) == ([f"start: {message}"], [])
 
-    def test_walk_works_out_each_quadrilateral_once(self, monkeypatch):
-        # a flip works out one quad per re-tested arc (the flipped arc and
-        # the arcs of its quad, at most five), and the flip reuses the
-        # flipped arc's; the walk works quads out with `_quad` itself
+    def test_walk_applies_the_value_rule_once_per_step(self, monkeypatch):
+        # the walk re-tests arcs and writes its new triangles inline: it
+        # calls none of the per-arc rule functions, and `_flip_value`, the
+        # one value rule, once per step
         import deeplocus.surface as surface_module
 
         rng = random.Random("quad-count")
@@ -1356,19 +1411,24 @@ class TestDeepPoints:
                 t = t.flip(rng.choice(t.interior_arcs()))
             starts.append((name, random_deep_point(t, F101, rng)))
 
+        def refuse(*args):
+            raise AssertionError("the walk called a per-arc rule function")
+
+        for helper in ("_quad", "_new_label", "_flip_determined", "_new_triangles"):
+            monkeypatch.setattr(surface_module, helper, refuse)
         calls = []
-        quad = surface_module._quad
+        value = surface_module._flip_value
 
-        def counted(arcs, triangles, side_pos, aid):
-            calls.append(aid)
-            return quad(arcs, triangles, side_pos, aid)
+        def counted(*args):
+            calls.append(args)
+            return value(*args)
 
-        monkeypatch.setattr(surface_module, "_quad", counted)
+        monkeypatch.setattr(surface_module, "_flip_value", counted)
         for name, p in starts:
             calls.clear()
             report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
             assert report.passed and len(report.flips_taken) == 300, name
-            assert len(calls) <= 5 * 300, (name, len(calls) / 300)
+            assert len(calls) == 300, name
 
     def test_walk_memory_does_not_keep_its_path(self):
         # the walk flips one state in place and keeps no flip path: a
