@@ -81,7 +81,9 @@ def ingest_deep_fixture(
 ) -> surface.SurfaceDeepPoint:
     """Read {"dissection": [...], "values": {"arc": "str"}, "field": "..."}.
     A key of values is an arc id in its canonical spelling: "03" or "0_4"
-    is refused, not read as arc 3 or 4."""
+    is refused, not read as arc 3 or 4.  Values are given on exactly the
+    boundary and dissection arcs: a value on any other arc, or on no arc,
+    is refused, not dropped."""
     data = _read_json(path, "fixture")
     if not (
         isinstance(data, dict)
@@ -101,9 +103,15 @@ def ingest_deep_fixture(
         if a != str(int(a)):
             raise ParseError(f"{path}: values key {a!r} is not a canonical arc id")
     d = surface.Dissection(t, arcs)
-    missing = sorted({*t.boundary_arcs(), *d.arcs} - set(values))
+    valued = {*t.boundary_arcs(), *d.arcs}
+    missing = sorted(valued - set(values))
     if missing:
         raise ParseError(f"{path}: no value for arcs {missing}")
+    extra = sorted(set(values) - valued)
+    if extra:
+        raise ParseError(
+            f"{path}: arc {extra[0]} has a value but is not a boundary or dissection arc"
+        )
     bvals = {a: values[a] for a in t.boundary_arcs()}
     dvals = {a: values[a] for a in d.arcs}
     return surface.deep_point_from_dissection(d, bvals, dvals)

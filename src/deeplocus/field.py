@@ -215,7 +215,9 @@ class FieldContext:
         for _ in range(k.bit_length() - 1):
             found = sorted({r for v in found for r in _gaussian_sqrt(*v)})
         out = [FieldValue(self, _qi_from_fractions(*v)) for v in found]
-        assert all(v**k == target for v in out)
+        for v in out:
+            if v**k != target:
+                raise FieldError(f"root {v} of {target} fails: its power {k} is {v**k}")
         return out
 
     def roots_of_minus_one(self, b: int) -> List["FieldValue"]:

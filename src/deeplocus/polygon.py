@@ -190,7 +190,10 @@ def _triangulation_masks(n: int) -> Tuple[int, ...]:
                 for right in masks[t, j]
             ]
     found = masks[1, n]
-    assert len(found) == catalan(n - 2)
+    if len(found) != catalan(n - 2):
+        raise PolygonError(
+            f"{len(found)} triangulations of the {n}-gon, not catalan({n - 2}) = {catalan(n - 2)}"
+        )
     # the diagonal lists all have n-3 entries, so the first difference
     # decides the order: the list holding the lower diagonal index comes
     # first, which is the larger mask once the bits are read backwards
@@ -492,10 +495,11 @@ def deep_point_from_edges(
                 x = values[i, j] = x * r[j - 2]
 
     point = PolygonPoint(n, _mode_of(values, n), values)
-    assert first_ptolemy_failure(point) is None, (
-        "constructed point fails Ptolemy at"
-        f" {[q for q, r in ptolemy_residuals(point) if not r.is_zero][:3]}"
-    )
+    if first_ptolemy_failure(point) is not None:
+        raise PolygonError(
+            "constructed point fails Ptolemy at"
+            f" {[q for q, r in ptolemy_residuals(point) if not r.is_zero][:3]}"
+        )
     return point
 
 

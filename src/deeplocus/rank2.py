@@ -463,7 +463,10 @@ def deep_points(
                 xs[at] = alpha
                 xs[(at + 2) % 4] = alpha.inverse() * y_monomial(beta, negative_part(tuple(e2)), ctx)
                 point = Rank2Point(spec, tuple(xs), beta)
-                assert is_valid_point(point)
+                if not is_valid_point(point):
+                    raise Rank2Error(
+                        f"emitted point ({', '.join(map(str, xs))}) fails its residual check"
+                    )
                 results.append((point, tag))
 
     return results

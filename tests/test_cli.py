@@ -31,7 +31,7 @@ def run_cli(argv):
 def genus_deep_argv(tmp_path, genus):
     """`surface deep --steps 20` argv on a one-boundary surface of the given
     genus, with a deep-point fixture solved on its spanning-tree dissection."""
-    # the fixture's class comes from one pinned GF(2) solve; listing
+    # the fixture's class is read off its cut polygon; listing
     # all 2^16 label classes first took seconds
     from deeplocus.surface import dissection_spanning_tree, solve_closing_value
 
@@ -384,6 +384,15 @@ BAD_INPUTS = {
         DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
         {**DEEP_FIXTURE, "values": {"0": "5", "1": "1", "2": "1", "3": "1", "0_4": "1"}},
     ),
+    # a value off the boundary and the dissection is refused, not dropped
+    "fixture-value-on-an-interior-arc": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "5": "123"}},
+    ),
+    "fixture-value-on-no-arc": (
+        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
+        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "99": "7"}},
+    ),
     "scenario-steps-zero": (["scenario", "surface-deep-walk", "--steps", "0"], None),
     "scenario-steps-negative": (["scenario", "surface-deep-walk", "--steps", "-5"], None),
     "surface-deep-steps-negative": (
@@ -467,6 +476,18 @@ def test_fixture_with_an_unknown_arc_exits_1_naming_it(aid, tmp_path, capsys):
     err = capsys.readouterr().err
     assert (code, out) == (1, "")
     assert err == f"error: NotADissection: no arc {aid}: arc ids run 0..7\n"
+
+
+@pytest.mark.parametrize("extra, named", [({"99": "7"}, 99), ({"7": "2", "5": "123"}, 5)])
+def test_fixture_value_off_the_boundary_and_dissection_exits_2_naming_it(extra, named, tmp_path, capsys):
+    # annulus22's arc 5 is interior and not in the dissection, and it has
+    # no arc 99; the lowest such arc is named
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], **extra}}))
+    code, out = run_cli(DEEP_ON_ANNULUS22 + ["--fixture", str(path), "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: arc {named} has a value but is not a boundary or dissection arc\n"
 
 
 def test_walk_longer_than_the_cap_exits_1(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Exact paths stay exact: no module of the package uses a float, and
-only field.py looks inside a field value or builds one from a payload."""
+only field.py looks inside a field value or builds one from a payload.
+Checks stay checks: no module uses an assert statement, which python -O
+strips."""
 
 import ast
 from pathlib import Path
@@ -90,3 +92,28 @@ def test_field_guard_flags(snippet):
 @pytest.mark.parametrize("snippet", ["x: FieldValue = ctx.one()", "p = ctx.p", "k = kind"])
 def test_field_guard_passes(snippet):
     assert not list(field_internals(ast.parse(snippet)))
+
+
+def assert_statements(tree: ast.AST):
+    """(line, what) for each assert statement in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    found = list(assert_statements(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, [f"{path.name}:{line}: {what}" for line, what in found]
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    ["assert x", "assert x == 1, 'message'", "def f():\n    if x:\n        assert y"],
+)
+def test_assert_guard_flags(snippet):
+    assert list(assert_statements(ast.parse(snippet)))
+
+
+def test_assert_guard_passes():
+    assert not list(assert_statements(ast.parse("if not x:\n    raise ValueError('x')")))

@@ -155,6 +155,17 @@ def test_roots_of_minus_one_examples():
         QI.roots_of_minus_one(3)
 
 
+def test_a_wrong_gaussian_root_is_refused(monkeypatch):
+    # each Q(i) root is checked against its power, also under python -O
+    from deeplocus import field
+    from deeplocus.errors import DeepLocusError
+
+    monkeypatch.setattr(field, "_gaussian_sqrt", lambda re, im: [(re + 1, im)])
+    with pytest.raises(field.FieldError, match=r"^root 5 of 4 fails: its power 2 is 25$") as raised:
+        QI.roots(QI.from_int(4), 2)
+    assert isinstance(raised.value, DeepLocusError)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17])
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 6])
 def test_roots_count_matches_cyclic_group_analysis(p, b):

@@ -814,6 +814,21 @@ def product_formula_values(n, edges):
     return values
 
 
+class TestCertificatesRaise:
+    # the construction certificates raise the module's error, so they hold
+    # under python -O and a caller catching DeepLocusError sees them
+
+    def test_a_chart_failure_stops_the_construction(self, monkeypatch):
+        monkeypatch.setattr(polygon, "first_ptolemy_failure", lambda point: (1, 2, 3, 4))
+        with pytest.raises(PolygonError, match=r"^constructed point fails Ptolemy at \[\]$"):
+            unique_deep_point_typeA(3, QQ)
+
+    def test_a_wrong_triangulation_count_is_refused(self, monkeypatch):
+        monkeypatch.setattr(polygon, "catalan", lambda n: 0)
+        with pytest.raises(PolygonError, match=r"^14 triangulations of the 6-gon, not catalan\(4\) = 0$"):
+            polygon._triangulation_masks.__wrapped__(6)
+
+
 class TestRowRecurrence:
     @pytest.mark.parametrize("ctx", [QQ, QI, F5, prime_field(101)], ids=str)
     def test_seeded_edges_match_the_product_formula(self, ctx):

@@ -594,6 +594,13 @@ def test_zero_beta_is_rejected_before_any_root(e1, monkeypatch):
         )
 
 
+def test_an_emitted_point_failing_its_residuals_is_refused(monkeypatch):
+    # every emitted point is residual-checked, also under python -O
+    monkeypatch.setattr(rank2, "is_valid_point", lambda point: False)
+    with pytest.raises(Rank2Error, match=r"^emitted point \(0 mod 5, 2 mod 5, 0 mod 5, 3 mod 5\) fails its residual check$"):
+        deep_points(Rank2Spec(2, 2), F5)
+
+
 def test_negative_window_depth_is_rejected_before_any_work(monkeypatch):
     # [-N, N+3] with N < 0 holds no relation, so a certificate on it would
     # check nothing; N = 0 still checks the relations at 1 and 2

@@ -503,16 +503,14 @@ class TestClasses:
             Z2Class(t, tuple(bad))
 
     def test_a_second_class_on_a_dissection_is_refused(self, monkeypatch):
-        # the class of a dissection is unique, and its subsets index the
-        # classes one to one; a solver that lists a class twice breaks both
+        # a dissection's subsets index the classes one to one; a solver that
+        # lists a class twice breaks that
         from deeplocus import surface
 
         t = named_surface("annulus22")
         d = dissection_spanning_tree(t)
         solve = surface.solve_classes
         monkeypatch.setattr(surface, "solve_classes", lambda *args: 2 * solve(*args))
-        with pytest.raises(NonUnique, match="multiple classes fix the dissection"):
-            class_of_dissection(d)
         with pytest.raises(NonUnique, match="^4 classes vanish on 2 distinct subsets of the 1 dissection arcs$"):
             subset_bijection(d)
 
@@ -529,6 +527,17 @@ class TestDissections:
 
     def test_disk_is_empty(self):
         assert dissection_spanning_tree(named_surface("disk6")).arcs == frozenset()
+
+    @pytest.mark.parametrize("name", NAMED_SURFACES)
+    def test_a_cut_builds_its_vertices_when_first_read(self, name):
+        # a complex built from triangles, like a flip, has no vertex
+        # tables until one is read, and then has all three
+        from deeplocus.surface import _VERTEX_ATTRS
+
+        cx = dissection_spanning_tree(named_surface(name)).cut_complex
+        assert not _VERTEX_ATTRS & set(vars(cx))
+        assert cx.vertex_fans
+        assert _VERTEX_ATTRS <= set(vars(cx))
 
     def test_not_a_dissection(self):
         t = named_surface("annulus22")
@@ -763,9 +772,13 @@ def filtered_bijection(d):
 
 class TestPinnedSolve:
     @pytest.mark.parametrize("name", NAMED_SURFACES)
-    def test_class_of_dissection_matches_the_filter(self, name):
+    def test_class_of_dissection_matches_the_filter(self, monkeypatch, name):
+        # the class is read off the cut polygon's chord parity, with no
+        # elimination: the filtered list of all classes is its oracle
+        from deeplocus import surface
         from deeplocus.surface import _all_dissections
 
+        cases = []
         for t in flipped_carriers(name):
             dissections = _all_dissections(t)
             assert dissections
@@ -776,11 +789,19 @@ class TestPinnedSolve:
                     if all(c.labels[a] == 1 for a in d.arcs)
                 ]
                 assert len(want) == (1 if t.num_marked % 2 == 0 else 0)
-                if want:
-                    assert class_of_dissection(d) == want[0]
-                else:
-                    with pytest.raises(NoClass):
-                        class_of_dissection(d)
+                cases.append((d, want))
+
+        def refuse(*args):
+            raise AssertionError("class_of_dissection ran the elimination")
+
+        monkeypatch.setattr(surface, "_eliminate", refuse)
+        monkeypatch.setattr(surface, "solve_classes", refuse)
+        for d, want in cases:
+            if want:
+                assert class_of_dissection(d) == want[0]
+            else:
+                with pytest.raises(NoClass, match=r"^no class exists \(odd number of marked points\)$"):
+                    class_of_dissection(d)
 
     @pytest.mark.parametrize("name", NAMED_SURFACES)
     def test_subset_bijection_matches_the_filter(self, name):
@@ -1414,7 +1435,7 @@ class TestDeepPoints:
         def refuse(*args):
             raise AssertionError("the walk called a per-arc rule function")
 
-        for helper in ("_quad", "_new_label", "_flip_determined", "_new_triangles"):
+        for helper in ("_new_label", "_flip_determined", "_new_triangles"):
             monkeypatch.setattr(surface_module, helper, refuse)
         calls = []
         value = surface_module._flip_value
