@@ -80,10 +80,11 @@ def ingest_deep_fixture(
     path: str, t: surface.SurfaceTriangulation
 ) -> surface.SurfaceDeepPoint:
     """Read {"dissection": [...], "values": {"arc": "str"}, "field": "..."}.
-    A key of values is an arc id in its canonical spelling: "03" or "0_4"
-    is refused, not read as arc 3 or 4.  Values are given on exactly the
-    boundary and dissection arcs: a value on any other arc, or on no arc,
-    is refused, not dropped."""
+    No other key is read, so a misspelt one is refused, not ignored, and a
+    dissection lists each arc once.  A key of values is an arc id in its
+    canonical spelling: "03" or "0_4" is refused, not read as arc 3 or 4.
+    Values are given on exactly the boundary and dissection arcs: a value
+    on any other arc, or on no arc, is refused, not dropped."""
     data = _read_json(path, "fixture")
     if not (
         isinstance(data, dict)
@@ -91,14 +92,19 @@ def ingest_deep_fixture(
         and isinstance(data.get("values"), dict)
     ):
         raise ParseError(f"{path}: expected a list dissection and an object values")
+    unknown = sorted(set(data) - {"field", "dissection", "values"})
+    if unknown:
+        raise ParseError(f"{path}: unknown key {unknown[0]!r}; expected field, dissection, values")
     ctx = parse_field(str(data.get("field", "q")))
     try:
-        arcs = frozenset(
-            _integer(a, f"{path}: a dissection arc id") for a in data["dissection"]
-        )
+        ids = [_integer(a, f"{path}: a dissection arc id") for a in data["dissection"]]
         values = {int(a): ctx.parse(str(s)) for a, s in data["values"].items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+    arcs = frozenset(ids)
+    if len(arcs) != len(ids):
+        repeated = next(a for a in ids if ids.count(a) > 1)
+        raise ParseError(f"{path}: dissection arc {repeated} is listed twice")
     for a in data["values"]:
         if a != str(int(a)):
             raise ParseError(f"{path}: values key {a!r} is not a canonical arc id")

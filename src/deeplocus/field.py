@@ -237,15 +237,17 @@ class FieldContext:
         builds no FieldValue: F_p sums a relation over the residues and
         reduces once; Q cross-multiplies the payloads' integer numerators
         and denominators; Q(i) does the same over their Gaussian
-        numerators."""
-        for v in values:
-            if v.ctx is not self:
-                raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
+        numerators.  One pass checks each value's context and takes its
+        payload."""
+        payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
         if self.kind == PRIME_FIELD:
-            return _first_nonzero_mod([v._v for v in values], self.p, relations)
+            return _first_nonzero_mod(payloads, self.p, relations)
         if self.kind == RATIONALS:
-            return _first_nonzero_q([v._v for v in values], relations)
-        return _first_nonzero_qi([v._v for v in values], relations)
+            return _first_nonzero_q(payloads, relations)
+        return _first_nonzero_qi(payloads, relations)
+
+    def _mismatch(self, v: "FieldValue"):
+        raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
 
 
 def _first_nonzero_mod(res: List[int], p: int, relations: Sequence[Relation]) -> Optional[int]:

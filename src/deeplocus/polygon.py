@@ -6,22 +6,29 @@ A point assigns a field value to every segment x_{i,j} of a convex n-gon
     x_{i,k} x_{j,l} = x_{i,j} x_{k,l} + x_{i,l} x_{j,k}      (i<j<k<l)
 
 with edges nonzero ("boundary-coefficients" mode) or equal to one
-("type-A" mode).  A point is deep when every triangulation of the
-polygon contains a diagonal sent to zero.  On a valid point this is a
-parity condition, proved in is_deep_bruteforce: the point is deep
-exactly when n is even and x_{i,j} = 0 for every segment with j - i
-even.  So a certificate is one pass over those O(n^2) segments.  The
-triangulations of each n-gon, enumerated and cached as bitmasks over
-its diagonals for n <= MAX_ENUMERATION_N, stay only as the oracle the
-tests hold the parity test to.
+("type-A" mode).  A point keeps its values once, as a row: a tuple in
+polygon_segments(n) order.  The certificates read the row; the
+segment-keyed mapping PolygonPoint.values is built only when read.
+
+A point is deep when every triangulation of the polygon contains a
+diagonal sent to zero.  On a valid point this is a parity condition,
+proved in is_deep_bruteforce: the point is deep exactly when n is even
+and x_{i,j} = 0 for every segment with j - i even.  In the chart (1, 2)
+that is an O(n) read of two rows: x_{1,k} = 0 for odd k and x_{2,k} = 0
+for even k.  The triangulations of each n-gon, enumerated and cached as
+bitmasks over its diagonals for n <= MAX_ENUMERATION_N, stay only as the
+oracle the tests hold the read to.
+
 Certificates test the Ptolemy relations in a chart: the C(n-2, 2)
 relations through the first segment with a nonzero value hold exactly
 when all C(n, 4) do, and the first of them to fail is the first failure
 in full order (see first_ptolemy_failure).  Each chart is cached as
 signed monomials, which the field's exact identity test checks without
-building field values.  The full per-n table serves the variety scan and
-the tests as an oracle, and ptolemy_residuals stays as the field-value
-oracle.
+building field values.  A point is certified by one such test on its
+row, against one table per (n, mode): in type-A mode each edge's
+x_e - 1, then the chart (1, 2), which is the first chart once the edges
+are nonzero.  The full per-n table serves the variety scan and the tests
+as an oracle, and ptolemy_residuals stays as the field-value oracle.
 
 The exhaustive variety scan over F_p prunes: it assigns edges, then
 diagonals, as raw residues and rejects a partial assignment as soon as a
@@ -36,6 +43,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
@@ -131,11 +139,16 @@ def polygon_diagonals(n: int) -> List[Segment]:
     return [s for s in polygon_segments(n) if not is_edge(s, n)]
 
 
+def _index(n: int, i: int, j: int) -> int:
+    """The position of the segment (i, j), i < j, in _segments(n): row a
+    holds the n - a segments (a, a + 1), ..., (a, n)."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
 @functools.lru_cache(maxsize=32)
-def _even_segments(n: int) -> Tuple[Segment, ...]:
-    """The segments (i, j) of the n-gon with j - i even, built once: a
-    valid point of an even n-gon is deep iff it is zero on all of them."""
-    return tuple((i, j) for i, j in _segments(n) if (j - i) % 2 == 0)
+def _edge_slots(n: int) -> Tuple[int, ...]:
+    """The positions of _edges(n) in _segments(n)."""
+    return tuple(_index(n, *e) for e in _edges(n))
 
 
 def segments_cross(a: Segment, b: Segment) -> bool:
@@ -217,7 +230,14 @@ def enumerate_triangulations(n: int) -> List[PolygonTriangulation]:
 
 
 class PolygonPoint:
-    """A total assignment of field values to the segments of an n-gon."""
+    """A total assignment of field values to the segments of an n-gon.
+
+    Points are immutable.  A point keeps its values once, as the tuple row
+    in polygon_segments(n) order; value(i, j), equality and the
+    certificates read the row.  The mapping values, from segment to value,
+    is a read-only view built from the row on its first read."""
+
+    __slots__ = ("n", "mode", "ctx", "row", "_values")
 
     def __init__(self, n: int, mode: str, values: Mapping[Segment, FieldValue]):
         if n < 3:
@@ -225,52 +245,60 @@ class PolygonPoint:
         if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
             raise PolygonError(f"unknown mode {mode!r}")
         expected = _segments(n)
-        missing = [s for s in expected if s not in values]
-        if missing:
-            raise PolygonError(f"missing values for segments {missing[:4]}")
-        ctxs = {values[s].ctx for s in expected}
-        if len(ctxs) != 1:
+        try:
+            row = tuple(values[s] for s in expected)
+        except KeyError:
+            missing = [s for s in expected if s not in values]
+            raise PolygonError(f"missing values for segments {missing[:4]}") from None
+        ctx = row[0].ctx
+        if any(v.ctx is not ctx for v in row):
             raise PolygonError("segment values come from different field contexts")
         self.n = n
         self.mode = mode
-        self.values: Dict[Segment, FieldValue] = {s: values[s] for s in expected}
-        self.ctx: FieldContext = next(iter(ctxs))
+        self.ctx: FieldContext = ctx
+        self.row: Tuple[FieldValue, ...] = row
+        self._values: Optional[Mapping[Segment, FieldValue]] = None
+
+    @property
+    def values(self) -> Mapping[Segment, FieldValue]:
+        if self._values is None:
+            self._values = MappingProxyType(dict(zip(_segments(self.n), self.row)))
+        return self._values
 
     def value(self, i: int, j: int) -> FieldValue:
-        return self.values[seg(i, j)]
+        if i > j:
+            i, j = j, i
+        if not 1 <= i < j <= self.n:
+            raise KeyError((i, j))
+        return self.row[_index(self.n, i, j)]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolygonPoint)
             and self.n == other.n
             and self.mode == other.mode
-            and self.values == other.values
+            and self.row == other.row
         )
 
     def __repr__(self) -> str:
         return f"PolygonPoint(n={self.n}, mode={self.mode!r})"
 
     def mode_violations(self) -> List[str]:
-        edges = _edges(self.n)
+        edges = zip(_edges(self.n), (self.row[t] for t in _edge_slots(self.n)))
         if self.mode == MODE_TYPE_A:
             one = self.ctx.one()
-            return [
-                f"edge {e} is {self.values[e]}, expected 1" for e in edges if self.values[e] != one
-            ]
-        return [f"edge {e} is zero" for e in edges if self.values[e].is_zero]
+            return [f"edge {e} is {v}, expected 1" for e, v in edges if v != one]
+        return [f"edge {e} is zero" for e, v in edges if v.is_zero]
 
     def is_valid(self) -> bool:
-        if self.mode_violations():
-            return False
-        return first_ptolemy_failure(self) is None
+        return _first_violation(self) is None
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "mode": self.mode,
             "values": [
-                {"i": i, "j": j, "value": str(self.values[(i, j)])}
-                for (i, j) in polygon_segments(self.n)
+                {"i": i, "j": j, "value": str(v)} for (i, j), v in zip(_segments(self.n), self.row)
             ],
         }
 
@@ -300,19 +328,16 @@ def ptolemy_residuals(p: PolygonPoint) -> List[Tuple[Quad, FieldValue]]:
     ]
 
 
-def _relation(index: Mapping[Segment, int], quad: Quad) -> Relation:
+def _relation(n: int, quad: Quad) -> Relation:
     """The Ptolemy relation x_ik*x_jl - x_ij*x_kl - x_il*x_jk of the 4-subset
-    quad = (i, j, k, l), as signed monomials over the segment indices."""
+    quad = (i, j, k, l) of the n-gon, as signed monomials over the segment
+    indices."""
     i, j, k, l = quad
     return (
-        (1, (index[i, k], index[j, l])),
-        (-1, (index[i, j], index[k, l])),
-        (-1, (index[i, l], index[j, k])),
+        (1, (_index(n, i, k), _index(n, j, l))),
+        (-1, (_index(n, i, j), _index(n, k, l))),
+        (-1, (_index(n, i, l), _index(n, j, k))),
     )
-
-
-def _segment_index(n: int) -> Dict[Segment, int]:
-    return {s: t for t, s in enumerate(_segments(n))}
 
 
 @functools.lru_cache(maxsize=32)
@@ -320,16 +345,14 @@ def _ptolemy_table(n: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
     """The 4-subsets of vertices of the n-gon in combinations order, and
     each one's Ptolemy relation as signed monomials over the indices of
     polygon_segments(n).  The scan's source and the certificates' oracle."""
-    index = _segment_index(n)
     quads = tuple(itertools.combinations(range(1, n + 1), 4))
-    return quads, tuple(_relation(index, q) for q in quads)
+    return quads, tuple(_relation(n, q) for q in quads)
 
 
 @functools.lru_cache(maxsize=32)
 def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
     """_ptolemy_table(n) cut down to the C(n-2, 2) 4-subsets that hold both
     a and b, in the same order, built without the full table."""
-    index = _segment_index(n)
     others = [v for v in range(1, n + 1) if v != a and v != b]
     # adding {a, b} to each pair keeps combinations order: for two sets of
     # one size, the one holding the least element of their difference is
@@ -337,7 +360,7 @@ def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ..
     quads = tuple(
         tuple(sorted((a, b, i, j))) for i, j in itertools.combinations(others, 2)
     )
-    return quads, tuple(_relation(index, q) for q in quads)
+    return quads, tuple(_relation(n, q) for q in quads)
 
 
 def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
@@ -372,60 +395,109 @@ def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
     x_ab x_jk = x_ak x_jb and x_ab x_jl = x_al x_jb, so x_ab times q's
     residual x_ak x_jl - x_al x_jk is zero.  So q holds a and b, and the
     chart's first failure is q."""
-    n, segments = p.n, _segments(p.n)
-    values = [p.values[s] for s in segments]
-    chart = next((s for s, v in zip(segments, values) if not v.is_zero), None)
-    if chart is None:
+    row = p.row
+    first = next((t for t, v in enumerate(row) if not v.is_zero), None)
+    if first is None:
         return None
-    quads, relations = _chart(n, *chart)
-    r = p.ctx.first_nonzero_relation(values, relations)
+    quads, relations = _chart(p.n, *_segments(p.n)[first])
+    r = p.ctx.first_nonzero_relation(row, relations)
     return None if r is None else quads[r]
+
+
+@functools.lru_cache(maxsize=64)
+def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], Tuple[Relation, ...]]:
+    """The one relation table a point of the n-gon in this mode is certified
+    against, and how many of its relations come before the chart's: in
+    type-A mode each edge's x_e - 1, in _edges(n) order, then the
+    relations of the chart (1, 2), whose quads follow.  Once the edges are
+    nonzero, (1, 2) is the first nonzero segment, so this chart is
+    first_ptolemy_failure's and its first failure is that function's."""
+    quads, relations = _chart(n, 1, 2)
+    if mode == MODE_BOUNDARY:
+        return 0, quads, relations
+    ones = tuple(((1, (t,)), (-1, ())) for t in _edge_slots(n))
+    return len(ones), quads, ones + relations
+
+
+def _first_violation(p: PolygonPoint) -> Optional[str]:
+    """The InvalidPoint text of p's first failure, or None when p is valid:
+    its mode violations when it has any, else its first Ptolemy failure.
+    One identity test on the row decides."""
+    if p.mode == MODE_BOUNDARY and any(p.row[t].is_zero for t in _edge_slots(p.n)):
+        return "; ".join(p.mode_violations())
+    ones, quads, relations = _certificate(p.n, p.mode)
+    r = p.ctx.first_nonzero_relation(p.row, relations)
+    if r is None:
+        return None
+    if r < ones:
+        return "; ".join(p.mode_violations())
+    quad = quads[r - ones]
+    return f"Ptolemy residual at {quad} is {_ptolemy_residual(p, quad)}"
+
+
+@functools.lru_cache(maxsize=32)
+def _deep_slots(n: int) -> Tuple[int, ...]:
+    """The positions in _segments(n) of the segments (1, k) for odd k >= 3
+    and (2, k) for even k >= 4: a valid point of an even n-gon is deep iff
+    it is zero on all of them (see is_deep_bruteforce)."""
+    segments = [(1, k) for k in range(3, n + 1, 2)] + [(2, k) for k in range(4, n + 1, 2)]
+    return tuple(_index(n, *s) for s in segments)
 
 
 def is_deep_bruteforce(p: PolygonPoint) -> bool:
     """True iff every triangulation contains a zero diagonal.
 
-    p must be valid: InvalidPoint names its first mode violation or its
-    first Ptolemy failure.  Then, for every n, deepness is read off the
-    zeros in O(n^2), by this lemma: a valid point p, whose edges are all
-    nonzero in both modes, is deep iff n is even and x_ij = 0 for every
-    segment (i, j) with j - i even.  The lemma holds in every
-    characteristic, and _is_deep, which ANDs the zeros against every
-    triangulation, is its oracle in the tests.
+    p must be valid: InvalidPoint names its mode violations or its first
+    Ptolemy failure.  One identity test on the row checks both (see
+    _certificate).  Deepness is then read off O(n) values of the chart's
+    two rows: a valid point p is deep iff n is even, x_1k = 0 for every odd
+    k >= 3 and x_2k = 0 for every even k >= 4.  This follows from a lemma,
+    proved below: p is deep iff n is even and x_ij = 0 for every segment
+    (i, j) with j - i even.  Both hold in every characteristic, and
+    _is_deep, which ANDs the zeros against every triangulation, is their
+    oracle in the tests.
 
-    If: for even n, parity 2-colours the cycle 1, 2, ..., n, 1 with
-    adjacent vertices apart.  A triangle has three vertices, so two of
-    one parity; they are not adjacent, so the side between them is a
+    The lemma, if: for even n, parity 2-colours the cycle 1, 2, ..., n, 1
+    with adjacent vertices apart.  A triangle has three vertices, so two
+    of one parity; they are not adjacent, so the side between them is a
     diagonal of the triangulation, and p sends it to 0.
 
-    Only if: first_ptolemy_failure's chart gives v_1, ..., v_n in F^2 with
-    x_ij = det(v_i, v_j).  The edges are nonzero, so every v_k is nonzero;
-    colour vertex k by its line [v_k] in P^1(F).  Then x_ij = 0 exactly
-    when i and j have one colour, and adjacent vertices have different
-    colours.  With at least 3 colours some triangulation has no zero
-    diagonal, by induction on n.  If a colour is used once, the fan from
-    its vertex is one.  If not, some vertex k has neighbours of different
-    colours, or else the colours at k - 1 and k + 1 agree for every k and
-    at most two are used.  Its ear's diagonal (k - 1, k + 1) is then
-    nonzero; cutting the ear off leaves a polygon with the same colours,
-    still at least 3 and adjacent ones apart, whose triangulation with no
-    zero diagonal, plus (k - 1, k + 1), is one of the n-gon.  So a deep
-    point uses exactly two colours, which alternate around the cycle:
-    n is even, colour is parity, and same-parity segments are 0."""
-    bad = p.mode_violations()
-    if bad:
-        raise InvalidPoint("; ".join(bad))
-    quad = first_ptolemy_failure(p)
-    if quad is not None:
-        raise InvalidPoint(f"Ptolemy residual at {quad} is {_ptolemy_residual(p, quad)}")
-    return p.n % 2 == 0 and all(p.values[s].is_zero for s in _even_segments(p.n))
+    The lemma, only if: p's edges are nonzero in both modes.
+    first_ptolemy_failure's chart (1, 2) gives v_1 = (1, 0),
+    v_2 = (0, x_12), and v_3, ..., v_n in F^2 with x_ij = det(v_i, v_j).
+    The edges are nonzero, so every v_k is nonzero; colour vertex k by its
+    line [v_k] in P^1(F).  Then x_ij = 0 exactly when i and j have one
+    colour, and adjacent vertices have different colours.  With at least
+    3 colours some triangulation has no zero diagonal, by induction on n.
+    If a colour is used once, the fan from its vertex is one.  If not,
+    some vertex k has neighbours of different colours, or else the
+    colours at k - 1 and k + 1 agree for every k and at most two are used.
+    Its ear's diagonal (k - 1, k + 1) is then nonzero; cutting the ear off
+    leaves a polygon with the same colours, still at least 3 and adjacent
+    ones apart, whose triangulation with no zero diagonal, plus
+    (k - 1, k + 1), is one of the n-gon.  So a deep point uses exactly two
+    colours, which alternate around the cycle: n is even, colour is
+    parity, and same-parity segments are 0.
+
+    The O(n) read.  The segments (1, k) with k odd and (2, k) with k even
+    join vertices of one parity, so a deep point is zero on them.
+    Conversely, x_1k = det(v_1, v_k) = 0 puts v_k on the line [v_1], and
+    x_2k = det(v_2, v_k) = 0 puts it on [v_2].  So if the read holds, every
+    odd vertex is on [v_1] and every even one on [v_2]; two vertices of one
+    parity then have parallel vectors, and x_ij = det(v_i, v_j) = 0 on
+    every segment with j - i even.  By the lemma, p is deep."""
+    bad = _first_violation(p)
+    if bad is not None:
+        raise InvalidPoint(bad)
+    row = p.row
+    return p.n % 2 == 0 and all(row[t].is_zero for t in _deep_slots(p.n))
 
 
 def _is_deep(p: PolygonPoint) -> bool:
     """The oracle of is_deep_bruteforce: whether every triangulation of the
     n-gon uses a diagonal that p sends to zero, one AND of the zeros
     against each cached triangulation mask.  Capped at n <= MAX_ENUMERATION_N."""
-    zeros = sum(1 << t for t, d in enumerate(polygon_diagonals(p.n)) if p.values[d].is_zero)
+    zeros = sum(1 << t for t, d in enumerate(polygon_diagonals(p.n)) if p.value(*d).is_zero)
     return all(mask & zeros for mask in _triangulation_masks(p.n))
 
 
@@ -599,9 +671,9 @@ def cut_along_diagonal(p: PolygonPoint, d: Segment) -> Tuple[PolygonPoint, Polyg
     hulls {i..j} and {j..n,1..i}; the cut diagonal becomes a boundary edge
     of each half, keeping its value."""
     d = seg(*d)
-    if is_edge(d, p.n) or d not in p.values:
+    if is_edge(d, p.n) or not 1 <= d[0] < d[1] <= p.n:
         raise NotADiagonal(f"{d} is not a diagonal of the {p.n}-gon")
-    if p.values[d].is_zero:
+    if p.value(*d).is_zero:
         raise ZeroCutValue(f"cannot cut along {d}: value is zero")
     if not p.is_valid():
         raise InvalidPoint("cut requires a valid variety point")
@@ -629,8 +701,8 @@ def glue_cut_halves(
     i, j = d
     if j - i != ma - 1:
         raise NotADiagonal(f"first half does not span the hull of {d}")
-    cut_value = pa.values[(1, ma)]
-    if cut_value != pb.values[(1, mb)]:
+    cut_value = pa.value(1, ma)
+    if cut_value != pb.value(1, mb):
         raise PolygonError("halves are not gluable: cut edge values differ")
     if cut_value.is_zero:
         raise ZeroCutValue("cut edge value is zero")
@@ -707,7 +779,8 @@ def bruteforce_variety_scan(
 
     all_elems = list(ctx.elements())
     slots, relations = _scan_table(n)
-    even = [slots.index(s) for s in _even_segments(n)]
+    segments = _segments(n)
+    deep_slots = [slots.index(segments[t]) for t in _deep_slots(n)]
     edge_choices = range(1, 2) if mode == MODE_TYPE_A else range(1, p)
     choices = [edge_choices] * len(edges) + [range(p)] * len(diagonals)
     results: List[Tuple[PolygonPoint, bool]] = []
@@ -730,8 +803,8 @@ def bruteforce_variety_scan(
             stack.append(iter(choices[len(stack)]))
             continue
         # every relation has been checked mod p and the edges are nonzero,
-        # so is_deep_bruteforce's parity lemma decides deepness
-        deep = n % 2 == 0 and not any(vals[t] for t in even)
+        # so is_deep_bruteforce's O(n) read decides deepness
+        deep = n % 2 == 0 and not any(vals[t] for t in deep_slots)
         point = PolygonPoint(n, mode, {s: all_elems[v] for s, v in zip(slots, vals)})
         results.append((point, deep))
     return results

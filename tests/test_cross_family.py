@@ -7,7 +7,9 @@ code paths that share only `field.py`.
   variables and its two boundary arcs, with values o and i, are frozen,
   so every flip reads x_j x_{j+2} = x_{j+1}^2 + o*i: `rank2` with
   b = c = 2, e1 = e2 = (-1) and y = o*i, or, with o and i as separate
-  frozen values, e1 = e2 = (-1, -1) and y = (o, i).
+  frozen values, e1 = e2 = (-1, -1) and y = (o, i).  Over F_p every
+  frozen value is tried; over Q(i) the test takes o = i = 1, where the
+  deep points have x_odd = +-i.
 - (1, 1) = A_2, the pentagon.  Neither side has a deep point.
 """
 
@@ -70,9 +72,10 @@ def annulus11_sequences(ctx):
     }
 
 
-def kronecker_windows(spec, ctx):
-    """(frozen values, x_0..x_7) of every deep point of spec over ctx."""
-    points = deep_points(spec, ctx)
+def kronecker_windows(spec, ctx, betas=None):
+    """(frozen values, x_0..x_7) of every deep point of spec over ctx, with
+    the frozen values drawn from betas when given."""
+    points = deep_points(spec, ctx, betas)
     windows = set()
     for point, _ in points:
         evaluation = extend_evaluation(point, FLIPS // 2 + 1)
@@ -112,6 +115,24 @@ def test_kronecker_over_f101_on_a_seeded_sample():
             o, v = (ctx.from_int(rng.randrange(1, 101)) for _ in range(2))
             xs, i = annulus11_sequence(arc, o, v)
             assert ((o * i,), xs) in windows
+
+
+@pytest.mark.parametrize("spec", [KRONECKER, KRONECKER_F2], ids=["f1", "f2"])
+def test_kronecker_over_qi_with_unit_frozen_values_is_annulus11(spec):
+    # o = i = 1, so y = 1 and every surviving value is x_odd = +-i; over
+    # Q(i) the frozen values are the caller's, passed as betas
+    one, unit = QI.one(), QI.i()
+    count, windows = kronecker_windows(spec, QI, [(one,) * spec.f])
+    sequences = set()
+    draws = [unit, -unit, one, QI.from_int(2), QI.gaussian(1, 1), QI.gaussian(0, 2)]
+    for arc in named_surface("annulus11").interior_arcs():
+        closing = {v: annulus11_sequence(arc, one, v) for v in draws}
+        # the inner boundary value is -v^2, so it is 1 exactly for v = +-i
+        assert [v for v, (_, i) in closing.items() if i == one] == [unit, -unit]
+        sequences |= {((one,) * spec.f, xs) for v, (xs, _) in closing.items() if v in (unit, -unit)}
+    assert all(x in (unit, -unit) for _, xs in sequences for x in xs if x)
+    assert count == len(windows) == len(sequences) == 4
+    assert sequences == windows
 
 
 # (f, e1, e2): the pentagon without coefficients and with one or two

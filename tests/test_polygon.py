@@ -523,16 +523,17 @@ def seeded_deep_point(ctx, n, rng):
     return deep_point_from_edges(n, dict(zip(edges, vals + [closing])))
 
 
-def seeded_torus_point(ctx, n, rng):
+def seeded_torus_point(ctx, n, rng, type_a=False):
     """extend_from_triangulation from a random triangulation with random
-    nonzero seed values.  Nonzero seeds always extend to a valid point, so
-    the draw is not retried: a PolygonError fails the test."""
+    nonzero seed values, and edges one when type_a.  Nonzero seeds always
+    extend to a valid point, so the draw is not retried: a PolygonError
+    fails the test."""
     tri = rng.choice(triangulations(n))
     return extend_from_triangulation(
         n,
         tri,
         {d: random_value(ctx, rng, nonzero=True) for d in tri.diagonals},
-        {e: random_value(ctx, rng, nonzero=True) for e in polygon_edges(n)},
+        {e: ctx.one() if type_a else random_value(ctx, rng, nonzero=True) for e in polygon_edges(n)},
     )
 
 
@@ -669,20 +670,31 @@ def line_point(ctx, n, rng, lines):
     return PolygonPoint(n, MODE_BOUNDARY, values), len(set(colours))
 
 
+# in both modes, these scans hold 39,705 variety points
 PARITY_SCANS = [(4, F2), (5, F2), (6, F2), (4, F3), (5, F3), (6, F3), (4, F5), (4, F7), (5, F5)]
 
 
+def even_segment_rule(point):
+    """The lemma read over all O(n^2) segments: n even, and zero on every
+    segment (i, j) with j - i even."""
+    return point.n % 2 == 0 and all(
+        point.value(i, j).is_zero for i, j in polygon_segments(point.n) if (j - i) % 2 == 0
+    )
+
+
 class TestParity:
-    """is_deep_bruteforce's parity certificate against the mask oracle
-    polygon._is_deep and the per-triangulation any of naive_is_deep."""
+    """is_deep_bruteforce's O(n) read of the chart's two rows against the
+    lemma's even-segment rule, the mask oracle polygon._is_deep and the
+    per-triangulation any of naive_is_deep."""
 
     @pytest.mark.parametrize("mode", [MODE_TYPE_A, MODE_BOUNDARY])
     @pytest.mark.parametrize("n, ctx", PARITY_SCANS, ids=str)
     def test_every_scanned_point(self, n, ctx, mode):
-        # the scan's own flag comes from the parity rule on its residues
+        # the scan's own flag reads the same slots, on its residues
         for point, flag in bruteforce_variety_scan(n, ctx, mode):
             deep = is_deep_bruteforce(point)
-            assert deep == flag == polygon._is_deep(point) == naive_is_deep(point)
+            assert deep == flag == even_segment_rule(point)
+            assert deep == polygon._is_deep(point) == naive_is_deep(point)
 
     @pytest.mark.parametrize("n", range(4, 13))
     @pytest.mark.parametrize("ctx", [F5, prime_field(101), QQ, QI], ids=str)
@@ -694,6 +706,7 @@ class TestParity:
         if n % 2 == 0:
             lined += [line_point(ctx, n, rng, 2) for _ in range(2)]
         for point in torus + deep + [p for p, _ in lined]:
+            assert is_deep_bruteforce(point) == even_segment_rule(point)
             assert is_deep_bruteforce(point) == polygon._is_deep(point) == naive_is_deep(point)
         # a torus point keeps its seed triangulation nonzero
         assert not any(is_deep_bruteforce(p) for p in torus)
@@ -701,6 +714,102 @@ class TestParity:
         # the lemma: deep exactly when the columns lie on two lines
         assert [is_deep_bruteforce(p) for p, _ in lined] == [used == 2 for _, used in lined]
         assert any(used >= 3 for _, used in lined)
+
+
+def witness_text(point):
+    """InvalidPoint's text by the rule it had before one identity test
+    decided it: every mode violation, else the first Ptolemy failure and its
+    residual, taken from the field-value oracle; None for a valid point."""
+    bad = point.mode_violations()
+    if bad:
+        return "; ".join(bad)
+    quad = first_ptolemy_failure(point)
+    if quad is None:
+        return None
+    return f"Ptolemy residual at {quad} is {dict(ptolemy_residuals(point))[quad]}"
+
+
+class TestRowCertificate:
+    """A point keeps its values as one row; is_valid and is_deep_bruteforce
+    decide it by one identity test on the row, against one table per
+    (n, mode)."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    @pytest.mark.parametrize("ctx", [F5, prime_field(101), QQ, QI], ids=str)
+    def test_perturbed_points_keep_their_error_text(self, ctx, n):
+        rng = random.Random(2900 + 13 * n + ctx.characteristic)
+        points = [seeded_torus_point(ctx, n, rng) for _ in range(2)]
+        points += [seeded_torus_point(ctx, n, rng, type_a=True) for _ in range(2)]
+        points += [line_point(ctx, n, rng, 3)[0] for _ in range(2)]
+        if n % 2 == 0:
+            points += [seeded_deep_point(ctx, n, rng) for _ in range(2)]
+        diagonals, edges = polygon_diagonals(n), polygon_edges(n)
+        drawn = []
+        for point in points:
+            values = dict(point.values)
+            s, e = rng.choice(diagonals), rng.choice(edges)
+            for t, v in ((s, values[s] + ctx.one()), (s, ctx.zero()), (e, ctx.zero()),
+                         (e, random_value(ctx, rng))):
+                drawn.append(PolygonPoint(n, point.mode, {**values, t: v}))
+            # the same values read in the other mode
+            other = MODE_BOUNDARY if point.mode == MODE_TYPE_A else MODE_TYPE_A
+            drawn.append(PolygonPoint(n, other, values))
+        kinds = set()
+        for point in points + drawn:
+            want = witness_text(point)
+            assert point.is_valid() == (want is None)
+            if want is None:
+                assert is_deep_bruteforce(point) == even_segment_rule(point)
+                kinds.add("valid")
+                continue
+            with pytest.raises(InvalidPoint) as raised:
+                is_deep_bruteforce(point)
+            assert str(raised.value) == want
+            kinds.add((point.mode, want.startswith("Ptolemy")))
+        assert kinds == {
+            "valid",
+            (MODE_TYPE_A, True), (MODE_TYPE_A, False),
+            (MODE_BOUNDARY, True), (MODE_BOUNDARY, False),
+        }
+
+    @pytest.mark.parametrize("ctx", [F5, QQ, QI], ids=str)
+    def test_certifying_builds_no_values_mapping(self, ctx, rng):
+        points = [seeded_deep_point(ctx, 8, rng), seeded_torus_point(ctx, 7, rng)]
+        points.append(unique_deep_point_typeA(7, QQ))
+        for point in points:
+            assert point.is_valid() and is_deep_bruteforce(point) == (point.n % 2 == 0)
+            first_ptolemy_failure(point)
+            point.value(2, 5)
+            assert point == PolygonPoint(point.n, point.mode, {**point.values})
+            # only the last line read point.values
+            assert point._values is not None
+        fresh = seeded_deep_point(ctx, 6, rng)
+        assert is_deep_bruteforce(fresh) and fresh.is_valid()
+        assert fresh._values is None
+
+    def test_values_read_the_row_and_cannot_be_changed(self, rng):
+        point = seeded_torus_point(QQ, 7, rng)
+        assert list(point.values) == polygon_segments(7)
+        assert list(point.values.values()) == list(point.row)
+        for i, j in polygon_segments(7):
+            assert point.value(i, j) is point.value(j, i) is point.values[i, j]
+        for bad in [(0, 3), (3, 3), (4, 8)]:
+            with pytest.raises(KeyError):
+                point.value(*bad)
+        with pytest.raises(TypeError):
+            point.values[1, 3] = QQ.one()
+        with pytest.raises(AttributeError):
+            point.colour = 1
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_one_table_per_mode(self, n):
+        # type-A puts each edge's x_e - 1 before the chart (1, 2)
+        quads, relations = polygon._chart(n, 1, 2)
+        assert polygon._certificate(n, MODE_BOUNDARY) == (0, quads, relations)
+        ones, typed_quads, typed = polygon._certificate(n, MODE_TYPE_A)
+        assert (ones, typed_quads, typed[ones:]) == (n, quads, relations)
+        index = {s: t for t, s in enumerate(polygon_segments(n))}
+        assert typed[:ones] == tuple(((1, (index[e],)), (-1, ())) for e in polygon_edges(n))
 
 
 def full_table_failure(point):
