@@ -61,10 +61,14 @@ def _read_json(path: str, what: str):
 
 
 def ingest_surface(path: str) -> surface.SurfaceTriangulation:
-    """Read {"polygon_sides": n, "gluings": [[a, b], ...]} and build."""
+    """Read {"polygon_sides": n, "gluings": [[a, b], ...]} and build.  No
+    other key is read, so a misspelt one is refused, not ignored."""
     data = _read_json(path, "surface file")
     if not isinstance(data, dict) or "polygon_sides" not in data:
         raise ParseError(f"{path}: expected keys polygon_sides, gluings")
+    unknown = sorted(set(data) - {"polygon_sides", "gluings"})
+    if unknown:
+        raise ParseError(f"{path}: unknown key {unknown[0]!r}; expected polygon_sides, gluings")
     sides = _integer(data["polygon_sides"], f"{path}: polygon_sides")
     try:
         gluings = [

@@ -27,7 +27,7 @@ import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue
@@ -99,50 +99,42 @@ MAX_TWIST_FLIPS = 4
 MAX_WALK_STEPS = 10**6
 # the attributes `_build_vertices` sets
 _VERTEX_ATTRS = frozenset({"vertex_of_side", "vertex_fans", "interior_vertices"})
-# `_POSITIONS[t][k]` is the side position (t, k): every `side_pos` map
-# holds these shared tuples, not a copy per side; `_positions` only
-# appends to it, so what one caller reads never changes under another.
-# With a fresh tuple per side instead, every triangulation holds its own
-# copies, and the surface-walk benchmark's peak_rss_mb rose 0.73-0.88 MB
-# (+3.0 to +3.6 %) in three 8 s pairs (2-CPU Linux, Python 3.11)
-_POSITIONS: List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]] = []
-
-
-def _positions(count: int) -> List[Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]]:
-    """The position table, covering at least `count` triangles."""
-    for t in range(len(_POSITIONS), count):
-        _POSITIONS.append(((t, 0), (t, 1), (t, 2)))
-    return _POSITIONS
 
 
 class _Complex:
     """Raw half-edge combinatorics shared by surfaces and their cuttings.
-    `glue` is a read-only view of the gluing dict `_glue`, which this code
-    reads directly: a lookup through the view costs about twice as much.
-    Every complex, built or flipped, builds its vertices the first time
-    one of `_VERTEX_ATTRS` is read."""
+    The sides of F triangles are numbered 0..3F-1, and lists by side number
+    hold each side's triangle `tri_of`, its slot there `slot_of`, and its
+    arc `_arc_of_side`.  `glue` is a read-only view of the gluing dict
+    `_glue`, which this code reads directly: a lookup through the view
+    costs about twice as much.  Every complex, built or flipped, builds its
+    vertices the first time one of `_VERTEX_ATTRS` is read."""
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
         self.triangles: Tuple[Triangle, ...] = tuple(tuple(t) for t in triangles)
         self._glue: Dict[int, int] = dict(glue)
         self.glue: Mapping[int, int] = MappingProxyType(self._glue)
-        self.side_pos: Dict[int, Tuple[int, int]] = {}
-        positions = _positions(len(self.triangles))
+        count = 3 * len(self.triangles)
+        self.tri_of: List[int] = [-1] * count
+        self.slot_of: List[int] = [0] * count
         for t, tri in enumerate(self.triangles):
             if len(set(tri)) != 3:
                 raise InvalidPairing(f"triangle {t} repeats a side id")
             for k, s in enumerate(tri):
-                if s in self.side_pos:
+                # 3F distinct ids in 0..3F-1 leave no gap
+                if not 0 <= s < count:
+                    raise InvalidPairing(f"side {s} is not in the side ids 0..{count - 1}")
+                if self.tri_of[s] >= 0:
                     raise InvalidPairing(f"side {s} used twice")
-                self.side_pos[s] = positions[t][k]
+                self.tri_of[s], self.slot_of[s] = t, k
+        self.sides = range(count)
         for a, b in self._glue.items():
             if a == b:
                 raise NonOrientableGluing(f"side {a} glued to itself")
             if self._glue.get(b) != a:
                 raise InvalidPairing(f"gluing of {a} and {b} is not involutive")
-            if a not in self.side_pos or b not in self.side_pos:
+            if a not in self.sides or b not in self.sides:
                 raise InvalidPairing(f"gluing touches unknown side {a} or {b}")
-        self.sides = sorted(self.side_pos)
         self.boundary_sides = [s for s in self.sides if s not in self._glue]
         self._build_arcs()
 
@@ -150,17 +142,15 @@ class _Complex:
 
     def _build_arcs(self) -> None:
         self.arcs: List[Tuple[int, ...]] = []
-        self._arc_of_side: Dict[int, int] = {}
-        done = set()
+        self._arc_of_side: List[int] = [-1] * len(self.sides)
         for s in self.sides:
-            if s in done:
+            if self._arc_of_side[s] >= 0:
                 continue
             orbit = (s, self._glue[s]) if s in self._glue else (s,)
             aid = len(self.arcs)
             self.arcs.append(tuple(sorted(orbit)))
             for x in orbit:
                 self._arc_of_side[x] = aid
-                done.add(x)
 
     def arc_of_side(self, s: int) -> int:
         return self._arc_of_side[s]
@@ -178,15 +168,13 @@ class _Complex:
     # -- triangle navigation ------------------------------------------------
 
     def next_in_tri(self, s: int) -> int:
-        t, k = self.side_pos[s]
-        return self.triangles[t][(k + 1) % 3]
+        return self.triangles[self.tri_of[s]][(self.slot_of[s] + 1) % 3]
 
     def prev_in_tri(self, s: int) -> int:
-        t, k = self.side_pos[s]
-        return self.triangles[t][(k + 2) % 3]
+        return self.triangles[self.tri_of[s]][(self.slot_of[s] + 2) % 3]
 
     def tri_of_side(self, s: int) -> int:
-        return self.side_pos[s][0]
+        return self.tri_of[s]
 
     def _unclosed(self, s0: int) -> SurfaceError:
         # no vertex or boundary walk is longer than the side count, so a
@@ -373,9 +361,8 @@ class SurfaceTriangulation(_Complex):
         if len(arc) == 1:
             raise BoundaryArc(f"arc {aid} is a boundary arc")
         a1, a2 = arc
-        t1, i1 = self.side_pos[a1]
-        t2, i2 = self.side_pos[a2]
-        tri1, tri2 = self.triangles[t1], self.triangles[t2]
+        i1, i2 = self.slot_of[a1], self.slot_of[a2]
+        tri1, tri2 = self.triangles[self.tri_of[a1]], self.triangles[self.tri_of[a2]]
         return a1, tri1[(i1 + 1) % 3], tri1[(i1 + 2) % 3], a2, tri2[(i2 + 1) % 3], tri2[(i2 + 2) % 3]
 
     def flip(self, aid: int) -> "SurfaceTriangulation":
@@ -385,17 +372,14 @@ class SurfaceTriangulation(_Complex):
     def _flip(self, quad: Quad) -> "SurfaceTriangulation":
         """The flip of the arc inside `quad` (its `flip_quad`).  The gluing,
         sides and arcs are shared, the invariants carried and the flip path
-        extended by the flipped arc; it checks nothing (`_new_triangles`)."""
+        extended by the flipped arc; it checks nothing (`_write_flip`)."""
         out = SurfaceTriangulation.__new__(SurfaceTriangulation)
-        triangles = list(self.triangles)
-        side_pos = dict(self.side_pos)
-        for t, tri in _new_triangles(self.side_pos, quad).items():
-            triangles[t] = tri
-            side_pos[tri[0]], side_pos[tri[1]], side_pos[tri[2]] = _POSITIONS[t]
+        triangles, tri_of, slot_of = list(self.triangles), list(self.tri_of), list(self.slot_of)
+        _write_flip(triangles, tri_of, slot_of, quad)
         # set in the order __init__ sets them, less the vertices, so that
         # every triangulation shares one instance attribute layout
         out.triangles = tuple(triangles)
-        out._glue, out.glue, out.side_pos = self._glue, self.glue, side_pos
+        out._glue, out.glue, out.tri_of, out.slot_of = self._glue, self.glue, tri_of, slot_of
         out.sides, out.boundary_sides = self.sides, self.boundary_sides
         out.arcs, out._arc_of_side = self.arcs, self._arc_of_side
         out.reference = self.ref()
@@ -414,13 +398,20 @@ class SurfaceTriangulation(_Complex):
         return chain
 
 
-def _new_triangles(side_pos: Mapping[int, Tuple[int, int]], quad: Quad) -> Dict[int, Triangle]:
-    """The two triangles that replace those of `quad` in its flip, by
-    index.  Neither repeats a side: an arc with both sides in one triangle
-    has them adjacent there, and their shared corner would be a puncture,
-    which `_check_surface` refuses, so the old triangles share no side."""
+def _write_flip(triangles: List[Triangle], tri_of: List[int], slot_of: List[int], quad: Quad) -> None:
+    """Flip the arc inside `quad` (its `flip_quad`) in place: write the two
+    new triangles (a1, q, r) and (a2, s, p) over the old ones, and the new
+    triangle and slot of each side that moves.  Neither repeats a side: an
+    arc with both sides in one triangle has them adjacent there, and their
+    shared corner would be a puncture, which `_check_surface` refuses, so
+    the old triangles share no side."""
     a1, p, q, a2, r, s = quad
-    return {side_pos[a1][0]: (a1, q, r), side_pos[a2][0]: (a2, s, p)}
+    t1, t2 = tri_of[a1], tri_of[a2]
+    triangles[t1], triangles[t2] = (a1, q, r), (a2, s, p)
+    slot_of[a1] = slot_of[a2] = 0
+    slot_of[q] = slot_of[s] = 1
+    slot_of[r] = slot_of[p] = 2
+    tri_of[r], tri_of[p] = t1, t2
 
 
 def build_from_gluing(
@@ -484,9 +475,9 @@ _NAMED_TEMPLATES: Dict[str, SurfaceTriangulation] = {}
 def named_surface(name: str) -> SurfaceTriangulation:
     """The reference triangulation of a named surface.  Each name is built
     from its gluing, and so checked, once per process.  Each call returns a
-    new triangulation that shares that build's triangles, gluing, sides,
-    arcs and vertex tables, as a flip shares its parent's, and has its own
-    attributes and its own side positions, which a caller may change."""
+    new triangulation that shares every table of that build, as a flip
+    shares its parent's gluing and arcs, and has its own attributes.  No
+    code changes a table in place: a flip and a walk write to copies."""
     if name not in _NAMED_GLUINGS:
         raise SurfaceError(f"unknown surface {name!r}; try {sorted(_NAMED_GLUINGS)}")
     template = _NAMED_TEMPLATES.get(name)
@@ -496,7 +487,6 @@ def named_surface(name: str) -> SurfaceTriangulation:
     # set in the order __init__ sets them, as `_flip` does
     for attr, value in vars(template).items():
         setattr(out, attr, value)
-    out.side_pos = dict(template.side_pos)
     return out
 
 
@@ -969,7 +959,7 @@ def _flip_determined(
 
 
 def _flip_value(
-    arc: Union[Mapping[int, int], Sequence[int]],
+    arc: Sequence[int],
     labels: Sequence[int],
     values: Mapping[int, Optional[FieldValue]],
     quad: Quad,
@@ -1049,7 +1039,7 @@ def verify_deep_random_walk(
     flips it in place, by the rule `flip_evaluation` uses.  From a
     certified state a flip can fail only one check, so a step makes only
     that: the exchange identity at a flip to label 0.  The rest holds by
-    the flip itself.  Neither new triangle repeats a side (`_new_triangles`),
+    the flip itself.  Neither new triangle repeats a side (`_write_flip`),
     and `_new_label` finds the new label the same from either new triangle,
     so both are even.
 
@@ -1063,9 +1053,10 @@ def verify_deep_random_walk(
     l(p) = l(r) != l(q) = l(s), and the other pair's product is 0.  So it
     meets the identity and is nonzero.
 
-    The state is flat: the sides are numbered by their place in the sorted
-    side list, so any side ids serve, and lists by that number hold each
-    side's arc, triangle and slot.  A flip of an arc changes the label, value and quadrilateral of
+    The state is flat: copies of the carrier's triangles and of its lists
+    of each side's triangle and slot, which `_write_flip` flips in place,
+    and its list of each side's arc, which no flip changes.  A flip of an
+    arc changes the label, value and quadrilateral of
     no arc outside that quadrilateral, so only its arc and the arcs of its
     four sides are re-tested.  One inline pass re-tests an arc: its quad,
     its new label (the cocycle completion l(q) + l(r), as `_new_label`
@@ -1096,14 +1087,8 @@ def verify_deep_random_walk(
         report.failures.append(f"start: {exc}")
         return report
     t, ctx = start.triangulation, start.ctx
-    sides, arcs, zero = t.sides, t.arcs, ctx.zero()
-    number = {s: i for i, s in enumerate(sides)}
-    arc_of = [t._arc_of_side[s] for s in sides]
-    tri_of = [t.side_pos[s][0] for s in sides]
-    slot_of = [t.side_pos[s][1] for s in sides]
-    triangles = [(number[a], number[b], number[c]) for a, b, c in t.triangles]
-    # each interior arc's two sides, in id order as `flip_quad` takes them
-    ends = [(number[a[0]], number[a[-1]]) for a in arcs]
+    arcs, arc_of, zero = t.arcs, t._arc_of_side, ctx.zero()
+    triangles, tri_of, slot_of = list(t.triangles), list(t.tri_of), list(t.slot_of)
     interior = [len(a) == 2 for a in arcs]
     candidates = [a for a in range(len(arcs)) if interior[a]]
     labels, values = list(start.z2.labels), dict(start.values)
@@ -1114,13 +1099,14 @@ def verify_deep_random_walk(
     in_pool = [False] * len(arcs)
     pool: List[int] = []
     retest: Iterable[int] = candidates
-    value_of, choice = _flip_value, rng.choice
+    value_of, write, choice = _flip_value, _write_flip, rng.choice
     flips_taken = report.flips_taken
     for step in range(steps):
         for x in retest:
             if not interior[x]:
                 continue
-            a1, a2 = ends[x]
+            # the arc's two sides, in id order as `flip_quad` takes them
+            a1, a2 = arcs[x]
             k, tri = slot_of[a1], triangles[tri_of[a1]]
             # slot k - 2 is slot k + 1 and k - 1 is k + 2, mod 3
             sp, sq = tri[k - 2], tri[k - 1]
@@ -1157,14 +1143,7 @@ def verify_deep_random_walk(
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
-        # the two new triangles, as `_new_triangles` writes them
-        a1, sp, sq, a2, sr, ss = quad
-        t1, t2 = tri_of[a1], tri_of[a2]
-        triangles[t1], triangles[t2] = (a1, sq, sr), (a2, ss, sp)
-        slot_of[a1] = slot_of[a2] = 0
-        slot_of[sq] = slot_of[ss] = 1
-        slot_of[sr] = slot_of[sp] = 2
-        tri_of[sr], tri_of[sp] = t1, t2
+        write(triangles, tri_of, slot_of, quad)
         labels[aid] = new_label
         if value is None:
             report.undetermined_values += 1
@@ -1173,10 +1152,11 @@ def verify_deep_random_walk(
         elif get(aid) is None:
             unknown -= 1
         values[aid] = value
+        _, sp, sq, _, sr, ss = quad
         retest = (aid, arc_of[sp], arc_of[sq], arc_of[sr], arc_of[ss])
         flips_taken.append(aid)
     try:
-        end = SurfaceTriangulation([(sides[a], sides[b], sides[c]) for a, b, c in triangles], t.glue)
+        end = SurfaceTriangulation(triangles, t.glue)
         if end.invariants() != t.invariants():
             raise SurfaceError(
                 f"invariants {end.invariants()} differ from the carried {t.invariants()}"
@@ -1223,7 +1203,7 @@ def alternating_double_cover(d: Dissection) -> AlternatingDoubleCover:
         vtx = cut_cx.head_vertex(s) if at_head else cut_cx.tail_vertex(s)
         return (vertex_number[vtx] + copy) % 2
 
-    shift = max(cut_cx.sides) + 1
+    shift = len(cut_cx.sides)
     triangles = list(t.triangles) + [
         tuple(s + shift for s in tri) for tri in t.triangles
     ]

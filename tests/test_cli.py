@@ -321,6 +321,12 @@ BAD_INPUTS = {
         ["surface", "invariants", "--surface", "{file}"],
         {"gluings": [[0, 3]]},
     ),
+    # the keys are polygon_sides and gluings: a misspelt "gluing" is
+    # refused, not read as no gluings
+    "surface-unknown-key": (
+        ["surface", "invariants", "--surface", "{file}", "--json"],
+        {"polygon_sides": 6, "gluing": [[0, 3]]},
+    ),
     "gluing-not-a-list": (
         ["surface", "invariants", "--surface", "{file}"],
         {"polygon_sides": 6, "gluings": [5]},

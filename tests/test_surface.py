@@ -115,8 +115,13 @@ class TestBuilding:
             ([(0, 1, 2), (3, 4, 5)], {0: 3}, InvalidPairing, "gluing of 0 and 3 is not involutive"),
             ([(0, 1, 2)], {0: 9, 9: 0}, InvalidPairing, "gluing touches unknown side 0 or 9"),
             ([], {}, DisconnectedResult, "triangle adjacency graph is disconnected"),
+            # the sides of F triangles are 0..3F-1: a gap at 1 puts 6 past them
+            ([(0, 2, 3), (4, 5, 6)], {}, InvalidPairing, r"side 6 is not in the side ids 0\.\.5"),
+            ([(-1, 0, 1)], {}, InvalidPairing, r"side -1 is not in the side ids 0\.\.2"),
+            ([(0, 1, 2), (3, 4, 9)], {}, InvalidPairing, r"side 9 is not in the side ids 0\.\.5"),
         ],
-        ids=["repeated-side", "shared-side", "self-glued", "one-way", "unknown-side", "empty"],
+        ids=["repeated-side", "shared-side", "self-glued", "one-way", "unknown-side", "empty",
+             "gap-in-ids", "negative-id", "id-past-3F"],
     )
     def test_bad_triangles_and_gluings_are_refused(self, triangles, glue, error, message):
         with pytest.raises(error, match=f"^{message}$"):
@@ -138,16 +143,18 @@ class TestBuilding:
 
     def test_inconsistent_side_position_raises(self):
         # an interior side placed at a wrong slot breaks the vertex walks,
-        # which must stop after the side count instead of looping forever
-        t0 = named_surface("annulus22")
+        # which must stop after the side count instead of looping forever;
+        # each corrupted triangulation is a fresh build, whose lists no
+        # other triangulation shares
+        t0 = build_from_gluing(6, [(0, 3)])
         for s in t0.sides:
             if s not in t0.glue:
                 continue
             for slot in itertools.product(range(len(t0.triangles)), range(3)):
-                if slot == t0.side_pos[s]:
+                if slot == (t0.tri_of[s], t0.slot_of[s]):
                     continue
-                t = named_surface("annulus22")
-                t.side_pos[s] = slot
+                t = build_from_gluing(6, [(0, 3)])
+                t.tri_of[s], t.slot_of[s] = slot
                 with pytest.raises(SurfaceError, match="does not close"):
                     t._build_vertices()
 
@@ -163,8 +170,8 @@ class TestBuilding:
     @pytest.mark.parametrize("name", NAMED_SURFACES)
     def test_named_surface_is_built_once_and_each_call_is_its_own(self, monkeypatch, name):
         # each name is built and checked once per process; every call equals
-        # a fresh build, shares the build's tables, and keeps to itself what
-        # callers change: its attributes, its side positions and its methods
+        # a fresh build, shares every table of the build, and keeps to
+        # itself what callers change: its attributes and its methods
         from deeplocus import surface
 
         checked = []
@@ -181,7 +188,8 @@ class TestBuilding:
 
         def assert_fresh(t):
             assert t == fresh and hash(t) == hash(fresh)
-            assert t.triangles == fresh.triangles and t.side_pos == fresh.side_pos
+            assert t.triangles == fresh.triangles
+            assert (t.tri_of, t.slot_of) == (fresh.tri_of, fresh.slot_of)
             assert t.sides == fresh.sides and t.boundary_sides == fresh.boundary_sides
             assert t.arcs == fresh.arcs and t._arc_of_side == fresh._arc_of_side
             assert t.vertex_of_side == fresh.vertex_of_side
@@ -195,16 +203,43 @@ class TestBuilding:
         assert len(checked) == 1
         for t in (first, second):
             assert_fresh(t)
-        assert first is not second and first.side_pos is not second.side_pos
-        assert first._glue is second._glue and first.arcs is second.arcs
-        assert first.vertex_fans is second.vertex_fans
+        assert first is not second and vars(first) is not vars(second)
+        for attr in ("triangles", "_glue", "tri_of", "slot_of", "sides", "boundary_sides", "arcs",
+                     "_arc_of_side", "vertex_of_side", "vertex_fans"):
+            assert getattr(first, attr) is getattr(second, attr), attr
         first.genus, first.num_marked = 99, 99
-        s = first.sides[0]
-        first.side_pos[s] = first.side_pos[first.sides[-1]]
         first.head_vertex = lambda side: -1
         assert_fresh(named_surface(name))
         assert_fresh(second)
         assert len(checked) == 1
+
+    @pytest.mark.parametrize("name", ["annulus22", "genus1", "genus2", "pants"])
+    def test_the_shared_named_build_is_never_changed(self, name):
+        # named_surface hands out the build's own tables, not copies: flips,
+        # a walk, avoidance, transport, a cut and a double cover from it
+        # write to copies and leave the build's tables as they were
+        from deeplocus import surface
+
+        t = named_surface(name)
+        build = surface._NAMED_TEMPLATES[name]
+        tables = ("triangles", "tri_of", "slot_of", "_arc_of_side")
+        before = {attr: list(getattr(build, attr)) for attr in tables}
+        assert all(getattr(t, attr) is getattr(build, attr) for attr in tables)
+        rng = random.Random(f"shared-build/{name}")
+        flipped = t
+        for _ in range(20):
+            flipped = flipped.flip(rng.choice(flipped.interior_arcs()))
+        report = verify_deep_random_walk(random_deep_point(t, prime_field(101), rng), 200, seed=1)
+        assert report.passed and len(report.flips_taken) == 200
+        for cls in solve_classes(t):
+            dissection_avoiding(t, cls)
+        for cls in solve_classes(flipped):
+            transport_to_reference(cls)
+        d = dissection_spanning_tree(t)
+        cut_polygon(d)
+        alternating_double_cover(d)
+        assert {attr: list(getattr(build, attr)) for attr in tables} == before
+        assert named_surface(name).tri_of is build.tri_of
 
 
 class TestFlips:
@@ -284,7 +319,7 @@ class TestFlips:
             t = t.flip(aid)
             fresh = SurfaceTriangulation(t.triangles, dict(t.glue))
             assert t.triangles == fresh.triangles
-            assert t.side_pos == fresh.side_pos
+            assert (t.tri_of, t.slot_of) == (fresh.tri_of, fresh.slot_of)
             assert t.arcs == fresh.arcs
             assert {s: t.arc_of_side(s) for s in t.sides} == {
                 s: fresh.arc_of_side(s) for s in fresh.sides
@@ -1098,7 +1133,7 @@ class TestDeepPoints:
             _flip_determined,
             _flip_value,
             _new_label,
-            _new_triangles,
+            _write_flip,
         )
 
         rng = random.Random(f"flip-lemma/{ctx!r}")
@@ -1121,9 +1156,10 @@ class TestDeepPoints:
                         for aid in tcur.interior_arcs():
                             quad = tcur.flip_quad(aid)
                             label = _new_label(tcur, labels, quad)
-                            replaced = _new_triangles(tcur.side_pos, quad)
+                            triangles, tri_of = list(tcur.triangles), list(tcur.tri_of)
+                            _write_flip(triangles, tri_of, list(tcur.slot_of), quad)
                             new_labels = {**dict(enumerate(labels)), aid: label}
-                            for tri in replaced.values():
+                            for tri in (triangles[tri_of[quad[0]]], triangles[tri_of[quad[3]]]):
                                 assert len(set(tri)) == 3, (name, aid)
                                 assert sum(new_labels[arc(x)] for x in tri) % 2 == 0, (name, aid)
                             determined = _flip_determined(tcur, labels, values, quad, label)
@@ -1347,27 +1383,6 @@ class TestDeepPoints:
             undetermined += got.undetermined_values
         assert undetermined > 0
 
-    def test_walk_reads_any_side_ids(self):
-        # the walk numbers the sides by their sorted place: sparse and
-        # negative side ids, in the same order, give the same arcs and walk
-        from deeplocus.surface import SurfaceDeepPoint
-
-        rng = random.Random("side-ids")
-        for name in ["annulus22", "genus1", "pants"]:
-            t = named_surface(name)
-            p = random_deep_point(t, prime_field(101), rng)
-            renamed = {s: 7 * s - 40 for s in t.sides}
-            t2 = SurfaceTriangulation(
-                [tuple(renamed[s] for s in tri) for tri in t.triangles],
-                {renamed[a]: renamed[b] for a, b in t.glue.items()},
-            )
-            assert min(t2.sides) < 0 and t2.invariants() == t.invariants()
-            p2 = SurfaceDeepPoint(p.values, Z2Class(t2, p.z2.labels), p.ctx)
-            seed = rng.randrange(2**31)
-            got, want = verify_deep_random_walk(p2, 300, seed), verify_deep_random_walk(p, 300, seed)
-            assert got.passed and len(got.flips_taken) == 300, name
-            assert got.flips_taken == want.flips_taken, name
-
     def test_walk_rejects_fabricated_torus_state(self):
         # all-ones labels violate the vanishing certificate immediately; the
         # class skips its own checks, so the walk's rebuild must catch it
@@ -1418,9 +1433,9 @@ class TestDeepPoints:
         assert (report.failures, report.flips_taken) == ([f"start: {message}"], [])
 
     def test_walk_applies_the_value_rule_once_per_step(self, monkeypatch):
-        # the walk re-tests arcs and writes its new triangles inline: it
-        # calls none of the per-arc rule functions, and `_flip_value`, the
-        # one value rule, once per step
+        # the walk re-tests arcs inline: it calls none of the per-arc rule
+        # functions, and once per step each of `_write_flip`, the one flip
+        # writer, and `_flip_value`, the one value rule
         import deeplocus.surface as surface_module
 
         rng = random.Random("quad-count")
@@ -1435,21 +1450,26 @@ class TestDeepPoints:
         def refuse(*args):
             raise AssertionError("the walk called a per-arc rule function")
 
-        for helper in ("_new_label", "_flip_determined", "_new_triangles"):
+        for helper in ("_new_label", "_flip_determined"):
             monkeypatch.setattr(surface_module, helper, refuse)
-        calls = []
-        value = surface_module._flip_value
+        calls = {"_write_flip": 0, "_flip_value": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return value(*args)
+        def counter(helper):
+            function = getattr(surface_module, helper)
 
-        monkeypatch.setattr(surface_module, "_flip_value", counted)
+            def counted(*args):
+                calls[helper] += 1
+                return function(*args)
+
+            return counted
+
+        for helper in calls:
+            monkeypatch.setattr(surface_module, helper, counter(helper))
         for name, p in starts:
-            calls.clear()
+            calls.update(dict.fromkeys(calls, 0))
             report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
             assert report.passed and len(report.flips_taken) == 300, name
-            assert len(calls) == 300, name
+            assert calls == {"_write_flip": 300, "_flip_value": 300}, name
 
     def test_walk_memory_does_not_keep_its_path(self):
         # the walk flips one state in place and keeps no flip path: a

@@ -14,7 +14,8 @@ checkout's path is written as ``{root}`` and the input file's as
 from fixed seeds, so every run makes the same calls.
 
 The calls cover every leaf command; the fields q, qi, fp:2, fp:3, fp:5,
-fp:7 and fp:13; every scenario at seeds 0-3, with and without --json; the
+fp:7 and fp:13; every scenario at seeds 0-3, with and without --json; seeded
+walks on annulus22, and on genus1, genus2, pants and genus8 over Q and F_13; the
 README's examples; and the refusals of ``BAD_INPUTS`` in tests/test_cli.py.
 A change that means to alter an output re-records the file and names each
 call whose record changed, and why.
@@ -154,7 +155,37 @@ def _surface() -> List[Call]:
             calls.append((["surface", "deep", "--surface", f"{DATA}/annulus22.json", *fixture,
                            "--steps", steps, "--seed", str(seed), "--json"], None))
     calls.append((["surface", "deep", "--name", "annulus22", *fixture, "--json"], None))
+    # walks on other surfaces, each from a deep point written as the call's
+    # {file}: random nonzero values on the boundary and the spanning-tree
+    # dissection, with the first boundary arc's value closing the cut polygon
+    from deeplocus.cli import ingest_surface
+    from deeplocus.surface import named_surface
+
+    walks = [(["--name", name], named_surface(name)) for name in ("genus1", "genus2", "pants")]
+    genus8 = f"{DATA}/genus8.json"
+    walks.append((["--surface", genus8], ingest_surface(genus8.replace("{root}", str(ROOT)))))
+    rng = random.Random(2030)
+    for where, t in walks:
+        for field in ("q", "fp:13"):
+            doc = _deep_fixture(t, field, rng)
+            for seed in range(3):
+                for steps in ("1", "20", "200"):
+                    calls.append((["surface", "deep", *where, "--fixture", "{file}", "--steps", steps,
+                                   "--seed", str(seed), "--json"], doc))
     return calls
+
+
+def _deep_fixture(t, field: str, rng: random.Random) -> dict:
+    from deeplocus.cli import parse_field
+    from deeplocus.surface import dissection_spanning_tree, solve_closing_value
+
+    ctx = parse_field(field)
+    d = dissection_spanning_tree(t)
+    values = {a: _nonzero(ctx, rng) for a in sorted({*t.boundary_arcs(), *d.arcs})}
+    target = t.boundary_arcs()[0]
+    values[target] = solve_closing_value(d, values, target)
+    return {"field": field, "dissection": d.sorted_arcs(),
+            "values": {str(a): str(v) for a, v in values.items()}}
 
 
 def _scenario() -> List[Call]:
