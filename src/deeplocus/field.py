@@ -10,8 +10,19 @@ with ``den > 0`` and ``gcd(re, im, den) == 1``.  Arithmetic works on those
 ints directly; ``Fraction`` appears only where text and other numbers come
 in and go out (parsing, ``rational``, ``gaussian``, roots, strings and sort
 keys).  The factories return one shared context per field, so contexts
-compare by identity.  ``FieldContext.first_nonzero_relation`` tests a table
-of polynomial identities at a point's values without building values.
+compare by identity.
+
+``FieldContext.first_nonzero_relation`` tests a table of polynomial
+identities at a point's values without building values.  A table is
+prepared once as a ``RelationTable``: a tuple of its relations that also
+keeps them as runs of flat rows by shape.  Over F_p the exchange
+x_a x_b - x_c x_d - x_e x_f (every Ptolemy relation and every Markov
+exchange) is read as ``(r[a]*r[b] - r[c]*r[d] - r[e]*r[f]) % p`` in one
+unrolled loop, and any other relation, such as a type-A edge's x_t - 1 or
+the Markov torus relation, is summed monomial by monomial.  Over F_p a
+plain sequence of relations is prepared on each call, so callers cache
+the tables they test often; Q and Q(i) read a table as its relations, one
+monomial at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import functools
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DeepLocusError
 
@@ -29,6 +40,9 @@ GAUSSIAN_RATIONALS = "gaussian-rationals"
 PRIME_FIELD = "prime-field"
 
 _MAX_PRIME = 2**31
+
+# the canonical payload of zero in each kind of field
+_ZERO_PAYLOADS = {PRIME_FIELD: 0, RATIONALS: (0, 1), GAUSSIAN_RATIONALS: (0, 0, 1)}
 
 # F_p root finding tries every element, so it is refused past this prime
 MAX_ROOT_SCAN_PRIME = 2**16
@@ -234,31 +248,91 @@ class FieldContext:
 
         Each relation is a sum of monomials (c, idx) over indices into
         values; see Relation.  The test is exact, reads each value once and
-        builds no FieldValue: F_p sums a relation over the residues and
-        reduces once; Q cross-multiplies the payloads' integer numerators
-        and denominators; Q(i) does the same over their Gaussian
-        numerators.  One pass checks each value's context and takes its
-        payload."""
+        builds no FieldValue: F_p reads the runs of a RelationTable, and
+        prepares any other sequence as one on the call, summing each row
+        over the residues and reducing once; Q cross-multiplies the
+        payloads' integer numerators and denominators; Q(i) does the same
+        over their Gaussian numerators.  One pass checks each value's
+        context and takes its payload."""
         payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
         if self.kind == PRIME_FIELD:
-            return _first_nonzero_mod(payloads, self.p, relations)
+            if not isinstance(relations, RelationTable):
+                relations = RelationTable(relations)
+            return _first_nonzero_mod(payloads, self.p, relations.runs)
         if self.kind == RATIONALS:
             return _first_nonzero_q(payloads, relations)
         return _first_nonzero_qi(payloads, relations)
+
+    def count_zeros(self, values: Sequence["FieldValue"], indices: Sequence[int]) -> int:
+        """How many of the values at indices are zero.  Reads only those
+        values, checks each one's context, and compares payloads, which
+        are canonical."""
+        zero = _ZERO_PAYLOADS[self.kind]
+        count = 0
+        for t in indices:
+            v = values[t]
+            if (v._v if v.ctx is self else self._mismatch(v)) == zero:
+                count += 1
+        return count
 
     def _mismatch(self, v: "FieldValue"):
         raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
 
 
-def _first_nonzero_mod(res: List[int], p: int, relations: Sequence[Relation]) -> Optional[int]:
-    for r, relation in enumerate(relations):
-        total = 0
-        for c, idx in relation:
-            for i in idx:
-                c *= res[i]
-            total += c
-        if total % p:
-            return r
+# the row shapes of a RelationTable: the exchange x_a x_b - x_c x_d - x_e x_f
+# (every Ptolemy relation, and every Markov exchange), flattened to
+# (a, b, c, d, e, f), and any other relation, kept as it is
+_EXCHANGE, _GENERIC = "exchange", "generic"
+# (shape, index of the run's first relation, its rows)
+Runs = Tuple[Tuple[str, int, tuple], ...]
+
+
+def _row(relation: Relation) -> Tuple[str, object]:
+    """The shape of one relation and its row in that shape."""
+    monomials = tuple((c, tuple(idx)) for c, idx in relation)
+    if tuple((c, len(idx)) for c, idx in monomials) == ((1, 2), (-1, 2), (-1, 2)):
+        return _EXCHANGE, monomials[0][1] + monomials[1][1] + monomials[2][1]
+    return _GENERIC, monomials
+
+
+class RelationTable(tuple):
+    """A table of relations prepared for first_nonzero_relation: a tuple of
+    the relations as given, in order, which also keeps them as runs of
+    flat rows, one run per stretch of relations of one shape (_row).  Each
+    run is (shape, index of its first relation, rows), so the F_p identity
+    test reads every row of an exchange run in one unrolled loop.  Build
+    one once for a table that is tested many times."""
+
+    runs: Runs
+
+    def __new__(cls, relations: Iterable[Relation]) -> "RelationTable":
+        table = super().__new__(cls, relations)
+        runs: List[Tuple[str, int, list]] = []
+        for r, relation in enumerate(table):
+            shape, row = _row(relation)
+            if runs and runs[-1][0] == shape:
+                runs[-1][2].append(row)
+            else:
+                runs.append((shape, r, [row]))
+        table.runs = tuple((shape, start, tuple(rows)) for shape, start, rows in runs)
+        return table
+
+
+def _first_nonzero_mod(res: List[int], p: int, runs: Runs) -> Optional[int]:
+    for shape, start, rows in runs:
+        if shape is _EXCHANGE:
+            for r, (a, b, c, d, e, f) in enumerate(rows, start):
+                if (res[a] * res[b] - res[c] * res[d] - res[e] * res[f]) % p:
+                    return r
+        else:
+            for r, relation in enumerate(rows, start):
+                total = 0
+                for c, idx in relation:
+                    for i in idx:
+                        c *= res[i]
+                    total += c
+                if total % p:
+                    return r
     return None
 
 

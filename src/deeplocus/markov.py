@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue, Relation
+from .field import FieldContext, FieldValue, Relation, RelationTable
 
 DIRECTIONS = ("x", "y", "z")
 
@@ -285,7 +285,7 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> Tuple[Relation, ...]:
+def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> RelationTable:
     """The identities of one tree node, over its values (x, y, z, M, then the
     new value of each child, one per direction in dirs): on a torus cluster
     x^2 + y^2 + z^2 - M*x*y*z, which vanishes iff the Markov element is M;
@@ -296,7 +296,7 @@ def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> Tuple[Relation, ...]:
     for slot, d in enumerate(dirs, start=4):
         k = DIRECTIONS.index(d)
         relations.append(((1, (k, slot)),) + tuple((-1, (t, t)) for t in range(3) if t != k))
-    return tuple(relations)
+    return RelationTable(relations)
 
 
 def _record_failures(

@@ -22,13 +22,14 @@ oracle the tests hold the read to.
 Certificates test the Ptolemy relations in a chart: the C(n-2, 2)
 relations through the first segment with a nonzero value hold exactly
 when all C(n, 4) do, and the first of them to fail is the first failure
-in full order (see first_ptolemy_failure).  Each chart is cached as
-signed monomials, which the field's exact identity test checks without
-building field values.  A point is certified by one such test on its
-row, against one table per (n, mode): in type-A mode each edge's
-x_e - 1, then the chart (1, 2), which is the first chart once the edges
-are nonzero.  The full per-n table serves the variety scan and the tests
-as an oracle, and ptolemy_residuals stays as the field-value oracle.
+in full order (see first_ptolemy_failure).  Each chart is cached as a
+field.RelationTable, prepared once, which the field's exact identity test
+checks without building field values.  A point is certified by one such
+test on its row, against one table per (n, mode): in type-A mode each
+edge's x_e - 1, then the chart (1, 2), which is the first chart once the
+edges are nonzero.  The full per-n table serves the variety scan and the
+tests as an oracle, and ptolemy_residuals stays as the field-value
+oracle.
 
 The exhaustive variety scan over F_p prunes: it assigns edges, then
 diagonals, as raw residues and rejects a partial assignment as soon as a
@@ -47,7 +48,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue, Relation, product
+from .field import FieldContext, FieldValue, Relation, RelationTable, product
 
 Segment = Tuple[int, int]
 Quad = Tuple[int, int, int, int]
@@ -350,9 +351,10 @@ def _ptolemy_table(n: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
 
 
 @functools.lru_cache(maxsize=32)
-def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ...]]:
+def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], RelationTable]:
     """_ptolemy_table(n) cut down to the C(n-2, 2) 4-subsets that hold both
-    a and b, in the same order, built without the full table."""
+    a and b, in the same order, built without the full table, with the
+    relations prepared for the identity test."""
     others = [v for v in range(1, n + 1) if v != a and v != b]
     # adding {a, b} to each pair keeps combinations order: for two sets of
     # one size, the one holding the least element of their difference is
@@ -360,7 +362,7 @@ def _chart(n: int, a: int, b: int) -> Tuple[Tuple[Quad, ...], Tuple[Relation, ..
     quads = tuple(
         tuple(sorted((a, b, i, j))) for i, j in itertools.combinations(others, 2)
     )
-    return quads, tuple(_relation(n, q) for q in quads)
+    return quads, RelationTable(_relation(n, q) for q in quads)
 
 
 def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
@@ -405,7 +407,7 @@ def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
 
 
 @functools.lru_cache(maxsize=64)
-def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], Tuple[Relation, ...]]:
+def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
     """The one relation table a point of the n-gon in this mode is certified
     against, and how many of its relations come before the chart's: in
     type-A mode each edge's x_e - 1, in _edges(n) order, then the
@@ -416,14 +418,14 @@ def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], Tuple[Relati
     if mode == MODE_BOUNDARY:
         return 0, quads, relations
     ones = tuple(((1, (t,)), (-1, ())) for t in _edge_slots(n))
-    return len(ones), quads, ones + relations
+    return len(ones), quads, RelationTable(ones + relations)
 
 
 def _first_violation(p: PolygonPoint) -> Optional[str]:
     """The InvalidPoint text of p's first failure, or None when p is valid:
     its mode violations when it has any, else its first Ptolemy failure.
     One identity test on the row decides."""
-    if p.mode == MODE_BOUNDARY and any(p.row[t].is_zero for t in _edge_slots(p.n)):
+    if p.mode == MODE_BOUNDARY and p.ctx.count_zeros(p.row, _edge_slots(p.n)):
         return "; ".join(p.mode_violations())
     ones, quads, relations = _certificate(p.n, p.mode)
     r = p.ctx.first_nonzero_relation(p.row, relations)
@@ -449,13 +451,13 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
 
     p must be valid: InvalidPoint names its mode violations or its first
     Ptolemy failure.  One identity test on the row checks both (see
-    _certificate).  Deepness is then read off O(n) values of the chart's
-    two rows: a valid point p is deep iff n is even, x_1k = 0 for every odd
-    k >= 3 and x_2k = 0 for every even k >= 4.  This follows from a lemma,
-    proved below: p is deep iff n is even and x_ij = 0 for every segment
-    (i, j) with j - i even.  Both hold in every characteristic, and
-    _is_deep, which ANDs the zeros against every triangulation, is their
-    oracle in the tests.
+    _certificate).  Deepness is then read off the payloads of O(n) values
+    of the chart's two rows: a valid point p is deep iff n is even,
+    x_1k = 0 for every odd k >= 3 and x_2k = 0 for every even k >= 4.  This
+    follows from a lemma, proved below: p is deep iff n is even and
+    x_ij = 0 for every segment (i, j) with j - i even.  Both hold in every
+    characteristic, and _is_deep, which ANDs the zeros against every
+    triangulation, is their oracle in the tests.
 
     The lemma, if: for even n, parity 2-colours the cycle 1, 2, ..., n, 1
     with adjacent vertices apart.  A triangle has three vertices, so two
@@ -489,8 +491,10 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
     bad = _first_violation(p)
     if bad is not None:
         raise InvalidPoint(bad)
-    row = p.row
-    return p.n % 2 == 0 and all(row[t].is_zero for t in _deep_slots(p.n))
+    if p.n % 2:
+        return False
+    slots = _deep_slots(p.n)
+    return p.ctx.count_zeros(p.row, slots) == len(slots)
 
 
 def _is_deep(p: PolygonPoint) -> bool:
@@ -733,6 +737,19 @@ def max_search_cap(override: Optional[int] = None) -> int:
         ) from None
 
 
+def _count_text(size: int, p: int, diagonal_count: int, free_edge_count: int) -> str:
+    """The nominal assignment count size = p^diagonal_count *
+    (p - 1)^free_edge_count, in full, or in that power form when it is
+    too long for the interpreter to print, such as 3^9590."""
+    try:
+        return str(size)
+    except ValueError:
+        powers = [f"{p}^{diagonal_count}"]
+        if free_edge_count and p > 2:
+            powers.append(f"{p - 1}^{free_edge_count}")
+        return " * ".join(powers)
+
+
 @functools.lru_cache(maxsize=32)
 def _scan_table(n: int) -> Tuple[Tuple[Segment, ...], Tuple[Tuple[Tuple[int, ...], ...], ...]]:
     """The scan's slots, polygon_edges(n) then polygon_diagonals(n), and
@@ -762,12 +779,15 @@ def bruteforce_variety_scan(
     values are assigned as residues one segment at a time, and each Ptolemy
     relation is checked mod p once its last segment is assigned, so a
     failing prefix skips every assignment that extends it.  The cap is
-    still checked against the nominal assignment count.
+    still checked against the nominal assignment count, and n against
+    MAX_POLYGON_N before any segment list is built; a count too long to
+    print is named in power form.
     """
     if mode not in (MODE_BOUNDARY, MODE_TYPE_A):
         raise PolygonError(f"unknown mode {mode!r}")
     if not ctx.p:
         raise SearchTooLarge("exhaustive scans need a finite field")
+    _check_polygon_size(n)
     diagonals = polygon_diagonals(n)
     edges = polygon_edges(n)
     p = ctx.p
@@ -775,7 +795,8 @@ def bruteforce_variety_scan(
     size = p ** len(diagonals) * max(1, (p - 1) ** free_edge_count)
     cap = max_search_cap(max_search)
     if size > cap:
-        raise SearchTooLarge(f"{size} assignments exceed the cap {cap}")
+        count = _count_text(size, p, len(diagonals), free_edge_count)
+        raise SearchTooLarge(f"{count} assignments exceed the cap {cap}")
 
     all_elems = list(ctx.elements())
     slots, relations = _scan_table(n)

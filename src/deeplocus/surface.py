@@ -111,32 +111,56 @@ class _Complex:
     vertices the first time one of `_VERTEX_ATTRS` is read."""
 
     def __init__(self, triangles: Sequence[Triangle], glue: Mapping[int, int]):
-        self.triangles: Tuple[Triangle, ...] = tuple(tuple(t) for t in triangles)
-        self._glue: Dict[int, int] = dict(glue)
-        self.glue: Mapping[int, int] = MappingProxyType(self._glue)
-        count = 3 * len(self.triangles)
-        self.tri_of: List[int] = [-1] * count
-        self.slot_of: List[int] = [0] * count
-        for t, tri in enumerate(self.triangles):
+        triangles = tuple(tuple(t) for t in triangles)
+        glue = dict(glue)
+        count = 3 * len(triangles)
+        tri_of, slot_of = [-1] * count, [0] * count
+        for t, tri in enumerate(triangles):
             if len(set(tri)) != 3:
                 raise InvalidPairing(f"triangle {t} repeats a side id")
             for k, s in enumerate(tri):
                 # 3F distinct ids in 0..3F-1 leave no gap
                 if not 0 <= s < count:
                     raise InvalidPairing(f"side {s} is not in the side ids 0..{count - 1}")
-                if self.tri_of[s] >= 0:
+                if tri_of[s] >= 0:
                     raise InvalidPairing(f"side {s} used twice")
-                self.tri_of[s], self.slot_of[s] = t, k
-        self.sides = range(count)
-        for a, b in self._glue.items():
+                tri_of[s], slot_of[s] = t, k
+        sides = range(count)
+        for a, b in glue.items():
             if a == b:
                 raise NonOrientableGluing(f"side {a} glued to itself")
-            if self._glue.get(b) != a:
+            if glue.get(b) != a:
                 raise InvalidPairing(f"gluing of {a} and {b} is not involutive")
-            if a not in self.sides or b not in self.sides:
+            if a not in sides or b not in sides:
                 raise InvalidPairing(f"gluing touches unknown side {a} or {b}")
-        self.boundary_sides = [s for s in self.sides if s not in self._glue]
+        self._set_tables(triangles, glue, tri_of, slot_of)
+
+    def _set_tables(
+        self, triangles: Tuple[Triangle, ...], glue: Dict[int, int], tri_of: List[int], slot_of: List[int]
+    ) -> None:
+        """Set this complex's tables from checked parts, in the one order
+        every complex sets them, and build its boundary sides and arcs: the
+        last step of __init__ and of _with_glue."""
+        self.triangles: Tuple[Triangle, ...] = triangles
+        self._glue: Dict[int, int] = glue
+        self.glue: Mapping[int, int] = MappingProxyType(glue)
+        self.tri_of: List[int] = tri_of
+        self.slot_of: List[int] = slot_of
+        self.sides = range(len(tri_of))
+        self.boundary_sides = [s for s in self.sides if s not in glue]
         self._build_arcs()
+
+    def _with_glue(self, glue: Dict[int, int]) -> "_Complex":
+        """The complex on these triangles glued only by glue, a part of this
+        complex's gluing that holds both sides of each pair it holds.  It
+        shares the triangles and the position lists tri_of and slot_of,
+        which no code writes after a build (flips and walks write copies),
+        and builds only its gluing, boundary sides and arcs.  Part of an
+        involution with no fixed point is one, so the gluing needs no
+        check."""
+        out = _Complex.__new__(_Complex)
+        out._set_tables(self.triangles, glue, self.tri_of, self.slot_of)
+        return out
 
     # -- arcs -------------------------------------------------------------
 
@@ -637,7 +661,8 @@ def transport_to_reference(cls: Z2Class) -> Z2Class:
 class Dissection:
     """Interior arcs whose complement is a spanning tree of the triangle
     adjacency graph; cutting along them opens the surface to a polygon.
-    The cut is made once, here: `cut_complex`, which `_cut` reads.  The
+    The cut is made once, here: `cut_complex`, which `_cut` reads; it
+    shares the carrier's triangles and side positions (`_with_glue`).  The
     polygon it opens into is built on the first `cut_polygon` call and
     kept as `polygon`."""
 
@@ -658,7 +683,7 @@ class Dissection:
         if len(tree_arcs) != len(t.triangles) - 1:
             raise NotADissection("complement has the wrong size for a spanning tree")
         arc = t._arc_of_side
-        cx = _Complex(t.triangles, {a: b for a, b in t._glue.items() if arc[a] not in self.arcs})
+        cx = t._with_glue({a: b for a, b in t._glue.items() if arc[a] not in self.arcs})
         if not cx.connected():
             raise NotADissection("complement does not span the triangles")
         object.__setattr__(self, "cut_complex", cx)

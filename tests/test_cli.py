@@ -427,6 +427,23 @@ BAD_INPUTS = {
 }
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["--n", "140", "--field", "fp:3"], "3^9590"),
+        (["--n", "140", "--field", "fp:3", "--mode", "boundary-coefficients"], "3^9590 * 2^140"),
+        (["--n", "200", "--field", "fp:2", "--mode", "boundary-coefficients"], "2^19700"),
+        (["--n", "10", "--field", "fp:3"], str(3**35)),
+    ],
+)
+def test_a_scan_over_the_search_cap_exits_1_with_its_count(monkeypatch, capsys, argv, count):
+    # a count too long to print in full is given as powers, not a traceback
+    monkeypatch.delenv("DEEPLOCUS_MAX_SEARCH", raising=False)
+    code, out = run_cli(["polygon", "scan", *argv, "--json"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: SearchTooLarge: {count} assignments exceed the cap 10000000\n"
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     argv, doc = BAD_INPUTS[case]
@@ -697,6 +714,7 @@ def test_genus16_surface_deep_builds_no_full_ptolemy_table(monkeypatch, tmp_path
         (["polygon", "from-edges", "--edges", ",".join(["1"] * 258)], "alternating_condition", 258),
         (["polygon", "deep-typea", "--rank", "255"], "polygon_edges", 258),
         (["polygon", "deep-typea", "--rank", str(10**9 + 1)], "polygon_edges", 10**9 + 4),
+        (["polygon", "scan", "--n", "257", "--field", "fp:3"], "polygon_diagonals", 257),
     ],
 )
 def test_polygon_over_the_size_cap_exits_1_without_a_point(monkeypatch, capsys, argv, unbuilt, n):

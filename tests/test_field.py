@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -421,6 +422,152 @@ class TestIdentityOracle:
     def test_values_from_another_field_are_refused(self):
         with pytest.raises(ContextMismatch):
             QQ.first_nonzero_relation([QQ.one(), F5.one()], [((1, (0, 1)),)])
+
+
+# ---------------------------------------------------------------------------
+# prepared relation tables: every table the package caches, against the
+# field-value oracle
+
+
+def fan(n):
+    return polygon.PolygonTriangulation(n, frozenset((1, k) for k in range(3, n)))
+
+
+def certificate_vectors(ctx, n, mode, rng):
+    """Rows of the n-gon: valid points seeded on a fan, with their edges at
+    1 in type-A mode, and deep points, each with a perturbed copy; the row
+    of ones; then random rows, once as drawn and once with valid edges, so
+    that each part of a certificate is reached."""
+    edges = polygon.polygon_edges(n)
+    segments = polygon.polygon_segments(n)
+    one = ctx.one()
+
+    def edge_value():
+        return one if mode == polygon.MODE_TYPE_A else identity_draw(ctx, rng, nonzero=True)
+
+    points = []
+    for _ in range(2):
+        seeds = {d: identity_draw(ctx, rng, nonzero=True) for d in fan(n).diagonals}
+        points.append(polygon.extend_from_triangulation(n, fan(n), seeds, {e: edge_value() for e in edges}))
+    try:
+        if mode == polygon.MODE_TYPE_A:
+            points.append(polygon.unique_deep_point_typeA(n - 3, ctx))
+        elif n % 2 == 0:
+            points.append(polygon.deep_point_from_edges(n, _closing_edges(ctx, n, rng)))
+    except polygon.PolygonError:
+        pass
+    for point in points:
+        values = list(point.row)
+        yield values
+        yield perturbed(ctx, values, rng)
+    # valid edges in both modes, and x_13 x_24 - x_12 x_34 - x_14 x_23 = -1
+    yield [one] * len(segments)
+    for _ in range(2):
+        values = [identity_draw(ctx, rng) for _ in segments]
+        yield values
+        yield [edge_value() if s in edges else v for s, v in zip(segments, values)]
+
+
+def node_vectors(ctx, dirs, rng):
+    """markov_vectors as node rows: x, y, z, M, then the new value of each
+    child in dirs."""
+    for values in markov_vectors(ctx, rng, count=4):
+        new = dict(zip(markov.DIRECTIONS, values[4:]))
+        yield values[:4] + [new[d] for d in dirs]
+
+
+def node_tables():
+    for torus in (True, False):
+        for k in range(4):
+            for dirs in itertools.combinations(markov.DIRECTIONS, k):
+                yield dirs, markov._node_relations(torus, dirs)
+
+
+def check_prepared(ctx, values, table):
+    """The first failure of a prepared table, which equals the field-value
+    oracle's and that of the same relations prepared on the call."""
+    want = first_nonzero_by_field_values(ctx, values, table)
+    assert ctx.first_nonzero_relation(values, table) == want
+    assert ctx.first_nonzero_relation(values, list(table)) == want
+    return want
+
+
+class TestPreparedTables:
+    @pytest.mark.parametrize("mode", [polygon.MODE_BOUNDARY, polygon.MODE_TYPE_A])
+    @pytest.mark.parametrize("n", range(4, 15))
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_certificates(self, ctx, n, mode):
+        rng = random.Random(f"certificate/{ctx.p}/{ctx.kind}/{n}/{mode}")
+        ones, quads, certificate = polygon._certificate(n, mode)
+        reached = set()
+        for values in certificate_vectors(ctx, n, mode, rng):
+            r = check_prepared(ctx, values, certificate)
+            reached.add("valid" if r is None else "edge" if r < ones else "chart")
+        expected = {"valid", "chart", "edge"} if mode == polygon.MODE_TYPE_A else {"valid", "chart"}
+        assert reached == expected
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_charts(self, ctx):
+        rng = random.Random(f"chart/{ctx.p}/{ctx.kind}")
+        failing = set()
+        for n in (5, 8, 11):
+            vectors = list(certificate_vectors(ctx, n, polygon.MODE_BOUNDARY, rng))
+            for a, b in ((1, 2), (1, n), (2, 5), (n - 2, n - 1), (3, n)):
+                quads, table = polygon._chart(n, a, b)
+                for values in vectors:
+                    failing.add(check_prepared(ctx, values, table) is None)
+        assert failing == {True, False}
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_markov_node_tables(self, ctx):
+        rng = random.Random(f"node/{ctx.p}/{ctx.kind}")
+        for dirs, table in node_tables():
+            failing_at = {check_prepared(ctx, values, table) for values in node_vectors(ctx, dirs, rng)}
+            assert None in failing_at and (len(failing_at) > 1 or not table)
+
+    def test_tables_are_unrolled_by_shape(self):
+        # each cached table keeps its relations, and flat rows for F_p: the
+        # exchange rows unrolled, the type-A edges' x_t - 1 and the Markov
+        # torus relation generic
+        for n in range(4, 15):
+            boundary = polygon._certificate(n, polygon.MODE_BOUNDARY)[2]
+            typed = polygon._certificate(n, polygon.MODE_TYPE_A)[2]
+            assert [run[:2] for run in boundary.runs] == [("exchange", 0)]
+            assert [run[:2] for run in typed.runs] == [("generic", 0), ("exchange", n)]
+            assert typed.runs[1][2] == boundary.runs[0][2]
+            assert typed == tuple(((1, (t,)), (-1, ())) for t in polygon._edge_slots(n)) + boundary
+        for dirs, table in node_tables():
+            shapes = [shape for shape, _, _ in table.runs]
+            assert shapes == ["generic"] * (len(table) > len(dirs)) + ["exchange"] * bool(dirs)
+            assert sum(len(rows) for _, _, rows in table.runs) == len(table)
+
+    def test_foreign_values_are_refused(self):
+        tables = [(45, polygon._certificate(10, polygon.MODE_TYPE_A)[2]),
+                  (28, polygon._chart(8, 2, 5)[1])]
+        tables += [(4 + len(dirs), table) for dirs, table in node_tables()]
+        for size, table in tables:
+            for ctx, other in ((QQ, QI), (QI, QQ), (F3, prime_field(101)), (prime_field(101), QQ)):
+                with pytest.raises(ContextMismatch):
+                    ctx.first_nonzero_relation([ctx.one()] * (size - 1) + [other.one()], table)
+                with pytest.raises(ContextMismatch):
+                    ctx.first_nonzero_relation([other.zero()] * size, table)
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_count_zeros(self, ctx):
+        rng = random.Random(f"zero/{ctx.p}/{ctx.kind}")
+        found = set()
+        for _ in range(200):
+            values = [identity_draw(ctx, rng) for _ in range(6)]
+            indices = rng.sample(range(6), 3)
+            want = sum(values[t].is_zero for t in indices)
+            assert ctx.count_zeros(values, indices) == want
+            found.add(want)
+        assert {0, 1, 2} <= found
+        # only the indexed values are read, and each one's field is checked
+        other = QI if ctx is QQ else QQ
+        assert ctx.count_zeros([other.zero(), ctx.zero()], [1]) == 1
+        with pytest.raises(ContextMismatch):
+            ctx.count_zeros([ctx.one(), other.one()], [0, 1])
 
 
 # ---------------------------------------------------------------------------

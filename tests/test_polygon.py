@@ -421,6 +421,32 @@ class TestVarietyScan:
         with pytest.raises(SearchTooLarge):
             bruteforce_variety_scan(4, QQ, MODE_TYPE_A)
 
+    def test_a_count_too_long_to_print_is_given_as_powers(self):
+        # the nominal count is still the one compared with the cap
+        cases = [
+            (130, F3, MODE_TYPE_A, str(3**8255)),
+            (140, F3, MODE_TYPE_A, "3^9590"),
+            (140, F3, MODE_BOUNDARY, "3^9590 * 2^140"),
+            (200, F2, MODE_BOUNDARY, "2^19700"),
+            (256, prime_field(2**31 - 1), MODE_BOUNDARY, f"{2**31 - 1}^32384 * {2**31 - 2}^256"),
+        ]
+        for n, ctx, mode, count in cases:
+            with pytest.raises(SearchTooLarge) as info:
+                bruteforce_variety_scan(n, ctx, mode, max_search=100)
+            assert str(info.value) == f"{count} assignments exceed the cap 100"
+        assert bruteforce_variety_scan(4, F2, MODE_TYPE_A, max_search=2**9590)
+
+    def test_the_size_cap_is_checked_before_any_segment_list(self, monkeypatch):
+        from deeplocus import polygon
+
+        def unreached(*args):
+            raise AssertionError("a segment list was built")
+
+        for name in ("polygon_diagonals", "polygon_edges", "polygon_segments", "_segments"):
+            monkeypatch.setattr(polygon, name, unreached)
+        with pytest.raises(SizeOutOfRange, match="the 257-gon exceeds the cap MAX_POLYGON_N = 256"):
+            bruteforce_variety_scan(257, F3, MODE_TYPE_A)
+
     def test_unknown_mode_is_named_before_the_search_is_sized(self):
         # boundary mode over F5 on the octagon is far above the cap; a
         # bogus mode must not be sized as boundary mode

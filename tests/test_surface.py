@@ -574,6 +574,33 @@ class TestDissections:
         assert cx.vertex_fans
         assert _VERTEX_ATTRS <= set(vars(cx))
 
+    @pytest.mark.parametrize("name", NAMED_SURFACES + ["genus8"])
+    def test_a_cut_shares_its_carriers_positions(self, name):
+        # the cut shares the carrier's triangles and position lists, and
+        # everything it builds equals a fresh build; walks and flips write
+        # copies, so the shared lists never change
+        t = genus_surface(8) if name == "genus8" else named_surface(name)
+        rng = random.Random(f"shared/{name}")
+        d = dissection_spanning_tree(t)
+        cx, fresh = d.cut_complex, _cut_complex(t, d.arcs)
+        assert cx.triangles is t.triangles and cx.tri_of is t.tri_of and cx.slot_of is t.slot_of
+        for attr in ("triangles", "tri_of", "slot_of", "glue", "sides", "boundary_sides", "arcs",
+                     "_arc_of_side", "vertex_fans", "vertex_of_side"):
+            assert getattr(cx, attr) == getattr(fresh, attr), attr
+        assert cx.boundary_components() == fresh.boundary_components()
+        kept = (t.triangles, list(t.tri_of), list(t.slot_of))
+        if t.num_marked % 2 == 0:
+            p = random_deep_point(t, prime_field(101), rng)
+            assert p.z2.carrier is t
+            assert verify_deep_random_walk(p, 200, seed=rng.randrange(100)).passed
+        if name != "genus8":
+            # genus8 has 2^16 classes
+            for cls in solve_classes(t)[:4]:
+                dissection_avoiding(t, cls)
+        t.flip(t.interior_arcs()[0])
+        assert (cx.triangles, cx.tri_of, cx.slot_of) == kept
+        assert (t.triangles, t.tri_of, t.slot_of) == kept
+
     def test_not_a_dissection(self):
         t = named_surface("annulus22")
         with pytest.raises(NotADissection):
@@ -714,18 +741,23 @@ def avoiding_reference(cls):
 
 def count_plain_complex_builds(monkeypatch):
     """A list that gains an entry for each `_Complex` built that is not a
-    `SurfaceTriangulation`: a cut or a cover."""
+    `SurfaceTriangulation`: a cut (`_with_glue`) or a cover."""
     from deeplocus.surface import _Complex
 
     builds = []
-    init = _Complex.__init__
+    init, with_glue = _Complex.__init__, _Complex._with_glue
 
     def counted(self, triangles, glue):
         if type(self) is _Complex:
             builds.append(len(triangles))
         init(self, triangles, glue)
 
+    def counted_cut(self, glue):
+        builds.append(len(self.triangles))
+        return with_glue(self, glue)
+
     monkeypatch.setattr(_Complex, "__init__", counted)
+    monkeypatch.setattr(_Complex, "_with_glue", counted_cut)
     return builds
 
 

@@ -83,6 +83,12 @@ def _polygon() -> List[Call]:
         calls.append((["polygon", "scan", "--n", str(n), "--field", field, "--mode", mode, "--json"], None))
     calls.append((["polygon", "scan", "--n", "4", "--field", "q", "--json"], None))
     calls.append((["polygon", "scan", "--n", "9", "--field", "fp:13", "--json"], None))
+    # refused scans: a count printed in full, counts too long to print in
+    # full, and a polygon over the size cap
+    for n, field, mode in ((130, "fp:3", MODE_TYPE_A), (140, "fp:3", MODE_TYPE_A),
+                           (140, "fp:3", MODE_BOUNDARY), (200, "fp:2", MODE_BOUNDARY),
+                           (257, "fp:3", MODE_TYPE_A)):
+        calls.append((["polygon", "scan", "--n", str(n), "--field", field, "--mode", mode, "--json"], None))
     return calls
 
 
