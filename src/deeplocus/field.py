@@ -15,14 +15,18 @@ compare by identity.
 ``FieldContext.first_nonzero_relation`` tests a table of polynomial
 identities at a point's values without building values.  A table is
 prepared once as a ``RelationTable``: a tuple of its relations that also
-keeps them as runs of flat rows by shape.  Over F_p the exchange
+keeps them as runs of flat rows by shape.  The exchange
 x_a x_b - x_c x_d - x_e x_f (every Ptolemy relation and every Markov
-exchange) is read as ``(r[a]*r[b] - r[c]*r[d] - r[e]*r[f]) % p`` in one
-unrolled loop, and any other relation, such as a type-A edge's x_t - 1 or
-the Markov torus relation, is summed monomial by monomial.  Over F_p a
-plain sequence of relations is prepared on each call, so callers cache
-the tables they test often; Q and Q(i) read a table as its relations, one
-monomial at a time.
+exchange) is read in one unrolled loop: over F_p as
+``(r[a]*r[b] - r[c]*r[d] - r[e]*r[f]) % p``, over Q over the three
+products' numerators and denominators.  Any other relation, such as a
+type-A edge's x_t - 1 or the Markov torus relation, is summed monomial by
+monomial.  A plain sequence of relations is prepared on each call, so
+callers cache the tables they test often; Q(i) reads a table as its
+relations, one monomial at a time.
+``FieldContext.first_nonzero_block`` tests many prepared tables in one
+call, each on its own stretch of one row, such as every cluster of one
+level of the Markov exchange tree.
 """
 
 from __future__ import annotations
@@ -248,20 +252,50 @@ class FieldContext:
 
         Each relation is a sum of monomials (c, idx) over indices into
         values; see Relation.  The test is exact, reads each value once and
-        builds no FieldValue: F_p reads the runs of a RelationTable, and
-        prepares any other sequence as one on the call, summing each row
-        over the residues and reducing once; Q cross-multiplies the
+        builds no FieldValue.  Any sequence that is not a RelationTable is
+        prepared as one on the call.  F_p and Q read its runs: F_p sums each
+        row over the residues and reduces once, Q cross-multiplies the
         payloads' integer numerators and denominators; Q(i) does the same
-        over their Gaussian numerators.  One pass checks each value's
-        context and takes its payload."""
+        over their Gaussian numerators, one monomial at a time.  One pass
+        checks each value's context and takes its payload."""
         payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
+        if not isinstance(relations, RelationTable):
+            relations = RelationTable(relations)
         if self.kind == PRIME_FIELD:
-            if not isinstance(relations, RelationTable):
-                relations = RelationTable(relations)
             return _first_nonzero_mod(payloads, self.p, relations.runs)
         if self.kind == RATIONALS:
-            return _first_nonzero_q(payloads, relations)
+            return _first_nonzero_q(payloads, relations.runs)
         return _first_nonzero_qi(payloads, relations)
+
+    def first_nonzero_block(
+        self, values: Sequence["FieldValue"], blocks: Iterable[Tuple[int, "RelationTable"]]
+    ) -> Optional[int]:
+        """The index of the first block (offset, table) one of whose
+        relations does not vanish, or None when every relation of every
+        block does.
+
+        Many prepared tables are tested in one call, each on its own
+        stretch of one row: block k holds iff
+        first_nonzero_relation(values[offset:], table) is None.  The
+        payloads are taken once for the whole row, and each block's slice,
+        table.width payloads from its offset, is read by the kernel of
+        first_nonzero_relation.  The blocks are read once, in order, and
+        may be any iterable."""
+        payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
+        if self.kind == PRIME_FIELD:
+            p = self.p
+            for k, (o, table) in enumerate(blocks):
+                if _first_nonzero_mod(payloads[o : o + table.width], p, table.runs) is not None:
+                    return k
+        elif self.kind == RATIONALS:
+            for k, (o, table) in enumerate(blocks):
+                if _first_nonzero_q(payloads[o : o + table.width], table.runs) is not None:
+                    return k
+        else:
+            for k, (o, table) in enumerate(blocks):
+                if _first_nonzero_qi(payloads[o : o + table.width], table) is not None:
+                    return k
+        return None
 
     def count_zeros(self, values: Sequence["FieldValue"], indices: Sequence[int]) -> int:
         """How many of the values at indices are zero.  Reads only those
@@ -299,22 +333,27 @@ class RelationTable(tuple):
     """A table of relations prepared for first_nonzero_relation: a tuple of
     the relations as given, in order, which also keeps them as runs of
     flat rows, one run per stretch of relations of one shape (_row).  Each
-    run is (shape, index of its first relation, rows), so the F_p identity
-    test reads every row of an exchange run in one unrolled loop.  Build
-    one once for a table that is tested many times."""
+    run is (shape, index of its first relation, rows), so the F_p and Q
+    identity tests read every row of an exchange run in one unrolled loop.
+    Build one once for a table that is tested many times."""
 
     runs: Runs
+    # one more than the largest index any relation reads
+    width: int
 
     def __new__(cls, relations: Iterable[Relation]) -> "RelationTable":
         table = super().__new__(cls, relations)
         runs: List[Tuple[str, int, list]] = []
+        width = 0
         for r, relation in enumerate(table):
             shape, row = _row(relation)
+            width = max([width] + [i + 1 for _, idx in relation for i in idx])
             if runs and runs[-1][0] == shape:
                 runs[-1][2].append(row)
             else:
                 runs.append((shape, r, [row]))
         table.runs = tuple((shape, start, tuple(rows)) for shape, start, rows in runs)
+        table.width = width
         return table
 
 
@@ -336,24 +375,37 @@ def _first_nonzero_mod(res: List[int], p: int, runs: Runs) -> Optional[int]:
     return None
 
 
-def _first_nonzero_q(
-    values: List[Tuple[int, int]], relations: Sequence[Relation]
-) -> Optional[int]:
+def _first_nonzero_q(values: List[Tuple[int, int]], runs: Runs) -> Optional[int]:
     # value t is num / d for (num, d) = values[t]
-    for r, relation in enumerate(relations):
-        # the sum so far is top / bottom, never reduced:
-        # a/b + c/d = (a*d + c*b) / (b*d), and bottom is never zero
-        top, bottom = 0, 1
-        for c, idx in relation:
-            den = 1
-            for i in idx:
-                num, d = values[i]
-                c *= num
-                den *= d
-            top = top * den + c * bottom
-            bottom *= den
-        if top:
-            return r
+    for shape, start, rows in runs:
+        if shape is _EXCHANGE:
+            # na nb / (da db) - nc nd / (dc dd) - ne nf / (de df), over the
+            # product of the three denominators
+            for r, (a, b, c, d, e, f) in enumerate(rows, start):
+                na, da = values[a]
+                nb, db = values[b]
+                nc, dc = values[c]
+                nd, dd = values[d]
+                ne, de = values[e]
+                nf, df = values[f]
+                d1, d2 = da * db, dc * dd
+                if (na * nb * d2 - nc * nd * d1) * de * df - ne * nf * d1 * d2:
+                    return r
+            continue
+        for r, relation in enumerate(rows, start):
+            # the sum so far is top / bottom, never reduced:
+            # a/b + c/d = (a*d + c*b) / (b*d), and bottom is never zero
+            top, bottom = 0, 1
+            for c, idx in relation:
+                den = 1
+                for i in idx:
+                    num, d = values[i]
+                    c *= num
+                    den *= d
+                top = top * den + c * bottom
+                bottom *= den
+            if top:
+                return r
     return None
 
 
@@ -607,6 +659,26 @@ class FieldValue:
         (x1, y1, d1), (x2, y2, d2) = self._v, other._v
         return FieldValue(self.ctx, _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
 
+    def mul_sub(self, other: "FieldValue", sub: "FieldValue") -> "FieldValue":
+        """self * other - sub, as one operation that builds no value for the
+        product: over Q the difference is formed over the product of the
+        three denominators and reduced once; over F_p and Q(i) the
+        product's payload goes straight into the difference."""
+        self._check(other)
+        self._check(sub)
+        k = self.ctx.kind
+        if k == PRIME_FIELD:
+            return FieldValue(self.ctx, (self._v * other._v - sub._v) % self.ctx.p)
+        if k == RATIONALS:
+            # a/b * c/d - e/f = (a*c*f - e*b*d) / (b*d*f), reduced by one gcd
+            (a, b), (c, d), (e, f) = self._v, other._v, sub._v
+            num, den = a * c * f - e * b * d, b * d * f
+            g = gcd(num, den)
+            return FieldValue(self.ctx, (num // g, den // g) if g != 1 else (num, den))
+        (x1, y1, d1), (x2, y2, d2), (x3, y3, d3) = self._v, other._v, sub._v
+        x, y, d = _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+        return FieldValue(self.ctx, _qi_sum(x, y, d, -x3, -y3, d3))
+
     def inverse(self) -> "FieldValue":
         if self.is_zero:
             raise DivisionByZero("cannot invert zero")
@@ -697,27 +769,51 @@ class FieldValue:
     # -- formatting -------------------------------------------------------------
 
     def __str__(self) -> str:
+        """The canonical text, every digit in full (see _decimal)."""
         k = self.ctx.kind
         if k == PRIME_FIELD:
             return f"{self._v} mod {self.ctx.p}"
         if k == RATIONALS:
-            return str(self._fractions())
+            return _fraction_text(self._fractions())
         re, im = self._fractions()
         if im == 0:
-            return str(re)
+            return _fraction_text(re)
         if im == 1:
             im_str = "i"
         elif im == -1:
             im_str = "-i"
         else:
-            im_str = f"{im}i"
+            im_str = f"{_fraction_text(im)}i"
         if re == 0:
             return im_str
         sign = "+" if im > 0 else ""
-        return f"{re}{sign}{im_str}"
+        return f"{_fraction_text(re)}{sign}{im_str}"
 
     def __repr__(self) -> str:
         return f"<{self} : {self.ctx!r}>"
+
+
+def _decimal(n: int) -> str:
+    """The integer n in decimal, in full.  From Python 3.11, str() refuses
+    an int longer than sys.get_int_max_str_digits() digits (4,300 by
+    default), so such an int is split at a power of ten near its middle
+    and each part is written the same way."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    # about half of n's digits, as log10(2) > 3/10
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _fraction_text(q: Fraction) -> str:
+    """str(q), as Fraction writes it, with no limit on the digits."""
+    num = _decimal(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
 
 
 def product(ctx: FieldContext, values) -> FieldValue:

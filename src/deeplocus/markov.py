@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
 from .field import FieldContext, FieldValue, Relation, RelationTable
@@ -123,18 +123,19 @@ def _children(
     Reached by direction j, a cluster mutates only in the other two, and
     each of their products contains v_j, so both children share the factor
     M*v_j: three multiplies for the two.  The root has three children and
-    forms each product in full."""
+    forms each product in full.  Each new value is one fused multiply and
+    subtract (FieldValue.mul_sub)."""
     if path:
         j = DIRECTIONS.index(path[-1])
         shared = M * values[j]
-        products = [(k, shared * values[3 - j - k]) for k in range(3) if k != j]
+        products = [(k, shared, values[3 - j - k]) for k in range(3) if k != j]
     else:
         x, y, z = values
-        products = [(0, y * z * M), (1, x * z * M), (2, x * y * M)]
+        products = [(0, y * z, M), (1, x * z, M), (2, x * y, M)]
     out = []
-    for k, product in products:
+    for k, u, w in products:
         vals = list(values)
-        vals[k] = product - values[k]
+        vals[k] = u.mul_sub(w, values[k])
         out.append((path + (DIRECTIONS[k],), tuple(vals)))
     return out
 
@@ -238,10 +239,16 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     The tree is walked one level at a time over plain (path, values)
     clusters.  Each cluster above the last level gets its children from
     `_children`, whose two children of an inner cluster share their M*v
-    factor.  The identities of each cluster and its children are checked
-    together by one exact identity test; field values rebuild the message
-    of each one that fails.  Refused for depth above MAX_EXPLORE_DEPTH,
-    before any cluster is built, as is a negative depth.
+    factor.  Each level is one row: every cluster's x, y, z, M and its
+    children's new values, beside one (offset, table) block per cluster
+    over the cached `_node_relations` tables, and one exact identity test
+    (FieldContext.first_nonzero_block) checks every identity of the level.
+    No table is built or cached per level.  Only a level with a failure
+    is tested again cluster by cluster, in order, and field values
+    rebuild the message of each identity that fails, so the failures and
+    the Markov element values come in the order of a walk that tests each
+    cluster in turn.  Refused for depth above MAX_EXPLORE_DEPTH, before
+    any cluster is built, as is a negative depth.
     """
     if depth < 0:
         raise MarkovError(f"depth must be at least 0, got {depth}")
@@ -252,36 +259,55 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
         )
     deep_type = classify_deep_upper(p)
     report = ExploreReport(p, depth)
-    M, test = p.M, p.ctx.first_nonzero_relation
+    ctx, M = p.ctx, p.M
     element_values = report.markov_element_values
     frontier = [((), p.values())]
     for level in range(depth + 1):
-        next_frontier = []
+        inner = level < depth
+        # every cluster of a level has as many children (three at the root,
+        # two below it, none at the last level), so each one's stretch of
+        # the row, its values, M and its children's new values, is as long
+        stride = 4 + (len(DIRECTIONS) - (level > 0) if inner else 0)
+        row: List[FieldValue] = []
+        tables, torus_paths, next_frontier = [], [], []
         for path, values in frontier:
-            if deep_type is None:
-                x, y, z = values
-                torus = not (x.is_zero or y.is_zero or z.is_zero)
-            else:
-                torus = False
-                _check_zero_pattern(path, values, deep_type, report)
-            if level < depth:
+            torus = deep_type is None and not ctx.count_zeros(values, _XYZ)
+            dirs = _CHILD_DIRS[path[-1:]] if inner else ()
+            tables.append(_node_relations(torus, dirs))
+            row += values
+            row.append(M)
+            if inner:
                 children = _children(path, values, M)
-                dirs = tuple(child[-1] for child, _ in children)
-                ident = values + (M,) + tuple(
-                    vals[DIRECTIONS.index(d)] for d, (_, vals) in zip(dirs, children)
-                )
-            else:
-                children, dirs, ident = [], (), values + (M,)
-            relations = _node_relations(torus, dirs)
-            if test(ident, relations) is None:
-                if torus:
+                row += [vals[_SLOT[d]] for d, (_, vals) in zip(dirs, children)]
+                next_frontier += children
+            if torus:
+                torus_paths.append(path)
+        offsets = range(0, len(row), stride)
+        bad = ctx.first_nonzero_block(row, zip(offsets, tables))
+        if bad is None and deep_type is None:
+            element_values.update(dict.fromkeys(torus_paths, M))
+        else:
+            for (path, values), relations, offset in zip(frontier, tables, offsets):
+                if deep_type is not None:
+                    _check_zero_pattern(path, values, deep_type, report)
+                torus = deep_type is None and not ctx.count_zeros(values, _XYZ)
+                ident = row[offset : offset + stride]
+                if bad is not None and ctx.first_nonzero_relation(ident, relations) is not None:
+                    dirs = _CHILD_DIRS[path[-1:]] if inner else ()
+                    _record_failures(path, ident, relations, torus, dirs, p, report)
+                elif torus:
                     element_values[path] = M
-            else:
-                _record_failures(path, ident, relations, torus, dirs, p, report)
-            next_frontier += children
         report.nodes_visited += len(frontier)
         frontier = next_frontier
     return report
+
+
+# the slots of x, y, z in a cluster's values, and each direction's slot
+_XYZ = (0, 1, 2)
+_SLOT = {d: k for k, d in enumerate(DIRECTIONS)}
+# the directions of a cluster's children, in _children's order, by the
+# last letter of its word: every direction but that one
+_CHILD_DIRS = {(): DIRECTIONS, **{(d,): tuple(e for e in DIRECTIONS if e != d) for d in DIRECTIONS}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,7 +327,7 @@ def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> RelationTable:
 
 def _record_failures(
     path: Tuple[str, ...],
-    values: Tuple[FieldValue, ...],
+    values: Sequence[FieldValue],
     relations: Tuple[Relation, ...],
     torus: bool,
     dirs: Tuple[str, ...],

@@ -60,6 +60,9 @@ MAX_ENUMERATION_N = 14
 # deep points are built for n <= MAX_POLYGON_N: one holds O(n^2) values
 MAX_POLYGON_N = 256
 DEFAULT_MAX_SEARCH = 10**7
+# DEEPLOCUS_MAX_SEARCH is refused, by its length alone, above this many
+# characters: no scan comes near a cap of 10^100
+MAX_SEARCH_CAP_CHARS = 100
 
 
 class PolygonError(DeepLocusError):
@@ -103,7 +106,8 @@ class SearchTooLarge(PolygonError):
 
 
 class InvalidSearchCap(PolygonError):
-    """DEEPLOCUS_MAX_SEARCH does not hold an integer."""
+    """DEEPLOCUS_MAX_SEARCH does not hold an integer, or is longer than
+    MAX_SEARCH_CAP_CHARS."""
 
 
 def seg(i: int, j: int) -> Segment:
@@ -140,6 +144,12 @@ def polygon_diagonals(n: int) -> List[Segment]:
     return [s for s in polygon_segments(n) if not is_edge(s, n)]
 
 
+@functools.lru_cache(maxsize=32)
+def _diagonal_set(n: int) -> frozenset:
+    """The diagonals of the n-gon, as _segments(n) holds them."""
+    return frozenset(s for s in _segments(n) if not is_edge(s, n))
+
+
 def _index(n: int, i: int, j: int) -> int:
     """The position of the segment (i, j), i < j, in _segments(n): row a
     holds the n - a segments (a, a + 1), ..., (a, n)."""
@@ -173,6 +183,11 @@ class PolygonTriangulation:
         if len(self.diagonals) != self.n - 3:
             raise SizeOutOfRange(
                 f"a triangulation of an {self.n}-gon has {self.n - 3} diagonals"
+            )
+        allowed = _diagonal_set(self.n)
+        if not self.diagonals <= allowed:
+            raise NotADiagonal(
+                f"{min(self.diagonals - allowed)} is not a diagonal (i, j), i < j, of the {self.n}-gon"
             )
         for a, b in itertools.combinations(sorted(self.diagonals), 2):
             if segments_cross(a, b):
@@ -406,17 +421,24 @@ def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
     return None if r is None else quads[r]
 
 
-@functools.lru_cache(maxsize=64)
 def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
     """The one relation table a point of the n-gon in this mode is certified
     against, and how many of its relations come before the chart's: in
     type-A mode each edge's x_e - 1, in _edges(n) order, then the
     relations of the chart (1, 2), whose quads follow.  Once the edges are
     nonzero, (1, 2) is the first nonzero segment, so this chart is
-    first_ptolemy_failure's and its first failure is that function's."""
-    quads, relations = _chart(n, 1, 2)
+    first_ptolemy_failure's and its first failure is that function's.  In
+    boundary mode the table is the chart itself, read from _chart's cache
+    on every call, so no second copy of it outlives its eviction there."""
     if mode == MODE_BOUNDARY:
-        return 0, quads, relations
+        return (0,) + _chart(n, 1, 2)
+    return _type_a_certificate(n)
+
+
+@functools.lru_cache(maxsize=32)
+def _type_a_certificate(n: int) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
+    """_certificate(n, MODE_TYPE_A), built once."""
+    quads, relations = _chart(n, 1, 2)
     ones = tuple(((1, (t,)), (-1, ())) for t in _edge_slots(n))
     return len(ones), quads, RelationTable(ones + relations)
 
@@ -425,9 +447,13 @@ def _first_violation(p: PolygonPoint) -> Optional[str]:
     """The InvalidPoint text of p's first failure, or None when p is valid:
     its mode violations when it has any, else its first Ptolemy failure.
     One identity test on the row decides."""
-    if p.mode == MODE_BOUNDARY and p.ctx.count_zeros(p.row, _edge_slots(p.n)):
+    if p.mode != MODE_BOUNDARY:
+        ones, quads, relations = _type_a_certificate(p.n)
+    elif p.ctx.count_zeros(p.row, _edge_slots(p.n)):
         return "; ".join(p.mode_violations())
-    ones, quads, relations = _certificate(p.n, p.mode)
+    else:
+        # _certificate(p.n, p.mode), without its call
+        ones, (quads, relations) = 0, _chart(p.n, 1, 2)
     r = p.ctx.first_nonzero_relation(p.row, relations)
     if r is None:
         return None
@@ -729,6 +755,11 @@ def max_search_cap(override: Optional[int] = None) -> int:
     env = os.environ.get("DEEPLOCUS_MAX_SEARCH")
     if not env:
         return DEFAULT_MAX_SEARCH
+    if len(env) > MAX_SEARCH_CAP_CHARS:
+        raise InvalidSearchCap(
+            f"DEEPLOCUS_MAX_SEARCH holds {len(env)} characters;"
+            f" it exceeds the cap MAX_SEARCH_CAP_CHARS = {MAX_SEARCH_CAP_CHARS}"
+        )
     try:
         return int(env)
     except ValueError:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import os
 from contextlib import redirect_stdout
 
@@ -291,6 +292,41 @@ class TestSubcommands:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'abc'" in err
+
+
+    def test_a_search_cap_too_long_exits_2_with_its_length(self, monkeypatch, capsys):
+        monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "9" * 5000)
+        code, out = run_cli(["polygon", "scan", "--n", "4", "--field", "fp:2"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: DEEPLOCUS_MAX_SEARCH holds 5000 characters;"
+            " it exceeds the cap MAX_SEARCH_CAP_CHARS = 100\n"
+        )
+
+    def test_edges_with_a_product_too_long_for_str_exit_1_with_it_in_full(self, capsys):
+        # 200 random 60-digit rational edges: the alternating product has
+        # about 24,000 digits, past the 4,300 that str() of an int allows
+        # from Python 3.11, and is printed in full
+        code, out = run_cli(["polygon", "from-edges", f"--edges={LONG_EDGES}", "--json"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        head = "error: ConditionViolated: alternating edge product is "
+        assert err.startswith(head)
+        value, needed = err[len(head) : -1].split(", needed ")
+        assert needed in ("1", "-1")
+        assert value.lstrip("-").replace("/", "", 1).isdigit() and len(value) > 20000
+
+
+def long_edges(count: int, digits: int, seed: int) -> str:
+    """count random positive rationals, numerator and denominator of the
+    given number of digits, as one --edges value."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10**digits
+    return ",".join(f"{rng.randrange(low, high)}/{rng.randrange(low, high)}" for _ in range(count))
+
+
+LONG_EDGES = long_edges(200, 60, 32)
 
 
 DEEP_FIXTURE = {

@@ -16,6 +16,7 @@ from deeplocus.field import (
     MAX_ROOT_SCAN_PRIME,
     QI,
     QQ,
+    RelationTable,
     RootScanTooLarge,
     UnsupportedExponent,
     gaussian_rationals,
@@ -568,6 +569,132 @@ class TestPreparedTables:
         assert ctx.count_zeros([other.zero(), ctx.zero()], [1]) == 1
         with pytest.raises(ContextMismatch):
             ctx.count_zeros([ctx.one(), other.one()], [0, 1])
+
+
+class TestLevelTest:
+    """first_nonzero_block against a per-block first_nonzero_relation: every
+    Markov node table at shifted offsets in one row."""
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_blocks_match_each_table_at_its_offset(self, ctx):
+        rng = random.Random(f"level/{ctx.p}/{ctx.kind}")
+        stretches = [(table, values) for dirs, table in node_tables()
+                     for values in node_vectors(ctx, dirs, rng)]
+        firsts = set()
+        for _ in range(60):
+            chosen = rng.sample(stretches, rng.randint(1, 6))
+            row, blocks, want = [], [], None
+            for k, (table, values) in enumerate(chosen):
+                # a gap of unread values before some blocks shifts the offsets
+                row += [identity_draw(ctx, rng) for _ in range(rng.randrange(3))]
+                blocks.append((len(row), table))
+                row += values
+                if want is None and check_prepared(ctx, values, table) is not None:
+                    want = k
+            assert ctx.first_nonzero_block(row, blocks) == want
+            assert ctx.first_nonzero_block(row, iter(blocks)) == want
+            firsts.add(want)
+        assert None in firsts and len(firsts) > 2
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_explored_levels_hold_and_a_bumped_value_fails_its_own_block(self, ctx, monkeypatch):
+        # the rows explore_and_verify tests, one per level, each with one
+        # value raised by one: the first failing block is that value's own
+        # cluster, unless its table does not read it (a leaf off the torus)
+        rng = random.Random(f"level-tree/{ctx.p}/{ctx.kind}")
+        seen = []
+        original = FieldContext.first_nonzero_block
+
+        def spy(self, row, blocks):
+            seen.append((list(row), list(blocks)))
+            return original(self, row, seen[-1][1])
+
+        monkeypatch.setattr(FieldContext, "first_nonzero_block", spy)
+        x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
+        p = markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
+        assert markov.explore_and_verify(p, depth=4).passed
+        monkeypatch.undo()
+        assert len(seen) == 5
+        failed = set()
+        for row, blocks in seen:
+            assert ctx.first_nonzero_block(row, blocks) is None
+            for _ in range(10):
+                k = rng.randrange(len(blocks))
+                offset, table = blocks[k]
+                end = blocks[k + 1][0] if k + 1 < len(blocks) else len(row)
+                t = offset + rng.randrange(end - offset)
+                bumped = row[:t] + [row[t] + ctx.one()] + row[t + 1:]
+                want = next((j for j, (o, tb) in enumerate(blocks)
+                             if ctx.first_nonzero_relation(bumped[o:end if j == k else o + tb.width], tb)
+                             is not None), None)
+                assert ctx.first_nonzero_block(bumped, blocks) == want
+                assert want in (k, None)
+                failed.add(want is not None)
+        assert True in failed
+
+    def test_foreign_values_are_refused(self):
+        table = markov._node_relations(True, ("y", "z"))
+        for ctx, other in ((QQ, QI), (QI, QQ), (F3, prime_field(101)), (prime_field(101), QQ)):
+            row = [ctx.one()] * 12
+            with pytest.raises(ContextMismatch):
+                ctx.first_nonzero_block(row[:11] + [other.one()], [(0, table), (6, table)])
+            assert ctx.first_nonzero_block([], []) is None
+
+    def test_width_is_one_past_the_largest_index(self):
+        for dirs, table in node_tables():
+            assert table.width == (4 + len(dirs) if dirs else 4 if len(table) else 0)
+            assert RelationTable(list(table)).width == table.width
+        for n in range(4, 15):
+            assert polygon._certificate(n, polygon.MODE_TYPE_A)[2].width == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+def test_mul_sub_is_a_product_then_a_difference(ctx):
+    rng = random.Random(f"mul-sub/{ctx.p}/{ctx.kind}")
+    for _ in range(200):
+        a, b, c = (identity_draw(ctx, rng) for _ in range(3))
+        got = a.mul_sub(b, c)
+        assert got == a * b - c
+        assert got._v == (a * b - c)._v
+    other = QI if ctx is QQ else QQ
+    for args in ((other.one(), ctx.one()), (ctx.one(), other.one())):
+        with pytest.raises(ContextMismatch):
+            ctx.one().mul_sub(*args)
+
+
+class TestLongText:
+    """Values whose integers are longer than the interpreter's default limit
+    on int-to-text conversion (4,300 digits from Python 3.11) print in full."""
+
+    @pytest.mark.parametrize("digits", [1, 4300, 4301, 9000, 30001])
+    def test_decimal_writes_every_digit(self, digits):
+        from deeplocus.field import _decimal
+
+        rng = random.Random(digits)
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)):
+            text = _decimal(n)
+            assert len(text) == digits and text[0] != "0"
+            assert _decimal(-n) == "-" + text
+            # read back 1,000 digits at a time, within int()'s own limit
+            back = 0
+            for i in range(0, digits, 1000):
+                chunk = text[i : i + 1000]
+                back = back * 10 ** len(chunk) + int(chunk)
+            assert back == n
+
+    def test_long_values_print_in_full(self):
+        # 7 * 10^5000 + 3, written out: str(big) itself would be refused
+        big, digits = 7 * 10**5000 + 3, "7" + "0" * 4999 + "3"
+        cases = [
+            (QQ.rational(big, 10**4400 + 1), f"{digits}/1{'0' * 4399}1"),
+            (QQ.from_int(-big), f"-{digits}"),
+            (QI.gaussian(Fraction(big, 3), Fraction(-1, 10**4400)), f"{digits}/3-1/1{'0' * 4400}i"),
+            (QI.gaussian(0, big), f"{digits}i"),
+            (QI.gaussian(1, Fraction(big, 2)), f"1+{digits}/2i"),
+        ]
+        for v, text in cases:
+            assert str(v) == text
+            assert repr(v) == f"<{text} : {v.ctx!r}>"
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,50 @@ def bump(one):
     return lambda vals, k: vals[:k] + (vals[k] + one,) + vals[k + 1 :]
 
 
+def replayed_report(p, deep, tree, depth):
+    """The failures, and the (word, Markov element) pairs, of a walk that
+    tests each reduced word to depth in order, by field arithmetic on the
+    values tree gives it; deep is p's deep type.  A deep point's words must
+    keep its zero pattern."""
+    failures, elements = [], []
+    for word in reduced_words(depth):
+        vals = tree[word]
+        if deep is None and not any(v.is_zero for v in vals):
+            x, y, z = vals
+            m = p.M if x * x + y * y + z * z == p.M * x * y * z else markov_element(*vals)
+            elements.append((word, m))
+            if m != p.M:
+                failures.append(f"Markov element {m} differs from M={p.M} at {word}")
+        elif deep is not None:
+            zeros = [v.is_zero for v in vals]
+            if deep.tag == "A":
+                assert all(zeros)
+            else:
+                assert zeros == [d == deep.tag.lower() for d in markov.DIRECTIONS]
+        for k, d in enumerate(markov.DIRECTIONS):
+            if len(word) < depth and word[-1:] != (d,):
+                new = tree[word + (d,)][k]
+                a, b = (v for t, v in enumerate(vals) if t != k)
+                if vals[k] * new != a * a + b * b:
+                    failures.append(f"exchange identity fails mutating {d} at {word}")
+    return failures, elements
+
+
+def word_tree(p, depth, target=None, replace=None):
+    """Every reduced word to depth and its values, each word's reached from
+    its parent's by mutate_upper; with the values at target replaced by
+    replace(values, k), k the index of its last direction, as replace_child
+    does."""
+    tree = {(): p.values()}
+    for word in reduced_words(depth):
+        if word:
+            vals = mutate_upper(TreeNode(word[:-1], tree[word[:-1]]), p.M, word[-1]).values
+            if word == target:
+                vals = replace(vals, markov.DIRECTIONS.index(word[-1]))
+            tree[word] = vals
+    return tree
+
+
 class TestExplorationOracle:
     @pytest.mark.parametrize("ctx", [QQ, F7, prime_field(13)], ids=["Q", "F7", "F13"])
     def test_element_values_match_replayed_paths(self, ctx):
@@ -397,31 +441,10 @@ class TestExplorationOracle:
                     assert node.path == word
                     tree[word] = node.values
             for depth in range(7):
-                failures, elements = [], []
-                words = list(reduced_words(depth))
-                for word in words:
-                    vals = tree[word]
-                    if deep is None and not any(v.is_zero for v in vals):
-                        x, y, z = vals
-                        m = p.M if x * x + y * y + z * z == p.M * x * y * z else markov_element(*vals)
-                        elements.append((word, m))
-                        if m != p.M:
-                            failures.append(f"Markov element {m} differs from M={p.M} at {word}")
-                    elif deep is not None:
-                        zeros = [v.is_zero for v in vals]
-                        if deep.tag == "A":
-                            assert all(zeros)
-                        else:
-                            assert zeros == [d == deep.tag.lower() for d in markov.DIRECTIONS]
-                    for k, d in enumerate(markov.DIRECTIONS):
-                        if len(word) < depth and word[-1:] != (d,):
-                            new = tree[word + (d,)][k]
-                            a, b = (v for t, v in enumerate(vals) if t != k)
-                            if vals[k] * new != a * a + b * b:
-                                failures.append(f"exchange identity fails mutating {d} at {word}")
+                failures, elements = replayed_report(p, deep, tree, depth)
                 report = explore_and_verify(p, depth=depth)
                 assert report.passed and failures == [], (p, depth)
-                assert report.nodes_visited == len(words)
+                assert report.nodes_visited == len(list(reduced_words(depth)))
                 assert report.failures == failures
                 assert list(report.markov_element_values.items()) == elements
         assert tags == ({None, "A", "X", "Y", "Z"} if root_of_minus_1 else {None, "A"})
@@ -472,6 +495,46 @@ class TestExplorationOracle:
         replace_child(monkeypatch, ("x", "y", "z"), bump(ctx.one()))
         report = explore_and_verify(pt(ctx, 1, 1, 1, 3), depth=4)
         assert report.failures == expected
+
+
+    @pytest.mark.parametrize("ctx", [QQ, QI, F7, prime_field(13)], ids=["Q", "Qi", "F7", "F13"])
+    @pytest.mark.parametrize("target", [("y", "x", "z"), ("z", "x"), ("y",)], ids=["level3", "level2", "level1"])
+    def test_a_mutant_in_the_middle_of_a_level_matches_the_replay(self, ctx, target, monkeypatch):
+        # one cluster in the middle of its level gets a perturbed value: the
+        # level fails, and the clusters before it, it and the ones after it
+        # report in the order a walk that tests each word in turn reports
+        rng = random.Random(f"markov-mutant/{ctx!r}/{target}")
+        depth = 5
+        for _ in range(2):
+            x, y, z = (random_value(ctx, rng, nonzero=True) for _ in range(3))
+            p = MarkovUpperPoint(x, y, z, markov_element(x, y, z))
+            tree = word_tree(p, depth, target, bump(ctx.one()))
+            failures, elements = replayed_report(p, None, tree, depth)
+            with monkeypatch.context() as m:
+                replace_child(m, target, bump(ctx.one()))
+                report = explore_and_verify(p, depth=depth)
+            level = [w for w in reduced_words(len(target)) if len(w) == len(target)]
+            assert 0 < level.index(target) < len(level) - 1
+            assert failures and not report.passed
+            assert report.failures == failures
+            assert list(report.markov_element_values) == [word for word, _ in elements]
+            assert list(report.markov_element_values.items()) == elements
+            assert report.nodes_visited == len(tree)
+
+    def test_caches_stay_bounded(self):
+        # explores of every depth to 10, on torus and deep points over three
+        # fields, cache no table per level or per point: _node_relations
+        # holds one table per (torus, child directions) that a cluster has
+        markov._node_relations.cache_clear()
+        points = [pt(QQ, 1, 1, 1, 3), pt(F7, 1, 2, 3, 0), pt(F5, 0, 1, 2, 0), pt(QI, 0, 0, 0, 2)]
+        sizes = []
+        for depth in range(11):
+            for p in points:
+                explore_and_verify(p, depth=depth)
+            sizes.append(markov._node_relations.cache_info().currsize)
+        # torus or not, times (x, y, z), three pairs or ()
+        assert sizes[-1] <= 2 * 5
+        assert sizes[3:] == [sizes[-1]] * len(sizes[3:])
 
 
 @pytest.mark.parametrize(

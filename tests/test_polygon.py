@@ -87,6 +87,25 @@ class TestTriangulations:
         with pytest.raises(Exception):
             PolygonTriangulation(6, frozenset({(1, 3), (2, 4), (1, 4)}))
 
+    @pytest.mark.parametrize(
+        "members, bad",
+        [
+            ({(1, 2), (3, 4), (5, 6)}, "(1, 2)"),
+            ({(4, 1), (1, 5), (1, 3)}, "(4, 1)"),
+            ({(1, 3), (1, 4), (1, 9)}, "(1, 9)"),
+            ({(1, 3), (1, 4), (1, 6)}, "(1, 6)"),
+            ({(0, 2), (2, 4), (2, 5)}, "(0, 2)"),
+        ],
+        ids=["edges", "reversed", "out-of-range", "closing-edge", "vertex-0"],
+    )
+    def test_members_that_are_not_diagonals_are_refused(self, members, bad, monkeypatch):
+        # named before the crossing test, which is never reached; these used
+        # to be accepted, and extending from them ended in a StopIteration
+        monkeypatch.setattr(polygon, "segments_cross", lambda a, b: pytest.fail("crossing test ran"))
+        with pytest.raises(NotADiagonal, match=rf"^\{bad[:-1]}\) is not a diagonal \(i, j\), i < j, of the 6-gon$"):
+            PolygonTriangulation(6, frozenset(members))
+        assert issubclass(NotADiagonal, PolygonError)
+
     def test_diagonal_count_validation(self):
         with pytest.raises(SizeOutOfRange, match="a triangulation of an 6-gon has 3 diagonals"):
             PolygonTriangulation(6, frozenset({(1, 3), (1, 4)}))
@@ -462,6 +481,20 @@ class TestVarietyScan:
         monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "1000")
         assert bruteforce_variety_scan(4, F2, MODE_TYPE_A)
 
+    @pytest.mark.parametrize("length", [101, 4301, 5000])
+    def test_an_env_cap_too_long_is_refused_by_its_length(self, monkeypatch, length):
+        # an integer too long for int() is refused in one short line that
+        # gives the length, not the digits
+        monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "9" * length)
+        with pytest.raises(InvalidSearchCap) as raised:
+            max_search_cap()
+        assert str(raised.value) == (
+            f"DEEPLOCUS_MAX_SEARCH holds {length} characters;"
+            f" it exceeds the cap MAX_SEARCH_CAP_CHARS = {polygon.MAX_SEARCH_CAP_CHARS}"
+        )
+        monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "9" * polygon.MAX_SEARCH_CAP_CHARS)
+        assert max_search_cap() == 10**polygon.MAX_SEARCH_CAP_CHARS - 1
+
     def test_bad_env_cap_names_the_value(self, monkeypatch):
         monkeypatch.setenv("DEEPLOCUS_MAX_SEARCH", "abc")
         with pytest.raises(InvalidSearchCap, match="'abc'"):
@@ -826,6 +859,18 @@ class TestRowCertificate:
             point.values[1, 3] = QQ.one()
         with pytest.raises(AttributeError):
             point.colour = 1
+
+    def test_the_boundary_certificate_is_the_cached_chart(self):
+        # the boundary-mode certificate is read from _chart's cache on each
+        # call, so it is the chart's current table even after 36 other
+        # charts have evicted the one it was first read from
+        table = polygon._certificate(8, MODE_BOUNDARY)[2]
+        assert table is polygon._chart(8, 1, 2)[1]
+        for n in range(5, 41):
+            polygon._chart(n, 3, 4)
+        assert polygon._certificate(8, MODE_BOUNDARY)[2] is polygon._chart(8, 1, 2)[1]
+        typed = polygon._certificate(8, MODE_TYPE_A)[2]
+        assert polygon._certificate(8, MODE_TYPE_A)[2] is typed
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_one_table_per_mode(self, n):

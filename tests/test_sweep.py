@@ -26,9 +26,7 @@ def test_fast_subset_matches_the_record():
 def test_the_record_holds_the_call_list_in_order():
     sweep = load_sweep()
     recorded = json.loads(sweep.RECORD.read_text())
-    assert [(r["argv"], r.get("input")) for r in recorded] == [
-        (argv, doc) for argv, doc in sweep.call_list()
-    ]
+    assert [(r["argv"], r.get("input"), r.get("env")) for r in recorded] == sweep.call_list()
 
 
 def test_a_changed_output_changes_its_digest(tmp_path):

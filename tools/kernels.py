@@ -14,9 +14,17 @@ the same relations evaluated through ``FieldValue`` arithmetic, the oracle
 the tests hold the kernel to. The tables are the polygon certificates
 (``polygon._certificate``) of the 8-gon and the 10-gon in both modes, and
 the identities of an inner Markov node of a torus cluster, with two
-children (``markov._node_relations``). Each time is the best of --repeats
-runs of --number calls. It prints one JSON line, and exits 1 if the two
-paths disagree on a row.
+children (``markov._node_relations``).
+
+Over F_101 and Q it also times two levels of a depth-6 exchange tree, as
+``markov.explore_and_verify`` lays them out: the last inner level (48
+clusters, each with its two children) and the leaf level (96 clusters).
+Each level is timed as one ``FieldContext.first_nonzero_block`` call on
+its row and as one ``first_nonzero_relation`` call per cluster, and both
+are checked against the field-value oracle, cluster by cluster.
+
+Each time is the best of --repeats runs of --number calls. It prints one
+JSON line, and exits 1 if a kernel and the oracle disagree.
 """
 from __future__ import annotations
 
@@ -84,6 +92,43 @@ def tables(ctx, rng: random.Random) -> List[Tuple[str, object, list]]:
     return out
 
 
+LEVEL_FIELDS = ("fp:101", "q")
+LEVEL_DEPTH = 6
+
+
+def levels(ctx, rng: random.Random) -> List[Tuple[str, list, list]]:
+    """(name, row, blocks) of the last inner level and the leaf level of
+    the exchange tree of a random torus point, to LEVEL_DEPTH: the rows and
+    (offset, table) blocks explore_and_verify tests, read off its calls."""
+    from deeplocus import markov
+    from deeplocus.field import FieldContext
+
+    x, y, z = (_nonzero(ctx, rng) for _ in range(3))
+    point = markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
+    seen = []
+    level_test = FieldContext.first_nonzero_block
+
+    def record(self, row, blocks):
+        seen.append((list(row), list(blocks)))
+        return level_test(self, *seen[-1])
+
+    FieldContext.first_nonzero_block = record
+    try:
+        report = markov.explore_and_verify(point, LEVEL_DEPTH)
+    finally:
+        FieldContext.first_nonzero_block = level_test
+    if not report.passed:
+        raise SystemExit(f"the exchange tree of {point} fails: {report.failures[:1]}")
+    inner, leaf = seen[LEVEL_DEPTH - 1], seen[LEVEL_DEPTH]
+    return [(f"markov.level.inner.d{LEVEL_DEPTH - 1}", *inner), (f"markov.level.leaf.d{LEVEL_DEPTH}", *leaf)]
+
+
+def stretches(row, blocks):
+    """Each block's table and its stretch of the row, up to the next block."""
+    ends = [offset for offset, _ in blocks[1:]] + [len(row)]
+    return [(table, row[offset:end]) for (offset, table), end in zip(blocks, ends)]
+
+
 def best_ns(call, repeats: int, number: int) -> float:
     return min(timeit.repeat(call, number=number, repeat=repeats)) / number * 1e9
 
@@ -111,6 +156,20 @@ def main(argv: List[str]) -> int:
             slow = best_ns(lambda: oracle(ctx, row, table), args.repeats, args.number)
             report[field][name] = {"rows": len(table), "prepared_ns": round(prepared),
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
+        if field not in LEVEL_FIELDS:
+            continue
+        for name, row, blocks in levels(ctx, rng):
+            parts = stretches(row, blocks)
+            want = [oracle(ctx, values, table) for table, values in parts]
+            per_cluster = [ctx.first_nonzero_relation(values, table) for table, values in parts]
+            first = next((k for k, r in enumerate(want) if r is not None), None)
+            if per_cluster != want or ctx.first_nonzero_block(row, blocks) != first:
+                disagree.append(f"{field} {name}: the kernels and the oracle disagree")
+            level = best_ns(lambda: ctx.first_nonzero_block(row, blocks), args.repeats, args.number)
+            each = best_ns(lambda: [ctx.first_nonzero_relation(v, t) for t, v in parts],
+                           args.repeats, args.number)
+            report[field][name] = {"clusters": len(blocks), "level_ns": round(level),
+                                   "per_cluster_ns": round(each), "per_cluster_x": round(each / level, 2)}
     print(json.dumps({"repeats": args.repeats, "number": args.number, "ns_per_call": report},
                      sort_keys=True))
     for line in disagree:

@@ -8,7 +8,8 @@ for this tree, or an installed package):
 
 Each call runs through ``deeplocus.cli.main`` in this process. The file
 records, per call and in order, its argv, the JSON it reads as ``{file}``
-(if any), its exit code and the sha256 of its stdout and stderr. The
+(if any), the environment variables it sets (if any), its exit code and the
+sha256 of its stdout and stderr. The
 checkout's path is written as ``{root}`` and the input file's as
 ``{file}``, so no record depends on where the tree is. The list is built
 from fixed seeds, so every run makes the same calls.
@@ -36,7 +37,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "data" / "sweep.json"
@@ -45,9 +46,10 @@ FAST_STRIDE = 7
 FIELDS = ("q", "qi", "fp:2", "fp:3", "fp:5", "fp:7", "fp:13")
 DATA = "{root}/tests/data"
 
-# argv, with {root} and {file} written as such, and the JSON written to
-# {file} before the call, or None
-Call = Tuple[List[str], Optional[object]]
+# argv, with {root} and {file} written as such, the JSON written to {file}
+# before the call, or None, and the environment variables set for the call,
+# or None; a builder may leave the last one out
+Call = Tuple[List[str], Optional[object], Optional[Dict[str, str]]]
 
 
 def _polygon() -> List[Call]:
@@ -89,6 +91,13 @@ def _polygon() -> List[Call]:
                            (140, "fp:3", MODE_BOUNDARY), (200, "fp:2", MODE_BOUNDARY),
                            (257, "fp:3", MODE_TYPE_A)):
         calls.append((["polygon", "scan", "--n", str(n), "--field", field, "--mode", mode, "--json"], None))
+    # over-long values: 200 random 60-digit edges, whose alternating product
+    # is printed in full, and a search cap refused by its length
+    rng = random.Random(2032)
+    edges = ",".join(f"{rng.randrange(10**59, 10**60)}/{rng.randrange(10**59, 10**60)}" for _ in range(200))
+    calls.append((["polygon", "from-edges", f"--edges={edges}", "--json"], None))
+    calls.append((["polygon", "scan", "--n", "4", "--field", "fp:2", "--json"], None,
+                  {"DEEPLOCUS_MAX_SEARCH": "9" * 5000}))
     return calls
 
 
@@ -237,37 +246,49 @@ def _bad_inputs() -> List[Call]:
             for argv, doc in (module.BAD_INPUTS[case] for case in sorted(module.BAD_INPUTS))]
 
 
-def _key(argv: List[str], doc: Optional[object]) -> str:
-    return json.dumps([argv, doc])
+def _key(argv: List[str], doc: Optional[object], env: Optional[Dict[str, str]] = None) -> str:
+    return json.dumps([argv, doc] if env is None else [argv, doc, env])
 
 
 def call_list() -> List[Call]:
     """The sweep's calls in order, each once."""
     found = {}
     for build in (_polygon, _rank2, _markov, _surface, _scenario, _examples, _bad_inputs):
-        for argv, doc in build():
-            found.setdefault(_key(argv, doc), (argv, doc))
+        for call in build():
+            argv, doc, env = (*call, None)[:3]
+            found.setdefault(_key(argv, doc, env), (argv, doc, env))
     return list(found.values())
 
 
 def run(call: Call, workdir: str) -> dict:
-    """One call's record: its argv, its input, its exit code and the sha256
-    of its stdout and stderr."""
+    """One call's record: its argv, its input, its environment, its exit
+    code and the sha256 of its stdout and stderr."""
     from deeplocus.cli import main
 
-    argv, doc = call
+    argv, doc, env = (*call, None)[:3]
     path = os.path.join(workdir, "input.json")
     if doc is not None:
         with open(path, "w") as fh:
             json.dump(doc, fh)
     root = str(ROOT)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([a.replace("{root}", root).replace("{file}", path) for a in argv])
+    saved = {name: os.environ.get(name) for name in env or {}}
+    os.environ.update(env or {})
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([a.replace("{root}", root).replace("{file}", path) for a in argv])
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
     output = [text.replace(path, "{file}").replace(root, "{root}") for text in (out.getvalue(), err.getvalue())]
     record = {"argv": argv, "exit_code": code, "sha256": hashlib.sha256(json.dumps(output).encode()).hexdigest()}
     if doc is not None:
         record["input"] = doc
+    if env is not None:
+        record["env"] = env
     return record
 
 
@@ -281,10 +302,10 @@ def sweep(fast: bool = False) -> List[dict]:
 def differences(recorded: List[dict], found: List[dict], complete: bool = True) -> List[str]:
     """One line per found call that differs from its record or has none, and,
     if the found calls are the complete list, per record no call matches."""
-    by_key = {_key(r["argv"], r.get("input")): r for r in recorded}
+    by_key = {_key(r["argv"], r.get("input"), r.get("env")): r for r in recorded}
     lines = []
     for record in found:
-        key = _key(record["argv"], record.get("input"))
+        key = _key(record["argv"], record.get("input"), record.get("env"))
         want = by_key.pop(key, None)
         if want is None:
             lines.append(f"not recorded: {key}")
