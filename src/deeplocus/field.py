@@ -261,40 +261,27 @@ class FieldContext:
         payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
         if not isinstance(relations, RelationTable):
             relations = RelationTable(relations)
-        if self.kind == PRIME_FIELD:
-            return _first_nonzero_mod(payloads, self.p, relations.runs)
-        if self.kind == RATIONALS:
-            return _first_nonzero_q(payloads, relations.runs)
-        return _first_nonzero_qi(payloads, relations)
+        return _KERNELS[self.kind](payloads, relations, self.p)
 
     def first_nonzero_block(
-        self, values: Sequence["FieldValue"], blocks: Iterable[Tuple[int, "RelationTable"]]
+        self, values: Sequence["FieldValue"], stride: int, tables: Iterable["RelationTable"]
     ) -> Optional[int]:
-        """The index of the first block (offset, table) one of whose
-        relations does not vanish, or None when every relation of every
-        block does.
+        """The index k of the first table one of whose relations does not
+        vanish at values[k * stride : (k + 1) * stride], or None when every
+        relation of every table does.
 
         Many prepared tables are tested in one call, each on its own
-        stretch of one row: block k holds iff
-        first_nonzero_relation(values[offset:], table) is None.  The
-        payloads are taken once for the whole row, and each block's slice,
-        table.width payloads from its offset, is read by the kernel of
-        first_nonzero_relation.  The blocks are read once, in order, and
-        may be any iterable."""
+        stretch of one row: table k holds iff
+        first_nonzero_relation(values[k * stride : (k + 1) * stride], table)
+        is None.  The payloads are taken once for the whole row, and each
+        stretch is read by the kernel of first_nonzero_relation.  The tables
+        are read once, in order, and may be any iterable."""
         payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
-        if self.kind == PRIME_FIELD:
-            p = self.p
-            for k, (o, table) in enumerate(blocks):
-                if _first_nonzero_mod(payloads[o : o + table.width], p, table.runs) is not None:
-                    return k
-        elif self.kind == RATIONALS:
-            for k, (o, table) in enumerate(blocks):
-                if _first_nonzero_q(payloads[o : o + table.width], table.runs) is not None:
-                    return k
-        else:
-            for k, (o, table) in enumerate(blocks):
-                if _first_nonzero_qi(payloads[o : o + table.width], table) is not None:
-                    return k
+        kernel, p = _KERNELS[self.kind], self.p
+        for k, table in enumerate(tables):
+            o = k * stride
+            if kernel(payloads[o : o + stride], table, p) is not None:
+                return k
         return None
 
     def count_zeros(self, values: Sequence["FieldValue"], indices: Sequence[int]) -> int:
@@ -338,27 +325,24 @@ class RelationTable(tuple):
     Build one once for a table that is tested many times."""
 
     runs: Runs
-    # one more than the largest index any relation reads
-    width: int
 
     def __new__(cls, relations: Iterable[Relation]) -> "RelationTable":
         table = super().__new__(cls, relations)
         runs: List[Tuple[str, int, list]] = []
-        width = 0
         for r, relation in enumerate(table):
             shape, row = _row(relation)
-            width = max([width] + [i + 1 for _, idx in relation for i in idx])
             if runs and runs[-1][0] == shape:
                 runs[-1][2].append(row)
             else:
                 runs.append((shape, r, [row]))
         table.runs = tuple((shape, start, tuple(rows)) for shape, start, rows in runs)
-        table.width = width
         return table
 
 
-def _first_nonzero_mod(res: List[int], p: int, runs: Runs) -> Optional[int]:
-    for shape, start, rows in runs:
+# The identity-test kernels, one per kind of field, all called as
+# kernel(payloads, table, p) with p the context's modulus (0 off F_p).
+def _first_nonzero_mod(res: List[int], table: RelationTable, p: int) -> Optional[int]:
+    for shape, start, rows in table.runs:
         if shape is _EXCHANGE:
             for r, (a, b, c, d, e, f) in enumerate(rows, start):
                 if (res[a] * res[b] - res[c] * res[d] - res[e] * res[f]) % p:
@@ -375,9 +359,9 @@ def _first_nonzero_mod(res: List[int], p: int, runs: Runs) -> Optional[int]:
     return None
 
 
-def _first_nonzero_q(values: List[Tuple[int, int]], runs: Runs) -> Optional[int]:
+def _first_nonzero_q(values: List[Tuple[int, int]], table: RelationTable, p: int) -> Optional[int]:
     # value t is num / d for (num, d) = values[t]
-    for shape, start, rows in runs:
+    for shape, start, rows in table.runs:
         if shape is _EXCHANGE:
             # na nb / (da db) - nc nd / (dc dd) - ne nf / (de df), over the
             # product of the three denominators
@@ -410,11 +394,11 @@ def _first_nonzero_q(values: List[Tuple[int, int]], runs: Runs) -> Optional[int]
 
 
 def _first_nonzero_qi(
-    values: List[Tuple[int, int, int]], relations: Sequence[Relation]
+    values: List[Tuple[int, int, int]], table: RelationTable, p: int
 ) -> Optional[int]:
     # value t is (re + im*i) / d for (re, im, d) = values[t]; as over Q,
-    # with Gaussian tops
-    for r, relation in enumerate(relations):
+    # with Gaussian tops, one monomial at a time
+    for r, relation in enumerate(table):
         top_re, top_im, bottom = 0, 0, 1
         for c, idx in relation:
             a, b, den = c, 0, 1
@@ -428,6 +412,13 @@ def _first_nonzero_qi(
         if top_re or top_im:
             return r
     return None
+
+
+_KERNELS = {
+    PRIME_FIELD: _first_nonzero_mod,
+    RATIONALS: _first_nonzero_q,
+    GAUSSIAN_RATIONALS: _first_nonzero_qi,
+}
 
 
 def _int_root(m: int, k: int) -> Optional[int]:

@@ -239,10 +239,11 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     The tree is walked one level at a time over plain (path, values)
     clusters.  Each cluster above the last level gets its children from
     `_children`, whose two children of an inner cluster share their M*v
-    factor.  Each level is one row: every cluster's x, y, z, M and its
-    children's new values, beside one (offset, table) block per cluster
-    over the cached `_node_relations` tables, and one exact identity test
-    (FieldContext.first_nonzero_block) checks every identity of the level.
+    factor.  Each level is one row, one stretch of it per cluster: its x,
+    y, z, M and its children's new values.  One exact identity test
+    (FieldContext.first_nonzero_block) reads each stretch against the
+    cluster's cached `_node_relations` table, so it checks every identity
+    of the level.
     No table is built or cached per level.  Only a level with a failure
     is tested again cluster by cluster, in order, and field values
     rebuild the message of each identity that fails, so the failures and
@@ -282,11 +283,11 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
                 next_frontier += children
             if torus:
                 torus_paths.append(path)
-        offsets = range(0, len(row), stride)
-        bad = ctx.first_nonzero_block(row, zip(offsets, tables))
+        bad = ctx.first_nonzero_block(row, stride, tables)
         if bad is None and deep_type is None:
             element_values.update(dict.fromkeys(torus_paths, M))
         else:
+            offsets = range(0, len(row), stride)
             for (path, values), relations, offset in zip(frontier, tables, offsets):
                 if deep_type is not None:
                     _check_zero_pattern(path, values, deep_type, report)

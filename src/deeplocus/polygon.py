@@ -421,23 +421,12 @@ def first_ptolemy_failure(p: PolygonPoint) -> Optional[Quad]:
     return None if r is None else quads[r]
 
 
-def _certificate(n: int, mode: str) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
-    """The one relation table a point of the n-gon in this mode is certified
-    against, and how many of its relations come before the chart's: in
-    type-A mode each edge's x_e - 1, in _edges(n) order, then the
-    relations of the chart (1, 2), whose quads follow.  Once the edges are
-    nonzero, (1, 2) is the first nonzero segment, so this chart is
-    first_ptolemy_failure's and its first failure is that function's.  In
-    boundary mode the table is the chart itself, read from _chart's cache
-    on every call, so no second copy of it outlives its eviction there."""
-    if mode == MODE_BOUNDARY:
-        return (0,) + _chart(n, 1, 2)
-    return _type_a_certificate(n)
-
-
 @functools.lru_cache(maxsize=32)
 def _type_a_certificate(n: int) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
-    """_certificate(n, MODE_TYPE_A), built once."""
+    """The one relation table a type-A point of the n-gon is certified
+    against, and how many of its relations come before the chart's: each
+    edge's x_e - 1, in _edges(n) order, then the relations of the chart
+    (1, 2), whose quads follow."""
     quads, relations = _chart(n, 1, 2)
     ones = tuple(((1, (t,)), (-1, ())) for t in _edge_slots(n))
     return len(ones), quads, RelationTable(ones + relations)
@@ -446,14 +435,21 @@ def _type_a_certificate(n: int) -> Tuple[int, Tuple[Quad, ...], RelationTable]:
 def _first_violation(p: PolygonPoint) -> Optional[str]:
     """The InvalidPoint text of p's first failure, or None when p is valid:
     its mode violations when it has any, else its first Ptolemy failure.
-    One identity test on the row decides."""
-    if p.mode != MODE_BOUNDARY:
-        ones, quads, relations = _type_a_certificate(p.n)
-    elif p.ctx.count_zeros(p.row, _edge_slots(p.n)):
-        return "; ".join(p.mode_violations())
+
+    One identity test on the row decides, against the chart (1, 2): once
+    the edges are nonzero, (1, 2) is the first nonzero segment, so this
+    chart is first_ptolemy_failure's and its first failure is that
+    function's.  In type-A mode the edges' x_e - 1 come first, in one table
+    (_type_a_certificate); in boundary mode the table is the chart itself,
+    read from _chart's cache on every call, so no second copy of it
+    outlives its eviction there."""
+    if p.mode == MODE_BOUNDARY:
+        if p.ctx.count_zeros(p.row, _edge_slots(p.n)):
+            return "; ".join(p.mode_violations())
+        ones = 0
+        quads, relations = _chart(p.n, 1, 2)
     else:
-        # _certificate(p.n, p.mode), without its call
-        ones, (quads, relations) = 0, _chart(p.n, 1, 2)
+        ones, quads, relations = _type_a_certificate(p.n)
     r = p.ctx.first_nonzero_relation(p.row, relations)
     if r is None:
         return None
@@ -477,7 +473,7 @@ def is_deep_bruteforce(p: PolygonPoint) -> bool:
 
     p must be valid: InvalidPoint names its mode violations or its first
     Ptolemy failure.  One identity test on the row checks both (see
-    _certificate).  Deepness is then read off the payloads of O(n) values
+    _first_violation).  Deepness is then read off the payloads of O(n) values
     of the chart's two rows: a valid point p is deep iff n is even,
     x_1k = 0 for every odd k >= 3 and x_2k = 0 for every even k >= 4.  This
     follows from a lemma, proved below: p is deep iff n is even and

@@ -434,6 +434,15 @@ def fan(n):
     return polygon.PolygonTriangulation(n, frozenset((1, k) for k in range(3, n)))
 
 
+def certificate(n, mode):
+    """(ones, quads, table): the table a point of the n-gon in this mode is
+    certified against (see polygon._first_violation), with how many of its
+    relations come before the chart's and the chart's quads."""
+    if mode == polygon.MODE_TYPE_A:
+        return polygon._type_a_certificate(n)
+    return (0,) + polygon._chart(n, 1, 2)
+
+
 def certificate_vectors(ctx, n, mode, rng):
     """Rows of the n-gon: valid points seeded on a fan, with their edges at
     1 in type-A mode, and deep points, each with a perturbed copy; the row
@@ -499,10 +508,10 @@ class TestPreparedTables:
     @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
     def test_certificates(self, ctx, n, mode):
         rng = random.Random(f"certificate/{ctx.p}/{ctx.kind}/{n}/{mode}")
-        ones, quads, certificate = polygon._certificate(n, mode)
+        ones, quads, table = certificate(n, mode)
         reached = set()
         for values in certificate_vectors(ctx, n, mode, rng):
-            r = check_prepared(ctx, values, certificate)
+            r = check_prepared(ctx, values, table)
             reached.add("valid" if r is None else "edge" if r < ones else "chart")
         expected = {"valid", "chart", "edge"} if mode == polygon.MODE_TYPE_A else {"valid", "chart"}
         assert reached == expected
@@ -531,8 +540,8 @@ class TestPreparedTables:
         # exchange rows unrolled, the type-A edges' x_t - 1 and the Markov
         # torus relation generic
         for n in range(4, 15):
-            boundary = polygon._certificate(n, polygon.MODE_BOUNDARY)[2]
-            typed = polygon._certificate(n, polygon.MODE_TYPE_A)[2]
+            boundary = polygon._chart(n, 1, 2)[1]
+            typed = polygon._type_a_certificate(n)[2]
             assert [run[:2] for run in boundary.runs] == [("exchange", 0)]
             assert [run[:2] for run in typed.runs] == [("generic", 0), ("exchange", n)]
             assert typed.runs[1][2] == boundary.runs[0][2]
@@ -543,7 +552,7 @@ class TestPreparedTables:
             assert sum(len(rows) for _, _, rows in table.runs) == len(table)
 
     def test_foreign_values_are_refused(self):
-        tables = [(45, polygon._certificate(10, polygon.MODE_TYPE_A)[2]),
+        tables = [(45, polygon._type_a_certificate(10)[2]),
                   (28, polygon._chart(8, 2, 5)[1])]
         tables += [(4 + len(dirs), table) for dirs, table in node_tables()]
         for size, table in tables:
@@ -583,16 +592,17 @@ class TestLevelTest:
         firsts = set()
         for _ in range(60):
             chosen = rng.sample(stretches, rng.randint(1, 6))
-            row, blocks, want = [], [], None
+            # every table reads at most 7 values; unread values pad each
+            # stretch, so the offsets shift with the stride
+            stride = rng.randint(7, 10)
+            row, want = [], None
             for k, (table, values) in enumerate(chosen):
-                # a gap of unread values before some blocks shifts the offsets
-                row += [identity_draw(ctx, rng) for _ in range(rng.randrange(3))]
-                blocks.append((len(row), table))
-                row += values
+                row += values + [identity_draw(ctx, rng) for _ in range(stride - len(values))]
                 if want is None and check_prepared(ctx, values, table) is not None:
                     want = k
-            assert ctx.first_nonzero_block(row, blocks) == want
-            assert ctx.first_nonzero_block(row, iter(blocks)) == want
+            tables = [table for table, _ in chosen]
+            assert ctx.first_nonzero_block(row, stride, tables) == want
+            assert ctx.first_nonzero_block(row, stride, iter(tables)) == want
             firsts.add(want)
         assert None in firsts and len(firsts) > 2
 
@@ -605,9 +615,9 @@ class TestLevelTest:
         seen = []
         original = FieldContext.first_nonzero_block
 
-        def spy(self, row, blocks):
-            seen.append((list(row), list(blocks)))
-            return original(self, row, seen[-1][1])
+        def spy(self, row, stride, tables):
+            seen.append((list(row), stride, list(tables)))
+            return original(self, *seen[-1])
 
         monkeypatch.setattr(FieldContext, "first_nonzero_block", spy)
         x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
@@ -616,18 +626,17 @@ class TestLevelTest:
         monkeypatch.undo()
         assert len(seen) == 5
         failed = set()
-        for row, blocks in seen:
-            assert ctx.first_nonzero_block(row, blocks) is None
+        for row, stride, tables in seen:
+            assert len(row) == stride * len(tables)
+            assert ctx.first_nonzero_block(row, stride, tables) is None
             for _ in range(10):
-                k = rng.randrange(len(blocks))
-                offset, table = blocks[k]
-                end = blocks[k + 1][0] if k + 1 < len(blocks) else len(row)
-                t = offset + rng.randrange(end - offset)
+                k = rng.randrange(len(tables))
+                t = k * stride + rng.randrange(stride)
                 bumped = row[:t] + [row[t] + ctx.one()] + row[t + 1:]
-                want = next((j for j, (o, tb) in enumerate(blocks)
-                             if ctx.first_nonzero_relation(bumped[o:end if j == k else o + tb.width], tb)
+                want = next((j for j, tb in enumerate(tables)
+                             if ctx.first_nonzero_relation(bumped[j * stride:(j + 1) * stride], tb)
                              is not None), None)
-                assert ctx.first_nonzero_block(bumped, blocks) == want
+                assert ctx.first_nonzero_block(bumped, stride, tables) == want
                 assert want in (k, None)
                 failed.add(want is not None)
         assert True in failed
@@ -637,15 +646,8 @@ class TestLevelTest:
         for ctx, other in ((QQ, QI), (QI, QQ), (F3, prime_field(101)), (prime_field(101), QQ)):
             row = [ctx.one()] * 12
             with pytest.raises(ContextMismatch):
-                ctx.first_nonzero_block(row[:11] + [other.one()], [(0, table), (6, table)])
-            assert ctx.first_nonzero_block([], []) is None
-
-    def test_width_is_one_past_the_largest_index(self):
-        for dirs, table in node_tables():
-            assert table.width == (4 + len(dirs) if dirs else 4 if len(table) else 0)
-            assert RelationTable(list(table)).width == table.width
-        for n in range(4, 15):
-            assert polygon._certificate(n, polygon.MODE_TYPE_A)[2].width == n * (n - 1) // 2
+                ctx.first_nonzero_block(row[:11] + [other.one()], 6, [table, table])
+            assert ctx.first_nonzero_block([], 6, []) is None
 
 
 @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deeplocus import polygon
-from deeplocus.field import QI, QQ, prime_field, product
+from deeplocus.field import QI, QQ, FieldContext, prime_field, product
 from deeplocus.polygon import (
     MODE_BOUNDARY,
     MODE_TYPE_A,
@@ -860,24 +860,37 @@ class TestRowCertificate:
         with pytest.raises(AttributeError):
             point.colour = 1
 
-    def test_the_boundary_certificate_is_the_cached_chart(self):
-        # the boundary-mode certificate is read from _chart's cache on each
-        # call, so it is the chart's current table even after 36 other
-        # charts have evicted the one it was first read from
-        table = polygon._certificate(8, MODE_BOUNDARY)[2]
-        assert table is polygon._chart(8, 1, 2)[1]
+    def test_the_boundary_certificate_is_the_cached_chart(self, monkeypatch):
+        # a boundary point is certified against _chart's cached table, read
+        # on each call, so it is the chart's current table even after 36
+        # other charts have evicted the one it was first read from
+        tested = []
+        original = FieldContext.first_nonzero_relation
+
+        def spy(self, values, relations):
+            tested.append(relations)
+            return original(self, values, relations)
+
+        monkeypatch.setattr(FieldContext, "first_nonzero_relation", spy)
+        fan = PolygonTriangulation(8, frozenset((1, k) for k in range(3, 8)))
+        seeds = {d: QQ.from_int(k + 2) for k, d in enumerate(sorted(fan.diagonals))}
+        point = extend_from_triangulation(8, fan, seeds, {e: QQ.from_int(3) for e in polygon_edges(8)})
+        assert point.mode == MODE_BOUNDARY
+        assert point.is_valid()
+        first = tested[-1]
+        assert first is polygon._chart(8, 1, 2)[1]
         for n in range(5, 41):
             polygon._chart(n, 3, 4)
-        assert polygon._certificate(8, MODE_BOUNDARY)[2] is polygon._chart(8, 1, 2)[1]
-        typed = polygon._certificate(8, MODE_TYPE_A)[2]
-        assert polygon._certificate(8, MODE_TYPE_A)[2] is typed
+        assert point.is_valid()
+        assert tested[-1] is polygon._chart(8, 1, 2)[1]
+        assert tested[-1] is not first and tested[-1] == first
+        assert polygon._type_a_certificate(8)[2] is polygon._type_a_certificate(8)[2]
 
     @pytest.mark.parametrize("n", [4, 7, 10])
     def test_one_table_per_mode(self, n):
         # type-A puts each edge's x_e - 1 before the chart (1, 2)
         quads, relations = polygon._chart(n, 1, 2)
-        assert polygon._certificate(n, MODE_BOUNDARY) == (0, quads, relations)
-        ones, typed_quads, typed = polygon._certificate(n, MODE_TYPE_A)
+        ones, typed_quads, typed = polygon._type_a_certificate(n)
         assert (ones, typed_quads, typed[ones:]) == (n, quads, relations)
         index = {s: t for t, s in enumerate(polygon_segments(n))}
         assert typed[:ones] == tuple(((1, (index[e],)), (-1, ())) for e in polygon_edges(n))

@@ -12,7 +12,8 @@ so that every relation of the table is read, and times two paths on it:
 ``FieldContext.first_nonzero_relation`` on the cached, prepared table, and
 the same relations evaluated through ``FieldValue`` arithmetic, the oracle
 the tests hold the kernel to. The tables are the polygon certificates
-(``polygon._certificate``) of the 8-gon and the 10-gon in both modes, and
+(``polygon._chart(n, 1, 2)`` in boundary mode and
+``polygon._type_a_certificate``) of the 8-gon and the 10-gon, and
 the identities of an inner Markov node of a torus cluster, with two
 children (``markov._node_relations``).
 
@@ -84,7 +85,9 @@ def tables(ctx, rng: random.Random) -> List[Tuple[str, object, list]]:
                      for e in polygon.polygon_edges(n)}
             seeds = {d: _nonzero(ctx, rng) for d in fan.diagonals}
             point = polygon.extend_from_triangulation(n, fan, seeds, edges)
-            out.append((f"certificate.n{n}.{mode}", polygon._certificate(n, mode)[2], list(point.row)))
+            table = (polygon._type_a_certificate(n)[2] if mode == polygon.MODE_TYPE_A
+                     else polygon._chart(n, 1, 2)[1])
+            out.append((f"certificate.n{n}.{mode}", table, list(point.row)))
     x, y, z = (_nonzero(ctx, rng) for _ in range(3))
     m = markov.markov_element(x, y, z)
     row = [x, y, z, m, x * z * m - y, x * y * m - z]
@@ -96,10 +99,10 @@ LEVEL_FIELDS = ("fp:101", "q")
 LEVEL_DEPTH = 6
 
 
-def levels(ctx, rng: random.Random) -> List[Tuple[str, list, list]]:
-    """(name, row, blocks) of the last inner level and the leaf level of
-    the exchange tree of a random torus point, to LEVEL_DEPTH: the rows and
-    (offset, table) blocks explore_and_verify tests, read off its calls."""
+def levels(ctx, rng: random.Random) -> List[Tuple[str, list, int, list]]:
+    """(name, row, stride, tables) of the last inner level and the leaf
+    level of the exchange tree of a random torus point, to LEVEL_DEPTH: the
+    level tests explore_and_verify makes, read off its calls."""
     from deeplocus import markov
     from deeplocus.field import FieldContext
 
@@ -108,8 +111,8 @@ def levels(ctx, rng: random.Random) -> List[Tuple[str, list, list]]:
     seen = []
     level_test = FieldContext.first_nonzero_block
 
-    def record(self, row, blocks):
-        seen.append((list(row), list(blocks)))
+    def record(self, row, stride, tables):
+        seen.append((list(row), stride, list(tables)))
         return level_test(self, *seen[-1])
 
     FieldContext.first_nonzero_block = record
@@ -123,10 +126,9 @@ def levels(ctx, rng: random.Random) -> List[Tuple[str, list, list]]:
     return [(f"markov.level.inner.d{LEVEL_DEPTH - 1}", *inner), (f"markov.level.leaf.d{LEVEL_DEPTH}", *leaf)]
 
 
-def stretches(row, blocks):
-    """Each block's table and its stretch of the row, up to the next block."""
-    ends = [offset for offset, _ in blocks[1:]] + [len(row)]
-    return [(table, row[offset:end]) for (offset, table), end in zip(blocks, ends)]
+def stretches(row, stride, tables):
+    """Each table and its stretch of the row."""
+    return [(table, row[k * stride : (k + 1) * stride]) for k, table in enumerate(tables)]
 
 
 def best_ns(call, repeats: int, number: int) -> float:
@@ -158,17 +160,17 @@ def main(argv: List[str]) -> int:
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
         if field not in LEVEL_FIELDS:
             continue
-        for name, row, blocks in levels(ctx, rng):
-            parts = stretches(row, blocks)
+        for name, row, stride, level_tables in levels(ctx, rng):
+            parts = stretches(row, stride, level_tables)
             want = [oracle(ctx, values, table) for table, values in parts]
             per_cluster = [ctx.first_nonzero_relation(values, table) for table, values in parts]
             first = next((k for k, r in enumerate(want) if r is not None), None)
-            if per_cluster != want or ctx.first_nonzero_block(row, blocks) != first:
+            if per_cluster != want or ctx.first_nonzero_block(row, stride, level_tables) != first:
                 disagree.append(f"{field} {name}: the kernels and the oracle disagree")
-            level = best_ns(lambda: ctx.first_nonzero_block(row, blocks), args.repeats, args.number)
+            level = best_ns(lambda: ctx.first_nonzero_block(row, stride, level_tables), args.repeats, args.number)
             each = best_ns(lambda: [ctx.first_nonzero_relation(v, t) for t, v in parts],
                            args.repeats, args.number)
-            report[field][name] = {"clusters": len(blocks), "level_ns": round(level),
+            report[field][name] = {"clusters": len(level_tables), "level_ns": round(level),
                                    "per_cluster_ns": round(each), "per_cluster_x": round(each / level, 2)}
     print(json.dumps({"repeats": args.repeats, "number": args.number, "ns_per_call": report},
                      sort_keys=True))
