@@ -15,18 +15,21 @@ compare by identity.
 ``FieldContext.first_nonzero_relation`` tests a table of polynomial
 identities at a point's values without building values.  A table is
 prepared once as a ``RelationTable``: a tuple of its relations that also
-keeps them as runs of flat rows by shape.  The exchange
-x_a x_b - x_c x_d - x_e x_f (every Ptolemy relation and every Markov
-exchange) is read in one unrolled loop: over F_p as
-``(r[a]*r[b] - r[c]*r[d] - r[e]*r[f]) % p``, over Q over the three
-products' numerators and denominators.  Any other relation, such as a
-type-A edge's x_t - 1 or the Markov torus relation, is summed monomial by
-monomial.  A plain sequence of relations is prepared on each call, so
-callers cache the tables they test often; Q(i) reads a table as its
-relations, one monomial at a time.
+keeps them as runs of flat rows by shape.  Two shapes are read in one
+unrolled loop each: the exchange x_a x_b - x_c x_d - x_e x_f (every
+Ptolemy relation and every Markov exchange) and the torus relation
+x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c (the Markov element of a torus
+cluster is M).  Over F_p each row is one sum reduced once mod p; over Q
+it is one integer test over the numerators and denominators, on one
+common denominator.  Any other relation, such as a type-A edge's
+x_t - 1, is summed monomial by monomial.  A plain sequence of relations is prepared on
+each call, so callers cache the tables they test often; Q(i) reads a table
+as its relations, one monomial at a time.
 ``FieldContext.first_nonzero_block`` tests many prepared tables in one
 call, each on its own stretch of one row, such as every cluster of one
-level of the Markov exchange tree.
+level of the Markov exchange tree, whose children's new values are each
+one fused ``FieldValue.mul_mul_sub``.  Over F_p a power is one builtin
+``pow``.
 """
 
 from __future__ import annotations
@@ -302,17 +305,26 @@ class FieldContext:
 
 # the row shapes of a RelationTable: the exchange x_a x_b - x_c x_d - x_e x_f
 # (every Ptolemy relation, and every Markov exchange), flattened to
-# (a, b, c, d, e, f), and any other relation, kept as it is
-_EXCHANGE, _GENERIC = "exchange", "generic"
+# (a, b, c, d, e, f); the torus relation x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c
+# (the Markov element of a torus cluster is M), flattened to (a, b, c, d);
+# and any other relation, kept as it is
+_EXCHANGE, _TORUS, _GENERIC = "exchange", "torus", "generic"
 # (shape, index of the run's first relation, its rows)
 Runs = Tuple[Tuple[str, int, tuple], ...]
 
 
 def _row(relation: Relation) -> Tuple[str, object]:
-    """The shape of one relation and its row in that shape."""
+    """The shape of one relation and its row in that shape.  A shape is
+    read off the monomials exactly, coefficients, index counts and the
+    order of the indices alike; anything else is generic."""
     monomials = tuple((c, tuple(idx)) for c, idx in relation)
-    if tuple((c, len(idx)) for c, idx in monomials) == ((1, 2), (-1, 2), (-1, 2)):
+    lengths = tuple((c, len(idx)) for c, idx in monomials)
+    if lengths == ((1, 2), (-1, 2), (-1, 2)):
         return _EXCHANGE, monomials[0][1] + monomials[1][1] + monomials[2][1]
+    if lengths == ((1, 2), (1, 2), (1, 2), (-1, 4)):
+        (_, (a, a2)), (_, (b, b2)), (_, (c, c2)), (_, (d, *abc)) = monomials
+        if (a, b, c) == (a2, b2, c2) == tuple(abc):
+            return _TORUS, (a, b, c, d)
     return _GENERIC, monomials
 
 
@@ -321,7 +333,8 @@ class RelationTable(tuple):
     the relations as given, in order, which also keeps them as runs of
     flat rows, one run per stretch of relations of one shape (_row).  Each
     run is (shape, index of its first relation, rows), so the F_p and Q
-    identity tests read every row of an exchange run in one unrolled loop.
+    identity tests read every row of an exchange or torus run in one
+    unrolled loop.
     Build one once for a table that is tested many times."""
 
     runs: Runs
@@ -346,6 +359,11 @@ def _first_nonzero_mod(res: List[int], table: RelationTable, p: int) -> Optional
         if shape is _EXCHANGE:
             for r, (a, b, c, d, e, f) in enumerate(rows, start):
                 if (res[a] * res[b] - res[c] * res[d] - res[e] * res[f]) % p:
+                    return r
+        elif shape is _TORUS:
+            for r, (a, b, c, d) in enumerate(rows, start):
+                x, y, z = res[a], res[b], res[c]
+                if (x * x + y * y + z * z - res[d] * x * y * z) % p:
                     return r
         else:
             for r, relation in enumerate(rows, start):
@@ -374,6 +392,20 @@ def _first_nonzero_q(values: List[Tuple[int, int]], table: RelationTable, p: int
                 nf, df = values[f]
                 d1, d2 = da * db, dc * dd
                 if (na * nb * d2 - nc * nd * d1) * de * df - ne * nf * d1 * d2:
+                    return r
+            continue
+        if shape is _TORUS:
+            # x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c, over (da db dc)^2 dd:
+            # the squares of the three numerators over da db dc, times dd,
+            # less nd na nb nc da db dc
+            for r, (a, b, c, d) in enumerate(rows, start):
+                na, da = values[a]
+                nb, db = values[b]
+                nc, dc = values[c]
+                nd, dd = values[d]
+                d1 = da * db
+                x, y, z = na * db * dc, nb * da * dc, nc * d1
+                if (x * x + y * y + z * z) * dd - nd * na * nb * nc * d1 * dc:
                     return r
             continue
         for r, relation in enumerate(rows, start):
@@ -423,10 +455,11 @@ _KERNELS = {
 
 def _int_root(m: int, k: int) -> Optional[int]:
     """The exact k-th root of the integer m >= 0, if it is an integer."""
+    if k >= m.bit_length():
+        # 2^k > m, so only 0 and 1 can be roots
+        return m if m < 2 else None
     if k == 2:
         r = math.isqrt(m)
-    elif m == 0:
-        r = 0
     else:
         # Newton's iteration from above converges to the floor of the root
         r = 1 << -(-m.bit_length() // k)
@@ -650,25 +683,29 @@ class FieldValue:
         (x1, y1, d1), (x2, y2, d2) = self._v, other._v
         return FieldValue(self.ctx, _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
 
-    def mul_sub(self, other: "FieldValue", sub: "FieldValue") -> "FieldValue":
-        """self * other - sub, as one operation that builds no value for the
+    def mul_mul_sub(self, a: "FieldValue", b: "FieldValue", sub: "FieldValue") -> "FieldValue":
+        """self * a * b - sub, as one operation that builds no value for the
         product: over Q the difference is formed over the product of the
-        three denominators and reduced once; over F_p and Q(i) the
-        product's payload goes straight into the difference."""
-        self._check(other)
+        four denominators and reduced by one gcd; over Q(i) likewise, with
+        the Gaussian product of the three numerators; over F_p it is reduced
+        once."""
+        self._check(a)
+        self._check(b)
         self._check(sub)
         k = self.ctx.kind
         if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (self._v * other._v - sub._v) % self.ctx.p)
+            return FieldValue(self.ctx, (self._v * a._v * b._v - sub._v) % self.ctx.p)
         if k == RATIONALS:
-            # a/b * c/d - e/f = (a*c*f - e*b*d) / (b*d*f), reduced by one gcd
-            (a, b), (c, d), (e, f) = self._v, other._v, sub._v
-            num, den = a * c * f - e * b * d, b * d * f
+            # m/dm * na/da * nb/db - e/f = (m na nb f - e dm da db) / (dm da db f)
+            (m, dm), (na, da), (nb, db), (e, f) = self._v, a._v, b._v, sub._v
+            den = dm * da * db
+            num, den = m * na * nb * f - e * den, den * f
             g = gcd(num, den)
             return FieldValue(self.ctx, (num // g, den // g) if g != 1 else (num, den))
-        (x1, y1, d1), (x2, y2, d2), (x3, y3, d3) = self._v, other._v, sub._v
-        x, y, d = _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
-        return FieldValue(self.ctx, _qi_sum(x, y, d, -x3, -y3, d3))
+        (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = self._v, a._v, b._v, sub._v
+        x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+        x, y, den = x * x3 - y * y3, x * y3 + y * x3, d1 * d2 * d3
+        return FieldValue(self.ctx, _qi_reduced(x * d4 - x4 * den, y * d4 - y4 * den, den * d4))
 
     def inverse(self) -> "FieldValue":
         if self.is_zero:
@@ -717,6 +754,10 @@ class FieldValue:
             return self.inverse() ** (-n)
         if n == 0:
             return self.ctx.one()
+        if self.ctx.kind == PRIME_FIELD:
+            # one builtin call: a nonzero residue has order dividing p - 1
+            p, v = self.ctx.p, self._v
+            return FieldValue(self.ctx, pow(v, n % (p - 1), p) if v else 0)
         # square only while higher bits remain, and start at the lowest set
         # bit: x**n takes at most 2 * n.bit_length() - 1 multiplies
         base = self

@@ -118,25 +118,16 @@ def _children(
 ) -> List[Tuple[Tuple[str, ...], Tuple[FieldValue, FieldValue, FieldValue]]]:
     """The (path, values) of each child of the cluster at the reduced word
     path, one per direction other than the word's last, in DIRECTIONS
-    order: the exchange v_k -> (product of the other two values)*M - v_k.
-
-    Reached by direction j, a cluster mutates only in the other two, and
-    each of their products contains v_j, so both children share the factor
-    M*v_j: three multiplies for the two.  The root has three children and
-    forms each product in full.  Each new value is one fused multiply and
-    subtract (FieldValue.mul_sub)."""
-    if path:
-        j = DIRECTIONS.index(path[-1])
-        shared = M * values[j]
-        products = [(k, shared, values[3 - j - k]) for k in range(3) if k != j]
-    else:
-        x, y, z = values
-        products = [(0, y * z, M), (1, x * z, M), (2, x * y, M)]
+    order: the exchange v_k -> M*(product of the other two values) - v_k.
+    Each new value is one fused op (FieldValue.mul_mul_sub), at the root
+    and below it alike."""
     out = []
-    for k, u, w in products:
+    for d in _CHILD_DIRS[path[-1:]]:
+        k = _SLOT[d]
+        i, j = _OTHERS[k]
         vals = list(values)
-        vals[k] = u.mul_sub(w, values[k])
-        out.append((path + (DIRECTIONS[k],), tuple(vals)))
+        vals[k] = M.mul_mul_sub(values[i], values[j], values[k])
+        out.append((path + (d,), tuple(vals)))
     return out
 
 
@@ -238,12 +229,13 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
 
     The tree is walked one level at a time over plain (path, values)
     clusters.  Each cluster above the last level gets its children from
-    `_children`, whose two children of an inner cluster share their M*v
-    factor.  Each level is one row, one stretch of it per cluster: its x,
-    y, z, M and its children's new values.  One exact identity test
+    `_children`, each child's new value one fused M*a*b - c.  Each level
+    is one row, one stretch of it per cluster: its x, y, z, M and its
+    children's new values.  One exact identity test
     (FieldContext.first_nonzero_block) reads each stretch against the
     cluster's cached `_node_relations` table, so it checks every identity
-    of the level.
+    of the level; over F_p and Q the torus relation and each exchange are
+    one unrolled row.
     No table is built or cached per level.  Only a level with a failure
     is tested again cluster by cluster, in order, and field values
     rebuild the message of each identity that fails, so the failures and
@@ -303,9 +295,11 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     return report
 
 
-# the slots of x, y, z in a cluster's values, and each direction's slot
+# the slots of x, y, z in a cluster's values, each direction's slot, and
+# the other two slots of each slot
 _XYZ = (0, 1, 2)
 _SLOT = {d: k for k, d in enumerate(DIRECTIONS)}
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 # the directions of a cluster's children, in _children's order, by the
 # last letter of its word: every direction but that one
 _CHILD_DIRS = {(): DIRECTIONS, **{(d,): tuple(e for e in DIRECTIONS if e != d) for d in DIRECTIONS}}

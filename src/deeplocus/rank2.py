@@ -66,6 +66,9 @@ MAX_BETA_SEARCH = 10**7
 # the deepest window [-N, N+3] `extend_evaluation` fills: its time and the
 # CLI's output grow linearly in N
 MAX_WINDOW_DEPTH = 10**5
+# the largest b and c of a Rank2Spec: g's binomial expansion has b terms
+# with b-digit coefficients, and roots over Q take an exact b-th root
+MAX_RANK2_EXPONENT = 1000
 
 
 def positive_part(v: Vector) -> Vector:
@@ -113,6 +116,11 @@ class Rank2Spec:
     def __post_init__(self):
         if self.b < 1 or self.c < 1:
             raise Rank2Error("b and c must be positive")
+        if max(self.b, self.c) > MAX_RANK2_EXPONENT:
+            raise Rank2Error(
+                f"b = {self.b} and c = {self.c}: each must be at most"
+                f" MAX_RANK2_EXPONENT = {MAX_RANK2_EXPONENT}"
+            )
         if len(self.e1) != self.f or len(self.e2) != self.f:
             raise Rank2Error("e1 and e2 must have length f")
 

@@ -679,6 +679,23 @@ def test_rank2_deeper_than_the_window_cap_exits_1_without_a_window(monkeypatch, 
 
 
 @pytest.mark.parametrize(
+    "spec", [["--b", str(10**20), "--c", "2", "--field", "fp:5"], ["--b", "2", "--c", str(10**20), "--field", "q"]]
+)
+def test_rank2_exponent_over_the_cap_exits_1_with_one_line(monkeypatch, capsys, spec):
+    from deeplocus import rank2
+
+    def no_points(*args):
+        raise AssertionError("deep points searched")
+
+    monkeypatch.setattr(rank2, "deep_points", no_points)
+    code, out = run_cli(["rank2", *spec, "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Rank2Error: ") and err.count("\n") == 1
+    assert f"MAX_RANK2_EXPONENT = {rank2.MAX_RANK2_EXPONENT}" in err and str(10**20) in err
+
+
+@pytest.mark.parametrize(
     "spec", [["--b", "1", "--c", "1", "--field", "q"], ["--b", "2", "--c", "2", "--field", "fp:5"]]
 )
 def test_rank2_depth_cap_does_not_depend_on_the_spec(monkeypatch, capsys, spec):

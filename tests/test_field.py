@@ -112,8 +112,9 @@ def test_power_matches_repeated_product(ctx, rng):
 
 
 def test_power_multiply_count(monkeypatch):
-    # square-and-multiply without a square past the top bit or a product
-    # with one: x**n takes at most 2 * n.bit_length() - 1 multiplies
+    # over Q and Q(i), square-and-multiply without a square past the top
+    # bit or a product with one: x**n takes at most 2 * n.bit_length() - 1
+    # multiplies; over F_p a power is one builtin pow, with no multiply
     count = [0]
     mul = FieldValue.__mul__
 
@@ -126,11 +127,47 @@ def test_power_multiply_count(monkeypatch):
         a = ctx.from_int(3)
         count[0] = 0
         a**2
-        assert count[0] == 1
+        assert count[0] == (0 if ctx.p else 1)
         for n in range(1, 130):
-            count[0] = 0
-            a**n
-            assert count[0] <= 2 * n.bit_length() - 1, n
+            for power in (n, -n):
+                count[0] = 0
+                a**power
+                assert count[0] <= (0 if ctx.p else 2 * n.bit_length() - 1), power
+
+
+def square_and_multiply(a, n):
+    """a**n by the square-and-multiply rule over field values: the oracle
+    of the F_p builtin power."""
+    if n < 0:
+        return square_and_multiply(a.inverse(), -n)
+    result, base = a.ctx.one(), a
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F5, prime_field(13), prime_field(101), prime_field(65521)],
+                         ids=["F2", "F3", "F5", "F13", "F101", "F65521"])
+def test_prime_field_powers_match_square_and_multiply(ctx):
+    rng = random.Random(f"pow/{ctx.p}")
+    exponents = [0, 1, 2, ctx.p - 2, ctx.p - 1, ctx.p, ctx.p + 1, 2 * (ctx.p - 1), 10**40, 10**40 + 1]
+    exponents += [rng.randrange(10**40) for _ in range(20)]
+    exponents += [-n for n in exponents if n]
+    for n in exponents:
+        for a in [ctx.one(), ctx.minus_one()] + [random_value(ctx, rng, nonzero=True) for _ in range(3)]:
+            assert a**n == square_and_multiply(a, n), (a, n)
+    # zero to a positive power is zero, to the power 0 is one, and a
+    # negative power of zero is refused as its inverse is
+    zero = ctx.zero()
+    for n in (1, 2, ctx.p - 1, ctx.p, 10**40, 10**40 + 1):
+        assert zero**n == zero == square_and_multiply(zero, n)
+    assert zero**0 == ctx.one()
+    for n in (-1, -(ctx.p - 1), -(10**40)):
+        with pytest.raises(DivisionByZero):
+            zero**n
 
 
 def test_char_two_collapses_signs():
@@ -208,6 +245,21 @@ def test_roots_recover_seeded_powers(ctx, k):
         assert all(v**k == s**k for v in found)
         keys = [v.sort_key() for v in found]
         assert keys == sorted(set(keys))
+
+
+def test_roots_of_huge_exponents_answer_at_once():
+    from deeplocus.field import _int_root
+
+    # 2^k > m leaves 0 and 1 as the only candidate k-th roots of m
+    big = 10**20
+    assert QQ.roots(QQ.one(), big) == [QQ.minus_one(), QQ.one()]
+    assert QQ.roots(QQ.minus_one(), big + 1) == [QQ.minus_one()]
+    assert QQ.roots(QQ.zero(), big) == [QQ.zero()]
+    assert QQ.roots(QQ.rational(1, 2), big) == [] == QQ.roots(QQ.minus_one(), big)
+    assert F5.roots(F5.one(), big) == list(F5.nonzero_elements())
+    for m in range(300):
+        for k in range(1, 12):
+            assert _int_root(m, k) == next((r for r in range(m + 1) if r**k == m), None), (m, k)
 
 
 def test_roots_exponent_errors():
@@ -536,9 +588,9 @@ class TestPreparedTables:
             assert None in failing_at and (len(failing_at) > 1 or not table)
 
     def test_tables_are_unrolled_by_shape(self):
-        # each cached table keeps its relations, and flat rows for F_p: the
-        # exchange rows unrolled, the type-A edges' x_t - 1 and the Markov
-        # torus relation generic
+        # each cached table keeps its relations, and flat rows for F_p and
+        # Q: the exchange rows and the Markov torus relation unrolled, the
+        # type-A edges' x_t - 1 generic
         for n in range(4, 15):
             boundary = polygon._chart(n, 1, 2)[1]
             typed = polygon._type_a_certificate(n)[2]
@@ -548,8 +600,10 @@ class TestPreparedTables:
             assert typed == tuple(((1, (t,)), (-1, ())) for t in polygon._edge_slots(n)) + boundary
         for dirs, table in node_tables():
             shapes = [shape for shape, _, _ in table.runs]
-            assert shapes == ["generic"] * (len(table) > len(dirs)) + ["exchange"] * bool(dirs)
+            assert shapes == ["torus"] * (len(table) > len(dirs)) + ["exchange"] * bool(dirs)
             assert sum(len(rows) for _, _, rows in table.runs) == len(table)
+            if len(table) > len(dirs):
+                assert table.runs[0][2] == ((0, 1, 2, 3),)
 
     def test_foreign_values_are_refused(self):
         tables = [(45, polygon._type_a_certificate(10)[2]),
@@ -650,18 +704,96 @@ class TestLevelTest:
             assert ctx.first_nonzero_block([], 6, []) is None
 
 
+def torus_relation(a, b, c, d):
+    """x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c, as _node_relations writes it."""
+    return ((1, (a, a)), (1, (b, b)), (1, (c, c)), (-1, (d, a, b, c)))
+
+
+def generic_table(relations):
+    """The relations prepared as one generic run: the per-monomial loop that
+    every row shape is held to."""
+    table = RelationTable(relations)
+    table.runs = (("generic", 0, tuple(table)),)
+    return table
+
+
+TORUS_FIELDS = [QQ, F2, F3, prime_field(101)]
+TORUS_IDS = ["Q", "F2", "F3", "F101"]
+
+
+class TestTorusRow:
+    """The torus row against the generic per-monomial loop and the
+    field-value oracle."""
+
+    @pytest.mark.parametrize("ctx", TORUS_FIELDS, ids=TORUS_IDS)
+    def test_torus_rows_match_the_generic_loop(self, ctx):
+        rng = random.Random(f"torus/{ctx.p}/{ctx.kind}")
+        outcomes = set()
+        for trial in range(60):
+            # distinct slots, or slots drawn with repeats
+            slots = rng.sample(range(6), 4) if trial % 2 else rng.choices(range(6), k=4)
+            table = RelationTable([torus_relation(*slots)])
+            assert table.runs == (("torus", 0, (tuple(slots),)),)
+            generic = generic_table(table)
+            x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
+            valid = [identity_draw(ctx, rng) for _ in range(6)]
+            a, b, c, d = slots
+            valid[a], valid[b], valid[c] = x, y, z
+            valid[d] = markov.markov_element(valid[a], valid[b], valid[c])
+            bumped = list(valid)
+            t = rng.choice(slots)
+            bumped[t] = bumped[t] + ctx.one()
+            for values in (valid, bumped, [identity_draw(ctx, rng) for _ in range(6)]):
+                want = first_nonzero_by_field_values(ctx, values, table)
+                assert ctx.first_nonzero_relation(values, generic) == want
+                assert ctx.first_nonzero_relation(values, table) == want
+                outcomes.add(want)
+        assert outcomes == {None, 0}
+
+    @pytest.mark.parametrize("ctx", TORUS_FIELDS + [QI], ids=TORUS_IDS + ["Qi"])
+    def test_near_misses_stay_generic(self, ctx):
+        near = [
+            # a wrong index, or order, in the product
+            ((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 4))),
+            ((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (0, 3, 1, 2))),
+            ((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 2, 1))),
+            # a wrong sign or coefficient
+            ((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (1, (3, 0, 1, 2))),
+            ((1, (0, 0)), (-1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2))),
+            ((2, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2))),
+            # a square that is not one, a monomial too many or too few
+            ((1, (0, 1)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2))),
+            ((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2)), (0, ())),
+            ((1, (0, 0)), (1, (1, 1)), (-1, (3, 0, 1))),
+        ]
+        rng = random.Random(f"near/{ctx.p}/{ctx.kind}")
+        for relation in near:
+            table = RelationTable([relation, torus_relation(0, 1, 2, 3)])
+            assert [run[:2] for run in table.runs] == [("generic", 0), ("torus", 1)]
+            for values in markov_vectors(ctx, rng, count=3):
+                check_prepared(ctx, values, table)
+
+
 @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
-def test_mul_sub_is_a_product_then_a_difference(ctx):
-    rng = random.Random(f"mul-sub/{ctx.p}/{ctx.kind}")
+def test_mul_mul_sub_is_a_product_then_a_difference(ctx):
+    rng = random.Random(f"mul-mul-sub/{ctx.p}/{ctx.kind}")
     for _ in range(200):
-        a, b, c = (identity_draw(ctx, rng) for _ in range(3))
-        got = a.mul_sub(b, c)
-        assert got == a * b - c
-        assert got._v == (a * b - c)._v
+        m, a, b, c = (identity_draw(ctx, rng) for _ in range(4))
+        got = m.mul_mul_sub(a, b, c)
+        assert got == m * a * b - c
+        assert got._v == (m * a * b - c)._v
+    # the Markov exchange of a torus cluster, as the tree forms it
+    x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
+    M = markov.markov_element(x, y, z)
+    assert M.mul_mul_sub(y, z, x) * x == y * y + z * z
     other = QI if ctx is QQ else QQ
-    for args in ((other.one(), ctx.one()), (ctx.one(), other.one())):
+    one = ctx.one()
+    for args in ((other.one(), one, one), (one, other.one(), one), (one, one, other.one())):
         with pytest.raises(ContextMismatch):
-            ctx.one().mul_sub(*args)
+            one.mul_mul_sub(*args)
+    for args in ((1, one, one), (one, Fraction(1), one), (one, one, None)):
+        with pytest.raises(TypeError):
+            one.mul_mul_sub(*args)
 
 
 class TestLongText:

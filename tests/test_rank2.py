@@ -42,6 +42,11 @@ class TestConstruction:
             Rank2Spec(0, 2)
         with pytest.raises(Rank2Error, match="e1 and e2 must have length f"):
             Rank2Spec(2, 2, 1, (1,), ())
+        cap = rank2.MAX_RANK2_EXPONENT
+        assert Rank2Spec(cap, cap).degree(1) == cap
+        for b, c in ((cap + 1, 1), (1, cap + 1), (10**20, 2), (2, 10**20)):
+            with pytest.raises(Rank2Error, match=f"MAX_RANK2_EXPONENT = {cap}"):
+                Rank2Spec(b, c)
         spec = Rank2Spec(2, 2, 1, (1,), (0,))
         ones = (QQ.one(),) * 4
         with pytest.raises(Rank2Error, match="exactly the four values"):

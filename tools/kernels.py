@@ -22,7 +22,11 @@ Over F_101 and Q it also times two levels of a depth-6 exchange tree, as
 clusters, each with its two children) and the leaf level (96 clusters).
 Each level is timed as one ``FieldContext.first_nonzero_block`` call on
 its row and as one ``first_nonzero_relation`` call per cluster, and both
-are checked against the field-value oracle, cluster by cluster.
+are checked against the field-value oracle, cluster by cluster. The new
+values of the last inner level's 96 children are timed too, each as the
+fused ``FieldValue.mul_mul_sub`` (M*a*b - c, the one op the tree uses) and
+as a product followed by a difference; both lists are checked against the
+oracle, each child's exchange identity v*v' = a^2 + b^2.
 
 Each time is the best of --repeats runs of --number calls. It prints one
 JSON line, and exits 1 if a kernel and the oracle disagree.
@@ -99,31 +103,46 @@ LEVEL_FIELDS = ("fp:101", "q")
 LEVEL_DEPTH = 6
 
 
-def levels(ctx, rng: random.Random) -> List[Tuple[str, list, int, list]]:
+# v*v' - a^2 - b^2 over (v, v', a, b): the exchange identity of one child
+EXCHANGE = (((1, (0, 1)), (-1, (2, 2)), (-1, (3, 3))),)
+
+
+def levels(ctx, rng: random.Random) -> Tuple[List[Tuple[str, list, int, list]], list]:
     """(name, row, stride, tables) of the last inner level and the leaf
     level of the exchange tree of a random torus point, to LEVEL_DEPTH: the
-    level tests explore_and_verify makes, read off its calls."""
+    level tests explore_and_verify makes, read off its calls; and the
+    (M, a, b, v) of each child of the last inner level, whose new value is
+    M*a*b - v."""
     from deeplocus import markov
     from deeplocus.field import FieldContext
 
     x, y, z = (_nonzero(ctx, rng) for _ in range(3))
     point = markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
-    seen = []
-    level_test = FieldContext.first_nonzero_block
+    seen, exchanges = [], []
+    level_test, children = FieldContext.first_nonzero_block, markov._children
 
     def record(self, row, stride, tables):
         seen.append((list(row), stride, list(tables)))
         return level_test(self, *seen[-1])
 
-    FieldContext.first_nonzero_block = record
+    def record_children(path, values, M):
+        if len(path) == LEVEL_DEPTH - 1:
+            for d in markov._CHILD_DIRS[path[-1:]]:
+                k = markov._SLOT[d]
+                i, j = markov._OTHERS[k]
+                exchanges.append((M, values[i], values[j], values[k]))
+        return children(path, values, M)
+
+    FieldContext.first_nonzero_block, markov._children = record, record_children
     try:
         report = markov.explore_and_verify(point, LEVEL_DEPTH)
     finally:
-        FieldContext.first_nonzero_block = level_test
+        FieldContext.first_nonzero_block, markov._children = level_test, children
     if not report.passed:
         raise SystemExit(f"the exchange tree of {point} fails: {report.failures[:1]}")
     inner, leaf = seen[LEVEL_DEPTH - 1], seen[LEVEL_DEPTH]
-    return [(f"markov.level.inner.d{LEVEL_DEPTH - 1}", *inner), (f"markov.level.leaf.d{LEVEL_DEPTH}", *leaf)]
+    return ([(f"markov.level.inner.d{LEVEL_DEPTH - 1}", *inner), (f"markov.level.leaf.d{LEVEL_DEPTH}", *leaf)],
+            exchanges)
 
 
 def stretches(row, stride, tables):
@@ -160,7 +179,8 @@ def main(argv: List[str]) -> int:
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
         if field not in LEVEL_FIELDS:
             continue
-        for name, row, stride, level_tables in levels(ctx, rng):
+        level_list, exchanges = levels(ctx, rng)
+        for name, row, stride, level_tables in level_list:
             parts = stretches(row, stride, level_tables)
             want = [oracle(ctx, values, table) for table, values in parts]
             per_cluster = [ctx.first_nonzero_relation(values, table) for table, values in parts]
@@ -172,6 +192,23 @@ def main(argv: List[str]) -> int:
                            args.repeats, args.number)
             report[field][name] = {"clusters": len(level_tables), "level_ns": round(level),
                                    "per_cluster_ns": round(each), "per_cluster_x": round(each / level, 2)}
+        name = f"markov.children.inner.d{LEVEL_DEPTH - 1}"
+
+        def fused(exchanges=exchanges):
+            return [m.mul_mul_sub(a, b, v) for m, a, b, v in exchanges]
+
+        def split(exchanges=exchanges):
+            return [m * a * b - v for m, a, b, v in exchanges]
+
+        for new_values in (fused, split):
+            if any(oracle(ctx, [v, w, a, b], EXCHANGE) is not None
+                   for (_, a, b, v), w in zip(exchanges, new_values())):
+                disagree.append(f"{field} {name}: a child's value fails its exchange identity")
+        fused_ns = best_ns(fused, args.repeats, args.number)
+        split_ns = best_ns(split, args.repeats, args.number)
+        report[field][name] = {"children": len(exchanges), "fused_ns": round(fused_ns),
+                               "product_difference_ns": round(split_ns),
+                               "product_difference_x": round(split_ns / fused_ns, 2)}
     print(json.dumps({"repeats": args.repeats, "number": args.number, "ns_per_call": report},
                      sort_keys=True))
     for line in disagree:

@@ -129,6 +129,12 @@ def _rank2() -> List[Call]:
     for depth in ("0", "1", "10", "30"):
         calls.append((["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", depth, "--json"], None))
     calls.append((["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", "100001", "--json"], None))
+    # a deep window with f > 0, whose y-monomial exponents grow with the
+    # depth, and exponents over MAX_RANK2_EXPONENT
+    calls.append((["rank2", "--b", "3", "--c", "3", "--e1=-1", "--e2=-1", "--field", "fp:7", "--depth", "250",
+                   "--json"], None))
+    calls.append((["rank2", "--b", str(10**20), "--c", "2", "--field", "fp:5", "--json"], None))
+    calls.append((["rank2", "--b", "2", "--c", str(10**20), "--field", "q", "--json"], None))
     return calls
 
 
