@@ -330,10 +330,18 @@ def cmd_scenario(args) -> Tuple[str, int]:
     return rep.render(args.json), rep.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are one stderr line, `deeplocus <command>:
+    error: <message>`, with exit code 2; its subparsers are built as it is."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deeplocus",
         description="construct and certify deep points of cluster varieties",
     )

@@ -25,11 +25,14 @@ common denominator.  Any other relation, such as a type-A edge's
 x_t - 1, is summed monomial by monomial.  A plain sequence of relations is prepared on
 each call, so callers cache the tables they test often; Q(i) reads a table
 as its relations, one monomial at a time.
-``FieldContext.first_nonzero_block`` tests many prepared tables in one
-call, each on its own stretch of one row, such as every cluster of one
-level of the Markov exchange tree, whose children's new values are each
-one fused ``FieldValue.mul_mul_sub``.  Over F_p a power is one builtin
-``pow``.
+``FieldContext.exchange_level`` walks one level of the Markov exchange
+tree on payloads: it builds each cluster's children, each new value
+M*a*b - c by the formula of ``FieldValue.mul_mul_sub``, tests the cluster
+against its prepared table with the same kernels, and builds field values
+only for a cluster that fails.  A power builds no intermediate value: over
+F_p it is one builtin ``pow``, over Q the powers of numerator and
+denominator, and over Q(i) square-and-multiply on the Gaussian numerator,
+reduced once.
 """
 
 from __future__ import annotations
@@ -266,26 +269,69 @@ class FieldContext:
             relations = RelationTable(relations)
         return _KERNELS[self.kind](payloads, relations, self.p)
 
-    def first_nonzero_block(
-        self, values: Sequence["FieldValue"], stride: int, tables: Iterable["RelationTable"]
-    ) -> Optional[int]:
-        """The index k of the first table one of whose relations does not
-        vanish at values[k * stride : (k + 1) * stride], or None when every
-        relation of every table does.
+    # -- the Markov exchange tree, on payloads --------------------------------
+    #
+    # A level of the tree is a list of clusters (x, y, z, k): the payloads of
+    # the cluster's three values and the slot k (0, 1 or 2) of the value its
+    # last exchange replaced, or 3 at the root.  Only field.py reads one.
 
-        Many prepared tables are tested in one call, each on its own
-        stretch of one row: table k holds iff
-        first_nonzero_relation(values[k * stride : (k + 1) * stride], table)
-        is None.  The payloads are taken once for the whole row, and each
-        stretch is read by the kernel of first_nonzero_relation.  The tables
-        are read once, in order, and may be any iterable."""
-        payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
-        kernel, p = _KERNELS[self.kind], self.p
-        for k, table in enumerate(tables):
-            o = k * stride
-            if kernel(payloads[o : o + stride], table, p) is not None:
-                return k
-        return None
+    def exchange_root(self, values: Sequence["FieldValue"]) -> list:
+        """The level of the root alone: the cluster of the values (x, y, z),
+        which no exchange reached."""
+        return [(*self._payloads(values), 3)]
+
+    def exchange_children(self, level: list, M: "FieldValue") -> list:
+        """The next level: each cluster's children in its level's order,
+        one per slot other than its k, in slot order.  The child in slot k
+        holds v_k' = M v_i v_j - v_k, the formula of FieldValue.mul_mul_sub."""
+        m, p, mms = self._payloads((M,))[0], self.p, _MUL_MUL_SUB[self.kind]
+        out = []
+        for x, y, z, k in level:
+            if k:
+                out.append((mms(m, y, z, x, p), y, z, 0))
+            if k != 1:
+                out.append((x, mms(m, x, z, y, p), z, 1))
+            if k != 2:
+                out.append((x, y, mms(m, x, y, z, p), 2))
+        return out
+
+    def exchange_level(
+        self,
+        level: list,
+        M: "FieldValue",
+        tables: Sequence[Sequence["RelationTable"]],
+        zeros: Optional[Tuple[bool, bool, bool]],
+        inner: bool,
+    ) -> Tuple[list, List[bool], List[Tuple[int, Tuple["FieldValue", ...]]]]:
+        """Test one level of the exchange tree and build the next one.
+
+        Each cluster's row is its x, y, z, M and, on an inner level, the new
+        value of each of its children (exchange_children).  The row is read
+        by the identity kernel of first_nonzero_relation against
+        tables[torus][k].  A cluster is a torus cluster when zeros is None and
+        none of x, y, z is zero; otherwise zeros is the pattern of zeros that
+        every cluster's (x, y, z) must have.  Returns the next level (empty
+        when not inner), each cluster's torus flag, and (index, row) for
+        each cluster whose pattern of zeros or identity test fails, in order,
+        its row as FieldValues: the only values built."""
+        m, p, zero = self._payloads((M,))[0], self.p, _ZERO_PAYLOADS[self.kind]
+        kernel = _KERNELS[self.kind]
+        children = self.exchange_children(level, M) if inner else []
+        torus, failed = [], []
+        c = 0
+        for i, (x, y, z, k) in enumerate(level):
+            row = [x, y, z, m]
+            if inner:
+                for s in _CHILD_SLOTS[k]:
+                    row.append(children[c][s])
+                    c += 1
+            t = zeros is None and x != zero and y != zero and z != zero
+            torus.append(t)
+            if (
+                zeros is not None and (x == zero, y == zero, z == zero) != zeros
+            ) or kernel(row, tables[t][k], p) is not None:
+                failed.append((i, tuple(FieldValue(self, v) for v in row)))
+        return children, torus, failed
 
     def count_zeros(self, values: Sequence["FieldValue"], indices: Sequence[int]) -> int:
         """How many of the values at indices are zero.  Reads only those
@@ -298,6 +344,10 @@ class FieldContext:
             if (v._v if v.ctx is self else self._mismatch(v)) == zero:
                 count += 1
         return count
+
+    def _payloads(self, values: Iterable["FieldValue"]) -> list:
+        """The payload of each value, each one's context checked."""
+        return [v._v if v.ctx is self else self._mismatch(v) for v in values]
 
     def _mismatch(self, v: "FieldValue"):
         raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
@@ -451,6 +501,40 @@ _KERNELS = {
     RATIONALS: _first_nonzero_q,
     GAUSSIAN_RATIONALS: _first_nonzero_qi,
 }
+
+
+# m * a * b - c on payloads, one formula per kind of field, called as
+# mms(m, a, b, c, p): FieldValue.mul_mul_sub and exchange_children
+def _mul_mul_sub_mod(m: int, a: int, b: int, c: int, p: int) -> int:
+    return (m * a * b - c) % p
+
+
+def _mul_mul_sub_q(m, a, b, c, p) -> Tuple[int, int]:
+    # m/dm * na/da * nb/db - e/f = (m na nb f - e dm da db) / (dm da db f),
+    # reduced by one gcd
+    (m, dm), (na, da), (nb, db), (e, f) = m, a, b, c
+    den = dm * da * db
+    num, den = m * na * nb * f - e * den, den * f
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _mul_mul_sub_qi(m, a, b, c, p) -> Tuple[int, int, int]:
+    # as over Q, with the Gaussian product of the three numerators
+    (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = m, a, b, c
+    x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+    x, y, den = x * x3 - y * y3, x * y3 + y * x3, d1 * d2 * d3
+    return _qi_reduced(x * d4 - x4 * den, y * d4 - y4 * den, den * d4)
+
+
+_MUL_MUL_SUB = {
+    PRIME_FIELD: _mul_mul_sub_mod,
+    RATIONALS: _mul_mul_sub_q,
+    GAUSSIAN_RATIONALS: _mul_mul_sub_qi,
+}
+
+# the slots of a cluster's children by its k, in exchange_children's order
+_CHILD_SLOTS = ((1, 2), (0, 2), (0, 1), (0, 1, 2))
 
 
 def _int_root(m: int, k: int) -> Optional[int]:
@@ -688,24 +772,12 @@ class FieldValue:
         product: over Q the difference is formed over the product of the
         four denominators and reduced by one gcd; over Q(i) likewise, with
         the Gaussian product of the three numerators; over F_p it is reduced
-        once."""
+        once.  The formula is _MUL_MUL_SUB's, which exchange_children uses."""
         self._check(a)
         self._check(b)
         self._check(sub)
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (self._v * a._v * b._v - sub._v) % self.ctx.p)
-        if k == RATIONALS:
-            # m/dm * na/da * nb/db - e/f = (m na nb f - e dm da db) / (dm da db f)
-            (m, dm), (na, da), (nb, db), (e, f) = self._v, a._v, b._v, sub._v
-            den = dm * da * db
-            num, den = m * na * nb * f - e * den, den * f
-            g = gcd(num, den)
-            return FieldValue(self.ctx, (num // g, den // g) if g != 1 else (num, den))
-        (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = self._v, a._v, b._v, sub._v
-        x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
-        x, y, den = x * x3 - y * y3, x * y3 + y * x3, d1 * d2 * d3
-        return FieldValue(self.ctx, _qi_reduced(x * d4 - x4 * den, y * d4 - y4 * den, den * d4))
+        ctx = self.ctx
+        return FieldValue(ctx, _MUL_MUL_SUB[ctx.kind](self._v, a._v, b._v, sub._v, ctx.p))
 
     def inverse(self) -> "FieldValue":
         if self.is_zero:
@@ -752,26 +824,27 @@ class FieldValue:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
+        ctx, v = self.ctx, self._v
         if n == 0:
-            return self.ctx.one()
-        if self.ctx.kind == PRIME_FIELD:
+            return ctx.one()
+        if ctx.kind == PRIME_FIELD:
             # one builtin call: a nonzero residue has order dividing p - 1
-            p, v = self.ctx.p, self._v
-            return FieldValue(self.ctx, pow(v, n % (p - 1), p) if v else 0)
-        # square only while higher bits remain, and start at the lowest set
-        # bit: x**n takes at most 2 * n.bit_length() - 1 multiplies
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
+            p = ctx.p
+            return FieldValue(ctx, pow(v, n % (p - 1), p) if v else 0)
+        if ctx.kind == RATIONALS:
+            # gcd(a, b) = 1 and b > 0, so a^n / b^n is in lowest terms
+            return FieldValue(ctx, (v[0] ** n, v[1] ** n))
+        # square-and-multiply on the Gaussian numerator, reduced once over d^n
+        x, y, d = v
+        re, im = 1, 0
+        e = n
+        while True:
+            if e & 1:
+                re, im = re * x - im * y, re * y + im * x
+            e >>= 1
+            if not e:
+                return FieldValue(ctx, _qi_reduced(re, im, d**n))
+            x, y = x * x - y * y, 2 * x * y
 
     # -- comparison / hashing -------------------------------------------------
 

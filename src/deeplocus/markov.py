@@ -101,34 +101,19 @@ def mutate_upper(node: TreeNode, M: FieldValue, direction: str) -> TreeNode:
     """Replace the direction-type value v by (other pair product)*M - v.
 
     Mutating twice in a direction returns to the parent; the path shrinks
-    on a backtrack and grows otherwise.  The new values are those of the
-    root's child in that direction (`_children`)."""
+    on a backtrack and grows otherwise.  The new value is one fused op
+    (FieldValue.mul_mul_sub), the formula explore_and_verify's tree uses."""
     if direction not in DIRECTIONS:
         raise MarkovError(f"unknown direction {direction!r}")
-    _, vals = _children((), node.values, M)[DIRECTIONS.index(direction)]
+    k = DIRECTIONS.index(direction)
+    i, j = _OTHERS[k]
+    vals = list(node.values)
+    vals[k] = M.mul_mul_sub(vals[i], vals[j], vals[k])
     if node.path and node.path[-1] == direction:
         path = node.path[:-1]
     else:
         path = node.path + (direction,)
-    return TreeNode(path, vals)
-
-
-def _children(
-    path: Tuple[str, ...], values: Tuple[FieldValue, FieldValue, FieldValue], M: FieldValue
-) -> List[Tuple[Tuple[str, ...], Tuple[FieldValue, FieldValue, FieldValue]]]:
-    """The (path, values) of each child of the cluster at the reduced word
-    path, one per direction other than the word's last, in DIRECTIONS
-    order: the exchange v_k -> M*(product of the other two values) - v_k.
-    Each new value is one fused op (FieldValue.mul_mul_sub), at the root
-    and below it alike."""
-    out = []
-    for d in _CHILD_DIRS[path[-1:]]:
-        k = _SLOT[d]
-        i, j = _OTHERS[k]
-        vals = list(values)
-        vals[k] = M.mul_mul_sub(values[i], values[j], values[k])
-        out.append((path + (d,), tuple(vals)))
-    return out
+    return TreeNode(path, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -227,21 +212,19 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     - on torus clusters (all three values nonzero) the Markov element is
       constant, equal to M.
 
-    The tree is walked one level at a time over plain (path, values)
-    clusters.  Each cluster above the last level gets its children from
-    `_children`, each child's new value one fused M*a*b - c.  Each level
-    is one row, one stretch of it per cluster: its x, y, z, M and its
-    children's new values.  One exact identity test
-    (FieldContext.first_nonzero_block) reads each stretch against the
-    cluster's cached `_node_relations` table, so it checks every identity
-    of the level; over F_p and Q the torus relation and each exchange are
-    one unrolled row.
-    No table is built or cached per level.  Only a level with a failure
-    is tested again cluster by cluster, in order, and field values
-    rebuild the message of each identity that fails, so the failures and
-    the Markov element values come in the order of a walk that tests each
-    cluster in turn.  Refused for depth above MAX_EXPLORE_DEPTH, before
-    any cluster is built, as is a negative depth.
+    The tree is walked one level at a time, in the order of its reduced
+    words, on payloads: FieldContext.exchange_level builds each level's
+    children (each new value M*a*b - c, the formula of
+    FieldValue.mul_mul_sub) and tests every cluster's row, its x, y, z, M
+    and its children's new values, against the cluster's cached
+    `_node_relations` table; the torus test and a deep type's pattern of
+    zeros are payload zero tests.  So every identity at every node is
+    tested, and no FieldValue is built below the root unless a cluster
+    fails.  A failing cluster comes back as field values, which rebuild
+    the message of each check that fails, so the failures and the Markov
+    element values come in the order of a walk that tests each cluster in
+    turn.  Refused for depth above MAX_EXPLORE_DEPTH, before any cluster
+    is built, as is a negative depth.
     """
     if depth < 0:
         raise MarkovError(f"depth must be at least 0, got {depth}")
@@ -251,58 +234,58 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
             f" it exceeds the cap MAX_EXPLORE_DEPTH = {MAX_EXPLORE_DEPTH}"
         )
     deep_type = classify_deep_upper(p)
+    zeros = None if deep_type is None else _ZEROS[deep_type.tag]
     report = ExploreReport(p, depth)
     ctx, M = p.ctx, p.M
     element_values = report.markov_element_values
-    frontier = [((), p.values())]
-    for level in range(depth + 1):
-        inner = level < depth
-        # every cluster of a level has as many children (three at the root,
-        # two below it, none at the last level), so each one's stretch of
-        # the row, its values, M and its children's new values, is as long
-        stride = 4 + (len(DIRECTIONS) - (level > 0) if inner else 0)
-        row: List[FieldValue] = []
-        tables, torus_paths, next_frontier = [], [], []
-        for path, values in frontier:
-            torus = deep_type is None and not ctx.count_zeros(values, _XYZ)
-            dirs = _CHILD_DIRS[path[-1:]] if inner else ()
-            tables.append(_node_relations(torus, dirs))
-            row += values
-            row.append(M)
-            if inner:
-                children = _children(path, values, M)
-                row += [vals[_SLOT[d]] for d, (_, vals) in zip(dirs, children)]
-                next_frontier += children
-            if torus:
-                torus_paths.append(path)
-        bad = ctx.first_nonzero_block(row, stride, tables)
-        if bad is None and deep_type is None:
-            element_values.update(dict.fromkeys(torus_paths, M))
+    level, paths = ctx.exchange_root(p.values()), [()]
+    for n in range(depth + 1):
+        inner = n < depth
+        children, torus, failed = ctx.exchange_level(level, M, _level_tables(inner), zeros, inner)
+        if not failed:
+            element_values.update(dict.fromkeys(itertools.compress(paths, torus), M))
         else:
-            offsets = range(0, len(row), stride)
-            for (path, values), relations, offset in zip(frontier, tables, offsets):
+            rows = dict(failed)
+            for i, path in enumerate(paths):
+                row = rows.get(i)
+                if row is None:
+                    if torus[i]:
+                        element_values[path] = M
+                    continue
+                # a deep type's cluster may fail by its zeros alone; any
+                # other cluster fails by an identity
                 if deep_type is not None:
-                    _check_zero_pattern(path, values, deep_type, report)
-                torus = deep_type is None and not ctx.count_zeros(values, _XYZ)
-                ident = row[offset : offset + stride]
-                if bad is not None and ctx.first_nonzero_relation(ident, relations) is not None:
-                    dirs = _CHILD_DIRS[path[-1:]] if inner else ()
-                    _record_failures(path, ident, relations, torus, dirs, p, report)
-                elif torus:
-                    element_values[path] = M
-        report.nodes_visited += len(frontier)
-        frontier = next_frontier
+                    _check_zero_pattern(path, row[:3], deep_type, report)
+                dirs = _CHILD_DIRS[path[-1:]] if inner else ()
+                relations = _node_relations(torus[i], dirs)
+                if ctx.first_nonzero_relation(row, relations) is not None:
+                    _record_failures(path, row, relations, torus[i], dirs, p, report)
+        report.nodes_visited += len(level)
+        if inner:
+            paths = [path + (d,) for path in paths for d in _CHILD_DIRS[path[-1:]]]
+        level = children
     return report
 
 
-# the slots of x, y, z in a cluster's values, each direction's slot, and
-# the other two slots of each slot
-_XYZ = (0, 1, 2)
-_SLOT = {d: k for k, d in enumerate(DIRECTIONS)}
+# the other two slots of each slot of a cluster's values (x, y, z)
 _OTHERS = ((1, 2), (0, 2), (0, 1))
-# the directions of a cluster's children, in _children's order, by the
-# last letter of its word: every direction but that one
+# the directions of a cluster's children, in the tree's order, by the last
+# letter of its word: every direction but that one
 _CHILD_DIRS = {(): DIRECTIONS, **{(d,): tuple(e for e in DIRECTIONS if e != d) for d in DIRECTIONS}}
+# the zeros of (x, y, z) at every cluster of a deep type's tree
+_ZEROS = {"A": (True, True, True), **{d.upper(): tuple(e == d for e in DIRECTIONS) for d in DIRECTIONS}}
+# the last letter of a word by its slot k, as exchange_level indexes it
+_LASTS = tuple((d,) for d in DIRECTIONS) + ((),)
+
+
+def _level_tables(inner: bool) -> Tuple[Tuple[RelationTable, ...], ...]:
+    """The tables of one level for FieldContext.exchange_level: indexed
+    [torus][k], k the slot of the last letter of a cluster's word, 3 for the
+    empty word; a cluster of the last level has no children."""
+    return tuple(
+        tuple(_node_relations(torus, _CHILD_DIRS[last] if inner else ()) for last in _LASTS)
+        for torus in (False, True)
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -91,12 +91,19 @@ class AvoidanceFailed(SurfaceError):
     pass
 
 
+class SurfaceTooLarge(SurfaceError):
+    """A polygon with more triangles than MAX_SURFACE_TRIANGLES."""
+
+
 Triangle = Tuple[int, int, int]
 Quad = Tuple[int, int, int, int, int, int]
 # the longest flip sequence the Dehn twist search tries
 MAX_TWIST_FLIPS = 4
 # the longest random walk `verify_deep_random_walk` takes
 MAX_WALK_STEPS = 10**6
+# the most triangles `build_from_gluing` builds: the GF(2) elimination of
+# `solve_classes` is O(F^2), about a second at this cap
+MAX_SURFACE_TRIANGLES = 4000
 # the attributes `_build_vertices` sets
 _VERTEX_ATTRS = frozenset({"vertex_of_side", "vertex_fans", "interior_vertices"})
 
@@ -446,11 +453,17 @@ def build_from_gluing(
     Polygon sides are 0..n-1 counterclockwise (side i joins vertex i to
     i+1); each gluing [a, b] identifies the sides reversing orientation,
     which keeps the quotient oriented.  The result is the reference
-    triangulation of its surface.
+    triangulation of its surface.  A polygon of more than
+    MAX_SURFACE_TRIANGLES triangles is refused before anything is built.
     """
     n = polygon_sides
     if n < 3:
         raise SurfaceError("polygon needs at least 3 sides")
+    if n - 2 > MAX_SURFACE_TRIANGLES:
+        raise SurfaceTooLarge(
+            f"a {n}-gon has {n - 2} triangles;"
+            f" it exceeds the cap MAX_SURFACE_TRIANGLES = {MAX_SURFACE_TRIANGLES}"
+        )
     glue: Dict[int, int] = {}
     # fan diagonals (0, i): lower half n+2(i-2) runs 0->i, upper runs i->0
     for i in range(2, n - 1):

@@ -16,7 +16,7 @@ from deeplocus.cli import (
     parse_field,
     run_scenario,
 )
-from deeplocus.field import QI, QQ
+from deeplocus.field import FieldContext, QI, QQ
 from deeplocus.surface import InvalidPairing
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -508,8 +508,12 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
         (["surface", "invariants", "--name", "genus9"], None,
          "SurfaceError: unknown surface 'genus9'; try "
          "['annulus11', 'annulus21', 'annulus22', 'disk4', 'disk6', 'genus1', 'genus2', 'pants']"),
+        (["surface", "components", "--surface", "{file}", "--json"],
+         {"polygon_sides": 4003, "gluings": []},
+         "SurfaceTooLarge: a 4003-gon has 4001 triangles;"
+         " it exceeds the cap MAX_SURFACE_TRIANGLES = 4000"),
     ],
-    ids=["two-sides", "gluing-triple", "gluing-outside", "unknown-name"],
+    ids=["two-sides", "gluing-triple", "gluing-outside", "unknown-name", "over-the-triangle-cap"],
 )
 def test_surface_refusal_exits_1_naming_it(argv, doc, error, tmp_path, capsys):
     path = tmp_path / "surface.json"
@@ -518,6 +522,32 @@ def test_surface_refusal_exits_1_naming_it(argv, doc, error, tmp_path, capsys):
     code, out = run_cli([a.replace("{file}", str(path)) for a in argv])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["polygon", "scan", "--n", "x"], "deeplocus polygon scan: error: argument --n: invalid int value: 'x'"),
+        ([], "deeplocus: error: the following arguments are required: command"),
+        (["markov"], "deeplocus markov: error: the following arguments are required: markov_cmd"),
+        (["rank2", "--b", "2"], "deeplocus rank2: error: the following arguments are required: --c"),
+        (["scenario", "list", "--bogus"], "deeplocus: error: unrecognized arguments: --bogus"),
+        (["polygon", "scan", "--n", "4", "--mode", "x"],
+         "deeplocus polygon scan: error: argument --mode: invalid choice: 'x'"
+         " (choose from 'type-A', 'boundary-coefficients')"),
+    ],
+    ids=["not-an-int", "no-command", "no-subcommand", "missing-flag", "unknown-flag", "bad-choice"],
+)
+def test_argparse_refusals_exit_2_with_one_line(argv, err, capsys):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == err + "\n"
+
+
+def test_help_still_prints_its_usage_and_exits_0(capsys):
+    code, out = run_cli(["polygon", "scan", "--help"])
+    assert code == 0 and out.startswith("usage: deeplocus polygon scan")
+    assert capsys.readouterr().err == ""
 
 
 def test_main_builds_its_parser_once(monkeypatch):
@@ -655,7 +685,8 @@ def test_markov_verify_too_deep_exits_1_without_exploring(monkeypatch, capsys):
     def no_mutation(*args):
         raise AssertionError("exploration started")
 
-    monkeypatch.setattr(markov, "_children", no_mutation)
+    monkeypatch.setattr(FieldContext, "exchange_root", no_mutation)
+    monkeypatch.setattr(FieldContext, "exchange_level", no_mutation)
     depth = markov.MAX_EXPLORE_DEPTH + 1
     code, out = run_cli(["markov", "verify", "--point", "1,1,1,3", "--depth", str(depth)])
     err = capsys.readouterr().err

@@ -112,9 +112,8 @@ def test_power_matches_repeated_product(ctx, rng):
 
 
 def test_power_multiply_count(monkeypatch):
-    # over Q and Q(i), square-and-multiply without a square past the top
-    # bit or a product with one: x**n takes at most 2 * n.bit_length() - 1
-    # multiplies; over F_p a power is one builtin pow, with no multiply
+    # a power builds no intermediate value: over F_p it is one builtin pow,
+    # over Q and Q(i) it works on the payload's integers
     count = [0]
     mul = FieldValue.__mul__
 
@@ -125,19 +124,14 @@ def test_power_multiply_count(monkeypatch):
     monkeypatch.setattr(FieldValue, "__mul__", counting_mul)
     for ctx in ALL_CONTEXTS:
         a = ctx.from_int(3)
-        count[0] = 0
-        a**2
-        assert count[0] == (0 if ctx.p else 1)
-        for n in range(1, 130):
-            for power in (n, -n):
-                count[0] = 0
-                a**power
-                assert count[0] <= (0 if ctx.p else 2 * n.bit_length() - 1), power
+        for n in range(-130, 131):
+            a**n
+        assert count[0] == 0, ctx
 
 
 def square_and_multiply(a, n):
     """a**n by the square-and-multiply rule over field values: the oracle
-    of the F_p builtin power."""
+    of the F_p builtin power and of the Q and Q(i) payload powers."""
     if n < 0:
         return square_and_multiply(a.inverse(), -n)
     result, base = a.ctx.one(), a
@@ -168,6 +162,28 @@ def test_prime_field_powers_match_square_and_multiply(ctx):
     for n in (-1, -(ctx.p - 1), -(10**40)):
         with pytest.raises(DivisionByZero):
             zero**n
+
+
+@pytest.mark.parametrize("ctx", [QQ, QI], ids=["Q", "Qi"])
+def test_rational_and_gaussian_powers_match_square_and_multiply(ctx):
+    # the payload powers against the field-value oracle, canonical form
+    # included, for n in -130..130 and +-10^3
+    rng = random.Random(f"pow/{ctx.kind}")
+    exponents = list(range(-130, 131)) + [10**3, -(10**3)]
+    values = [ctx.one(), ctx.minus_one(), ctx.from_int(2), ctx.rational(-3, 4)]
+    if ctx is QI:
+        values += [ctx.i(), ctx.gaussian(Fraction(1, 2), Fraction(-3, 5)), ctx.gaussian(2, 2)]
+    values += [random_value(ctx, rng, nonzero=True) for _ in range(3)]
+    for a in values:
+        for n in exponents:
+            got, want = a**n, square_and_multiply(a, n)
+            assert got == want and got._v == want._v, (a, n)
+    zero = ctx.zero()
+    assert zero**0 == ctx.one()
+    for n in (1, 2, 3, 130, 10**3):
+        assert zero**n == zero == square_and_multiply(zero, n)
+        with pytest.raises(DivisionByZero):
+            zero**-n
 
 
 def test_char_two_collapses_signs():
@@ -634,74 +650,125 @@ class TestPreparedTables:
             ctx.count_zeros([ctx.one(), other.one()], [0, 1])
 
 
+def as_level(ctx, clusters):
+    """Clusters (values, k) as a level of FieldContext.exchange_level."""
+    return [(*ctx.exchange_root(values)[0][:3], k) for values, k in clusters]
+
+
+def as_clusters(ctx, level):
+    """A level's clusters as (values, k)."""
+    return [(tuple(FieldValue(ctx, v) for v in cluster[:3]), cluster[3]) for cluster in level]
+
+
+def exchange_by_field_values(ctx, clusters, M, tables, zeros, inner):
+    """exchange_level's answer by field arithmetic: the next level as
+    (values, k), each cluster's torus flag, and the (index, row) of each
+    cluster whose zeros or identities fail."""
+    children, torus, failed = [], [], []
+    for i, (values, k) in enumerate(clusters):
+        row = list(values) + [M]
+        for s in ([t for t in range(3) if t != k] if inner else []):
+            a, b = (v for t, v in enumerate(values) if t != s)
+            new = M * a * b - values[s]
+            children.append((values[:s] + (new,) + values[s + 1 :], s))
+            row.append(new)
+        pattern = tuple(v.is_zero for v in values)
+        t = zeros is None and not any(pattern)
+        torus.append(t)
+        if (zeros is not None and pattern != zeros) or first_nonzero_by_field_values(
+            ctx, row, tables[t][k]
+        ) is not None:
+            failed.append((i, tuple(row)))
+    return children, torus, failed
+
+
 class TestLevelTest:
-    """first_nonzero_block against a per-block first_nonzero_relation: every
-    Markov node table at shifted offsets in one row."""
+    """FieldContext.exchange_level, the Markov exchange tree's kernel on
+    payloads, against field arithmetic: the next level, the torus flags and
+    the failing rows."""
 
     @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
-    def test_blocks_match_each_table_at_its_offset(self, ctx):
+    def test_levels_match_field_arithmetic(self, ctx):
         rng = random.Random(f"level/{ctx.p}/{ctx.kind}")
-        stretches = [(table, values) for dirs, table in node_tables()
-                     for values in node_vectors(ctx, dirs, rng)]
-        firsts = set()
+        vectors = list(markov_vectors(ctx, rng, count=6))
+        # the points of the variety, and the all-zero one
+        valid = vectors[0::3]
+        outcomes = set()
         for _ in range(60):
-            chosen = rng.sample(stretches, rng.randint(1, 6))
-            # every table reads at most 7 values; unread values pad each
-            # stretch, so the offsets shift with the stride
-            stride = rng.randint(7, 10)
-            row, want = [], None
-            for k, (table, values) in enumerate(chosen):
-                row += values + [identity_draw(ctx, rng) for _ in range(stride - len(values))]
-                if want is None and check_prepared(ctx, values, table) is not None:
-                    want = k
-            tables = [table for table, _ in chosen]
-            assert ctx.first_nonzero_block(row, stride, tables) == want
-            assert ctx.first_nonzero_block(row, stride, iter(tables)) == want
-            firsts.add(want)
-        assert None in firsts and len(firsts) > 2
+            if rng.random() < 0.5:
+                # a point and its three mutations, with the point's M
+                v = rng.choice(valid)
+                M = v[3]
+                triples = [tuple(v[:3])] + [tuple(v[4 + s] if t == s else v[t] for t in range(3))
+                                            for s in range(3)]
+                clusters = [(rng.choice(triples), rng.randrange(4)) for _ in range(rng.randint(1, 6))]
+            else:
+                clusters = [(tuple(v[:3]), rng.randrange(4)) for v in rng.sample(vectors, rng.randint(1, 6))]
+                M = rng.choice(vectors)[3]
+            inner = rng.random() < 0.7
+            zeros = rng.choice([None, None, (True, True, True), (False, True, False)])
+            want = exchange_by_field_values(ctx, clusters, M, markov._level_tables(inner), zeros, inner)
+            children, torus, failed = ctx.exchange_level(
+                as_level(ctx, clusters), M, markov._level_tables(inner), zeros, inner
+            )
+            assert (as_clusters(ctx, children), torus, failed) == want
+            assert children == as_level(ctx, want[0])
+            assert as_clusters(ctx, ctx.exchange_children(as_level(ctx, clusters), M)) == (
+                want[0] if inner else exchange_by_field_values(
+                    ctx, clusters, M, markov._level_tables(True), zeros, True)[0])
+            outcomes.add((bool(failed), 0 < len(failed) < len(clusters), any(torus)))
+        # passing levels with torus clusters, and levels that fail in part
+        assert (False, False, True) in outcomes
+        assert any(partial for _, partial, _ in outcomes)
 
     @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
-    def test_explored_levels_hold_and_a_bumped_value_fails_its_own_block(self, ctx, monkeypatch):
-        # the rows explore_and_verify tests, one per level, each with one
-        # value raised by one: the first failing block is that value's own
-        # cluster, unless its table does not read it (a leaf off the torus)
+    def test_explored_levels_hold_and_a_bumped_value_fails_its_own_cluster(self, ctx, monkeypatch):
+        # the levels explore_and_verify tests, each with one value of one
+        # cluster raised by one: that cluster fails alone, unless its table
+        # reads no identity (a leaf off the torus)
         rng = random.Random(f"level-tree/{ctx.p}/{ctx.kind}")
         seen = []
-        original = FieldContext.first_nonzero_block
+        original = FieldContext.exchange_level
 
-        def spy(self, row, stride, tables):
-            seen.append((list(row), stride, list(tables)))
+        def spy(self, level, M, tables, zeros, inner):
+            seen.append((list(level), M, tables, zeros, inner))
             return original(self, *seen[-1])
 
-        monkeypatch.setattr(FieldContext, "first_nonzero_block", spy)
+        monkeypatch.setattr(FieldContext, "exchange_level", spy)
         x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
         p = markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
         assert markov.explore_and_verify(p, depth=4).passed
         monkeypatch.undo()
-        assert len(seen) == 5
-        failed = set()
-        for row, stride, tables in seen:
-            assert len(row) == stride * len(tables)
-            assert ctx.first_nonzero_block(row, stride, tables) is None
+        assert [len(level) for level, *_ in seen] == [1, 3, 6, 12, 24]
+        failed_any = set()
+        for level, M, tables, zeros, inner in seen:
+            children, torus, failed = ctx.exchange_level(level, M, tables, zeros, inner)
+            assert failed == [] and len(torus) == len(level)
+            clusters = as_clusters(ctx, level)
             for _ in range(10):
-                k = rng.randrange(len(tables))
-                t = k * stride + rng.randrange(stride)
-                bumped = row[:t] + [row[t] + ctx.one()] + row[t + 1:]
-                want = next((j for j, tb in enumerate(tables)
-                             if ctx.first_nonzero_relation(bumped[j * stride:(j + 1) * stride], tb)
-                             is not None), None)
-                assert ctx.first_nonzero_block(bumped, stride, tables) == want
-                assert want in (k, None)
-                failed.add(want is not None)
-        assert True in failed
+                i, s = rng.randrange(len(level)), rng.randrange(3)
+                values, k = clusters[i]
+                bumped = list(clusters)
+                bumped[i] = (values[:s] + (values[s] + ctx.one(),) + values[s + 1 :], k)
+                want = exchange_by_field_values(ctx, bumped, M, tables, zeros, inner)
+                got = ctx.exchange_level(as_level(ctx, bumped), M, tables, zeros, inner)
+                assert (as_clusters(ctx, got[0]), *got[1:]) == want
+                assert [j for j, _ in want[2]] in ([i], [])
+                failed_any.add(bool(want[2]))
+        assert True in failed_any
 
     def test_foreign_values_are_refused(self):
-        table = markov._node_relations(True, ("y", "z"))
         for ctx, other in ((QQ, QI), (QI, QQ), (F3, prime_field(101)), (prime_field(101), QQ)):
-            row = [ctx.one()] * 12
+            one = ctx.one()
             with pytest.raises(ContextMismatch):
-                ctx.first_nonzero_block(row[:11] + [other.one()], 6, [table, table])
-            assert ctx.first_nonzero_block([], 6, []) is None
+                ctx.exchange_root([one, one, other.one()])
+            level = ctx.exchange_root([one, one, one])
+            with pytest.raises(ContextMismatch):
+                ctx.exchange_children(level, other.one())
+            for inner in (True, False):
+                with pytest.raises(ContextMismatch):
+                    ctx.exchange_level(level, other.one(), markov._level_tables(inner), None, inner)
+            assert ctx.exchange_level([], one, markov._level_tables(True), None, True) == ([], [], [])
 
 
 def torus_relation(a, b, c, d):

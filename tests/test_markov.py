@@ -4,7 +4,7 @@ import random
 import pytest
 
 from deeplocus import markov
-from deeplocus.field import QI, QQ, prime_field
+from deeplocus.field import FieldContext, FieldValue, QI, QQ, prime_field
 from deeplocus.markov import (
     ClusterRestriction,
     DeepType,
@@ -296,7 +296,8 @@ def test_negative_depth_is_rejected_before_any_node(monkeypatch):
         raise AssertionError("exploration started")
 
     monkeypatch.setattr(markov, "classify_deep_upper", no_work)
-    monkeypatch.setattr(markov, "_children", no_work)
+    monkeypatch.setattr(FieldContext, "exchange_root", no_work)
+    monkeypatch.setattr(FieldContext, "exchange_level", no_work)
     for depth in (-1, -3):
         with pytest.raises(markov.MarkovError, match=f"at least 0, got {depth}"):
             explore_and_verify(p, depth=depth)
@@ -318,18 +319,25 @@ def replay(p, path):
 
 
 def replace_child(monkeypatch, target, replace):
-    """Make explore's exchange step give the cluster at target the values
-    replace(values, k) in place of its own, k the index of the direction
-    that reached it."""
-    children = markov._children
+    """Make explore's child step, FieldContext.exchange_children, give the
+    cluster at target the values replace(values, k) in place of its own, k
+    the index of the direction that reached it.  A level holds the reduced
+    words of one length in order, and each level has its own size, so the
+    target is the child at its word's index in the level of its length."""
+    children = FieldContext.exchange_children
+    words = [w for w in reduced_words(len(target)) if len(w) == len(target)]
+    at = words.index(target)
 
-    def mutant(path, values, M):
-        return [
-            (child, replace(vals, markov.DIRECTIONS.index(child[-1])) if child == target else vals)
-            for child, vals in children(path, values, M)
-        ]
+    def mutant(self, level, M):
+        out = children(self, level, M)
+        if len(out) == len(words):
+            *payloads, k = out[at]
+            assert k == markov.DIRECTIONS.index(target[-1])
+            values = replace(tuple(FieldValue(self, v) for v in payloads), k)
+            out[at] = (*(v._v for v in values), k)
+        return out
 
-    monkeypatch.setattr(markov, "_children", mutant)
+    monkeypatch.setattr(FieldContext, "exchange_children", mutant)
 
 
 def bump(one):

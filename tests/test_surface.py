@@ -19,6 +19,7 @@ from deeplocus.surface import (
     NotADissection,
     OddMarkedPoints,
     SurfaceError,
+    SurfaceTooLarge,
     SurfaceTriangulation,
     UnmarkedSurface,
     Z2Class,
@@ -126,6 +127,36 @@ class TestBuilding:
     def test_bad_triangles_and_gluings_are_refused(self, triangles, glue, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             SurfaceTriangulation(triangles, glue)
+
+    def test_a_polygon_over_the_triangle_cap_is_refused_before_any_build(self, monkeypatch):
+        # every named surface, every fixture and a genus-64 surface with one
+        # boundary (258 sides, 4g of them glued) stay under the cap, and a
+        # build at the cap answers; one triangle more is refused before any
+        # side is glued or any class is solved
+        import json
+        from pathlib import Path
+
+        from deeplocus import surface
+
+        cap = surface.MAX_SURFACE_TRIANGLES
+        sides = [n for n, _ in surface._NAMED_GLUINGS.values()]
+        data = Path(__file__).parent / "data"
+        sides += [json.loads(f.read_text())["polygon_sides"] for f in data.glob("*.json")
+                  if f.name != "sweep.json" and "polygon_sides" in f.read_text()]
+        assert genus_surface(64).invariants()[:3] == (64, 1, 2)
+        assert max(sides + [258]) - 2 < cap
+        assert len(build_from_gluing(cap + 2, []).triangles) == cap
+
+        def no_work(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(surface, "SurfaceTriangulation", no_work)
+        monkeypatch.setattr(surface, "_eliminate", no_work)
+        for n in (cap + 3, 10**30):
+            with pytest.raises(SurfaceTooLarge, match=(
+                f"^a {n}-gon has {n - 2} triangles; it exceeds the cap MAX_SURFACE_TRIANGLES = {cap}$"
+            )):
+                build_from_gluing(n, [(0, 1)])
 
     def test_equal_builds_hash_equal_and_print_their_invariants(self):
         t = named_surface("genus1")

@@ -17,16 +17,15 @@ the tests hold the kernel to. The tables are the polygon certificates
 the identities of an inner Markov node of a torus cluster, with two
 children (``markov._node_relations``).
 
-Over F_101 and Q it also times two levels of a depth-6 exchange tree, as
-``markov.explore_and_verify`` lays them out: the last inner level (48
-clusters, each with its two children) and the leaf level (96 clusters).
-Each level is timed as one ``FieldContext.first_nonzero_block`` call on
-its row and as one ``first_nonzero_relation`` call per cluster, and both
-are checked against the field-value oracle, cluster by cluster. The new
-values of the last inner level's 96 children are timed too, each as the
-fused ``FieldValue.mul_mul_sub`` (M*a*b - c, the one op the tree uses) and
-as a product followed by a difference; both lists are checked against the
-oracle, each child's exchange identity v*v' = a^2 + b^2.
+Over F_101 and Q it also times the exchange tree of a random torus point
+to depth 6 (190 clusters) two ways: on payloads, one
+``FieldContext.exchange_level`` call per level as
+``markov.explore_and_verify`` makes them, and as the field-value replay,
+each word's values from its parent's by ``markov.mutate_upper`` and each
+identity tested by field arithmetic; the two must agree on every cluster's
+values, and every identity must hold.  Over Q and Q(i) it times powers
+a**n on the payload (``FieldValue.__pow__``) against square-and-multiply
+over field values, and checks that they agree.
 
 Each time is the best of --repeats runs of --number calls. It prints one
 JSON line, and exits 1 if a kernel and the oracle disagree.
@@ -99,55 +98,73 @@ def tables(ctx, rng: random.Random) -> List[Tuple[str, object, list]]:
     return out
 
 
-LEVEL_FIELDS = ("fp:101", "q")
-LEVEL_DEPTH = 6
+TREE_FIELDS = ("fp:101", "q")
+TREE_DEPTH = 6
+POWER_FIELDS = ("q", "qi")
+POWER_EXPONENTS = (2, 7, 40, 130, 1000)
 
 
-# v*v' - a^2 - b^2 over (v, v', a, b): the exchange identity of one child
-EXCHANGE = (((1, (0, 1)), (-1, (2, 2)), (-1, (3, 3))),)
-
-
-def levels(ctx, rng: random.Random) -> Tuple[List[Tuple[str, list, int, list]], list]:
-    """(name, row, stride, tables) of the last inner level and the leaf
-    level of the exchange tree of a random torus point, to LEVEL_DEPTH: the
-    level tests explore_and_verify makes, read off its calls; and the
-    (M, a, b, v) of each child of the last inner level, whose new value is
-    M*a*b - v."""
+def tree_point(ctx, rng: random.Random):
     from deeplocus import markov
-    from deeplocus.field import FieldContext
 
     x, y, z = (_nonzero(ctx, rng) for _ in range(3))
-    point = markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
-    seen, exchanges = [], []
-    level_test, children = FieldContext.first_nonzero_block, markov._children
-
-    def record(self, row, stride, tables):
-        seen.append((list(row), stride, list(tables)))
-        return level_test(self, *seen[-1])
-
-    def record_children(path, values, M):
-        if len(path) == LEVEL_DEPTH - 1:
-            for d in markov._CHILD_DIRS[path[-1:]]:
-                k = markov._SLOT[d]
-                i, j = markov._OTHERS[k]
-                exchanges.append((M, values[i], values[j], values[k]))
-        return children(path, values, M)
-
-    FieldContext.first_nonzero_block, markov._children = record, record_children
-    try:
-        report = markov.explore_and_verify(point, LEVEL_DEPTH)
-    finally:
-        FieldContext.first_nonzero_block, markov._children = level_test, children
-    if not report.passed:
-        raise SystemExit(f"the exchange tree of {point} fails: {report.failures[:1]}")
-    inner, leaf = seen[LEVEL_DEPTH - 1], seen[LEVEL_DEPTH]
-    return ([(f"markov.level.inner.d{LEVEL_DEPTH - 1}", *inner), (f"markov.level.leaf.d{LEVEL_DEPTH}", *leaf)],
-            exchanges)
+    return markov.MarkovUpperPoint(x, y, z, markov.markov_element(x, y, z))
 
 
-def stretches(row, stride, tables):
-    """Each table and its stretch of the row."""
-    return [(table, row[k * stride : (k + 1) * stride]) for k, table in enumerate(tables)]
+def payload_tree(point) -> List[list]:
+    """Every level of the exchange tree of point to TREE_DEPTH, as
+    explore_and_verify walks it on payloads; refused if a cluster fails."""
+    from deeplocus import markov
+
+    ctx, M = point.ctx, point.M
+    level, levels = ctx.exchange_root(point.values()), []
+    for n in range(TREE_DEPTH + 1):
+        inner = n < TREE_DEPTH
+        children, _, failed = ctx.exchange_level(level, M, markov._level_tables(inner), None, inner)
+        if failed:
+            raise SystemExit(f"the exchange tree of {point} fails at depth {n}")
+        levels.append(level)
+        level = children
+    return levels
+
+
+def replayed_tree(point) -> dict:
+    """Every reduced word to TREE_DEPTH and its values, each from its
+    parent's by mutate_upper, with each identity tested by field arithmetic:
+    the torus relation at every torus cluster, and each exchange."""
+    from deeplocus import markov
+
+    M, tree = point.M, {(): markov.TreeNode((), point.values())}
+    frontier = [()]
+    for n in range(TREE_DEPTH + 1):
+        nxt = []
+        for word in frontier:
+            node = tree[word]
+            x, y, z = node.values
+            if x and y and z and x * x + y * y + z * z != M * x * y * z:
+                raise SystemExit(f"the Markov element differs at {word}")
+            if n == TREE_DEPTH:
+                continue
+            for k, d in enumerate(markov.DIRECTIONS):
+                if word[-1:] != (d,):
+                    child = tree[word + (d,)] = markov.mutate_upper(node, M, d)
+                    a, b = (v for t, v in enumerate(node.values) if t != k)
+                    if node.values[k] * child.values[k] != a * a + b * b:
+                        raise SystemExit(f"the exchange identity fails mutating {d} at {word}")
+                    nxt.append(word + (d,))
+        frontier = nxt
+    return {word: node.values for word, node in tree.items()}
+
+
+def square_and_multiply(a, n: int):
+    """a**n for n >= 0 by square-and-multiply over field values."""
+    result, base = a.ctx.one(), a
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def best_ns(call, repeats: int, number: int) -> float:
@@ -156,6 +173,7 @@ def best_ns(call, repeats: int, number: int) -> float:
 
 def main(argv: List[str]) -> int:
     from deeplocus.cli import parse_field
+    from deeplocus.field import FieldValue
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -177,38 +195,28 @@ def main(argv: List[str]) -> int:
             slow = best_ns(lambda: oracle(ctx, row, table), args.repeats, args.number)
             report[field][name] = {"rows": len(table), "prepared_ns": round(prepared),
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
-        if field not in LEVEL_FIELDS:
-            continue
-        level_list, exchanges = levels(ctx, rng)
-        for name, row, stride, level_tables in level_list:
-            parts = stretches(row, stride, level_tables)
-            want = [oracle(ctx, values, table) for table, values in parts]
-            per_cluster = [ctx.first_nonzero_relation(values, table) for table, values in parts]
-            first = next((k for k, r in enumerate(want) if r is not None), None)
-            if per_cluster != want or ctx.first_nonzero_block(row, stride, level_tables) != first:
-                disagree.append(f"{field} {name}: the kernels and the oracle disagree")
-            level = best_ns(lambda: ctx.first_nonzero_block(row, stride, level_tables), args.repeats, args.number)
-            each = best_ns(lambda: [ctx.first_nonzero_relation(v, t) for t, v in parts],
-                           args.repeats, args.number)
-            report[field][name] = {"clusters": len(level_tables), "level_ns": round(level),
-                                   "per_cluster_ns": round(each), "per_cluster_x": round(each / level, 2)}
-        name = f"markov.children.inner.d{LEVEL_DEPTH - 1}"
-
-        def fused(exchanges=exchanges):
-            return [m.mul_mul_sub(a, b, v) for m, a, b, v in exchanges]
-
-        def split(exchanges=exchanges):
-            return [m * a * b - v for m, a, b, v in exchanges]
-
-        for new_values in (fused, split):
-            if any(oracle(ctx, [v, w, a, b], EXCHANGE) is not None
-                   for (_, a, b, v), w in zip(exchanges, new_values())):
-                disagree.append(f"{field} {name}: a child's value fails its exchange identity")
-        fused_ns = best_ns(fused, args.repeats, args.number)
-        split_ns = best_ns(split, args.repeats, args.number)
-        report[field][name] = {"children": len(exchanges), "fused_ns": round(fused_ns),
-                               "product_difference_ns": round(split_ns),
-                               "product_difference_x": round(split_ns / fused_ns, 2)}
+        if field in TREE_FIELDS:
+            point = tree_point(ctx, rng)
+            levels, replayed = payload_tree(point), replayed_tree(point)
+            words = sorted(replayed, key=lambda w: (len(w), w))
+            clusters = [c for level in levels for c in level]
+            if [tuple(FieldValue(ctx, v) for v in c[:3]) for c in clusters] != [replayed[w] for w in words]:
+                disagree.append(f"{field} markov.tree.d{TREE_DEPTH}: the payload tree and the replay disagree")
+            payload = best_ns(lambda: payload_tree(point), args.repeats, args.number)
+            replay = best_ns(lambda: replayed_tree(point), args.repeats, args.number)
+            report[field][f"markov.tree.d{TREE_DEPTH}"] = {
+                "clusters": len(words), "payload_ns": round(payload), "replay_ns": round(replay),
+                "replay_x": round(replay / payload, 2)}
+        if field in POWER_FIELDS:
+            a = _nonzero(ctx, rng)
+            for n in POWER_EXPONENTS:
+                if a**n != square_and_multiply(a, n):
+                    disagree.append(f"{field} power.n{n}: the payload power and square-and-multiply disagree")
+                payload = best_ns(lambda: a**n, args.repeats, args.number)
+                oracle_ns = best_ns(lambda: square_and_multiply(a, n), args.repeats, args.number)
+                report[field][f"power.n{n}"] = {"payload_ns": round(payload), "square_and_multiply_ns":
+                                                round(oracle_ns), "square_and_multiply_x":
+                                                round(oracle_ns / payload, 2)}
     print(json.dumps({"repeats": args.repeats, "number": args.number, "ns_per_call": report},
                      sort_keys=True))
     for line in disagree:

@@ -170,6 +170,10 @@ def _surface() -> List[Call]:
         for name in files:
             calls.append((["surface", cmd, "--surface", f"{DATA}/{name}.json", "--json"], None))
     calls.append((["surface", "components", "--surface", f"{DATA}/annulus22.json"], None))
+    # disks over MAX_SURFACE_TRIANGLES, refused before any class is solved
+    for sides in (4003, 10**30):
+        calls.append((["surface", "components", "--surface", "{file}", "--json"],
+                      {"polygon_sides": sides, "gluings": []}))
     fixture = ["--fixture", f"{DATA}/annulus22_deep.json"]
     for seed in range(20):
         for steps in ("1", "20", "200"):
@@ -239,6 +243,12 @@ def _examples() -> List[Call]:
         ["scenario", "surface-components", "--surface", f"{DATA}/annulus22.json", "--json"],
         ["scenario", "surface-deep-walk", "--steps", "60", "--seed", "5", "--json"],
         ["scenario", "badcut"],
+        # argparse's refusals, one stderr line each
+        [],
+        ["markov"],
+        ["polygon", "scan", "--n", "x"],
+        ["rank2", "--b", "2"],
+        ["scenario", "list", "--bogus"],
     ]
     return [(argv, None) for argv in argvs]
 
