@@ -264,7 +264,7 @@ class FieldContext:
         payloads' integer numerators and denominators; Q(i) does the same
         over their Gaussian numerators, one monomial at a time.  One pass
         checks each value's context and takes its payload."""
-        payloads = [v._v if v.ctx is self else self._mismatch(v) for v in values]
+        payloads = self._payloads(values)
         if not isinstance(relations, RelationTable):
             relations = RelationTable(relations)
         return _KERNELS[self.kind](payloads, relations, self.p)
@@ -273,7 +273,8 @@ class FieldContext:
     #
     # A level of the tree is a list of clusters (x, y, z, k): the payloads of
     # the cluster's three values and the slot k (0, 1 or 2) of the value its
-    # last exchange replaced, or 3 at the root.  Only field.py reads one.
+    # last exchange replaced, or 3 at the root.  Its children are in the
+    # order of CHILD_SLOTS[k].  Only field.py reads one.
 
     def exchange_root(self, values: Sequence["FieldValue"]) -> list:
         """The level of the root alone: the cluster of the values (x, y, z),
@@ -282,17 +283,18 @@ class FieldContext:
 
     def exchange_children(self, level: list, M: "FieldValue") -> list:
         """The next level: each cluster's children in its level's order,
-        one per slot other than its k, in slot order.  The child in slot k
-        holds v_k' = M v_i v_j - v_k, the formula of FieldValue.mul_mul_sub."""
+        one per slot of CHILD_SLOTS[k].  The child in slot s holds
+        v_s' = M v_i v_j - v_s, the formula of FieldValue.mul_mul_sub."""
         m, p, mms = self._payloads((M,))[0], self.p, _MUL_MUL_SUB[self.kind]
         out = []
         for x, y, z, k in level:
-            if k:
-                out.append((mms(m, y, z, x, p), y, z, 0))
-            if k != 1:
-                out.append((x, mms(m, x, z, y, p), z, 1))
-            if k != 2:
-                out.append((x, y, mms(m, x, y, z, p), 2))
+            for s in CHILD_SLOTS[k]:
+                if s == 0:
+                    out.append((mms(m, y, z, x, p), y, z, 0))
+                elif s == 1:
+                    out.append((x, mms(m, x, z, y, p), z, 1))
+                else:
+                    out.append((x, y, mms(m, x, y, z, p), 2))
         return out
 
     def exchange_level(
@@ -322,7 +324,7 @@ class FieldContext:
         for i, (x, y, z, k) in enumerate(level):
             row = [x, y, z, m]
             if inner:
-                for s in _CHILD_SLOTS[k]:
+                for s in CHILD_SLOTS[k]:
                     row.append(children[c][s])
                     c += 1
             t = zeros is None and x != zero and y != zero and z != zero
@@ -533,8 +535,11 @@ _MUL_MUL_SUB = {
     GAUSSIAN_RATIONALS: _mul_mul_sub_qi,
 }
 
-# the slots of a cluster's children by its k, in exchange_children's order
-_CHILD_SLOTS = ((1, 2), (0, 2), (0, 1), (0, 1, 2))
+# the slots of an exchange-tree cluster's children, in the next level's order,
+# by the slot k its last exchange replaced (3 at the root): every slot but k.
+# exchange_children builds children in this order; markov reads its words
+# and tables from it
+CHILD_SLOTS = ((1, 2), (0, 2), (0, 1), (0, 1, 2))
 
 
 def _int_root(m: int, k: int) -> Optional[int]:

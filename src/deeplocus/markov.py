@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DeepLocusError
-from .field import FieldContext, FieldValue, Relation, RelationTable
+from .field import CHILD_SLOTS, FieldContext, FieldValue, Relation, RelationTable
 
 DIRECTIONS = ("x", "y", "z")
 
@@ -269,13 +269,14 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
 
 # the other two slots of each slot of a cluster's values (x, y, z)
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+# the last letter of a word by the slot k of FieldContext.exchange_level's
+# clusters: the direction DIRECTIONS[k], and none at the root (k = 3)
+_LASTS = tuple((d,) for d in DIRECTIONS) + ((),)
 # the directions of a cluster's children, in the tree's order, by the last
-# letter of its word: every direction but that one
-_CHILD_DIRS = {(): DIRECTIONS, **{(d,): tuple(e for e in DIRECTIONS if e != d) for d in DIRECTIONS}}
+# letter of its word: field.CHILD_SLOTS, the order exchange_level builds them
+_CHILD_DIRS = {last: tuple(DIRECTIONS[s] for s in slots) for last, slots in zip(_LASTS, CHILD_SLOTS)}
 # the zeros of (x, y, z) at every cluster of a deep type's tree
 _ZEROS = {"A": (True, True, True), **{d.upper(): tuple(e == d for e in DIRECTIONS) for d in DIRECTIONS}}
-# the last letter of a word by its slot k, as exchange_level indexes it
-_LASTS = tuple((d,) for d in DIRECTIONS) + ((),)
 
 
 def _level_tables(inner: bool) -> Tuple[Tuple[RelationTable, ...], ...]:

@@ -5,7 +5,6 @@ for this tree, or an installed package), and pytest installed (the sweep
 reads its refusals from tests/test_cli.py):
 
     python tools/fuzz.py --seed 0              # 3,000 calls
-    python tools/fuzz.py --seed 3 --calls 500 --timeout 5
 
 Each call is one of tools/sweep.py's calls with one to three mutations:
 - of its argv tokens: a token replaced by another token of the sweep, by a
@@ -17,8 +16,8 @@ Each call is one of tools/sweep.py's calls with one to three mutations:
   JSON value, a key dropped or added, or a list repeated.
 
 Each call runs in this process through ``deeplocus.cli.main`` under a
-wall-clock alarm of --timeout seconds, and the script limits its own
-address space to --memory-mb (RLIMIT_AS) before the first call.  It fails
+wall-clock alarm of TIMEOUT_S seconds, and the script limits its own
+address space to MEMORY_MB (RLIMIT_AS) before the first call.  It fails
 on an exception that leaves ``main`` (a traceback), an exit code other
 than 0, 1 or 2, a nonzero exit with more than one stderr line, or a call
 over its time limit.  It prints one line per finding, then one JSON line
@@ -46,6 +45,9 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import sweep  # noqa: E402
 
+CALLS = 3000
+TIMEOUT_S = 5.0
+MEMORY_MB = 2048
 SIZE_FLAGS = ("--depth", "--n", "--rank", "--steps", "--b", "--c")
 # sizes around the caps: MAX_EXPLORE_DEPTH, MAX_POLYGON_N, MAX_RANK2_EXPONENT,
 # MAX_SURFACE_TRIANGLES, MAX_WINDOW_DEPTH and MAX_WALK_STEPS, and the
@@ -155,7 +157,7 @@ def mutated_calls(seed: int, count: int) -> List[Tuple[List[str], Optional[objec
     return calls
 
 
-def run(argv: List[str], doc, workdir: str, timeout: float) -> Tuple[Optional[str], float]:
+def run(argv: List[str], doc, workdir: str) -> Tuple[Optional[str], float]:
     """(the finding, or None; seconds taken) of one call."""
     from deeplocus.cli import main
 
@@ -166,12 +168,12 @@ def run(argv: List[str], doc, workdir: str, timeout: float) -> Tuple[Optional[st
     argv = [a.replace("{root}", str(ROOT)).replace("{file}", path) for a in argv]
     err = io.StringIO()
     start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(argv)
     except CallTimeout:
-        return f"over {timeout} s", timeout
+        return f"over {TIMEOUT_S} s", TIMEOUT_S
     except Exception as exc:
         return f"traceback: {type(exc).__name__}: {str(exc)[:200]}", time.perf_counter() - start
     finally:
@@ -188,21 +190,16 @@ def run(argv: List[str], doc, workdir: str, timeout: float) -> Tuple[Optional[st
 def main(args: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--calls", type=int, default=3000)
-    parser.add_argument("--timeout", type=float, default=5.0, help="seconds per call")
-    parser.add_argument("--memory-mb", type=int, default=2048, help="this process's address-space limit")
     opts = parser.parse_args(args)
-    if opts.calls < 1 or opts.timeout <= 0 or opts.memory_mb < 1:
-        parser.error("--calls, --timeout and --memory-mb must be positive")
-    calls = mutated_calls(opts.seed, opts.calls)
+    calls = mutated_calls(opts.seed, CALLS)
     _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = opts.memory_mb * 2**20
+    limit = MEMORY_MB * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
     signal.signal(signal.SIGALRM, _on_alarm)
     findings, slowest, slowest_argv = 0, 0.0, None
     with tempfile.TemporaryDirectory() as workdir:
         for argv, doc in calls:
-            finding, taken = run(argv, doc, workdir, opts.timeout)
+            finding, taken = run(argv, doc, workdir)
             if taken > slowest:
                 slowest, slowest_argv = taken, argv
             if finding:
