@@ -29,7 +29,11 @@ as its relations, one monomial at a time.
 tree on payloads: it builds each cluster's children, each new value
 M*a*b - c by the formula of ``FieldValue.mul_mul_sub``, tests the cluster
 against its prepared table with the same kernels, and builds field values
-only for a cluster that fails.  A power builds no intermediate value: over
+only for a cluster that fails.  ``FieldContext.ptolemy_rule`` gives the
+random surface flip walk, which keeps its values as payloads, the two
+formulas of the exchange old * new = v(p)v(r) + v(q)v(s): the ratio a*b/c,
+formed in one step (over Q with a single gcd), and the test a*b + c*d = 0.
+A power builds no intermediate value: over
 F_p it is one builtin ``pow``, over Q the powers of numerator and
 denominator, and over Q(i) square-and-multiply on the Gaussian numerator,
 reduced once.
@@ -351,6 +355,31 @@ class FieldContext:
         """The payload of each value, each one's context checked."""
         return [v._v if v.ctx is self else self._mismatch(v) for v in values]
 
+    # -- the Ptolemy exchange of a surface flip, on payloads -----------------
+    #
+    # The random flip walk keeps its arcs' values as payloads in a list by
+    # arc id, None for a value it could not derive, and reads them only
+    # through the formulas of ptolemy_rule.  Only field.py reads one.
+
+    def ptolemy_payloads(self, values: Iterable[Optional["FieldValue"]]) -> list:
+        """The payload of each value, or None for None, each context checked:
+        _payloads, which the identity tests call on values that are never
+        None, with None kept."""
+        return [None if v is None else v._v if v.ctx is self else self._mismatch(v) for v in values]
+
+    def ptolemy_values(self, payloads: Iterable) -> List[Optional["FieldValue"]]:
+        """The value of each payload of ptolemy_payloads, or None for None."""
+        return [None if v is None else FieldValue(self, v) for v in payloads]
+
+    def ptolemy_rule(self) -> tuple:
+        """(ratio, vanishes, zero, p): the two formulas of the exchange
+        old * new = v(p)v(r) + v(q)v(s) on this field's payloads, called as
+        ratio(a, b, c, p), the payload of a * b / c, and vanishes(a, b, c,
+        d, p), whether a * b + c * d is 0; the payload of 0; and the modulus
+        p (0 off F_p).  A zero c raises DivisionByZero."""
+        ratio, vanishes = _PTOLEMY[self.kind]
+        return ratio, vanishes, _ZERO_PAYLOADS[self.kind], self.p
+
     def _mismatch(self, v: "FieldValue"):
         raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
 
@@ -533,6 +562,66 @@ _MUL_MUL_SUB = {
     PRIME_FIELD: _mul_mul_sub_mod,
     RATIONALS: _mul_mul_sub_q,
     GAUSSIAN_RATIONALS: _mul_mul_sub_qi,
+}
+
+
+# the Ptolemy exchange of a surface flip on payloads, one pair of formulas
+# per kind of field: ratio(a, b, c, p) is a * b / c and vanishes(a, b, c, d, p)
+# tests a * b + c * d = 0 (FieldContext.ptolemy_rule)
+def _ratio_mod(a: int, b: int, c: int, p: int) -> int:
+    if not c:
+        raise DivisionByZero("cannot invert zero")
+    return a * b * pow(c, -1, p) % p
+
+
+def _vanishes_mod(a: int, b: int, c: int, d: int, p: int) -> bool:
+    return (a * b + c * d) % p == 0
+
+
+def _ratio_q(a, b, c, p) -> Tuple[int, int]:
+    # na/da * nb/db / (nc/dc) = na nb dc / (da db nc), the sign of nc moved
+    # up, reduced by one gcd
+    (na, da), (nb, db), (nc, dc) = a, b, c
+    if nc == 0:
+        raise DivisionByZero("cannot invert zero")
+    num, den = na * nb * dc, da * db * nc
+    if nc < 0:
+        num, den = -num, -den
+    g = gcd(num, den)
+    return (num // g, den // g) if g != 1 else (num, den)
+
+
+def _vanishes_q(a, b, c, d, p) -> bool:
+    # the numerator of the sum over da db dc dd, which is positive
+    (na, da), (nb, db), (nc, dc), (nd, dd) = a, b, c, d
+    return na * nb * dc * dd + nc * nd * da * db == 0
+
+
+def _ratio_qi(a, b, c, p) -> Tuple[int, int, int]:
+    # (x1 + y1*i)/d1 * (x2 + y2*i)/d2 / ((x3 + y3*i)/d3)
+    #   = (x1 + y1*i)(x2 + y2*i)(x3 - y3*i) d3 / (d1 d2 (x3^2 + y3^2))
+    (x1, y1, d1), (x2, y2, d2), (x3, y3, d3) = a, b, c
+    norm = x3 * x3 + y3 * y3
+    if norm == 0:
+        raise DivisionByZero("cannot invert zero")
+    x, y = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+    return _qi_reduced((x * x3 + y * y3) * d3, (y * x3 - x * y3) * d3, d1 * d2 * norm)
+
+
+def _vanishes_qi(a, b, c, d, p) -> bool:
+    # as over Q, each part of the Gaussian numerator
+    (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = a, b, c, d
+    e, f = d3 * d4, d1 * d2
+    return (
+        (x1 * x2 - y1 * y2) * e + (x3 * x4 - y3 * y4) * f == 0
+        and (x1 * y2 + y1 * x2) * e + (x3 * y4 + y3 * x4) * f == 0
+    )
+
+
+_PTOLEMY = {
+    PRIME_FIELD: (_ratio_mod, _vanishes_mod),
+    RATIONALS: (_ratio_q, _vanishes_q),
+    GAUSSIAN_RATIONALS: (_ratio_qi, _vanishes_qi),
 }
 
 # the slots of an exchange-tree cluster's children, in the next level's order,

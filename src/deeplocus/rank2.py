@@ -20,9 +20,10 @@ and g(x_{2i}) that needs no division by cluster values.
 
 `e_vectors` returns a window's e-vectors as a dict by index.  The steps
 read y-monomials from `_y`, an lru_cache of `y_monomial` keyed by
-(ys, v, ctx), and g's coefficient values from `_g_coefs`, keyed by
+(ys, v, ctx), g's coefficient values from `_g_coefs`, keyed by
 (outer, inner, e, ys, ctx); each keeps at most 256 entries, and the
-windows of one spec over one field share them.
+windows of one spec over one field share them.  At a zero x_mid, g's value
+is its constant term, `_g_at_zero`, with no expansion of g.
 """
 
 from __future__ import annotations
@@ -241,6 +242,13 @@ def _g_coefs(
     )
 
 
+def _g_at_zero(outer: int, e: Vector, ys: Sequence[FieldValue], ctx: FieldContext) -> FieldValue:
+    """g(0) at ys: the constant term of _binomial_g(outer, inner, e), its
+    k = 1 term outer * y^([e]+ + (outer - 1)[e]-), whatever inner is,
+    without the expansion."""
+    return ctx.from_int(outer) * _y(ys, vadd(positive_part(e), vscale(outer - 1, negative_part(e))), ctx)
+
+
 # ---------------------------------------------------------------------------
 # window propagation
 
@@ -282,13 +290,17 @@ def closed_form_step(
     e_adj = evw[j + s]
     e_far = evw[j + 3 * s]
     x_mid = window[j + 2 * s]
-    # g(x_mid), by Horner's rule in x_mid^inner
-    coefs = _g_coefs(outer, inner, e_mid, ys, ctx)
-    gval = coefs[-1]
-    if len(coefs) > 1:
-        t = x_mid**inner
-        for c in reversed(coefs[:-1]):
-            gval = gval * t + c
+    # g(x_mid): its constant term at a zero x_mid, else by Horner's rule
+    # in x_mid^inner
+    if x_mid.is_zero:
+        gval = _g_at_zero(outer, e_mid, ys, ctx)
+    else:
+        coefs = _g_coefs(outer, inner, e_mid, ys, ctx)
+        gval = coefs[-1]
+        if len(coefs) > 1:
+            t = x_mid**inner
+            for c in reversed(coefs[:-1]):
+                gval = gval * t + c
     term1 = -_y(ys, negative_part(e_adj), ctx) * x_mid ** (inner - 1) * gval
     term2 = (
         _y(ys, vsub(negative_part(e_adj), positive_part(e_far)), ctx)

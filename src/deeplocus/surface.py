@@ -999,60 +999,65 @@ def _flip_determined(
 def _flip_value(
     arc: Sequence[int],
     labels: Sequence[int],
-    values: Mapping[int, Optional[FieldValue]],
+    values: Sequence[object],
     quad: Quad,
     new_label: int,
     determined: bool,
-    zero: FieldValue,
-) -> Optional[FieldValue]:
-    """The value of the arc inside `quad` after its flip, given each
-    side's arc, the labels before it, its new label, `_flip_determined`
-    and the field's 0, which every label-0 value shares.  The rule reads
-    the labels.  A known value is 0 exactly where its label is 0, and the
-    old triangles are even, so l(p) + l(q) = l(a1) = l(r) + l(s), and the
-    new label is l(q) + l(r).
+    rule: tuple,
+) -> object:
+    """The payload of the arc inside `quad` after its flip, or None, given
+    each side's arc, the labels before it, the values as payloads by arc id
+    (`FieldContext.ptolemy_payloads`, None where unknown), its new label,
+    `_flip_determined` and the field's `ptolemy_rule`, whose formulas are
+    the only reads of a payload here.  The rule reads the labels.  A known
+    value is 0 exactly where its label is 0, and the old triangles are
+    even, so l(p) + l(q) = l(a1) = l(r) + l(s), and the new label is
+    l(q) + l(r).
 
     At label 1 the value is None unless determined, and then the old value
     is nonzero, so l(a1) = 1 and l(p) = l(r) != l(q) = l(s).  In the
     exchange identity old * new = v(p)v(r) + v(q)v(s) the pair with label-0
     sides has product 0, so the value is the other pair's product over the
-    old value: one multiply and one divide, and nonzero.
+    old value: the rule's ratio, and nonzero.
 
-    At label 0 the value is 0, and the identity reads
+    At label 0 the value is the rule's 0, and the identity reads
     v(p)v(r) + v(q)v(s) = 0.  Here l(q) = l(r) and l(p) = l(s), so a
     label-0 side puts a 0 in both products and the identity holds.  It can
     fail only when all four sides are labeled 1, and only then is it
-    tested, whenever the four values are known, the old value or not."""
+    tested, by the rule's vanishing test, whenever the four values are
+    known, the old value or not."""
     if not determined:
         return None
+    ratio, vanishes, zero, mod = rule
     a1, p, q, _, r, s = quad
     if new_label == 1:
         if labels[arc[p]] == 1:
-            return values[arc[p]] * values[arc[r]] / values[arc[a1]]
-        return values[arc[q]] * values[arc[s]] / values[arc[a1]]
+            return ratio(values[arc[p]], values[arc[r]], values[arc[a1]], mod)
+        return ratio(values[arc[q]], values[arc[s]], values[arc[a1]], mod)
     if labels[arc[p]] == 1 and labels[arc[q]] == 1 and labels[arc[r]] == 1 and labels[arc[s]] == 1:
-        get = values.get
-        vp, vq, vr, vs = get(arc[p]), get(arc[q]), get(arc[r]), get(arc[s])
+        vp, vq, vr, vs = values[arc[p]], values[arc[q]], values[arc[r]], values[arc[s]]
         if vp is not None and vq is not None and vr is not None and vs is not None:
-            if not (vp * vr + vq * vs).is_zero:
+            if not vanishes(vp, vr, vq, vs, mod):
                 raise SurfaceError(f"exchange identity fails at arc {arc[a1]}")
     return zero
 
 
 def flip_evaluation(p: SurfaceDeepPoint, aid: int) -> SurfaceDeepPoint:
     """Carry the deep point across one flip: the class always transports,
-    the new value is `_flip_value`'s, and the result is built through
-    `Z2Class` and `SurfaceDeepPoint`, so it passes every check of both."""
-    t = p.triangulation
+    the new value is `_flip_value`'s, read on the point's payloads, and the
+    result is built through `Z2Class` and `SurfaceDeepPoint`, so it passes
+    every check of both."""
+    t, ctx = p.triangulation, p.ctx
     quad = t.flip_quad(aid)
     # transport_class, with the quad worked out above
     z2 = Z2Class(t._flip(quad), _transport_labels(t, p.z2.labels, quad))
     new_label = z2.labels[aid]
     determined = _flip_determined(t, p.z2.labels, p.values, quad, new_label)
+    payloads = ctx.ptolemy_payloads(p.values.get(a) for a in range(len(t.arcs)))
     new_value = _flip_value(
-        t._arc_of_side, p.z2.labels, p.values, quad, new_label, determined, p.ctx.zero()
+        t._arc_of_side, p.z2.labels, payloads, quad, new_label, determined, ctx.ptolemy_rule()
     )
-    return SurfaceDeepPoint({**p.values, aid: new_value}, z2, p.ctx)
+    return SurfaceDeepPoint({**p.values, aid: ctx.ptolemy_values([new_value])[0]}, z2, ctx)
 
 
 @dataclass
@@ -1093,10 +1098,13 @@ def verify_deep_random_walk(
 
     The state is flat: copies of the carrier's triangles and of its lists
     of each side's triangle and slot, which `_write_flip` flips in place,
-    and its list of each side's arc, which no flip changes.  A flip of an
-    arc changes the label, value and quadrilateral of
-    no arc outside that quadrilateral, so only its arc and the arcs of its
-    four sides are re-tested.  One inline pass re-tests an arc: its quad,
+    its list of each side's arc, which no flip changes, and the values as
+    payloads in a list by arc id, None where unknown
+    (`FieldContext.ptolemy_payloads`), which `_flip_value` reads only
+    through the field's `ptolemy_rule`.  No step builds a field value.  A
+    flip of an arc changes the label, value and quadrilateral of no arc
+    outside that quadrilateral, so only its arc and the arcs of its four
+    sides are re-tested.  One inline pass re-tests an arc: its quad,
     its new label (the cocycle completion l(q) + l(r), as `_new_label`
     takes it) and whether its flip determines its value, as
     `_flip_determined` decides it.  While no value is unknown that last
@@ -1108,8 +1116,9 @@ def verify_deep_random_walk(
     recorded as `step N: ...` and ends the walk.  A flip carries the
     surface invariants, so the end state is rebuilt from its triangles and
     gluing, which runs every surface check once, and through `Z2Class` and
-    `SurfaceDeepPoint`; a failure there, or invariants other than the
-    carried ones, is recorded as `end: ...`.  No flip path is kept."""
+    `SurfaceDeepPoint`, on field values built once from the payloads; a
+    failure there, or invariants other than the carried ones, is recorded
+    as `end: ...`.  No flip path is kept."""
     import random as _random
 
     if steps < 0:
@@ -1125,13 +1134,13 @@ def verify_deep_random_walk(
         report.failures.append(f"start: {exc}")
         return report
     t, ctx = start.triangulation, start.ctx
-    arcs, arc_of, zero = t.arcs, t._arc_of_side, ctx.zero()
+    arcs, arc_of, rule = t.arcs, t._arc_of_side, ctx.ptolemy_rule()
     triangles, tri_of, slot_of = list(t.triangles), list(t.tri_of), list(t.slot_of)
     interior = [len(a) == 2 for a in arcs]
     candidates = [a for a in range(len(arcs)) if interior[a]]
-    labels, values = list(start.z2.labels), dict(start.values)
-    unknown = sum(values.get(a) is None for a in range(len(arcs)))
-    get = values.get
+    labels = list(start.z2.labels)
+    values = ctx.ptolemy_payloads(start.values.get(a) for a in range(len(arcs)))
+    unknown = values.count(None)
     quads: List[Optional[Quad]] = [None] * len(arcs)
     new_labels = [0] * len(arcs)
     in_pool = [False] * len(arcs)
@@ -1159,11 +1168,11 @@ def verify_deep_random_walk(
             else:
                 determined = (
                     labels[x] == 1
-                    and get(x) is not None
-                    and get(arc_of[sp]) is not None
-                    and get(arc_of[sq]) is not None
-                    and get(arc_of[sr]) is not None
-                    and get(arc_of[ss]) is not None
+                    and values[x] is not None
+                    and values[arc_of[sp]] is not None
+                    and values[arc_of[sq]] is not None
+                    and values[arc_of[sr]] is not None
+                    and values[arc_of[ss]] is not None
                 )
             if determined != in_pool[x]:
                 in_pool[x] = determined
@@ -1177,7 +1186,7 @@ def verify_deep_random_walk(
             aid, determined = choice(candidates), False
         quad, new_label = quads[aid], new_labels[aid]
         try:
-            value = value_of(arc_of, labels, values, quad, new_label, determined, zero)
+            value = value_of(arc_of, labels, values, quad, new_label, determined, rule)
         except SurfaceError as exc:
             report.failures.append(f"step {step}: {exc}")
             break
@@ -1185,9 +1194,9 @@ def verify_deep_random_walk(
         labels[aid] = new_label
         if value is None:
             report.undetermined_values += 1
-            if get(aid) is not None:
+            if values[aid] is not None:
                 unknown += 1
-        elif get(aid) is None:
+        elif values[aid] is None:
             unknown -= 1
         values[aid] = value
         _, sp, sq, _, sr, ss = quad
@@ -1199,7 +1208,7 @@ def verify_deep_random_walk(
             raise SurfaceError(
                 f"invariants {end.invariants()} differ from the carried {t.invariants()}"
             )
-        SurfaceDeepPoint(values, Z2Class(end, tuple(labels)), ctx)
+        SurfaceDeepPoint(dict(enumerate(ctx.ptolemy_values(values))), Z2Class(end, tuple(labels)), ctx)
     except SurfaceError as exc:
         report.failures.append(f"end: {exc}")
     return report

@@ -336,131 +336,14 @@ DEEP_FIXTURE = {
 }
 DEEP_ON_ANNULUS22 = ["surface", "deep", "--surface", os.path.join(DATA, "annulus22.json")]
 
-# (argv, JSON written to {file} first or None)
-BAD_INPUTS = {
-    "edge-not-a-number": (["polygon", "from-edges", "--edges", "1,x,1,1"], None),
-    "edge-zero-denominator": (["polygon", "from-edges", "--edges", "1/0,1,1,1"], None),
-    "fraction-in-prime-field": (
-        ["markov", "classify", "--point", "1/2,0,0,0", "--field", "fp:5"],
-        None,
-    ),
-    "markov-letter": (["markov", "verify", "--point", "a,1,1,3"], None),
-    "markov-classify-two-values": (["markov", "classify", "--point", "1,2"], None),
-    "markov-verify-three-values": (["markov", "verify", "--point", "1,2,3"], None),
-    "markov-verify-five-values": (["markov", "verify", "--point", "1,1,1,3,4"], None),
-    "rank2-e1-letter": (["rank2", "--b", "2", "--c", "2", "--e1", "x"], None),
-    "surface-sides-not-a-number": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": "x", "gluings": []},
-    ),
-    "surface-file-without-sides": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"gluings": [[0, 3]]},
-    ),
-    # the keys are polygon_sides and gluings: a misspelt "gluing" is
-    # refused, not read as no gluings
-    "surface-unknown-key": (
-        ["surface", "invariants", "--surface", "{file}", "--json"],
-        {"polygon_sides": 6, "gluing": [[0, 3]]},
-    ),
-    "gluing-not-a-list": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": 6, "gluings": [5]},
-    ),
-    # a file and a name each name a surface: neither is dropped silently
-    "surface-file-and-name": (
-        ["surface", "invariants", "--surface", os.path.join(DATA, "annulus22.json"),
-         "--name", "genus1"],
-        None,
-    ),
-    "surface-deep-file-and-name": (
-        DEEP_ON_ANNULUS22 + ["--name", "annulus22", "--fixture", "{file}"],
-        DEEP_FIXTURE,
-    ),
-    "gluing-side-not-a-number": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": 6, "gluings": [["a", "b"]]},
-    ),
-    # ids and counts are JSON integers: a float is not truncated, nor a
-    # bool read as 0 or 1
-    "surface-sides-float": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": 6.7, "gluings": []},
-    ),
-    "surface-sides-string": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": "6", "gluings": []},
-    ),
-    "gluing-side-bool": (
-        ["surface", "invariants", "--surface", "{file}"],
-        {"polygon_sides": 6, "gluings": [[True, 3]]},
-    ),
-    "fixture-dissection-float": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "dissection": [0.9]},
-    ),
-    "fixture-dissection-bool": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "dissection": [True]},
-    ),
-    "fixture-value-z": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "0": "z"}},
-    ),
-    "fixture-missing-arc-value": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {"0": "5", "1": "1", "2": "1", "3": "1"}},
-    ),
-    "fixture-without-dissection": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {"field": "q", "values": DEEP_FIXTURE["values"]},
-    ),
-    "fixture-not-an-object": (DEEP_ON_ANNULUS22 + ["--fixture", "{file}"], [0, 1]),
-    # a values key is an arc id as str(int) writes it: "03" does not
-    # override "3", nor is "0_4" read as arc 4
-    "fixture-key-leading-zero": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "03": "7"}},
-    ),
-    "fixture-key-underscore": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {"0": "5", "1": "1", "2": "1", "3": "1", "0_4": "1"}},
-    ),
-    # a value off the boundary and the dissection is refused, not dropped
-    "fixture-value-on-an-interior-arc": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "5": "123"}},
-    ),
-    "fixture-value-on-no-arc": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "values": {**DEEP_FIXTURE["values"], "99": "7"}},
-    ),
-    # the top-level keys are field, dissection and values: a misspelt
-    # "feild" is refused, not read as the default field
-    "fixture-unknown-key": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {"feild": "fp:5", "dissection": [0], "values": DEEP_FIXTURE["values"]},
-    ),
-    # a repeated dissection arc is refused, not merged into one
-    "fixture-repeated-dissection-arc": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}"],
-        {**DEEP_FIXTURE, "dissection": [0, 0]},
-    ),
-    "scenario-steps-zero": (["scenario", "surface-deep-walk", "--steps", "0"], None),
-    "scenario-steps-negative": (["scenario", "surface-deep-walk", "--steps", "-5"], None),
-    "surface-deep-steps-negative": (
-        DEEP_ON_ANNULUS22 + ["--fixture", "{file}", "--steps", "-3"],
-        DEEP_FIXTURE,
-    ),
-    "rank2-depth-negative": (
-        ["rank2", "--b", "2", "--c", "2", "--field", "fp:5", "--depth", "-1", "--json"],
-        None,
-    ),
-    "markov-depth-negative": (
-        ["markov", "verify", "--point", "1,1,1,3", "--depth", "-3", "--json"],
-        None,
-    ),
-}
+# (argv, JSON written to {file} first or None) by case, from
+# tests/data/bad_inputs.json, whose argv write this directory as {data};
+# tools/sweep.py reads the same file
+with open(os.path.join(DATA, "bad_inputs.json")) as fh:
+    BAD_INPUTS = {
+        case: ([a.replace("{data}", DATA) for a in entry["argv"]], entry["input"])
+        for case, entry in json.load(fh).items()
+    }
 
 
 @pytest.mark.parametrize(

@@ -863,6 +863,38 @@ def test_mul_mul_sub_is_a_product_then_a_difference(ctx):
             one.mul_mul_sub(*args)
 
 
+@pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+def test_ptolemy_rule_matches_field_arithmetic(ctx):
+    # the surface walk's two formulas on payloads, the ratio a * b / c and
+    # the test a * b + c * d = 0, against field arithmetic, payloads and
+    # all; signed and 30-digit values, zeros, and sums made to vanish
+    rng = random.Random(f"ptolemy/{ctx.p}/{ctx.kind}")
+    ratio, vanishes, zero, p = ctx.ptolemy_rule()
+    assert (zero, p) == (ctx.zero()._v, ctx.p)
+    seen = set()
+    for _ in range(300):
+        a, b, d = (identity_draw(ctx, rng) for _ in range(3))
+        c = identity_draw(ctx, rng, nonzero=True)
+        pa, pb, pc = ctx.ptolemy_payloads([a, b, c])
+        assert ratio(pa, pb, pc, p) == (a * b / c)._v
+        for x in (d, -(a * b) / c):
+            want = (a * b + c * x).is_zero
+            assert vanishes(pa, pb, pc, ctx.ptolemy_payloads([x])[0], p) is want
+            seen.add(want)
+        with pytest.raises(DivisionByZero):
+            ratio(pa, pb, zero, p)
+    assert seen == {True, False}
+
+
+def test_ptolemy_payloads_keep_none_and_refuse_foreign_values():
+    values = [QQ.rational(-3, 4), None, QQ.zero()]
+    payloads = QQ.ptolemy_payloads(values)
+    assert payloads[1] is None
+    assert QQ.ptolemy_values(payloads) == values
+    with pytest.raises(ContextMismatch):
+        QQ.ptolemy_payloads([QQ.one(), QI.one()])
+
+
 class TestLongText:
     """Values whose integers are longer than the interpreter's default limit
     on int-to-text conversion (4,300 digits from Python 3.11) print in full."""

@@ -638,3 +638,32 @@ def test_window_deeper_than_the_cap_is_rejected_before_any_work(monkeypatch):
             extend_evaluation(p, N)
         with pytest.raises(Rank2Error, match=f"at most {rank2.MAX_WINDOW_DEPTH}, got {N}"):
             verify_deep(p, N)
+
+
+@pytest.mark.parametrize("ctx", [QQ, QI, F2, F5, prime_field(13)], ids=["Q", "Qi", "F2", "F5", "F13"])
+def test_g_at_zero_is_the_expansion_at_zero(ctx):
+    # g's constant term, outer * y^([e]+ + (outer - 1)[e]-), against
+    # _binomial_g's expansion evaluated at 0, for every inner
+    rng = random.Random(f"g-at-zero/{ctx!r}")
+    for outer in (1, 2, 3, 5, 13):
+        for e in [(0,), (1,), (-1,), (3,), (-2,), (1, -1), (-1, -1), (0, 2), (-3, 2)]:
+            ys = tuple(random_value(ctx, rng, nonzero=True) for _ in e)
+            got = rank2._g_at_zero(outer, e, ys, ctx)
+            for inner in (1, 2, 4):
+                assert got == rank2._binomial_g(outer, inner, e).evaluate(ctx.zero(), ys), (outer, e, inner)
+
+
+def test_deep_windows_expand_no_g(monkeypatch):
+    # a window's closed-form steps meet a zero x_mid only, and read g there
+    # as its constant term, with no expansion of g; c = 1000 is
+    # MAX_RANK2_EXPONENT
+    def no_expansion(*args):
+        raise AssertionError("g expanded")
+
+    spec = Rank2Spec(2, 1000, 2, (-1, -1), (-1, -1))
+    points = deep_points(spec, prime_field(13))
+    assert points
+    monkeypatch.setattr(rank2, "_binomial_g", no_expansion)
+    rank2._g_coefs.cache_clear()
+    for p, _ in points[:8]:
+        assert verify_deep(p, N=6)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from deeplocus.field import QQ, prime_field
+from deeplocus.field import QI, QQ, prime_field
 from deeplocus.polygon import ConditionViolated, is_deep_bruteforce
 from deeplocus.surface import (
     AvoidanceFailed,
@@ -129,7 +129,8 @@ class TestBuilding:
             SurfaceTriangulation(triangles, glue)
 
     def test_a_polygon_over_the_triangle_cap_is_refused_before_any_build(self, monkeypatch):
-        # every named surface, every fixture and a genus-64 surface with one
+        # every named surface, every fixture (the records of the sweep and
+        # the CLI's refusals are not surfaces) and a genus-64 surface with one
         # boundary (258 sides, 4g of them glued) stay under the cap, and a
         # build at the cap answers; one triangle more is refused before any
         # side is glued or any class is solved
@@ -142,7 +143,7 @@ class TestBuilding:
         sides = [n for n, _ in surface._NAMED_GLUINGS.values()]
         data = Path(__file__).parent / "data"
         sides += [json.loads(f.read_text())["polygon_sides"] for f in data.glob("*.json")
-                  if f.name != "sweep.json" and "polygon_sides" in f.read_text()]
+                  if f.name not in ("sweep.json", "bad_inputs.json") and "polygon_sides" in f.read_text()]
         assert genus_surface(64).invariants()[:3] == (64, 1, 2)
         assert max(sides + [258]) - 2 < cap
         assert len(build_from_gluing(cap + 2, []).triangles) == cap
@@ -1234,8 +1235,12 @@ class TestDeepPoints:
                             if label == 0 and 0 in (lp, lq, lr, ls) and known:
                                 assert (vp * vr).is_zero and (vq * vs).is_zero, (name, aid)
                                 seen.add("label 0, a label-0 side")
+                            payloads = ctx.ptolemy_payloads(values.get(a) for a in range(len(tcur.arcs)))
                             try:
-                                value = _flip_value(tcur._arc_of_side, labels, values, quad, label, determined, ctx.zero())
+                                (value,) = ctx.ptolemy_values(
+                                    [_flip_value(tcur._arc_of_side, labels, payloads, quad, label, determined,
+                                                 ctx.ptolemy_rule())]
+                                )
                             except SurfaceError as exc:
                                 assert breaks, (name, aid)
                                 assert (lp, lq, lr, ls) == (1, 1, 1, 1), (name, aid)
@@ -1315,7 +1320,7 @@ class TestDeepPoints:
         with pytest.raises(SurfaceError, match=f"at most {MAX_WALK_STEPS} steps, got {MAX_WALK_STEPS + 1}"):
             verify_deep_random_walk(p, MAX_WALK_STEPS + 1, seed=0)
 
-    @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3], ids=["Q", "F101", "F3"])
+    @pytest.mark.parametrize("ctx", [QQ, prime_field(101), F3, QI], ids=["Q", "F101", "F3", "Qi"])
     def test_walk_matches_a_full_retest_walk(self, ctx):
         # the walk flips one state in place and re-tests only the arcs a
         # flip touches; the reference carries the point by transport_class
@@ -1533,6 +1538,32 @@ class TestDeepPoints:
             report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
             assert report.passed and len(report.flips_taken) == 300, name
             assert calls == {"_write_flip": 300, "_flip_value": 300}, name
+
+    def test_walk_builds_field_values_only_for_its_end_check(self, monkeypatch):
+        # the walk keeps its values as payloads: a 300-step walk builds one
+        # FieldValue per known arc, for its end check, and none per step
+        from deeplocus.field import FieldValue
+
+        rng = random.Random("walk-field-values")
+        init = FieldValue.__init__
+        built = []
+
+        def counted(self, *args):
+            built.append(args[1])
+            init(self, *args)
+
+        for name in ["annulus22", "genus1", "genus2", "pants"]:
+            for ctx in (QQ, prime_field(101), QI):
+                t = named_surface(name)
+                for _ in range(4):
+                    t = t.flip(rng.choice(t.interior_arcs()))
+                p = random_deep_point(t, ctx, rng)
+                built.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(FieldValue, "__init__", counted)
+                    report = verify_deep_random_walk(p, 300, seed=rng.randrange(2**31))
+                assert report.passed and len(report.flips_taken) == 300, (name, ctx)
+                assert len(built) <= len(t.arcs) < 300, (name, ctx, len(built))
 
     def test_walk_memory_does_not_keep_its_path(self):
         # the walk flips one state in place and keeps no flip path: a

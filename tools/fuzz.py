@@ -1,8 +1,7 @@
 """Fuzz the CLI with seeded mutations of the output sweep's calls.
 
 Run from the repository root, with ``deeplocus`` importable (``PYTHONPATH=src``
-for this tree, or an installed package), and pytest installed (the sweep
-reads its refusals from tests/test_cli.py):
+for this tree, or an installed package):
 
     python tools/fuzz.py --seed 0              # 3,000 calls
 

@@ -27,6 +27,13 @@ values, and every identity must hold.  Over Q and Q(i) it times powers
 a**n on the payload (``FieldValue.__pow__``) against square-and-multiply
 over field values, and checks that they agree.
 
+For each field it times the surface flip walk's value rule
+(``FieldContext.ptolemy_rule``) on payloads against the same formula
+through ``FieldValue`` arithmetic: the label-1 value a*b/c and the label-0
+identity test a*b + c*d = 0, on PTOLEMY_DRAWS seeded draws of nonzero
+values, half of them with d made so that the sum vanishes; the two must
+agree on every draw.
+
 Each time is the best of --repeats runs of --number calls. It prints one
 JSON line, and exits 1 if a kernel and the oracle disagree.
 """
@@ -156,6 +163,31 @@ def replayed_tree(point) -> dict:
     return {word: node.values for word, node in tree.items()}
 
 
+PTOLEMY_DRAWS = 40
+
+
+def ptolemy_draws(ctx, rng: random.Random) -> List[tuple]:
+    """(a, b, c, d) of nonzero values; in every other draw d is
+    -a*b/c, so that a*b + c*d vanishes."""
+    draws = []
+    for k in range(PTOLEMY_DRAWS):
+        a, b, c, d = (_nonzero(ctx, rng) for _ in range(4))
+        draws.append((a, b, c, -(a * b) / c if k % 2 else d))
+    return draws
+
+
+def ptolemy_by_field_values(draws) -> List[tuple]:
+    """Each draw's ratio a*b/c and whether a*b + c*d is 0, through
+    FieldValue arithmetic."""
+    return [(a * b / c, (a * b + c * d).is_zero) for a, b, c, d in draws]
+
+
+def ptolemy_on_payloads(ctx, draws) -> List[tuple]:
+    """The same through the walk's rule, on payloads."""
+    ratio, vanishes, _, p = ctx.ptolemy_rule()
+    return [(ratio(a, b, c, p), vanishes(a, b, c, d, p)) for a, b, c, d in draws]
+
+
 def square_and_multiply(a, n: int):
     """a**n for n >= 0 by square-and-multiply over field values."""
     result, base = a.ctx.one(), a
@@ -207,6 +239,15 @@ def main(argv: List[str]) -> int:
             report[field][f"markov.tree.d{TREE_DEPTH}"] = {
                 "clusters": len(words), "payload_ns": round(payload), "replay_ns": round(replay),
                 "replay_x": round(replay / payload, 2)}
+        draws = ptolemy_draws(ctx, rng)
+        payloads = [tuple(ctx.ptolemy_payloads(draw)) for draw in draws]
+        got, want = ptolemy_on_payloads(ctx, payloads), ptolemy_by_field_values(draws)
+        if [(FieldValue(ctx, r), z) for r, z in got] != want or {z for _, z in want} != {True, False}:
+            disagree.append(f"{field} ptolemy: the payload rule and field arithmetic disagree")
+        payload = best_ns(lambda: ptolemy_on_payloads(ctx, payloads), args.repeats, args.number)
+        slow = best_ns(lambda: ptolemy_by_field_values(draws), args.repeats, args.number)
+        report[field][f"ptolemy.x{PTOLEMY_DRAWS}"] = {"payload_ns": round(payload), "field_value_ns": round(slow),
+                                                      "field_value_x": round(slow / payload, 2)}
         if field in POWER_FIELDS:
             a = _nonzero(ctx, rng)
             for n in POWER_EXPONENTS:

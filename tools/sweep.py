@@ -16,8 +16,9 @@ from fixed seeds, so every run makes the same calls.
 
 The calls cover every leaf command; the fields q, qi, fp:2, fp:3, fp:5,
 fp:7 and fp:13; every scenario at seeds 0-3, with and without --json; seeded
-walks on annulus22, and on genus1, genus2, pants and genus8 over Q and F_13; the
-README's examples; and the refusals of ``BAD_INPUTS`` in tests/test_cli.py.
+walks on annulus22, and on genus1, genus2, pants and genus8 over Q, F_13 and
+Q(i); rank2 at c = MAX_RANK2_EXPONENT; the README's examples; and the
+refusals of tests/data/bad_inputs.json, which tests/test_cli.py checks too.
 A change that means to alter an output re-records the file and names each
 call whose record changed, and why.
 
@@ -28,7 +29,6 @@ FAST_STRIDE-th call in tier-1.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -41,6 +41,8 @@ from typing import Dict, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = ROOT / "tests" / "data" / "sweep.json"
+# the CLI refusals tests/test_cli.py checks, by case
+BAD_INPUTS = ROOT / "tests" / "data" / "bad_inputs.json"
 FAST_STRIDE = 7
 
 FIELDS = ("q", "qi", "fp:2", "fp:3", "fp:5", "fp:7", "fp:13")
@@ -135,6 +137,10 @@ def _rank2() -> List[Call]:
                    "--json"], None))
     calls.append((["rank2", "--b", str(10**20), "--c", "2", "--field", "fp:5", "--json"], None))
     calls.append((["rank2", "--b", "2", "--c", str(10**20), "--field", "q", "--json"], None))
+    # c at MAX_RANK2_EXPONENT, with deep points whose closed-form steps meet
+    # a zero x_mid
+    calls.append((["rank2", "--b", "2", "--c", "1000", "--e1=-1,-1", "--e2=-1,-1", "--field", "fp:13",
+                   "--json"], None))
     return calls
 
 
@@ -197,6 +203,15 @@ def _surface() -> List[Call]:
                 for steps in ("1", "20", "200"):
                     calls.append((["surface", "deep", *where, "--fixture", "{file}", "--steps", steps,
                                    "--seed", str(seed), "--json"], doc))
+    # the same walks over Q(i), drawn from a stream of their own so the
+    # fixtures above stay as they were
+    rng = random.Random(2031)
+    for where, t in walks:
+        doc = _deep_fixture(t, "qi", rng)
+        for seed in range(3):
+            for steps in ("1", "20", "200"):
+                calls.append((["surface", "deep", *where, "--fixture", "{file}", "--steps", steps,
+                               "--seed", str(seed), "--json"], doc))
     return calls
 
 
@@ -254,12 +269,9 @@ def _examples() -> List[Call]:
 
 
 def _bad_inputs() -> List[Call]:
-    spec = importlib.util.spec_from_file_location("_sweep_test_cli", ROOT / "tests" / "test_cli.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # their argv name files under the checkout by absolute path
-    return [([a.replace(str(ROOT), "{root}") for a in argv], doc)
-            for argv, doc in (module.BAD_INPUTS[case] for case in sorted(module.BAD_INPUTS))]
+    cases = json.loads(BAD_INPUTS.read_text())
+    return [([a.replace("{data}", DATA) for a in cases[case]["argv"]], cases[case]["input"])
+            for case in sorted(cases)]
 
 
 def _key(argv: List[str], doc: Optional[object], env: Optional[Dict[str, str]] = None) -> str:
