@@ -245,8 +245,9 @@ def _g_coefs(
 def _g_at_zero(outer: int, e: Vector, ys: Sequence[FieldValue], ctx: FieldContext) -> FieldValue:
     """g(0) at ys: the constant term of _binomial_g(outer, inner, e), its
     k = 1 term outer * y^([e]+ + (outer - 1)[e]-), whatever inner is,
-    without the expansion."""
-    return ctx.from_int(outer) * _y(ys, vadd(positive_part(e), vscale(outer - 1, negative_part(e))), ctx)
+    without the expansion.  That exponent keeps e's positive entries and
+    takes each negative one times 1 - outer, in one pass over e."""
+    return ctx.from_int(outer) * _y(ys, tuple(x if x > 0 else (1 - outer) * x for x in e), ctx)
 
 
 # ---------------------------------------------------------------------------
