@@ -15,24 +15,28 @@ compare by identity.
 ``FieldContext.first_nonzero_relation`` tests a table of polynomial
 identities at a point's values without building values.  A table is
 prepared once as a ``RelationTable``: a tuple of its relations that also
-keeps them as runs of flat rows by shape.  Two shapes are read in one
-unrolled loop each: the exchange x_a x_b - x_c x_d - x_e x_f (every
-Ptolemy relation and every Markov exchange) and the torus relation
-x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c (the Markov element of a torus
-cluster is M).  Over F_p each row is one sum reduced once mod p; over Q
-it is one integer test over the numerators and denominators, on one
-common denominator.  Any other relation, such as a type-A edge's
-x_t - 1, is summed monomial by monomial.  A plain sequence of relations is prepared on
-each call, so callers cache the tables they test often; Q(i) reads a table
-as its relations, one monomial at a time.
+keeps the exchanges x_a x_b - x_c x_d - x_e x_f (every Ptolemy relation and
+every Markov exchange) as runs of flat rows, each read in one unrolled
+loop: over F_p one sum reduced once mod p, over Q one integer test over
+the numerators and denominators, on one common denominator.  Any other
+relation, such as a type-A edge's x_t - 1 or the Markov torus relation,
+is summed monomial by monomial.  A plain sequence of relations is prepared
+on each call, so callers cache the tables they test often; Q(i) reads a
+table as its relations, one monomial at a time.
 ``FieldContext.exchange_level`` walks one level of the Markov exchange
 tree on payloads: it builds each cluster's children, each new value
-M*a*b - c by the formula of ``FieldValue.mul_mul_sub``, tests the cluster
-against its prepared table with the same kernels, and builds field values
-only for a cluster that fails.  ``FieldContext.ptolemy_rule`` gives the
-random surface flip walk, which keeps its values as payloads, the two
-formulas of the exchange old * new = v(p)v(r) + v(q)v(s): the ratio a*b/c,
-formed in one step (over Q with a single gcd), and the test a*b + c*d = 0.
+M*a*b - c by the formula of ``FieldValue.mul_mul_sub``, tests each cluster
+with its field's node test, and builds field values only for a cluster
+that fails.  The node test forms the squares of x, y and z once and checks
+each identity exactly and on its own: on a torus cluster
+x^2 + y^2 + z^2 = M*x*y*z, and for each child the exchange
+v*v' = (x^2 + y^2 + z^2) - v^2; over F_p each is reduced once, over Q and
+Q(i) each is one test on the common denominator dx*dy*dz of the cluster.
+The child's formula and the node test are one pair per field
+(``_MARKOV``), as are the two formulas ``FieldContext.ptolemy_rule`` gives
+the random surface flip walk, which keeps its values as payloads, for the
+exchange old * new = v(p)v(r) + v(q)v(s): the ratio a*b/c, formed in one
+step (over Q with a single gcd), and the test a*b + c*d = 0.
 A power builds no intermediate value: over
 F_p it is one builtin ``pow``, over Q the powers of numerator and
 denominator, and over Q(i) square-and-multiply on the Gaussian numerator,
@@ -289,7 +293,7 @@ class FieldContext:
         """The next level: each cluster's children in its level's order,
         one per slot of CHILD_SLOTS[k].  The child in slot s holds
         v_s' = M v_i v_j - v_s, the formula of FieldValue.mul_mul_sub."""
-        m, p, mms = self._payloads((M,))[0], self.p, _MUL_MUL_SUB[self.kind]
+        m, p, mms = self._payloads((M,))[0], self.p, _MARKOV[self.kind][0]
         out = []
         for x, y, z, k in level:
             for s in CHILD_SLOTS[k]:
@@ -305,37 +309,37 @@ class FieldContext:
         self,
         level: list,
         M: "FieldValue",
-        tables: Sequence[Sequence["RelationTable"]],
         zeros: Optional[Tuple[bool, bool, bool]],
         inner: bool,
     ) -> Tuple[list, List[bool], List[Tuple[int, Tuple["FieldValue", ...]]]]:
         """Test one level of the exchange tree and build the next one.
 
-        Each cluster's row is its x, y, z, M and, on an inner level, the new
-        value of each of its children (exchange_children).  The row is read
-        by the identity kernel of first_nonzero_relation against
-        tables[torus][k].  A cluster is a torus cluster when zeros is None and
-        none of x, y, z is zero; otherwise zeros is the pattern of zeros that
-        every cluster's (x, y, z) must have.  Returns the next level (empty
-        when not inner), each cluster's torus flag, and (index, row) for
-        each cluster whose pattern of zeros or identity test fails, in order,
-        its row as FieldValues: the only values built."""
+        On an inner level each cluster's children come from
+        exchange_children.  Each cluster is tested by its field's node
+        test: on a torus cluster x^2 + y^2 + z^2 = M*x*y*z, and for each
+        child v*v' = (x^2 + y^2 + z^2) - v^2, v' the child's new value.  A
+        cluster is a torus cluster when zeros is None and none of x, y, z
+        is zero; otherwise zeros is the pattern of zeros that every
+        cluster's (x, y, z) must have.  Returns the next level (empty when
+        not inner), each cluster's torus flag, and (index, row) for each
+        cluster whose pattern of zeros or node test fails, in order, its
+        row x, y, z, M and its children's new values as FieldValues: the
+        only values built."""
         m, p, zero = self._payloads((M,))[0], self.p, _ZERO_PAYLOADS[self.kind]
-        kernel = _KERNELS[self.kind]
+        node = _MARKOV[self.kind][1]
         children = self.exchange_children(level, M) if inner else []
         torus, failed = [], []
         c = 0
         for i, (x, y, z, k) in enumerate(level):
-            row = [x, y, z, m]
-            if inner:
-                for s in CHILD_SLOTS[k]:
-                    row.append(children[c][s])
-                    c += 1
+            n = len(CHILD_SLOTS[k]) if inner else 0
+            kids = children[c : c + n]
+            c += n
             t = zeros is None and x != zero and y != zero and z != zero
             torus.append(t)
             if (
                 zeros is not None and (x == zero, y == zero, z == zero) != zeros
-            ) or kernel(row, tables[t][k], p) is not None:
+            ) or not node(x, y, z, m, t, kids, p):
+                row = (x, y, z, m, *(child[child[3]] for child in kids))
                 failed.append((i, tuple(FieldValue(self, v) for v in row)))
         return children, torus, failed
 
@@ -386,10 +390,8 @@ class FieldContext:
 
 # the row shapes of a RelationTable: the exchange x_a x_b - x_c x_d - x_e x_f
 # (every Ptolemy relation, and every Markov exchange), flattened to
-# (a, b, c, d, e, f); the torus relation x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c
-# (the Markov element of a torus cluster is M), flattened to (a, b, c, d);
-# and any other relation, kept as it is
-_EXCHANGE, _TORUS, _GENERIC = "exchange", "torus", "generic"
+# (a, b, c, d, e, f); and any other relation, kept as it is
+_EXCHANGE, _GENERIC = "exchange", "generic"
 # (shape, index of the run's first relation, its rows)
 Runs = Tuple[Tuple[str, int, tuple], ...]
 
@@ -399,13 +401,8 @@ def _row(relation: Relation) -> Tuple[str, object]:
     read off the monomials exactly, coefficients, index counts and the
     order of the indices alike; anything else is generic."""
     monomials = tuple((c, tuple(idx)) for c, idx in relation)
-    lengths = tuple((c, len(idx)) for c, idx in monomials)
-    if lengths == ((1, 2), (-1, 2), (-1, 2)):
+    if tuple((c, len(idx)) for c, idx in monomials) == ((1, 2), (-1, 2), (-1, 2)):
         return _EXCHANGE, monomials[0][1] + monomials[1][1] + monomials[2][1]
-    if lengths == ((1, 2), (1, 2), (1, 2), (-1, 4)):
-        (_, (a, a2)), (_, (b, b2)), (_, (c, c2)), (_, (d, *abc)) = monomials
-        if (a, b, c) == (a2, b2, c2) == tuple(abc):
-            return _TORUS, (a, b, c, d)
     return _GENERIC, monomials
 
 
@@ -414,8 +411,7 @@ class RelationTable(tuple):
     the relations as given, in order, which also keeps them as runs of
     flat rows, one run per stretch of relations of one shape (_row).  Each
     run is (shape, index of its first relation, rows), so the F_p and Q
-    identity tests read every row of an exchange or torus run in one
-    unrolled loop.
+    identity tests read every row of an exchange run in one unrolled loop.
     Build one once for a table that is tested many times."""
 
     runs: Runs
@@ -440,11 +436,6 @@ def _first_nonzero_mod(res: List[int], table: RelationTable, p: int) -> Optional
         if shape is _EXCHANGE:
             for r, (a, b, c, d, e, f) in enumerate(rows, start):
                 if (res[a] * res[b] - res[c] * res[d] - res[e] * res[f]) % p:
-                    return r
-        elif shape is _TORUS:
-            for r, (a, b, c, d) in enumerate(rows, start):
-                x, y, z = res[a], res[b], res[c]
-                if (x * x + y * y + z * z - res[d] * x * y * z) % p:
                     return r
         else:
             for r, relation in enumerate(rows, start):
@@ -473,20 +464,6 @@ def _first_nonzero_q(values: List[Tuple[int, int]], table: RelationTable, p: int
                 nf, df = values[f]
                 d1, d2 = da * db, dc * dd
                 if (na * nb * d2 - nc * nd * d1) * de * df - ne * nf * d1 * d2:
-                    return r
-            continue
-        if shape is _TORUS:
-            # x_a^2 + x_b^2 + x_c^2 - x_d x_a x_b x_c, over (da db dc)^2 dd:
-            # the squares of the three numerators over da db dc, times dd,
-            # less nd na nb nc da db dc
-            for r, (a, b, c, d) in enumerate(rows, start):
-                na, da = values[a]
-                nb, db = values[b]
-                nc, dc = values[c]
-                nd, dd = values[d]
-                d1 = da * db
-                x, y, z = na * db * dc, nb * da * dc, nc * d1
-                if (x * x + y * y + z * z) * dd - nd * na * nb * nc * d1 * dc:
                     return r
             continue
         for r, relation in enumerate(rows, start):
@@ -534,10 +511,28 @@ _KERNELS = {
 }
 
 
-# m * a * b - c on payloads, one formula per kind of field, called as
-# mms(m, a, b, c, p): FieldValue.mul_mul_sub and exchange_children
+# the Markov exchange tree on payloads, one pair of formulas per kind of
+# field: mms(m, a, b, c, p) is m * a * b - c (FieldValue.mul_mul_sub and
+# exchange_children), and node(x, y, z, m, torus, children, p) tests a
+# cluster (exchange_level): on a torus cluster x^2 + y^2 + z^2 = m x y z,
+# and for each child (x', y', z', s) of exchange_children, whose new value
+# v' sits in the slot s of v, v v' = (x^2 + y^2 + z^2) - v^2; each identity
+# is tested exactly and on its own, from the three squares formed once
 def _mul_mul_sub_mod(m: int, a: int, b: int, c: int, p: int) -> int:
     return (m * a * b - c) % p
+
+
+def _node_holds_mod(x: int, y: int, z: int, m: int, torus: bool, children: list, p: int) -> bool:
+    # each identity's sum reduced once mod p
+    squares = (x * x, y * y, z * z)
+    s = squares[0] + squares[1] + squares[2]
+    if torus and (s - m * x * y * z) % p:
+        return False
+    for child in children:
+        k = child[3]
+        if ((x, y, z)[k] * child[k] + squares[k] - s) % p:
+            return False
+    return True
 
 
 def _mul_mul_sub_q(m, a, b, c, p) -> Tuple[int, int]:
@@ -550,6 +545,26 @@ def _mul_mul_sub_q(m, a, b, c, p) -> Tuple[int, int]:
     return (num // g, den // g) if g != 1 else (num, den)
 
 
+def _node_holds_q(x, y, z, m, torus, children, p) -> bool:
+    # over D = dx dy dz the values are X/D, Y/D, Z/D with X = nx dy dz and
+    # likewise Y and Z, and S = X^2 + Y^2 + Z^2: the torus relation is
+    # S dm D = nm X Y Z, and a child nc/dc in V's slot V D nc = (S - V^2) dc
+    (nx, dx), (ny, dy), (nz, dz) = x, y, z
+    dxy = dx * dy
+    D = dxy * dz
+    X, Y, Z = nx * dy * dz, ny * dx * dz, nz * dxy
+    squares = (X * X, Y * Y, Z * Z)
+    S = squares[0] + squares[1] + squares[2]
+    if torus and S * m[1] * D != m[0] * X * Y * Z:
+        return False
+    for child in children:
+        k = child[3]
+        nc, dc = child[k]
+        if (X, Y, Z)[k] * D * nc != (S - squares[k]) * dc:
+            return False
+    return True
+
+
 def _mul_mul_sub_qi(m, a, b, c, p) -> Tuple[int, int, int]:
     # as over Q, with the Gaussian product of the three numerators
     (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = m, a, b, c
@@ -558,10 +573,36 @@ def _mul_mul_sub_qi(m, a, b, c, p) -> Tuple[int, int, int]:
     return _qi_reduced(x * d4 - x4 * den, y * d4 - y4 * den, den * d4)
 
 
-_MUL_MUL_SUB = {
-    PRIME_FIELD: _mul_mul_sub_mod,
-    RATIONALS: _mul_mul_sub_q,
-    GAUSSIAN_RATIONALS: _mul_mul_sub_qi,
+def _node_holds_qi(x, y, z, m, torus, children, p) -> bool:
+    # as over Q, on the Gaussian numerators (re, im) of X, Y, Z and S
+    (xr, xi, dx), (yr, yi, dy), (zr, zi, dz) = x, y, z
+    dyz, dxz, dxy = dy * dz, dx * dz, dx * dy
+    D = dxy * dz
+    nums = ((xr * dyz, xi * dyz), (yr * dxz, yi * dxz), (zr * dxy, zi * dxy))
+    squares = [(a * a - b * b, 2 * a * b) for a, b in nums]
+    s_re = squares[0][0] + squares[1][0] + squares[2][0]
+    s_im = squares[0][1] + squares[1][1] + squares[2][1]
+    if torus:
+        (a, b), (c, d), (e, f) = nums
+        a, b = a * c - b * d, a * d + b * c
+        a, b = a * e - b * f, a * f + b * e
+        mr, mi, dm = m
+        if s_re * dm * D != mr * a - mi * b or s_im * dm * D != mr * b + mi * a:
+            return False
+    for child in children:
+        k = child[3]
+        cr, ci, dc = child[k]
+        a, b = nums[k]
+        sq_re, sq_im = squares[k]
+        if (a * cr - b * ci) * D != (s_re - sq_re) * dc or (a * ci + b * cr) * D != (s_im - sq_im) * dc:
+            return False
+    return True
+
+
+_MARKOV = {
+    PRIME_FIELD: (_mul_mul_sub_mod, _node_holds_mod),
+    RATIONALS: (_mul_mul_sub_q, _node_holds_q),
+    GAUSSIAN_RATIONALS: (_mul_mul_sub_qi, _node_holds_qi),
 }
 
 
@@ -866,12 +907,12 @@ class FieldValue:
         product: over Q the difference is formed over the product of the
         four denominators and reduced by one gcd; over Q(i) likewise, with
         the Gaussian product of the three numerators; over F_p it is reduced
-        once.  The formula is _MUL_MUL_SUB's, which exchange_children uses."""
+        once.  The formula is _MARKOV's, which exchange_children uses."""
         self._check(a)
         self._check(b)
         self._check(sub)
         ctx = self.ctx
-        return FieldValue(ctx, _MUL_MUL_SUB[ctx.kind](self._v, a._v, b._v, sub._v, ctx.p))
+        return FieldValue(ctx, _MARKOV[ctx.kind][0](self._v, a._v, b._v, sub._v, ctx.p))
 
     def inverse(self) -> "FieldValue":
         if self.is_zero:

@@ -14,6 +14,12 @@ directions).  Deep points fall into four families:
 disjoint except for the common origin, which is classified as type A.
 Restriction to the cluster algebra itself collapses all of type A to the
 single all-variables-zero point and is injective elsewhere.
+
+``explore_and_verify`` certifies a point along the exchange tree to a
+given depth.  Each level is built and tested on payloads by
+``FieldContext.exchange_level``: its node test forms a cluster's three
+squares once and checks the torus relation (on a torus cluster) and each
+child's exchange identity exactly, in the point's own field.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ class MarkovUpperPoint:
     y: FieldValue
     z: FieldValue
     M: FieldValue
+
+    def __post_init__(self):
+        ctx = self.x.ctx
+        if self.y.ctx is not ctx or self.z.ctx is not ctx or self.M.ctx is not ctx:
+            raise MarkovError("x, y, z and M come from different field contexts")
 
     @property
     def ctx(self) -> FieldContext:
@@ -215,12 +226,15 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     The tree is walked one level at a time, in the order of its reduced
     words, on payloads: FieldContext.exchange_level builds each level's
     children (each new value M*a*b - c, the formula of
-    FieldValue.mul_mul_sub) and tests every cluster's row, its x, y, z, M
-    and its children's new values, against the cluster's cached
-    `_node_relations` table; the torus test and a deep type's pattern of
-    zeros are payload zero tests.  So every identity at every node is
-    tested, and no FieldValue is built below the root unless a cluster
-    fails.  A failing cluster comes back as field values, which rebuild
+    FieldValue.mul_mul_sub) and tests every cluster by its field's node
+    test, which forms the squares of x, y and z once and checks each of
+    the cluster's identities exactly: the torus relation
+    x^2 + y^2 + z^2 = M*x*y*z on a torus cluster, and each child's
+    exchange; the torus test and a deep type's pattern of zeros are
+    payload zero tests.  So every identity at every node is tested, and no
+    FieldValue is built below the root unless a cluster fails.  A failing
+    cluster comes back as field values, its x, y, z, M and its children's
+    new values, whose identities `_node_relations` states; they rebuild
     the message of each check that fails, so the failures and the Markov
     element values come in the order of a walk that tests each cluster in
     turn.  Refused for depth above MAX_EXPLORE_DEPTH, before any cluster
@@ -241,7 +255,7 @@ def explore_and_verify(p: MarkovUpperPoint, depth: int = 6) -> ExploreReport:
     level, paths = ctx.exchange_root(p.values()), [()]
     for n in range(depth + 1):
         inner = n < depth
-        children, torus, failed = ctx.exchange_level(level, M, _level_tables(inner), zeros, inner)
+        children, torus, failed = ctx.exchange_level(level, M, zeros, inner)
         if not failed:
             element_values.update(dict.fromkeys(itertools.compress(paths, torus), M))
         else:
@@ -279,22 +293,15 @@ _CHILD_DIRS = {last: tuple(DIRECTIONS[s] for s in slots) for last, slots in zip(
 _ZEROS = {"A": (True, True, True), **{d.upper(): tuple(e == d for e in DIRECTIONS) for d in DIRECTIONS}}
 
 
-def _level_tables(inner: bool) -> Tuple[Tuple[RelationTable, ...], ...]:
-    """The tables of one level for FieldContext.exchange_level: indexed
-    [torus][k], k the slot of the last letter of a cluster's word, 3 for the
-    empty word; a cluster of the last level has no children."""
-    return tuple(
-        tuple(_node_relations(torus, _CHILD_DIRS[last] if inner else ()) for last in _LASTS)
-        for torus in (False, True)
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _node_relations(torus: bool, dirs: Tuple[str, ...]) -> RelationTable:
     """The identities of one tree node, over its values (x, y, z, M, then the
     new value of each child, one per direction in dirs): on a torus cluster
     x^2 + y^2 + z^2 - M*x*y*z, which vanishes iff the Markov element is M;
-    then each child's exchange identity v*v' - (the other two squares)."""
+    then each child's exchange identity v*v' - (the other two squares).
+    FieldContext.exchange_level tests the same identities by its field's
+    node test; this table states them for a cluster that fails, whose
+    messages _record_failures writes from it."""
     relations = []
     if torus:
         relations.append(((1, (0, 0)), (1, (1, 1)), (1, (2, 2)), (-1, (3, 0, 1, 2))))

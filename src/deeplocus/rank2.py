@@ -115,6 +115,10 @@ class Rank2Spec:
     e2: Vector = ()
 
     def __post_init__(self):
+        # e1 and e2 given as any sequence are kept as tuples, so specs
+        # compare and hash by their values
+        object.__setattr__(self, "e1", tuple(self.e1))
+        object.__setattr__(self, "e2", tuple(self.e2))
         if self.b < 1 or self.c < 1:
             raise Rank2Error("b and c must be positive")
         if max(self.b, self.c) > MAX_RANK2_EXPONENT:
@@ -165,6 +169,9 @@ class Rank2Point:
             raise Rank2Error("need exactly the four values x0..x3")
         if len(self.ys) != self.spec.f:
             raise Rank2Error("y-vector length must equal f")
+        ctx = self.xs[0].ctx
+        if any(v.ctx is not ctx for v in self.xs + self.ys):
+            raise Rank2Error("x and y values come from different field contexts")
         for y in self.ys:
             if y.is_zero:
                 raise Rank2Error("frozen coefficients must be nonzero")

@@ -901,6 +901,8 @@ class SurfaceDeepPoint:
         for aid, v in self.values.items():
             if aid not in arc_ids:
                 raise SurfaceError(f"no arc {aid}: arc ids run 0..{len(labels) - 1}")
+            if v is not None and v.ctx is not self.ctx:
+                raise SurfaceError(f"the value on arc {aid} is not in {self.ctx!r}")
             if v is not None and v.is_zero != (labels[aid] == 0):
                 raise SurfaceError(f"value/label mismatch on arc {aid}")
 

@@ -8,6 +8,7 @@ import pytest
 
 from deeplocus import markov, polygon
 from deeplocus.field import (
+    CHILD_SLOTS,
     ContextMismatch,
     DivisionByZero,
     FieldContext,
@@ -19,6 +20,7 @@ from deeplocus.field import (
     RelationTable,
     RootScanTooLarge,
     UnsupportedExponent,
+    _MARKOV,
     gaussian_rationals,
     prime_field,
     product,
@@ -605,8 +607,8 @@ class TestPreparedTables:
 
     def test_tables_are_unrolled_by_shape(self):
         # each cached table keeps its relations, and flat rows for F_p and
-        # Q: the exchange rows and the Markov torus relation unrolled, the
-        # type-A edges' x_t - 1 generic
+        # Q: the exchange rows unrolled, the type-A edges' x_t - 1 and the
+        # Markov torus relation generic
         for n in range(4, 15):
             boundary = polygon._chart(n, 1, 2)[1]
             typed = polygon._type_a_certificate(n)[2]
@@ -616,10 +618,8 @@ class TestPreparedTables:
             assert typed == tuple(((1, (t,)), (-1, ())) for t in polygon._edge_slots(n)) + boundary
         for dirs, table in node_tables():
             shapes = [shape for shape, _, _ in table.runs]
-            assert shapes == ["torus"] * (len(table) > len(dirs)) + ["exchange"] * bool(dirs)
+            assert shapes == ["generic"] * (len(table) > len(dirs)) + ["exchange"] * bool(dirs)
             assert sum(len(rows) for _, _, rows in table.runs) == len(table)
-            if len(table) > len(dirs):
-                assert table.runs[0][2] == ((0, 1, 2, 3),)
 
     def test_foreign_values_are_refused(self):
         tables = [(45, polygon._type_a_certificate(10)[2]),
@@ -658,6 +658,21 @@ def as_level(ctx, clusters):
 def as_clusters(ctx, level):
     """A level's clusters as (values, k)."""
     return [(tuple(FieldValue(ctx, v) for v in cluster[:3]), cluster[3]) for cluster in level]
+
+
+def level_tables(inner):
+    """The identities of each cluster of a level, by field arithmetic:
+    indexed [torus][k], k the slot of the last letter of the cluster's word,
+    3 for the empty word; a cluster of the last level has no children."""
+    return tuple(
+        tuple(markov._node_relations(torus, child_dirs(k) if inner else ()) for k in range(4))
+        for torus in (False, True)
+    )
+
+
+def child_dirs(k):
+    """The directions of the children of a cluster whose slot is k."""
+    return tuple(markov.DIRECTIONS[s] for s in CHILD_SLOTS[k])
 
 
 def exchange_by_field_values(ctx, clusters, M, tables, zeros, inner):
@@ -707,15 +722,13 @@ class TestLevelTest:
                 M = rng.choice(vectors)[3]
             inner = rng.random() < 0.7
             zeros = rng.choice([None, None, (True, True, True), (False, True, False)])
-            want = exchange_by_field_values(ctx, clusters, M, markov._level_tables(inner), zeros, inner)
-            children, torus, failed = ctx.exchange_level(
-                as_level(ctx, clusters), M, markov._level_tables(inner), zeros, inner
-            )
+            want = exchange_by_field_values(ctx, clusters, M, level_tables(inner), zeros, inner)
+            children, torus, failed = ctx.exchange_level(as_level(ctx, clusters), M, zeros, inner)
             assert (as_clusters(ctx, children), torus, failed) == want
             assert children == as_level(ctx, want[0])
             assert as_clusters(ctx, ctx.exchange_children(as_level(ctx, clusters), M)) == (
                 want[0] if inner else exchange_by_field_values(
-                    ctx, clusters, M, markov._level_tables(True), zeros, True)[0])
+                    ctx, clusters, M, level_tables(True), zeros, True)[0])
             outcomes.add((bool(failed), 0 < len(failed) < len(clusters), any(torus)))
         # passing levels with torus clusters, and levels that fail in part
         assert (False, False, True) in outcomes
@@ -725,13 +738,13 @@ class TestLevelTest:
     def test_explored_levels_hold_and_a_bumped_value_fails_its_own_cluster(self, ctx, monkeypatch):
         # the levels explore_and_verify tests, each with one value of one
         # cluster raised by one: that cluster fails alone, unless its table
-        # reads no identity (a leaf off the torus)
+        # holds no identity (a leaf off the torus)
         rng = random.Random(f"level-tree/{ctx.p}/{ctx.kind}")
         seen = []
         original = FieldContext.exchange_level
 
-        def spy(self, level, M, tables, zeros, inner):
-            seen.append((list(level), M, tables, zeros, inner))
+        def spy(self, level, M, zeros, inner):
+            seen.append((list(level), M, zeros, inner))
             return original(self, *seen[-1])
 
         monkeypatch.setattr(FieldContext, "exchange_level", spy)
@@ -741,8 +754,9 @@ class TestLevelTest:
         monkeypatch.undo()
         assert [len(level) for level, *_ in seen] == [1, 3, 6, 12, 24]
         failed_any = set()
-        for level, M, tables, zeros, inner in seen:
-            children, torus, failed = ctx.exchange_level(level, M, tables, zeros, inner)
+        for level, M, zeros, inner in seen:
+            tables = level_tables(inner)
+            children, torus, failed = ctx.exchange_level(level, M, zeros, inner)
             assert failed == [] and len(torus) == len(level)
             clusters = as_clusters(ctx, level)
             for _ in range(10):
@@ -751,7 +765,7 @@ class TestLevelTest:
                 bumped = list(clusters)
                 bumped[i] = (values[:s] + (values[s] + ctx.one(),) + values[s + 1 :], k)
                 want = exchange_by_field_values(ctx, bumped, M, tables, zeros, inner)
-                got = ctx.exchange_level(as_level(ctx, bumped), M, tables, zeros, inner)
+                got = ctx.exchange_level(as_level(ctx, bumped), M, zeros, inner)
                 assert (as_clusters(ctx, got[0]), *got[1:]) == want
                 assert [j for j, _ in want[2]] in ([i], [])
                 failed_any.add(bool(want[2]))
@@ -767,8 +781,56 @@ class TestLevelTest:
                 ctx.exchange_children(level, other.one())
             for inner in (True, False):
                 with pytest.raises(ContextMismatch):
-                    ctx.exchange_level(level, other.one(), markov._level_tables(inner), None, inner)
-            assert ctx.exchange_level([], one, markov._level_tables(True), None, True) == ([], [], [])
+                    ctx.exchange_level(level, other.one(), None, inner)
+            assert ctx.exchange_level([], one, None, True) == ([], [], [])
+
+
+def node_rows(ctx, rng):
+    """(x, y, z, M) rows for the node test: points of the Markov variety
+    with small and 30-digit values, the all-zero cluster with a random M,
+    and random rows."""
+    for _ in range(4):
+        x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
+        yield [x, y, z, markov.markov_element(x, y, z)]
+    zero = ctx.zero()
+    yield [zero, zero, zero, identity_draw(ctx, rng)]
+    yield [identity_draw(ctx, rng) for _ in range(4)]
+
+
+class TestNodeTest:
+    """Each field's node test, the second formula of its field._MARKOV pair,
+    against the node's identities (markov._node_relations) evaluated by
+    field arithmetic: for every torus flag, slot k and inner flag, on valid
+    rows and on each row with one value raised by one."""
+
+    @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
+    def test_node_test_matches_the_node_relations(self, ctx):
+        rng = random.Random(f"node-test/{ctx.p}/{ctx.kind}")
+        node = _MARKOV[ctx.kind][1]
+        one = ctx.one()
+        for torus, k, inner in itertools.product((True, False), range(4), (True, False)):
+            dirs = child_dirs(k) if inner else ()
+            table = markov._node_relations(torus, dirs)
+            verdicts = set()
+            for values in node_rows(ctx, rng):
+                x, y, z, M = values
+                # each child's new value as exchange_children forms it
+                kids = ctx.exchange_children(ctx.exchange_root([x, y, z]), M) if inner else []
+                kids = [kid for kid in kids if kid[3] in CHILD_SLOTS[k]]
+                row = values + [FieldValue(ctx, kid[kid[3]]) for kid in kids]
+                for t in range(-1, len(row)):
+                    bumped = list(row)
+                    if t >= 0:
+                        bumped[t] = bumped[t] + one
+                    payloads = [v._v for v in bumped]
+                    children = [kid[:s] + (payloads[4 + j],) + kid[s + 1 :]
+                                for j, kid in enumerate(kids) for s in (kid[3],)]
+                    want = first_nonzero_by_field_values(ctx, bumped, table) is None
+                    assert node(*payloads[:4], torus, children, ctx.p) is want
+                    verdicts.add(want)
+            # every row of a valid point holds; a bump fails some node that
+            # has an identity
+            assert verdicts == ({True, False} if table else {True})
 
 
 def torus_relation(a, b, c, d):
@@ -776,21 +838,13 @@ def torus_relation(a, b, c, d):
     return ((1, (a, a)), (1, (b, b)), (1, (c, c)), (-1, (d, a, b, c)))
 
 
-def generic_table(relations):
-    """The relations prepared as one generic run: the per-monomial loop that
-    every row shape is held to."""
-    table = RelationTable(relations)
-    table.runs = (("generic", 0, tuple(table)),)
-    return table
-
-
 TORUS_FIELDS = [QQ, F2, F3, prime_field(101)]
 TORUS_IDS = ["Q", "F2", "F3", "F101"]
 
 
 class TestTorusRow:
-    """The torus row against the generic per-monomial loop and the
-    field-value oracle."""
+    """The Markov torus relation, which the generic per-monomial loop
+    reads, against the field-value oracle."""
 
     @pytest.mark.parametrize("ctx", TORUS_FIELDS, ids=TORUS_IDS)
     def test_torus_rows_match_the_generic_loop(self, ctx):
@@ -800,8 +854,6 @@ class TestTorusRow:
             # distinct slots, or slots drawn with repeats
             slots = rng.sample(range(6), 4) if trial % 2 else rng.choices(range(6), k=4)
             table = RelationTable([torus_relation(*slots)])
-            assert table.runs == (("torus", 0, (tuple(slots),)),)
-            generic = generic_table(table)
             x, y, z = (identity_draw(ctx, rng, nonzero=True) for _ in range(3))
             valid = [identity_draw(ctx, rng) for _ in range(6)]
             a, b, c, d = slots
@@ -811,10 +863,7 @@ class TestTorusRow:
             t = rng.choice(slots)
             bumped[t] = bumped[t] + ctx.one()
             for values in (valid, bumped, [identity_draw(ctx, rng) for _ in range(6)]):
-                want = first_nonzero_by_field_values(ctx, values, table)
-                assert ctx.first_nonzero_relation(values, generic) == want
-                assert ctx.first_nonzero_relation(values, table) == want
-                outcomes.add(want)
+                outcomes.add(check_prepared(ctx, values, table))
         assert outcomes == {None, 0}
 
     @pytest.mark.parametrize("ctx", TORUS_FIELDS + [QI], ids=TORUS_IDS + ["Qi"])
@@ -836,7 +885,6 @@ class TestTorusRow:
         rng = random.Random(f"near/{ctx.p}/{ctx.kind}")
         for relation in near:
             table = RelationTable([relation, torus_relation(0, 1, 2, 3)])
-            assert [run[:2] for run in table.runs] == [("generic", 0), ("torus", 1)]
             for values in markov_vectors(ctx, rng, count=3):
                 check_prepared(ctx, values, table)
 

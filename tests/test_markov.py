@@ -48,6 +48,16 @@ class TestResidualAndElement:
         with pytest.raises(ZeroDenominator):
             markov_element(QQ.zero(), one, one)
 
+    @pytest.mark.parametrize("at", range(4))
+    def test_a_point_with_values_from_two_fields_is_refused(self, at):
+        # one of x, y, z, M from Q(i) or F_5 in a point over Q, or from Q
+        # in a point over Q(i)
+        for ctx, other in ((QQ, QI), (QQ, F5), (QI, QQ)):
+            values = [ctx.one(), ctx.one(), ctx.one(), ctx.from_int(3)]
+            values[at] = other.one()
+            with pytest.raises(MarkovError, match="^x, y, z and M come from different field contexts$"):
+                MarkovUpperPoint(*values)
+
 
 class TestMutation:
     def test_markov_triples(self):

@@ -69,6 +69,22 @@ class TestConstruction:
             assert len({listed, tupled}) == 1
             assert extend_evaluation(listed, 6).values == extend_evaluation(tupled, 6).values
 
+    def test_a_spec_built_with_lists_is_the_spec_built_with_tuples(self):
+        # e1 and e2 are kept as tuples, so a spec hashes and keys a dict
+        listed, tupled = Rank2Spec(2, 2, 1, [1], [0]), Rank2Spec(2, 2, 1, (1,), (0,))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert isinstance(listed.e1, tuple) and isinstance(listed.e2, tuple)
+        assert len({listed, tupled}) == 1
+
+    @pytest.mark.parametrize("at", range(5))
+    def test_a_point_with_values_from_two_fields_is_refused(self, at):
+        # one value of Q(i), among the xs or as the y, in a point over Q
+        spec = Rank2Spec(2, 2, 1, (1,), (0,))
+        values = [QQ.from_int(t) for t in (1, 2, 3, 4, 5)]
+        values[at] = QI.from_int(at + 1)
+        with pytest.raises(Rank2Error, match="^x and y values come from different field contexts$"):
+            Rank2Point(spec, values[:4], values[4:])
+
     @pytest.mark.parametrize("lo, hi", [(3, 6), (-2, 1)])
     def test_e_vector_window_must_hold_the_seed(self, lo, hi):
         with pytest.raises(Rank2Error, match="window must contain indices 1 and 2"):

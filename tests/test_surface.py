@@ -1484,6 +1484,18 @@ class TestDeepPoints:
         # an underdetermined value agrees with either label
         SurfaceDeepPoint({**p.values, zero: None, one: None}, p.z2, p.ctx)
 
+    def test_deep_point_refuses_a_value_from_another_field(self):
+        # a Q(i) or F_5 value on one arc of a point over Q, whichever arc
+        from deeplocus.surface import SurfaceDeepPoint
+
+        t = named_surface("annulus22")
+        p = ones_deep_point(t, Dissection(t, frozenset([0])), {0: QQ.from_int(5)})
+        for aid, v in p.values.items():
+            for other in (QI, F5):
+                foreign = other.zero() if v.is_zero else other.one()
+                with pytest.raises(SurfaceError, match=rf"^the value on arc {aid} is not in FieldContext\(rationals\)$"):
+                    SurfaceDeepPoint({**p.values, aid: foreign}, p.z2, p.ctx)
+
     @pytest.mark.parametrize("aid", [-1, 8, 99])
     def test_deep_point_refuses_a_value_on_an_unknown_arc(self, aid):
         # annulus22 has arcs 0..7; -1 is not read as the last one

@@ -13,9 +13,15 @@ so that every relation of the table is read, and times two paths on it:
 the same relations evaluated through ``FieldValue`` arithmetic, the oracle
 the tests hold the kernel to. The tables are the polygon certificates
 (``polygon._chart(n, 1, 2)`` in boundary mode and
-``polygon._type_a_certificate``) of the 8-gon and the 10-gon, and
-the identities of an inner Markov node of a torus cluster, with two
-children (``markov._node_relations``).
+``polygon._type_a_certificate``) of the 8-gon and the 10-gon.
+
+For each field it times the Markov node test, the test
+``FieldContext.exchange_level`` makes of each cluster (the second formula
+of the field's ``field._MARKOV`` pair), on an inner torus cluster with two
+children, against the node's identities (``markov._node_relations``)
+evaluated through ``FieldValue`` arithmetic.  The two must agree on the
+valid cluster, which holds, and on each copy with one of its values
+x, y, z, M, y', z' raised by one.
 
 Over F_101 and Q it also times the exchange tree of a random torus point
 to depth 6 (190 clusters) two ways: on payloads, one
@@ -98,11 +104,30 @@ def tables(ctx, rng: random.Random) -> List[Tuple[str, object, list]]:
             table = (polygon._type_a_certificate(n)[2] if mode == polygon.MODE_TYPE_A
                      else polygon._chart(n, 1, 2)[1])
             out.append((f"certificate.n{n}.{mode}", table, list(point.row)))
+    return out
+
+
+NODE_DIRS = ("y", "z")
+
+
+def node_rows(ctx, rng: random.Random) -> List[list]:
+    """The row x, y, z, M, y', z' of an inner torus cluster whose children
+    are in the slots of y and z, and each copy of it with one value raised
+    by one."""
+    from deeplocus import markov
+
     x, y, z = (_nonzero(ctx, rng) for _ in range(3))
     m = markov.markov_element(x, y, z)
     row = [x, y, z, m, x * z * m - y, x * y * m - z]
-    out.append(("markov.node.torus.y,z", markov._node_relations(True, ("y", "z")), row))
-    return out
+    return [row] + [row[:t] + [row[t] + ctx.one()] + row[t + 1:] for t in range(len(row))]
+
+
+def node_args(ctx, row) -> tuple:
+    """The node test's arguments for the row: the payloads of x, y, z and M,
+    the torus flag, the two children as exchange_children forms them, and
+    the modulus."""
+    x, y, z, m, y2, z2 = (v._v for v in row)
+    return (x, y, z, m, True, [(x, y2, z, 1), (x, y, z2, 2)], ctx.p)
 
 
 TREE_FIELDS = ("fp:101", "q")
@@ -121,13 +146,11 @@ def tree_point(ctx, rng: random.Random):
 def payload_tree(point) -> List[list]:
     """Every level of the exchange tree of point to TREE_DEPTH, as
     explore_and_verify walks it on payloads; refused if a cluster fails."""
-    from deeplocus import markov
-
     ctx, M = point.ctx, point.M
     level, levels = ctx.exchange_root(point.values()), []
     for n in range(TREE_DEPTH + 1):
         inner = n < TREE_DEPTH
-        children, _, failed = ctx.exchange_level(level, M, markov._level_tables(inner), None, inner)
+        children, _, failed = ctx.exchange_level(level, M, None, inner)
         if failed:
             raise SystemExit(f"the exchange tree of {point} fails at depth {n}")
         levels.append(level)
@@ -204,8 +227,9 @@ def best_ns(call, repeats: int, number: int) -> float:
 
 
 def main(argv: List[str]) -> int:
+    from deeplocus import markov
     from deeplocus.cli import parse_field
-    from deeplocus.field import FieldValue
+    from deeplocus.field import _MARKOV, FieldValue
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -227,6 +251,16 @@ def main(argv: List[str]) -> int:
             slow = best_ns(lambda: oracle(ctx, row, table), args.repeats, args.number)
             report[field][name] = {"rows": len(table), "prepared_ns": round(prepared),
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
+        node, table = _MARKOV[ctx.kind][1], markov._node_relations(True, NODE_DIRS)
+        rows = node_rows(ctx, rng)
+        got, want = [node(*node_args(ctx, r)) for r in rows], [oracle(ctx, r, table) is None for r in rows]
+        if got != want or not want[0] or all(want):
+            disagree.append(f"{field} markov.node_test: the node test and the oracle disagree")
+        row, valid = rows[0], node_args(ctx, rows[0])
+        fast = best_ns(lambda: node(*valid), args.repeats, args.number)
+        slow = best_ns(lambda: oracle(ctx, row, table), args.repeats, args.number)
+        report[field]["markov.node_test.torus.y,z"] = {"node_test_ns": round(fast), "oracle_ns": round(slow),
+                                                       "oracle_x": round(slow / fast, 2)}
         if field in TREE_FIELDS:
             point = tree_point(ctx, rng)
             levels, replayed = payload_tree(point), replayed_tree(point)
