@@ -823,8 +823,8 @@ class TestNodeTest:
                     if t >= 0:
                         bumped[t] = bumped[t] + one
                     payloads = [v._v for v in bumped]
-                    children = [kid[:s] + (payloads[4 + j],) + kid[s + 1 :]
-                                for j, kid in enumerate(kids) for s in (kid[3],)]
+                    children = [kid[: kid[3]] + (payloads[4 + j],) + kid[kid[3] + 1 :]
+                                for j, kid in enumerate(kids)]
                     want = first_nonzero_by_field_values(ctx, bumped, table) is None
                     assert node(*payloads[:4], torus, children, ctx.p) is want
                     verdicts.add(want)
