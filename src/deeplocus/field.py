@@ -12,6 +12,17 @@ in and go out (parsing, ``rational``, ``gaussian``, roots, strings and sort
 keys).  The factories return one shared context per field, so contexts
 compare by identity.
 
+Each kind of field writes its payload formulas once, in one immutable
+record, ``_Arith`` (``_FP``, ``_Q`` and ``_QI``), which its context picks
+when it is built, as ``FieldContext.arith``.  Every ``FieldValue``
+operator and every payload walk of ``FieldContext`` calls the record; only
+text, parsing and roots still branch on the kind.  The ratio a*b/c is the
+one quotient: a / c is ratio(a, 1, c) and the inverse of v is
+ratio(1, 1, v), over Q formed with a single gcd.  A power builds no
+intermediate value: over F_p it is one builtin ``pow``, over Q the powers
+of numerator and denominator, and over Q(i) square-and-multiply on the
+Gaussian numerator, reduced once.
+
 ``FieldContext.first_nonzero_relation`` tests a table of polynomial
 identities at a point's values without building values.  A table is
 prepared once as a ``RelationTable``: a tuple of its relations that also
@@ -25,22 +36,17 @@ on each call, so callers cache the tables they test often; Q(i) reads a
 table as its relations, one monomial at a time.
 ``FieldContext.exchange_level`` walks one level of the Markov exchange
 tree on payloads: it builds each cluster's children, each new value
-M*a*b - c by the formula of ``FieldValue.mul_mul_sub``, tests each cluster
-with its field's node test, and builds field values only for a cluster
-that fails.  The node test forms the squares of x, y and z once and checks
+M*a*b - c by the record's ``mul_mul_sub``, tests each cluster with the
+record's node test, and builds field values only for a cluster that
+fails.  The node test forms the squares of x, y and z once and checks
 each identity exactly and on its own: on a torus cluster
 x^2 + y^2 + z^2 = M*x*y*z, and for each child the exchange
 v*v' = (x^2 + y^2 + z^2) - v^2; over F_p each is reduced once, over Q and
 Q(i) each is one test on the common denominator dx*dy*dz of the cluster.
-The child's formula and the node test are one pair per field
-(``_MARKOV``), as are the two formulas ``FieldContext.ptolemy_rule`` gives
-the random surface flip walk, which keeps its values as payloads, for the
-exchange old * new = v(p)v(r) + v(q)v(s): the ratio a*b/c, formed in one
-step (over Q with a single gcd), and the test a*b + c*d = 0.
-A power builds no intermediate value: over
-F_p it is one builtin ``pow``, over Q the powers of numerator and
-denominator, and over Q(i) square-and-multiply on the Gaussian numerator,
-reduced once.
+``FieldContext.ptolemy_rule`` gives the random surface flip walk, which
+keeps its values as payloads, the record's ratio and its test
+a*b + c*d = 0 (``vanishes``), for the exchange
+old * new = v(p)v(r) + v(q)v(s).
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import functools
 import math
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DeepLocusError
 
@@ -59,9 +65,6 @@ PRIME_FIELD = "prime-field"
 
 _MAX_PRIME = 2**31
 
-# the canonical payload of zero in each kind of field
-_ZERO_PAYLOADS = {PRIME_FIELD: 0, RATIONALS: (0, 1), GAUSSIAN_RATIONALS: (0, 0, 1)}
-
 # F_p root finding tries every element, so it is refused past this prime
 MAX_ROOT_SCAN_PRIME = 2**16
 
@@ -70,6 +73,7 @@ MAX_ROOT_SCAN_PRIME = 2**16
 # of the values at the indices idx, which may repeat
 Monomial = Tuple[int, Tuple[int, ...]]
 Relation = Tuple[Monomial, ...]
+Payload = Union[int, Tuple[int, ...]]
 
 
 class FieldError(DeepLocusError):
@@ -117,7 +121,7 @@ class FieldContext:
     """One of Q, Q(i), or F_p.  Use the module factories to construct: a
     context built directly is a field of its own, distinct from theirs."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "arith")
 
     def __init__(self, kind: str, p: int = 0):
         if kind not in (RATIONALS, GAUSSIAN_RATIONALS, PRIME_FIELD):
@@ -129,6 +133,9 @@ class FieldContext:
             p = 0
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
+        # the kind's payload formulas (_Arith)
+        arith = _FP if kind == PRIME_FIELD else _Q if kind == RATIONALS else _QI
+        object.__setattr__(self, "arith", arith)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldContext is immutable")
@@ -145,10 +152,10 @@ class FieldContext:
     # -- value construction ------------------------------------------------
 
     def zero(self) -> "FieldValue":
-        return self.from_int(0)
+        return FieldValue(self, self.arith.zero)
 
     def one(self) -> "FieldValue":
-        return self.from_int(1)
+        return FieldValue(self, self.arith.one)
 
     def minus_one(self) -> "FieldValue":
         return self.from_int(-1)
@@ -275,7 +282,7 @@ class FieldContext:
         payloads = self._payloads(values)
         if not isinstance(relations, RelationTable):
             relations = RelationTable(relations)
-        return _KERNELS[self.kind](payloads, relations, self.p)
+        return self.arith.first_nonzero(payloads, relations, self.p)
 
     # -- the Markov exchange tree, on payloads --------------------------------
     #
@@ -292,8 +299,8 @@ class FieldContext:
     def exchange_children(self, level: list, M: "FieldValue") -> list:
         """The next level: each cluster's children in its level's order,
         one per slot of CHILD_SLOTS[k].  The child in slot s holds
-        v_s' = M v_i v_j - v_s, the formula of FieldValue.mul_mul_sub."""
-        m, p, mms = self._payloads((M,))[0], self.p, _MARKOV[self.kind][0]
+        v_s' = M v_i v_j - v_s, the record's mul_mul_sub."""
+        m, p, mms = self._payloads((M,))[0], self.p, self.arith.mul_mul_sub
         out = []
         for x, y, z, k in level:
             for s in CHILD_SLOTS[k]:
@@ -325,8 +332,7 @@ class FieldContext:
         cluster whose pattern of zeros or node test fails, in order, its
         row x, y, z, M and its children's new values as FieldValues: the
         only values built."""
-        m, p, zero = self._payloads((M,))[0], self.p, _ZERO_PAYLOADS[self.kind]
-        node = _MARKOV[self.kind][1]
+        m, p, zero, node = self._payloads((M,))[0], self.p, self.arith.zero, self.arith.node
         children = self.exchange_children(level, M) if inner else []
         torus, failed = [], []
         c = 0
@@ -347,7 +353,7 @@ class FieldContext:
         """How many of the values at indices are zero.  Reads only those
         values, checks each one's context, and compares payloads, which
         are canonical."""
-        zero = _ZERO_PAYLOADS[self.kind]
+        zero = self.arith.zero
         count = 0
         for t in indices:
             v = values[t]
@@ -376,13 +382,13 @@ class FieldContext:
         return [None if v is None else FieldValue(self, v) for v in payloads]
 
     def ptolemy_rule(self) -> tuple:
-        """(ratio, vanishes, zero, p): the two formulas of the exchange
-        old * new = v(p)v(r) + v(q)v(s) on this field's payloads, called as
-        ratio(a, b, c, p), the payload of a * b / c, and vanishes(a, b, c,
-        d, p), whether a * b + c * d is 0; the payload of 0; and the modulus
-        p (0 off F_p).  A zero c raises DivisionByZero."""
-        ratio, vanishes = _PTOLEMY[self.kind]
-        return ratio, vanishes, _ZERO_PAYLOADS[self.kind], self.p
+        """(ratio, vanishes, zero, p) from the record, for the exchange
+        old * new = v(p)v(r) + v(q)v(s) on this field's payloads: ratio(a,
+        b, c, p), the payload of a * b / c, which raises DivisionByZero on
+        a zero c; vanishes(a, b, c, d, p), whether a * b + c * d is 0; the
+        payload of 0; and the modulus p (0 off F_p)."""
+        arith = self.arith
+        return arith.ratio, arith.vanishes, arith.zero, self.p
 
     def _mismatch(self, v: "FieldValue"):
         raise ContextMismatch(f"{self!r} vs {v.ctx!r}")
@@ -429,8 +435,7 @@ class RelationTable(tuple):
         return table
 
 
-# The identity-test kernels, one per kind of field, all called as
-# kernel(payloads, table, p) with p the context's modulus (0 off F_p).
+# The identity-test kernels, each a record's first_nonzero(payloads, table, p)
 def _first_nonzero_mod(res: List[int], table: RelationTable, p: int) -> Optional[int]:
     for shape, start, rows in table.runs:
         if shape is _EXCHANGE:
@@ -504,24 +509,13 @@ def _first_nonzero_qi(
     return None
 
 
-_KERNELS = {
-    PRIME_FIELD: _first_nonzero_mod,
-    RATIONALS: _first_nonzero_q,
-    GAUSSIAN_RATIONALS: _first_nonzero_qi,
-}
-
-
-# the Markov exchange tree on payloads, one pair of formulas per kind of
-# field: mms(m, a, b, c, p) is m * a * b - c (FieldValue.mul_mul_sub and
-# exchange_children), and node(x, y, z, m, torus, children, p) tests a
-# cluster (exchange_level): on a torus cluster x^2 + y^2 + z^2 = m x y z,
-# and for each child (x', y', z', s) of exchange_children, whose new value
-# v' sits in the slot s of v, v v' = (x^2 + y^2 + z^2) - v^2; each identity
-# is tested exactly and on its own, from the three squares formed once
-def _mul_mul_sub_mod(m: int, a: int, b: int, c: int, p: int) -> int:
-    return (m * a * b - c) % p
-
-
+# the Markov exchange tree on payloads: a record's node(x, y, z, m, torus,
+# children, p) tests a cluster (exchange_level): on a torus cluster
+# x^2 + y^2 + z^2 = m x y z, and for each child (x', y', z', s) of
+# exchange_children, whose new value v' sits in the slot s of v,
+# v v' = (x^2 + y^2 + z^2) - v^2; each identity is tested exactly and on its
+# own, from the three squares formed once.  Its mul_mul_sub(m, a, b, c, p),
+# m * a * b - c, forms each child's new value
 def _node_holds_mod(x: int, y: int, z: int, m: int, torus: bool, children: list, p: int) -> bool:
     # each identity's sum reduced once mod p
     squares = (x * x, y * y, z * z)
@@ -599,24 +593,13 @@ def _node_holds_qi(x, y, z, m, torus, children, p) -> bool:
     return True
 
 
-_MARKOV = {
-    PRIME_FIELD: (_mul_mul_sub_mod, _node_holds_mod),
-    RATIONALS: (_mul_mul_sub_q, _node_holds_q),
-    GAUSSIAN_RATIONALS: (_mul_mul_sub_qi, _node_holds_qi),
-}
-
-
-# the Ptolemy exchange of a surface flip on payloads, one pair of formulas
-# per kind of field: ratio(a, b, c, p) is a * b / c and vanishes(a, b, c, d, p)
-# tests a * b + c * d = 0 (FieldContext.ptolemy_rule)
+# a record's ratio(a, b, c, p), a * b / c: every quotient a / c is
+# ratio(a, 1, c), every inverse ratio(1, 1, c), and ptolemy_rule gives it to
+# the surface flip walk beside vanishes(a, b, c, d, p), a * b + c * d == 0
 def _ratio_mod(a: int, b: int, c: int, p: int) -> int:
     if not c:
         raise DivisionByZero("cannot invert zero")
     return a * b * pow(c, -1, p) % p
-
-
-def _vanishes_mod(a: int, b: int, c: int, d: int, p: int) -> bool:
-    return (a * b + c * d) % p == 0
 
 
 def _ratio_q(a, b, c, p) -> Tuple[int, int]:
@@ -632,12 +615,6 @@ def _ratio_q(a, b, c, p) -> Tuple[int, int]:
     return (num // g, den // g) if g != 1 else (num, den)
 
 
-def _vanishes_q(a, b, c, d, p) -> bool:
-    # the numerator of the sum over da db dc dd, which is positive
-    (na, da), (nb, db), (nc, dc), (nd, dd) = a, b, c, d
-    return na * nb * dc * dd + nc * nd * da * db == 0
-
-
 def _ratio_qi(a, b, c, p) -> Tuple[int, int, int]:
     # (x1 + y1*i)/d1 * (x2 + y2*i)/d2 / ((x3 + y3*i)/d3)
     #   = (x1 + y1*i)(x2 + y2*i)(x3 - y3*i) d3 / (d1 d2 (x3^2 + y3^2))
@@ -650,7 +627,7 @@ def _ratio_qi(a, b, c, p) -> Tuple[int, int, int]:
 
 
 def _vanishes_qi(a, b, c, d, p) -> bool:
-    # as over Q, each part of the Gaussian numerator
+    # as _Q's vanishes, on each part of the Gaussian numerator
     (x1, y1, d1), (x2, y2, d2), (x3, y3, d3), (x4, y4, d4) = a, b, c, d
     e, f = d3 * d4, d1 * d2
     return (
@@ -659,11 +636,87 @@ def _vanishes_qi(a, b, c, d, p) -> bool:
     )
 
 
-_PTOLEMY = {
-    PRIME_FIELD: (_ratio_mod, _vanishes_mod),
-    RATIONALS: (_ratio_q, _vanishes_q),
-    GAUSSIAN_RATIONALS: (_ratio_qi, _vanishes_qi),
-}
+def _pow_qi(v, n: int, p) -> Tuple[int, int, int]:
+    # square-and-multiply on the Gaussian numerator, reduced once over d^n
+    x, y, d = v
+    re, im, e = 1, 0, n
+    while True:
+        if e & 1:
+            re, im = re * x - im * y, re * y + im * x
+        e >>= 1
+        if not e:
+            return _qi_reduced(re, im, d**n)
+        x, y = x * x - y * y, 2 * x * y
+
+
+class _Arith(NamedTuple):
+    """One kind of field's payload formulas, each written once.  zero and
+    one are payloads; every formula takes payloads and the modulus p last
+    (0 off F_p), and returns a canonical payload or a verdict."""
+
+    zero: Payload
+    one: Payload
+    add: Callable  # (a, b, p): a + b
+    sub: Callable  # (a, b, p): a - b
+    neg: Callable  # (a, p): -a
+    mul: Callable  # (a, b, p): a * b
+    ratio: Callable  # (a, b, c, p): a * b / c; a zero c raises DivisionByZero
+    pow: Callable  # (a, n, p): a ** n for n >= 1
+    mul_mul_sub: Callable  # (m, a, b, c, p): m * a * b - c
+    node: Callable  # (x, y, z, m, torus, children, p): the node test holds
+    vanishes: Callable  # (a, b, c, d, p): a * b + c * d == 0
+    first_nonzero: Callable  # (payloads, table, p): first_nonzero_relation
+
+
+_FP = _Arith(
+    zero=0,
+    one=1,
+    add=lambda a, b, p: (a + b) % p,
+    sub=lambda a, b, p: (a - b) % p,
+    neg=lambda a, p: -a % p,
+    mul=lambda a, b, p: a * b % p,
+    ratio=_ratio_mod,
+    # one builtin call: a nonzero residue has order dividing p - 1
+    pow=lambda a, n, p: pow(a, n % (p - 1), p) if a else 0,
+    mul_mul_sub=lambda m, a, b, c, p: (m * a * b - c) % p,
+    node=_node_holds_mod,
+    vanishes=lambda a, b, c, d, p: (a * b + c * d) % p == 0,
+    first_nonzero=_first_nonzero_mod,
+)
+
+_Q = _Arith(
+    zero=(0, 1),
+    one=(1, 1),
+    add=lambda a, b, p: _q_sum(*a, *b),
+    sub=lambda a, b, p: _q_sum(a[0], a[1], -b[0], b[1]),
+    neg=lambda a, p: (-a[0], a[1]),
+    mul=lambda a, b, p: _q_product(*a, *b),
+    ratio=_ratio_q,
+    # gcd(a, b) = 1 and b > 0, so a^n / b^n is in lowest terms
+    pow=lambda a, n, p: (a[0] ** n, a[1] ** n),
+    mul_mul_sub=_mul_mul_sub_q,
+    node=_node_holds_q,
+    # the numerator of the sum over da db dc dd, which is positive
+    vanishes=lambda a, b, c, d, p: a[0] * b[0] * c[1] * d[1] + c[0] * d[0] * a[1] * b[1] == 0,
+    first_nonzero=_first_nonzero_q,
+)
+
+_QI = _Arith(
+    zero=(0, 0, 1),
+    one=(1, 0, 1),
+    add=lambda a, b, p: _qi_sum(*a, *b),
+    sub=lambda a, b, p: _qi_sum(a[0], a[1], a[2], -b[0], -b[1], b[2]),
+    neg=lambda a, p: (-a[0], -a[1], a[2]),
+    mul=lambda a, b, p: _qi_reduced(
+        a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0], a[2] * b[2]
+    ),
+    ratio=_ratio_qi,
+    pow=_pow_qi,
+    mul_mul_sub=_mul_mul_sub_qi,
+    node=_node_holds_qi,
+    vanishes=_vanishes_qi,
+    first_nonzero=_first_nonzero_qi,
+)
 
 # the slots of an exchange-tree cluster's children, in the next level's order,
 # by the slot k its last exchange replaced (3 at the root): every slot but k.
@@ -823,9 +876,6 @@ def _qi_reduced(x: int, y: int, d: int) -> Tuple[int, int, int]:
     return (x // g, y // g, d // g)
 
 
-Payload = Union[int, Tuple[int, ...]]
-
-
 class FieldValue:
     """An immutable element of a FieldContext."""
 
@@ -842,12 +892,7 @@ class FieldValue:
 
     @property
     def is_zero(self) -> bool:
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return self._v == 0
-        if k == RATIONALS:
-            return self._v[0] == 0
-        return self._v[0] == 0 and self._v[1] == 0
+        return self._v == self.ctx.arith.zero
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -862,124 +907,52 @@ class FieldValue:
 
     def __add__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (self._v + other._v) % self.ctx.p)
-        if k == RATIONALS:
-            return FieldValue(self.ctx, _q_sum(*self._v, *other._v))
-        return FieldValue(self.ctx, _qi_sum(*self._v, *other._v))
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.add(self._v, other._v, ctx.p))
 
     def __sub__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (self._v - other._v) % self.ctx.p)
-        if k == RATIONALS:
-            a, b = self._v
-            c, d = other._v
-            return FieldValue(self.ctx, _q_sum(a, b, -c, d))
-        x1, y1, d1 = self._v
-        x2, y2, d2 = other._v
-        return FieldValue(self.ctx, _qi_sum(x1, y1, d1, -x2, -y2, d2))
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.sub(self._v, other._v, ctx.p))
 
     def __neg__(self) -> "FieldValue":
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (-self._v) % self.ctx.p)
-        if k == RATIONALS:
-            a, b = self._v
-            return FieldValue(self.ctx, (-a, b))
-        x, y, d = self._v
-        return FieldValue(self.ctx, (-x, -y, d))
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.neg(self._v, ctx.p))
 
     def __mul__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, (self._v * other._v) % self.ctx.p)
-        if k == RATIONALS:
-            return FieldValue(self.ctx, _q_product(*self._v, *other._v))
-        (x1, y1, d1), (x2, y2, d2) = self._v, other._v
-        return FieldValue(self.ctx, _qi_reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2))
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.mul(self._v, other._v, ctx.p))
 
     def mul_mul_sub(self, a: "FieldValue", b: "FieldValue", sub: "FieldValue") -> "FieldValue":
         """self * a * b - sub, as one operation that builds no value for the
         product: over Q the difference is formed over the product of the
         four denominators and reduced by one gcd; over Q(i) likewise, with
         the Gaussian product of the three numerators; over F_p it is reduced
-        once.  The formula is _MARKOV's, which exchange_children uses."""
+        once.  The formula is the record's mul_mul_sub, which
+        exchange_children uses too."""
         self._check(a)
         self._check(b)
         self._check(sub)
         ctx = self.ctx
-        return FieldValue(ctx, _MARKOV[ctx.kind][0](self._v, a._v, b._v, sub._v, ctx.p))
+        return FieldValue(ctx, ctx.arith.mul_mul_sub(self._v, a._v, b._v, sub._v, ctx.p))
 
     def inverse(self) -> "FieldValue":
-        if self.is_zero:
-            raise DivisionByZero("cannot invert zero")
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            return FieldValue(self.ctx, pow(self._v, -1, self.ctx.p))
-        if k == RATIONALS:
-            a, b = self._v
-            return FieldValue(self.ctx, (b, a) if a > 0 else (-b, -a))
-        # d / (x + y*i) = d*(x - y*i) / (x^2 + y^2)
-        x, y, d = self._v
-        return FieldValue(self.ctx, _qi_reduced(d * x, -d * y, x * x + y * y))
+        ctx, one = self.ctx, self.ctx.arith.one
+        return FieldValue(ctx, ctx.arith.ratio(one, one, self._v, ctx.p))
 
     def __truediv__(self, other: "FieldValue") -> "FieldValue":
         self._check(other)
-        k = self.ctx.kind
-        if k == PRIME_FIELD:
-            if other._v == 0:
-                raise DivisionByZero("cannot invert zero")
-            p = self.ctx.p
-            return FieldValue(self.ctx, self._v * pow(other._v, -1, p) % p)
-        if k == RATIONALS:
-            # a/b / (c/d) = a/b * d/c, with the sign of c moved up
-            a, b = self._v
-            c, d = other._v
-            if c == 0:
-                raise DivisionByZero("cannot invert zero")
-            if c < 0:
-                c, d = -c, -d
-            return FieldValue(self.ctx, _q_product(a, b, d, c))
-        # (x1 + y1*i)/d1 / ((x2 + y2*i)/d2)
-        #   = (x1 + y1*i)(x2 - y2*i) d2 / (d1 (x2^2 + y2^2))
-        (x1, y1, d1), (x2, y2, d2) = self._v, other._v
-        norm = x2 * x2 + y2 * y2
-        if norm == 0:
-            raise DivisionByZero("cannot invert zero")
-        return FieldValue(
-            self.ctx, _qi_reduced((x1 * x2 + y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2, d1 * norm)
-        )
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.ratio(self._v, ctx.arith.one, other._v, ctx.p))
 
     def __pow__(self, n: int) -> "FieldValue":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        ctx, v = self.ctx, self._v
-        if n == 0:
-            return ctx.one()
-        if ctx.kind == PRIME_FIELD:
-            # one builtin call: a nonzero residue has order dividing p - 1
-            p = ctx.p
-            return FieldValue(ctx, pow(v, n % (p - 1), p) if v else 0)
-        if ctx.kind == RATIONALS:
-            # gcd(a, b) = 1 and b > 0, so a^n / b^n is in lowest terms
-            return FieldValue(ctx, (v[0] ** n, v[1] ** n))
-        # square-and-multiply on the Gaussian numerator, reduced once over d^n
-        x, y, d = v
-        re, im = 1, 0
-        e = n
-        while True:
-            if e & 1:
-                re, im = re * x - im * y, re * y + im * x
-            e >>= 1
-            if not e:
-                return FieldValue(ctx, _qi_reduced(re, im, d**n))
-            x, y = x * x - y * y, 2 * x * y
+        ctx = self.ctx
+        return FieldValue(ctx, ctx.arith.pow(self._v, n, ctx.p) if n else ctx.arith.one)
 
     # -- comparison / hashing -------------------------------------------------
 

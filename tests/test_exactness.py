@@ -51,12 +51,13 @@ def test_guard_flags(snippet):
     assert list(inexact_uses(ast.parse(snippet)))
 
 
-FIELD_INTERNALS = {"kind", "_v"}
+# a context's kind and its record of payload formulas, and a value's payload
+FIELD_INTERNALS = {"kind", "arith", "_v"}
 
 
 def field_internals(tree: ast.AST):
-    """(line, what) for each read of a context's kind or a value's payload,
-    and each FieldValue(...) construction, in the tree."""
+    """(line, what) for each read of a context's kind or record or a value's
+    payload, and each FieldValue(...) construction, in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS:
             yield node.lineno, f"attribute .{node.attr}"
@@ -83,6 +84,7 @@ def test_field_internals_stay_in_field(path):
         "v = FieldValue(ctx, 3)",
         "v = field.FieldValue(ctx, 3)",
         "if ctx.kind != 'prime-field': pass",
+        "node = ctx.arith.node",
     ],
 )
 def test_field_guard_flags(snippet):

@@ -20,7 +20,6 @@ from deeplocus.field import (
     RelationTable,
     RootScanTooLarge,
     UnsupportedExponent,
-    _MARKOV,
     gaussian_rationals,
     prime_field,
     product,
@@ -798,7 +797,7 @@ def node_rows(ctx, rng):
 
 
 class TestNodeTest:
-    """Each field's node test, the second formula of its field._MARKOV pair,
+    """Each field's node test, the node formula of its record (ctx.arith),
     against the node's identities (markov._node_relations) evaluated by
     field arithmetic: for every torus flag, slot k and inner flag, on valid
     rows and on each row with one value raised by one."""
@@ -806,7 +805,7 @@ class TestNodeTest:
     @pytest.mark.parametrize("ctx", IDENTITY_FIELDS, ids=IDENTITY_IDS)
     def test_node_test_matches_the_node_relations(self, ctx):
         rng = random.Random(f"node-test/{ctx.p}/{ctx.kind}")
-        node = _MARKOV[ctx.kind][1]
+        node = ctx.arith.node
         one = ctx.one()
         for torus, k, inner in itertools.product((True, False), range(4), (True, False)):
             dirs = child_dirs(k) if inner else ()
@@ -980,7 +979,8 @@ class TestLongText:
 
 # ---------------------------------------------------------------------------
 # Q and Q(i) against a fractions.Fraction oracle: a rational is a Fraction,
-# an element of Q(i) the pair of Fractions (re, im)
+# an element of Q(i) the pair of Fractions (re, im); F_p against plain ints
+# mod p, each inverse by Fermat's little theorem
 
 
 def gaussian_mul(a, b):
@@ -1016,6 +1016,23 @@ ORACLES = {
 }
 
 
+def mod_oracle(p):
+    return {
+        "add": lambda a, b: (a + b) % p,
+        "sub": lambda a, b: (a - b) % p,
+        "mul": lambda a, b: a * b % p,
+        "div": lambda a, b: a * pow(b, p - 2, p) % p,
+        "neg": lambda a: -a % p,
+        "inverse": lambda a: pow(a, p - 2, p),
+        "zero": 0,
+        "one": 1,
+    }
+
+
+ORACLE_PRIMES = {"F2": 2, "F3": 3, "F101": 101}
+ORACLES.update({name: mod_oracle(p) for name, p in ORACLE_PRIMES.items()})
+
+
 def oracle_power(oracle, a, n):
     out = oracle["one"]
     for _ in range(abs(n)):
@@ -1035,6 +1052,9 @@ def oracle_part(rng):
 
 def oracle_draw(ctx, rng):
     """A value of ctx, built from its oracle at the boundary, and the oracle."""
+    if ctx.p:
+        n = rng.choice((0, rng.randrange(ctx.p), rng.randint(-10**30, 10**30)))
+        return ctx.from_int(n), n % ctx.p
     if ctx is QQ:
         q = oracle_part(rng)
         return QQ.rational(q.numerator, q.denominator), q
@@ -1044,7 +1064,10 @@ def oracle_draw(ctx, rng):
 
 def canonical_oracle(v):
     """v's payload as an oracle value, after checking that it is canonical:
-    ints over a positive denominator, with gcd 1."""
+    ints over a positive denominator, with gcd 1, or an int in [0, p)."""
+    if v.ctx.p:
+        assert type(v._v) is int and 0 <= v._v < v.ctx.p
+        return v._v
     if v.ctx is QQ:
         num, den = v._v
         assert type(num) is int and type(den) is int
@@ -1056,7 +1079,11 @@ def canonical_oracle(v):
     return (Fraction(re, den), Fraction(im, den))
 
 
-@pytest.mark.parametrize("ctx, name", [(QQ, "Q"), (QI, "Qi")], ids=["Q", "Qi"])
+@pytest.mark.parametrize(
+    "ctx, name",
+    [(QQ, "Q"), (QI, "Qi")] + [(prime_field(p), name) for name, p in ORACLE_PRIMES.items()],
+    ids=["Q", "Qi", *ORACLE_PRIMES],
+)
 def test_exact_arithmetic_matches_the_fraction_oracle(ctx, name):
     oracle = ORACLES[name]
     rng = random.Random(f"field-oracle/{name}")

@@ -16,12 +16,12 @@ the tests hold the kernel to. The tables are the polygon certificates
 ``polygon._type_a_certificate``) of the 8-gon and the 10-gon.
 
 For each field it times the Markov node test, the test
-``FieldContext.exchange_level`` makes of each cluster (the second formula
-of the field's ``field._MARKOV`` pair), on an inner torus cluster with two
-children, against the node's identities (``markov._node_relations``)
-evaluated through ``FieldValue`` arithmetic.  The two must agree on the
-valid cluster, which holds, and on each copy with one of its values
-x, y, z, M, y', z' raised by one.
+``FieldContext.exchange_level`` makes of each cluster (the ``node``
+formula of the field's record, ``ctx.arith``), on an inner torus cluster
+with two children, against the node's identities
+(``markov._node_relations``) evaluated through ``FieldValue`` arithmetic.
+The two must agree on the valid cluster, which holds, and on each copy
+with one of its values x, y, z, M, y', z' raised by one.
 
 Over F_101 and Q it also times the exchange tree of a random torus point
 to depth 6 (190 clusters) two ways: on payloads, one
@@ -229,7 +229,7 @@ def best_ns(call, repeats: int, number: int) -> float:
 def main(argv: List[str]) -> int:
     from deeplocus import markov
     from deeplocus.cli import parse_field
-    from deeplocus.field import _MARKOV, FieldValue
+    from deeplocus.field import FieldValue
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7)
@@ -251,7 +251,7 @@ def main(argv: List[str]) -> int:
             slow = best_ns(lambda: oracle(ctx, row, table), args.repeats, args.number)
             report[field][name] = {"rows": len(table), "prepared_ns": round(prepared),
                                    "oracle_ns": round(slow), "oracle_x": round(slow / prepared, 2)}
-        node, table = _MARKOV[ctx.kind][1], markov._node_relations(True, NODE_DIRS)
+        node, table = ctx.arith.node, markov._node_relations(True, NODE_DIRS)
         rows = node_rows(ctx, rng)
         got, want = [node(*node_args(ctx, r)) for r in rows], [oracle(ctx, r, table) is None for r in rows]
         if got != want or not want[0] or all(want):
